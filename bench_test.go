@@ -242,6 +242,12 @@ func BenchmarkRealWorldConstruction256(b *testing.B) { hostbench.BenchWorldConst
 // loopback-vs-shared-memory latency table in EXPERIMENTS.md.
 func BenchmarkRealPingPong(b *testing.B) { hostbench.BenchRealPingPong(b) }
 
+// BenchmarkRealWakeup measures what a receive costs when the peer is
+// computing on another thread (1000 exchanges per op, ~20 µs of compute
+// per rank between them): the wake-up rung of the cost ladder in
+// EXPERIMENTS.md, where RealPingPong is the same-processor hand-off.
+func BenchmarkRealWakeup(b *testing.B) { hostbench.BenchRealWakeup(b) }
+
 // --- Distributed-backend micros: the same fabric measurements with every
 // message crossing OS-process boundaries over loopback TCP. Worker
 // processes self-spawn from this test binary (see TestMain); the bodies

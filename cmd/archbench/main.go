@@ -55,6 +55,10 @@
 //
 //	archbench -json fresh.json -backend=dist \
 //	    -compare BENCH_dist.json -gate DistPingPong,DistAllReduce
+//
+// A baseline recorded at a different GOMAXPROCS is refused, not compared:
+// the committed baselines are "gomaxprocs": 1, so gate runs set
+// GOMAXPROCS=1 in the environment.
 package main
 
 import (
@@ -90,7 +94,7 @@ func main() {
 		backName = flag.String("backend", "sim", "execution backend: "+strings.Join(arch.BackendNames(), ", "))
 		jsonOut  = flag.String("json", "", "write the host-cost benchmark baseline to this file and exit")
 		family   = flag.String("family", "micro", `host-cost family for -json: "micro" (latency suite), "stream" (sustained throughput matrix), or "elastic" (recovery-latency table)`)
-		compare  = flag.String("compare", "", "with -json: baseline BENCH_*.json to gate the fresh micros against (exit 1 on regression)")
+		compare  = flag.String("compare", "", "with -json: baseline BENCH_*.json to gate the fresh micros against (exit 1 on regression, or when it was recorded at another GOMAXPROCS)")
 		gate     = flag.String("gate", "", "with -compare: comma-separated benchmark names to gate on (default: all shared micros)")
 		slack    = flag.Float64("slack", 0.20, "with -compare: allowed fractional slowdown before a micro counts as regressed")
 		traceOut = flag.String("trace", "", "record figure runs (first 256) and write Chrome trace-event JSON to this path")

@@ -3,8 +3,11 @@ package backend
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // message is one unit in flight on the fabric. Messages are stored by
@@ -63,6 +66,15 @@ func (q *pairQueue) pop() message {
 type inbox struct {
 	mu   sync.Mutex
 	cond sync.Cond
+	// arrivals counts the pushes into this inbox in a world that spins
+	// (mailbox.spin > 0; other worlds have no reader and skip the atomic).
+	// It is bumped under mu and read without it by a consumer in the
+	// yield-spin phase of wait, which watches for a change instead of
+	// holding the lock.
+	arrivals atomic.Uint64
+	// parks counts the receives that fell through to cond.Wait: the ones
+	// that paid a goroutine park and a sender's wake-up.
+	parks int64
 	// q[src] is the FIFO from src to this rank.
 	q []pairQueue
 	// pending counts queued messages across all sources.
@@ -190,6 +202,8 @@ func (f *fabric) reset() {
 		}
 		ib.pending = 0
 		ib.waiting = false
+		ib.arrivals.Store(0)
+		ib.parks = 0
 		ib.ohead, ib.olen = 0, 0
 		for s := range ib.stale {
 			ib.stale[s] = 0
@@ -232,6 +246,11 @@ func putFabric(f *fabric) {
 type mailbox struct {
 	n int
 	f *fabric
+	// spin is how many times a consumer that finds its queue empty
+	// yields, watching the arrival counter, before it parks: spinYields
+	// in a wall-clock world that fits its processors, 0 (park at once)
+	// otherwise.
+	spin int
 	// done is the run context's cancellation channel; nil when the context
 	// can never be cancelled, which keeps the hot path free of any
 	// cancellation checks.
@@ -249,8 +268,26 @@ type mailbox struct {
 	watchDone chan struct{}
 }
 
-func newMailbox(ctx context.Context, n int) *mailbox {
+// spinYields is the yield-spin budget of wait, on the order of one
+// park+wake round trip (the 2-competitive spin-then-block bound): the
+// smallest budget on the plateau of the sweep in EXPERIMENTS.md.
+const spinYields = 200
+
+// newMailbox makes the fabric of an n-rank world. wallClock says the
+// transport meters the run with the host clock; it is one half of the
+// rule that decides, once per world, whether blocked ranks spin.
+func newMailbox(ctx context.Context, n int, wallClock bool) *mailbox {
 	mb := &mailbox{n: n, f: getFabric(n)}
+	// A wall-clock world that fits its processors trades an idle core for
+	// wake-up latency: such worlds are run one at a time (sweeps put them
+	// on the serial scheduler so measurements do not contend), so a
+	// blocked rank's processor has nothing else to run. In a larger world
+	// it has another rank, and virtual-time worlds are run many at once
+	// (sweep pools, archserve), where it has another world: both park at
+	// once.
+	if wallClock && n <= runtime.GOMAXPROCS(0) {
+		mb.spin = spinYields
+	}
 	if ctx.Done() != nil {
 		mb.done = ctx.Done()
 		mb.cause = ctx.Err
@@ -327,6 +364,9 @@ func (mb *mailbox) push(src, dst int, m message) {
 	ib.q[src].push(m)
 	ib.pushOrder(src)
 	ib.pending++
+	if mb.spin > 0 {
+		ib.arrivals.Add(1)
+	}
 	wake := ib.waiting
 	ib.mu.Unlock()
 	if wake {
@@ -334,18 +374,48 @@ func (mb *mailbox) push(src, dst int, m message) {
 	}
 }
 
-// wait parks dst's consumer until a sender signals, panicking with the
-// cancellation sentinel (after releasing the lock — a waiting sender must
-// be able to acquire it and observe the cancellation itself) when the run
-// context is cancelled.
+// wait blocks dst's consumer, which holds ib.mu and found nothing to
+// take, until a push may have changed that; callers re-check their queue
+// in a loop. In a world that spins (see newMailbox) it first drops the
+// lock and yields up to mb.spin times while the arrival counter stands still:
+// two symmetric ranks are only a few µs apart, far less than a park and
+// the sender's cross-thread wake-up. It yields instead of busy-looping
+// because the sender may be queued on the spinner's own processor. Then
+// it parks until a sender signals. Pushes bump the counter under the
+// lock, so a counter unchanged once the lock is held again means nothing
+// arrived in between and no wake-up can be lost. A cancelled run context
+// ends the spin and raises the cancellation sentinel (after releasing the
+// lock — a waiting sender must be able to acquire it and observe the
+// cancellation itself).
 func (mb *mailbox) wait(ib *inbox) {
+	if mb.spin > 0 {
+		seen := ib.arrivals.Load()
+		ib.mu.Unlock()
+		for i := 0; i < mb.spin && ib.arrivals.Load() == seen && !mb.cancelled.Load(); i++ {
+			runtime.Gosched()
+		}
+		ib.mu.Lock()
+		if ib.arrivals.Load() != seen {
+			return
+		}
+	}
 	if mb.done != nil && mb.cancelled.Load() {
 		ib.mu.Unlock()
 		panic(canceled{mb.cause()})
 	}
 	ib.waiting = true
+	ib.parks++
 	ib.cond.Wait()
 	ib.waiting = false
+}
+
+// reportParks hands each inbox's park count to the run's recorder (nil,
+// and inert, when the run is not traced). Transports call it from Finish,
+// before release clears the fabric.
+func (mb *mailbox) reportParks(rec *obs.Recorder) {
+	for rank := range mb.f.inboxes {
+		rec.SetParks(rank, mb.f.inboxes[rank].parks)
+	}
 }
 
 // pop dequeues the next message on the src→dst FIFO, panicking when its

@@ -2,9 +2,15 @@ package backend
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestPopAnyArrivalOrder: popAny serves strictly in arrival order across
@@ -12,7 +18,7 @@ import (
 // pair's FIFO. Pushes and pops run on one goroutine, so the expected
 // order is exact, not a smoke check.
 func TestPopAnyArrivalOrder(t *testing.T) {
-	mb := newMailbox(context.Background(), 4)
+	mb := newMailbox(context.Background(), 4, true)
 	arrivals := []struct{ src, val int }{
 		{2, 10}, {0, 20}, {2, 11}, {1, 30}, {0, 21}, {3, 40},
 	}
@@ -31,7 +37,7 @@ func TestPopAnyArrivalOrder(t *testing.T) {
 // its arrival token; popAny must skip the leftover token rather than
 // deliver a phantom or double-deliver.
 func TestPopAnySkipsStaleTokens(t *testing.T) {
-	mb := newMailbox(context.Background(), 3)
+	mb := newMailbox(context.Background(), 3, true)
 	mb.push(1, 0, message{tag: 1, data: "a1"}) // token for 1
 	mb.push(2, 0, message{tag: 1, data: "b1"}) // token for 2
 	mb.push(1, 0, message{tag: 1, data: "a2"}) // token for 1
@@ -53,7 +59,7 @@ func TestPopAnySkipsStaleTokens(t *testing.T) {
 // TestPairFIFOThroughRingGrowth: per-pair order survives ring-buffer
 // growth (more messages than the initial ring capacity).
 func TestPairFIFOThroughRingGrowth(t *testing.T) {
-	mb := newMailbox(context.Background(), 2)
+	mb := newMailbox(context.Background(), 2, true)
 	const n = 100 // well past the initial ring size of 8
 	for i := 0; i < n; i++ {
 		mb.push(1, 0, message{tag: 3, data: i})
@@ -70,7 +76,7 @@ func TestPairFIFOThroughRingGrowth(t *testing.T) {
 // — stale tokens are compacted away, so the ring tracks the outstanding
 // message count (here, 1) no matter how many messages flow.
 func TestTokenRingBoundedByOutstanding(t *testing.T) {
-	mb := newMailbox(context.Background(), 2)
+	mb := newMailbox(context.Background(), 2, true)
 	for i := 0; i < 10000; i++ {
 		mb.push(1, 0, message{tag: 3, data: i})
 		if got := mb.pop(1, 0, 3); got.data.(int) != i {
@@ -90,7 +96,7 @@ func TestTokenRingBoundedByOutstanding(t *testing.T) {
 // plain panic.
 func TestPopAnyCancellationSentinel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	mb := newMailbox(ctx, 2)
+	mb := newMailbox(ctx, 2, true)
 	unwound := make(chan any, 1)
 	go func() {
 		defer func() { unwound <- recover() }()
@@ -112,25 +118,28 @@ func TestPopAnyCancellationSentinel(t *testing.T) {
 	}
 }
 
-// TestPopTagMismatchMentionsRanks: the protocol panic stays descriptive.
+// TestPopTagMismatchMentionsRanks: the protocol panics stay descriptive,
+// and verbatim — tools and people grep for them.
 func TestPopTagMismatchMentionsRanks(t *testing.T) {
-	mb := newMailbox(context.Background(), 2)
+	panicOf := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	mb := newMailbox(context.Background(), 2, true)
 	mb.push(1, 0, message{tag: 5})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("tag mismatch did not panic")
-		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "expected tag 6") {
-			t.Fatalf("panic = %v, want a tag-mismatch message", r)
-		}
-	}()
-	mb.pop(1, 0, 6)
+	mb.push(1, 0, message{tag: 5})
+	if got, want := panicOf(func() { mb.pop(1, 0, 6) }), "backend: process 0 expected tag 6 from 1, got 5"; got != want {
+		t.Errorf("pop panic = %v, want %q", got, want)
+	}
+	if got, want := panicOf(func() { mb.popAny(0, 6) }), "backend: process 0 expected tag 6 from any source, got 5 from 1"; got != want {
+		t.Errorf("popAny panic = %v, want %q", got, want)
+	}
 }
 
 // TestShardedCountsAggregate: per-sender shards sum to the run totals.
 func TestShardedCountsAggregate(t *testing.T) {
-	mb := newMailbox(context.Background(), 4)
+	mb := newMailbox(context.Background(), 4, true)
 	mb.count(0, 10)
 	mb.count(3, 5)
 	mb.count(3, 7)
@@ -153,8 +162,8 @@ func TestFabricResetClearsState(t *testing.T) {
 	f.reset()
 	for d := range f.inboxes {
 		ib := &f.inboxes[d]
-		if ib.pending != 0 || ib.olen != 0 {
-			t.Fatalf("inbox %d not reset: pending %d, tokens %d", d, ib.pending, ib.olen)
+		if ib.pending != 0 || ib.olen != 0 || ib.arrivals.Load() != 0 {
+			t.Fatalf("inbox %d not reset: pending %d, tokens %d, arrivals %d", d, ib.pending, ib.olen, ib.arrivals.Load())
 		}
 		for s := range ib.q {
 			if ib.q[s].n != 0 {
@@ -169,5 +178,261 @@ func TestFabricResetClearsState(t *testing.T) {
 	}
 	if msgs, bytes := mb.totals(); msgs != 0 || bytes != 0 {
 		t.Fatalf("counters survived reset: %d msgs %d bytes", msgs, bytes)
+	}
+}
+
+// atGOMAXPROCS runs body as a subtest per processor count, restoring the
+// previous setting afterwards. Spin eligibility is decided when a mailbox
+// is made, so each subtest builds its worlds inside body.
+func atGOMAXPROCS(t *testing.T, counts []int, body func(t *testing.T)) {
+	for _, c := range counts {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", c), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c))
+			body(t)
+		})
+	}
+}
+
+// stressRanks runs one goroutine per rank and fails the test when they
+// have not all returned within the deadline: a wake-up lost between the
+// spin and the park shows as a rank blocked forever on a non-empty queue.
+func stressRanks(t *testing.T, mb *mailbox, rank func(r int) error) {
+	t.Helper()
+	errs := make(chan error, mb.n)
+	for r := 0; r < mb.n; r++ {
+		go func() { errs <- rank(r) }()
+	}
+	deadline := time.After(2 * time.Minute)
+	for r := 0; r < mb.n; r++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-deadline:
+			var state []string
+			for d := range mb.f.inboxes {
+				ib := &mb.f.inboxes[d]
+				ib.mu.Lock()
+				state = append(state, fmt.Sprintf("inbox %d: pending %d waiting %v parks %d", d, ib.pending, ib.waiting, ib.parks))
+				ib.mu.Unlock()
+			}
+			t.Fatalf("ranks still blocked after 2m (lost wake-up?): %s", strings.Join(state, "; "))
+		}
+	}
+}
+
+// compute burns a pseudo-random 0–50 µs of arithmetic, so consecutive
+// receives land before, inside and after the peer's spin phase.
+func compute(rng *rand.Rand, sink *float64) {
+	x := *sink
+	for i := rng.Intn(12000); i > 0; i-- {
+		x = x*0.999999 + 1e-6
+	}
+	*sink = x
+}
+
+// stressMessages is the traffic of one stress world.
+func stressMessages() int {
+	if testing.Short() {
+		return 10_000
+	}
+	return 100_000
+}
+
+// TestNoLostWakeupTargetedPop: two ranks exchange sequence-numbered
+// messages through targeted pops with random compute in between, at
+// processor counts where the world spins (2, 4) and where it parks at
+// once (1). Every message must arrive, in order, and no rank may hang.
+func TestNoLostWakeupTargetedPop(t *testing.T) {
+	atGOMAXPROCS(t, []int{1, 2, 4}, func(t *testing.T) {
+		mb := newMailbox(context.Background(), 2, true)
+		rounds := stressMessages() / 2
+		stressRanks(t, mb, func(r int) error {
+			rng := rand.New(rand.NewSource(int64(r) + 1))
+			var sink float64
+			for i := 0; i < rounds; i++ {
+				compute(rng, &sink)
+				mb.push(r, 1-r, message{tag: 9, data: i})
+				if got := mb.pop(1-r, r, 9).data.(int); got != i {
+					return fmt.Errorf("rank %d round %d: got message %d", r, i, got)
+				}
+			}
+			return nil
+		})
+		mb.release()
+	})
+}
+
+// TestNoLostWakeupPopAny: four ranks, each round sending one message to
+// every other rank and then taking three from any source. Per-pair FIFO
+// must hold and every rank must drain exactly what was sent to it.
+func TestNoLostWakeupPopAny(t *testing.T) {
+	atGOMAXPROCS(t, []int{1, 2, 4}, func(t *testing.T) {
+		const n = 4
+		mb := newMailbox(context.Background(), n, true)
+		rounds := stressMessages() / (n * (n - 1))
+		stressRanks(t, mb, func(r int) error {
+			rng := rand.New(rand.NewSource(int64(r) + 1))
+			var sink float64
+			var next [n]int
+			for i := 0; i < rounds; i++ {
+				compute(rng, &sink)
+				for d := 0; d < n; d++ {
+					if d != r {
+						mb.push(r, d, message{tag: 9, data: i})
+					}
+				}
+				for k := 0; k < n-1; k++ {
+					src, msg := mb.popAny(r, 9)
+					if got := msg.data.(int); got != next[src] {
+						return fmt.Errorf("rank %d: message %d from %d, want %d", r, got, src, next[src])
+					}
+					next[src]++
+				}
+			}
+			return nil
+		})
+		for d := range mb.f.inboxes {
+			if p := mb.f.inboxes[d].pending; p != 0 {
+				t.Errorf("inbox %d left %d messages undrained", d, p)
+			}
+		}
+		mb.release()
+	})
+}
+
+// TestSpinEligibility pins the rule: a world spins exactly when its
+// transport is wall-clock and it fits its processors, decided once when
+// its mailbox is made.
+func TestSpinEligibility(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, c := range []struct {
+		procs, n  int
+		wallClock bool
+		want      int
+	}{
+		{2, 1, true, spinYields}, {2, 2, true, spinYields},
+		{2, 3, true, 0}, {2, 4, true, 0}, {2, 64, true, 0},
+		{2, 2, false, 0}, {1, 2, true, 0},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		mb := newMailbox(context.Background(), c.n, c.wallClock)
+		if mb.spin != c.want {
+			t.Errorf("GOMAXPROCS=%d, world of %d, wall clock %v: spin budget %d, want %d", c.procs, c.n, c.wallClock, mb.spin, c.want)
+		}
+		mb.release()
+	}
+	// The transports pass their half of the rule.
+	for procs, want := range map[int]int{1: 0, 2: spinYields} {
+		runtime.GOMAXPROCS(procs)
+		rt := Real().NewTransport(context.Background(), 2, nil).(*realTransport)
+		st := Sim().NewTransport(context.Background(), 2, nil).(*simTransport)
+		if rt.spin != want || st.spin != 0 {
+			t.Errorf("GOMAXPROCS=%d: real spin %d, sim spin %d, want %d and 0", procs, rt.spin, st.spin, want)
+		}
+		rt.Finish()
+		st.Finish()
+	}
+}
+
+// blockedPop starts a consumer popping from rank 0's empty inbox and
+// returns a channel that yields its message, or the value it panicked
+// with.
+func blockedPop(mb *mailbox, anySrc bool) <-chan any {
+	out := make(chan any, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				out <- r
+			}
+		}()
+		if anySrc {
+			_, msg := mb.popAny(0, 1)
+			out <- msg.data
+		} else {
+			out <- mb.pop(1, 0, 1).data
+		}
+	}()
+	return out
+}
+
+// TestOversizedWorldParksAtOnce: in a world larger than its processors a
+// consumer that finds its queue empty goes straight to cond.Wait — the
+// first thing the test can observe is the parked state — and the park is
+// counted and reaches a traced run's summary.
+func TestOversizedWorldParksAtOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	mb := newMailbox(context.Background(), 4, true)
+	got := blockedPop(mb, false)
+	ib := &mb.f.inboxes[0]
+	for parked := false; !parked; runtime.Gosched() {
+		ib.mu.Lock()
+		parked = ib.waiting
+		ib.mu.Unlock()
+	}
+	mb.push(1, 0, message{tag: 1, data: "late"})
+	if v := <-got; v != "late" {
+		t.Fatalf("parked pop returned %v", v)
+	}
+	rec := obs.NewRecorder(4, "real")
+	mb.reportParks(rec)
+	for _, rs := range rec.Summary().Ranks {
+		if want := map[int]int64{0: 1}[rs.Rank]; rs.Parks != want {
+			t.Errorf("rank %d: %d parks in the summary, want %d", rs.Rank, rs.Parks, want)
+		}
+	}
+	mb.release()
+}
+
+// TestSpinCatchesArrivalWithoutParking: with the budget made endless the
+// consumer can only be in the spin phase, so a push must be noticed
+// through the arrival counter alone — nobody signals a spinner.
+func TestSpinCatchesArrivalWithoutParking(t *testing.T) {
+	for _, anySrc := range []bool{false, true} {
+		mb := newMailbox(context.Background(), 2, true)
+		mb.spin = math.MaxInt
+		got := blockedPop(mb, anySrc)
+		time.Sleep(time.Millisecond) // let it reach the spin; either order must work
+		mb.push(1, 0, message{tag: 1, data: "caught"})
+		if v := <-got; v != "caught" {
+			t.Fatalf("popAny=%v: spinning consumer returned %v", anySrc, v)
+		}
+		if p := mb.f.inboxes[0].parks; p != 0 {
+			t.Fatalf("popAny=%v: consumer parked %d times with an endless spin budget", anySrc, p)
+		}
+		mb.release()
+	}
+}
+
+// TestCancellationWhileSpinning: a consumer held in the spin phase must
+// unwind with the cancellation sentinel as soon as the run context is
+// cancelled, and release must still hand a clean fabric to the pool.
+func TestCancellationWhileSpinning(t *testing.T) {
+	for _, anySrc := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		mb := newMailbox(ctx, 2, true)
+		mb.spin = math.MaxInt
+		mb.push(0, 1, message{tag: 1, data: "undrained"})
+		got := blockedPop(mb, anySrc)
+		time.Sleep(time.Millisecond) // let it reach the spin; either order must work
+		cancel()
+		select {
+		case r := <-got:
+			if err, ok := AsCanceled(r); !ok || err != context.Canceled {
+				t.Fatalf("popAny=%v: spinning consumer unwound with %v, want the canceled sentinel", anySrc, r)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("popAny=%v: spinning consumer did not unwind on cancellation", anySrc)
+		}
+		f := mb.f
+		mb.release()
+		for d := range f.inboxes {
+			ib := &f.inboxes[d]
+			if ib.arrivals.Load() != 0 || ib.parks != 0 || ib.pending != 0 || ib.waiting {
+				t.Fatalf("popAny=%v: inbox %d pooled dirty: arrivals %d parks %d pending %d waiting %v",
+					anySrc, d, ib.arrivals.Load(), ib.parks, ib.pending, ib.waiting)
+			}
+		}
 	}
 }

@@ -100,6 +100,51 @@ func TestTraceParity(t *testing.T) {
 	}
 }
 
+// TestParksReachSummary: a traced run's summary carries the park counts
+// the in-process fabric hands over at Finish, and dist/elastic, whose
+// ranks block on connection reads, report none. On one processor no world
+// spins and only one rank runs at a time, so whichever rank goes first
+// finds its peer's message missing and parks — unless the scheduler
+// preempts it at just the wrong instruction, hence the retries.
+func TestParksReachSummary(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prog := func(p *spmd.Proc) {
+		peer := 1 - p.Rank()
+		if p.Rank() == 0 {
+			p.Send(peer, 300, int32(1))
+			_ = spmd.Recv[int32](p, peer, 301)
+		} else {
+			_ = spmd.Recv[int32](p, peer, 300)
+			p.Send(peer, 301, int32(2))
+		}
+	}
+	for _, b := range obsBackends() {
+		mailboxed := b.Name() == "sim" || b.Name() == "real"
+		attempts := 1
+		if mailboxed {
+			attempts = 10
+		}
+		var parks int64
+		for ; attempts > 0 && parks == 0; attempts-- {
+			col := obs.NewCollector()
+			if _, err := core.Run(obs.NewContext(context.Background(), col), b, 2, machine.IBMSP(), prog); err != nil {
+				t.Fatalf("%s: %v", b.Name(), err)
+			}
+			for _, rs := range col.Last().Summary().Ranks {
+				parks += rs.Parks
+			}
+		}
+		// A receive parks at most once per message here: nothing else is
+		// ever pushed into its inbox.
+		if mailboxed && (parks < 1 || parks > 2) {
+			t.Errorf("%s: %d parks for two blocking receives on one processor, want 1 or 2", b.Name(), parks)
+		}
+		if !mailboxed && parks != 0 {
+			t.Errorf("%s: %d parks from a transport that has no mailbox", b.Name(), parks)
+		}
+	}
+}
+
 // gid parses the current goroutine's id out of runtime.Stack — the only
 // portable handle on goroutine identity, and exactly what the
 // RankObserver contract ("on the rank's own goroutine") is about.

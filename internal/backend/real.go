@@ -47,7 +47,7 @@ func (r realRunner) NewTransport(ctx context.Context, n int, m *machine.Model) T
 		start := time.Now()
 		elapsed = func() float64 { return time.Since(start).Seconds() }
 	}
-	return &realTransport{mailbox: newMailbox(ctx, n), elapsed: elapsed, rec: obs.RunRecorder(ctx, n, "real")}
+	return &realTransport{mailbox: newMailbox(ctx, n, true), elapsed: elapsed, rec: obs.RunRecorder(ctx, n, "real")}
 }
 
 // realTransport carries messages at native channel speed and meters the
@@ -116,6 +116,7 @@ func (t *realTransport) Finish() Result {
 		res.Clocks[i] = elapsed
 	}
 	res.Msgs, res.Bytes = t.totals()
+	t.reportParks(t.rec)
 	t.release()
 	return res
 }

@@ -22,7 +22,7 @@ func (simRunner) Virtual() bool { return true }
 
 func (simRunner) NewTransport(ctx context.Context, n int, m *machine.Model) Transport {
 	return &simTransport{
-		mailbox:  newMailbox(ctx, n),
+		mailbox:  newMailbox(ctx, n, false),
 		model:    m,
 		clocks:   make([]float64, n),
 		resident: make([]float64, n),
@@ -133,6 +133,7 @@ func (t *simTransport) Finish() Result {
 		}
 	}
 	res.Msgs, res.Bytes = t.totals()
+	t.reportParks(t.rec)
 	t.release()
 	return res
 }

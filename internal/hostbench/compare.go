@@ -26,8 +26,15 @@ func ReadJSON(r io.Reader) (*Report, error) {
 // missing from either report is an error: a gate that silently compares
 // nothing is worse than no gate. Improvements never fail, whatever their
 // size; the returned error aggregates every regression so a failing run
-// reports the whole picture at once.
+// reports the whole picture at once. Reports taken at different GOMAXPROCS
+// are refused outright: the fabric micros run different code paths (same-P
+// hand-off at 1, cross-thread wake-ups and the spin phase above it), so
+// their ratio says nothing about a regression.
 func CompareMicros(fresh, base *Report, names []string, slack float64) error {
+	if fresh.GOMAXPROCS != base.GOMAXPROCS {
+		return fmt.Errorf("hostbench: fresh report ran at GOMAXPROCS=%d but the baseline at GOMAXPROCS=%d; rerun with GOMAXPROCS=%d",
+			fresh.GOMAXPROCS, base.GOMAXPROCS, base.GOMAXPROCS)
+	}
 	baseline := make(map[string]MicroResult, len(base.Micros))
 	for _, m := range base.Micros {
 		baseline[m.Name] = m

@@ -62,6 +62,16 @@ func TestCompareMicros(t *testing.T) {
 			t.Error("gating on a benchmark absent from the fresh report must error")
 		}
 	})
+	t.Run("gomaxprocs-mismatch-errors", func(t *testing.T) {
+		fresh := report("DistPingPong", 10.0)
+		fresh.GOMAXPROCS = 4
+		oneCore := report("DistPingPong", 100.0)
+		oneCore.GOMAXPROCS = 1
+		err := CompareMicros(fresh, oneCore, []string{"DistPingPong"}, 0.20)
+		if err == nil || !strings.Contains(err.Error(), "GOMAXPROCS=4") || !strings.Contains(err.Error(), "GOMAXPROCS=1") {
+			t.Errorf("err = %v, want a GOMAXPROCS mismatch naming both sides", err)
+		}
+	})
 	t.Run("no-shared-benchmarks-errors", func(t *testing.T) {
 		fresh := report("Other", 1.0)
 		if err := CompareMicros(fresh, base, nil, 0.20); err == nil {

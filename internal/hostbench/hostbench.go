@@ -52,6 +52,7 @@ func Micros() []Micro {
 		{"RealAllReduce", benchAllReduce},
 		{"RealWorldConstruction256", benchWorldConstruction256},
 		{"RealPingPong", benchRealPingPong},
+		{"RealWakeup", benchRealWakeup},
 	}
 }
 
@@ -189,6 +190,48 @@ func benchPingPong(b *testing.B, r backend.Runner) error {
 func BenchRealPingPong(b *testing.B) { mustBench(b, benchRealPingPong) }
 
 func benchRealPingPong(b *testing.B) error { return benchPingPong(b, backend.Real()) }
+
+// wakeupWork is the arithmetic each rank of the wake-up micro does between
+// messages: a dependent multiply-add chain of about 20 µs on the reference
+// box, the size of one poisson@41 half-grid sweep.
+const wakeupWork = 8000
+
+// BenchRealWakeup is the wake-up rung of the per-message cost ladder:
+// two ranks each compute ~20 µs, send the peer one word and receive the
+// peer's (1000 exchanges per op) — the shape of a halo exchange between
+// symmetric ranks. Unlike the back-to-back ping-pong, whose receiver is
+// handed the goroutine on the sender's own processor, a rank here finds
+// its peer still computing on another thread, so what it pays on top of
+// the compute is the fabric's wait: a park and a cross-thread wake-up, or
+// the few µs of skew when the world fits its processors and spins.
+func BenchRealWakeup(b *testing.B) { mustBench(b, benchRealWakeup) }
+
+// wakeupSink keeps the compiler from discarding the micro's compute.
+var wakeupSink [2]float64
+
+func benchRealWakeup(b *testing.B) error {
+	model := machine.IBMSP()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(context.Background(), backend.Real(), 2, model, func(p *spmd.Proc) {
+			peer := 1 - p.Rank()
+			msg := []float64{1}
+			x := float64(p.Rank())
+			for round := 0; round < pingPongRounds; round++ {
+				for k := 0; k < wakeupWork; k++ {
+					x = x*0.999999 + 1e-6
+				}
+				spmd.SendT(p, peer, 1, msg)
+				spmd.Recv[[]float64](p, peer, 1)
+			}
+			wakeupSink[p.Rank()] = x
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // BenchDistPingPong measures per-message latency across worker processes
 // over loopback (1000 round trips per op, pooled-world acquisition

@@ -22,6 +22,7 @@ type Grid2D[T any] struct {
 	px, py             int // block coordinates
 	ix0, ix1, iy0, iy1 int // owned global ranges [ix0,ix1) × [iy0,iy1)
 	loc                *array.Dense2D[T]
+	words              float64 // elemWords[T](), computed once
 }
 
 // New2D creates this process's section of an NX×NY grid distributed
@@ -33,7 +34,7 @@ func New2D[T any](p spmd.Comm, nx, ny int, l Layout, halo int) *Grid2D[T] {
 	if halo < 0 {
 		panic("meshspectral: negative halo")
 	}
-	g := &Grid2D[T]{p: p, NX: nx, NY: ny, L: l, H: halo}
+	g := &Grid2D[T]{p: p, NX: nx, NY: ny, L: l, H: halo, words: elemWords[T]()}
 	g.px, g.py = l.Coords(p.Rank())
 	g.ix0, g.ix1 = blockRange(nx, l.PX, g.px)
 	g.iy0, g.iy1 = blockRange(ny, l.PY, g.py)
@@ -167,7 +168,7 @@ func (g *Grid2D[T]) CopyFrom(src *Grid2D[T]) {
 		from := src.loc.Row(gi - src.ix0 + src.H)
 		copy(dst[g.H:g.H+g.iy1-g.iy0], from[src.H:src.H+src.iy1-src.iy0])
 	}
-	g.p.MemWords(float64((g.ix1-g.ix0)*(g.iy1-g.iy0)) * g.elemWords())
+	g.p.MemWords(float64((g.ix1-g.ix0)*(g.iy1-g.iy0)) * g.words)
 }
 
 // RowOp applies f to every owned row (§3.1 row operations). The grid must
@@ -204,11 +205,13 @@ func (g *Grid2D[T]) ColOp(f func(gj int, col []T)) {
 			g.loc.Set(i+g.H, lj, buf[i])
 		}
 	}
-	g.p.MemWords(2 * float64(g.NX*(g.iy1-g.iy0)) * g.elemWords())
+	g.p.MemWords(2 * float64(g.NX*(g.iy1-g.iy0)) * g.words)
 }
 
-// elemWords estimates 8-byte words per element for cost accounting.
-func (g *Grid2D[T]) elemWords() float64 {
+// elemWords estimates 8-byte words per element of type T for cost
+// accounting. The probe escapes through BytesOf's interface parameter, so
+// grids call this once, at construction, not on every charge.
+func elemWords[T any]() float64 {
 	var probe [1]T
 	return float64(spmd.BytesOf(probe[:])) / 8
 }
@@ -283,23 +286,23 @@ func (g *Grid2D[T]) exchangeX() {
 	c0, c1 := H, H+g.iy1-g.iy0
 	if up >= 0 {
 		buf := g.packRows(H, 2*H, c0, c1)
-		g.p.MemWords(float64(len(buf)) * g.elemWords())
+		g.p.MemWords(float64(len(buf)) * g.words)
 		spmd.SendT(g.p, up, tagHaloXLo, buf)
 	}
 	if down >= 0 {
 		buf := g.packRows(lnx, lnx+H, c0, c1)
-		g.p.MemWords(float64(len(buf)) * g.elemWords())
+		g.p.MemWords(float64(len(buf)) * g.words)
 		spmd.SendT(g.p, down, tagHaloXHi, buf)
 	}
 	if down >= 0 {
 		buf := spmd.Recv[[]T](g.p, down, tagHaloXLo)
 		g.unpackRows(buf, lnx+H, lnx+2*H, c0, c1)
-		g.p.MemWords(float64(len(buf)) * g.elemWords())
+		g.p.MemWords(float64(len(buf)) * g.words)
 	}
 	if up >= 0 {
 		buf := spmd.Recv[[]T](g.p, up, tagHaloXHi)
 		g.unpackRows(buf, 0, H, c0, c1)
-		g.p.MemWords(float64(len(buf)) * g.elemWords())
+		g.p.MemWords(float64(len(buf)) * g.words)
 	}
 }
 
@@ -327,22 +330,22 @@ func (g *Grid2D[T]) exchangeY() {
 	}
 	if left >= 0 {
 		buf := packCols(H, 2*H)
-		g.p.MemWords(float64(len(buf)) * g.elemWords())
+		g.p.MemWords(float64(len(buf)) * g.words)
 		spmd.SendT(g.p, left, tagHaloYLo, buf)
 	}
 	if right >= 0 {
 		buf := packCols(lny, lny+H)
-		g.p.MemWords(float64(len(buf)) * g.elemWords())
+		g.p.MemWords(float64(len(buf)) * g.words)
 		spmd.SendT(g.p, right, tagHaloYHi, buf)
 	}
 	if right >= 0 {
 		buf := spmd.Recv[[]T](g.p, right, tagHaloYLo)
 		unpackCols(buf, lny+H, lny+2*H)
-		g.p.MemWords(float64(len(buf)) * g.elemWords())
+		g.p.MemWords(float64(len(buf)) * g.words)
 	}
 	if left >= 0 {
 		buf := spmd.Recv[[]T](g.p, left, tagHaloYHi)
 		unpackCols(buf, 0, H)
-		g.p.MemWords(float64(len(buf)) * g.elemWords())
+		g.p.MemWords(float64(len(buf)) * g.words)
 	}
 }

@@ -21,6 +21,7 @@ type Grid3D[T any] struct {
 
 	ix0, ix1 int
 	loc      *array.Dense3D[T]
+	words    float64 // elemWords[T](), computed once
 }
 
 // New3D creates this process's slab of an NX×NY×NZ grid with ghost width
@@ -29,7 +30,7 @@ func New3D[T any](p spmd.Comm, nx, ny, nz, halo int) *Grid3D[T] {
 	if halo < 0 {
 		panic("meshspectral: negative halo")
 	}
-	g := &Grid3D[T]{p: p, NX: nx, NY: ny, NZ: nz, H: halo}
+	g := &Grid3D[T]{p: p, NX: nx, NY: ny, NZ: nz, H: halo, words: elemWords[T]()}
 	g.ix0, g.ix1 = blockRange(nx, p.N(), p.Rank())
 	g.loc = array.New3D[T](g.ix1-g.ix0+2*halo, ny, nz)
 	return g
@@ -131,11 +132,6 @@ func (g *Grid3D[T]) Assign(flopsPerPoint float64, f func(gi, gj, gk int) T) {
 	g.AssignRegion(g.ix0, g.ix1, 0, g.NY, 0, g.NZ, flopsPerPoint, f)
 }
 
-func (g *Grid3D[T]) elemWords() float64 {
-	var probe [1]T
-	return float64(spmd.BytesOf(probe[:])) / 8
-}
-
 // ExchangeBoundary refreshes the ghost planes with the neighbouring
 // slabs' boundary planes.
 func (g *Grid3D[T]) ExchangeBoundary() {
@@ -160,7 +156,6 @@ func (g *Grid3D[T]) ExchangeBoundary() {
 	H := g.H
 	lnx := g.ix1 - g.ix0
 	plane := g.NY * g.NZ
-	words := g.elemWords()
 	pack := func(l0 int) []T {
 		out := make([]T, 0, H*plane)
 		for l := l0; l < l0+H; l++ {
@@ -175,23 +170,23 @@ func (g *Grid3D[T]) ExchangeBoundary() {
 	}
 	if up >= 0 {
 		buf := pack(H)
-		p.MemWords(float64(len(buf)) * words)
+		p.MemWords(float64(len(buf)) * g.words)
 		spmd.SendT(p, up, tagHalo3Lo, buf)
 	}
 	if down >= 0 {
 		buf := pack(lnx)
-		p.MemWords(float64(len(buf)) * words)
+		p.MemWords(float64(len(buf)) * g.words)
 		spmd.SendT(p, down, tagHalo3Hi, buf)
 	}
 	if down >= 0 {
 		buf := spmd.Recv[[]T](p, down, tagHalo3Lo)
 		unpack(buf, lnx+H)
-		p.MemWords(float64(len(buf)) * words)
+		p.MemWords(float64(len(buf)) * g.words)
 	}
 	if up >= 0 {
 		buf := spmd.Recv[[]T](p, up, tagHalo3Hi)
 		unpack(buf, 0)
-		p.MemWords(float64(len(buf)) * words)
+		p.MemWords(float64(len(buf)) * g.words)
 	}
 }
 
@@ -212,7 +207,7 @@ func GatherGrid3[T any](g *Grid3D[T], root int) *array.Dense3D[T] {
 	for gi := g.ix0; gi < g.ix1; gi++ {
 		mine = append(mine, g.loc.Plane(gi-g.ix0+g.H)...)
 	}
-	p.MemWords(float64(len(mine)) * g.elemWords())
+	p.MemWords(float64(len(mine)) * g.words)
 	blocks := collective.Gather(p, root, slab3[T]{g.ix0, g.ix1, mine})
 	if p.Rank() != root {
 		return nil

@@ -19,7 +19,7 @@ import (
 func GatherGrid[T any](g *Grid2D[T], root int) *array.Dense2D[T] {
 	p := g.p
 	mine := g.extract(g.ix0, g.ix1, g.iy0, g.iy1)
-	p.MemWords(float64(len(mine.Data)) * g.elemWords())
+	p.MemWords(float64(len(mine.Data)) * g.words)
 	blocks := collective.Gather(p, root, mine)
 	if p.Rank() != root {
 		return nil
@@ -63,7 +63,7 @@ func ScatterGrid[T any](p spmd.Comm, full *array.Dense2D[T], root int, l Layout,
 	}
 	mine := collective.Scatter(p, root, parts)
 	g.insert(mine)
-	p.MemWords(float64(len(mine.Data)) * g.elemWords())
+	p.MemWords(float64(len(mine.Data)) * g.words)
 	return g
 }
 

@@ -73,7 +73,6 @@ func (g *Grid2D[T]) Redistribute(newL Layout) *Grid2D[T] {
 
 	// Send my intersection with every destination's new block, ascending
 	// rank order, skipping empty pieces; self-intersection is copied.
-	words := g.elemWords()
 	for dst := 0; dst < n; dst++ {
 		dx, dy := newL.Coords(dst)
 		x0, x1 := blockRange(g.NX, newL.PX, dx)
@@ -82,7 +81,7 @@ func (g *Grid2D[T]) Redistribute(newL Layout) *Grid2D[T] {
 		if len(b.Data) == 0 {
 			continue
 		}
-		p.MemWords(float64(len(b.Data)) * words)
+		p.MemWords(float64(len(b.Data)) * g.words)
 		if dst == p.Rank() {
 			out.insert(b)
 			continue
@@ -104,7 +103,7 @@ func (g *Grid2D[T]) Redistribute(newL Layout) *Grid2D[T] {
 		}
 		b := spmd.Recv[subBlock[T]](p, src, tagRedist)
 		out.insert(b)
-		p.MemWords(float64(len(b.Data)) * words)
+		p.MemWords(float64(len(b.Data)) * g.words)
 	}
 	return out
 }

@@ -52,7 +52,7 @@ func (c *Collector) NewRecorder(n int, label string) *Recorder {
 	if rcap <= 0 {
 		rcap = ringCapDefault
 	}
-	rec := &Recorder{label: label, n: n, epoch: c.epoch, ringCap: rcap, rings: make([]ring, n)}
+	rec := &Recorder{label: label, n: n, epoch: c.epoch, ringCap: rcap, rings: make([]ring, n), parks: make([]int64, n)}
 	c.runs = append(c.runs, rec)
 	return rec
 }

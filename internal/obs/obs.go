@@ -199,6 +199,8 @@ type Recorder struct {
 	epoch   time.Time
 	ringCap int
 	rings   []ring
+	// parks[rank] is set once by the transport at Finish (SetParks).
+	parks []int64
 
 	sysMu sync.Mutex
 	sys   ring
@@ -208,7 +210,7 @@ type Recorder struct {
 // by tests; runs normally get recorders from a Collector so they share
 // its epoch).
 func NewRecorder(n int, label string) *Recorder {
-	return &Recorder{label: label, n: n, epoch: time.Now(), ringCap: ringCapDefault, rings: make([]ring, n)}
+	return &Recorder{label: label, n: n, epoch: time.Now(), ringCap: ringCapDefault, rings: make([]ring, n), parks: make([]int64, n)}
 }
 
 // Label returns the backend label the recorder was created with.
@@ -245,6 +247,18 @@ func (r *Recorder) Emit(rank int, e Event) {
 	}
 	e.Rank = int32(rank)
 	r.rings[rank].write(r.ringCap, e)
+}
+
+// SetParks records how many of rank's receives parked its goroutine (and
+// so paid a sender's wake-up) rather than finding their message queued or
+// catching it while spinning. It is a run total, not an event: the
+// in-process fabric reports it once at Finish, after every rank has
+// returned; transports whose receives block elsewhere leave it zero.
+func (r *Recorder) SetParks(rank int, parks int64) {
+	if r == nil || rank < 0 || rank >= r.n {
+		return
+	}
+	r.parks[rank] = parks
 }
 
 // EmitSys records a coordinator-side event (lease, heartbeat, world

@@ -13,6 +13,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Recorder
 	r.Emit(0, Event{Kind: KindSend})
 	r.EmitSys(Event{Kind: KindStart})
+	r.SetParks(0, 3)
 	if r.Now() != 0 || r.N() != 0 || r.Label() != "" {
 		t.Fatal("nil recorder not inert")
 	}
@@ -141,7 +142,14 @@ func TestSummary(t *testing.T) {
 	r.Emit(1, Event{T: 0, Dur: 150, Bytes: 64, Peer: 0, Tag: 7, Kind: KindRecv})
 	r.Emit(1, Event{T: 300, Dur: 50, Bytes: 32, Peer: 0, Tag: 7, Kind: KindRecvAny})
 	r.Emit(1, Event{T: 600, Dur: 100, Bytes: 8, Peer: 0, Tag: 9, Kind: KindSend})
+	// Park counts are run totals handed over at Finish, not events; an
+	// out-of-range rank is ignored like an out-of-range Emit.
+	r.SetParks(1, 2)
+	r.SetParks(2, 9)
 	s := r.Summary()
+	if s.Ranks[0].Parks != 0 || s.Ranks[1].Parks != 2 {
+		t.Fatalf("parks: rank 0 %d, rank 1 %d, want 0 and 2", s.Ranks[0].Parks, s.Ranks[1].Parks)
+	}
 	if s.Procs != 2 || s.Label != "sim" {
 		t.Fatalf("summary header: %+v", s)
 	}

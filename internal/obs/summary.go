@@ -31,6 +31,12 @@ type RankSummary struct {
 	BusySec    float64 `json:"busySec"`
 	BlockedSec float64 `json:"blockedSec"`
 	CommSec    float64 `json:"commSec"`
+	// Parks counts the receives that parked the rank's goroutine on the
+	// in-process fabric (sim, real). Read it against the recv events:
+	// parks ≈ recvs means BlockedSec is wake-up latency, parks ≈ 0 that it
+	// is skew between ranks. Always 0 on dist and elastic, whose ranks
+	// block on connection reads.
+	Parks int64 `json:"parks"`
 }
 
 // Edge is one cell of the message matrix.
@@ -56,7 +62,7 @@ func (r *Recorder) Summary() *Summary {
 		ev, dropped := r.Events(rank)
 		perRank[rank] = ev
 		s.Dropped += dropped
-		s.Ranks = append(s.Ranks, RankSummary{Rank: rank, Events: len(ev), Dropped: dropped})
+		s.Ranks = append(s.Ranks, RankSummary{Rank: rank, Events: len(ev), Dropped: dropped, Parks: r.parks[rank]})
 		for _, e := range ev {
 			if first || e.T < tMin {
 				tMin = e.T
