@@ -11,7 +11,7 @@
 //
 // Each time step is mesh archetype throughout: one ghost exchange, then
 // grid operations for the three split operators. Sequential and SPMD
-// versions advance bit-identically.
+// versions advance bit-identically: both call the same three row kernels.
 package airshed
 
 import (
@@ -147,6 +147,60 @@ func react(c, emit Conc, k1, k2, dt float64) Conc {
 	return out
 }
 
+// coef holds the per-step constants both program versions derive from
+// Params.
+type coef struct {
+	h, hy          float64 // cell sizes
+	dtdx, dtdy     float64
+	kdtdx2, kdtdy2 float64
+}
+
+func (pm *Params) coef() coef {
+	h, hy := 1/float64(pm.NX), 1/float64(pm.NY)
+	return coef{
+		h: h, hy: hy,
+		dtdx: pm.Dt / h, dtdy: pm.Dt / hy,
+		kdtdx2: pm.K * pm.Dt / (h * h), kdtdy2: pm.K * pm.Dt / (hy * hy),
+	}
+}
+
+// pos returns the centre of cell (i, j).
+func (k coef) pos(i, j int) (float64, float64) {
+	return (float64(i) + 0.5) * k.h, (float64(j) + 0.5) * k.hy
+}
+
+// The three row kernels below are the arithmetic of both program versions.
+// out is row i from column y0 on, n = len(out) cells; xm and xp hold the n
+// cells of rows i∓1 and mid the n+2 cells of row i from one left of the
+// span to one right of it, so out[j] updates mid[j+1].
+
+func (pm *Params) advectRow(k coef, out, xm, mid, xp []Conc, i, y0 int) {
+	n := len(out)
+	xm, xp = xm[:n], xp[:n]
+	ym, c, yp := mid[:n], mid[1:n+1], mid[2:n+2]
+	for j := range out {
+		u, v := pm.Wind(k.pos(i, y0+j))
+		out[j] = upwind(c[j], xm[j], xp[j], ym[j], yp[j], u, v, k.dtdx, k.dtdy)
+	}
+}
+
+func diffuseRow(k coef, out, xm, mid, xp []Conc) {
+	n := len(out)
+	xm, xp = xm[:n], xp[:n]
+	ym, c, yp := mid[:n], mid[1:n+1], mid[2:n+2]
+	for j := range out {
+		out[j] = diffuse(c[j], xm[j], xp[j], ym[j], yp[j], k.kdtdx2, k.kdtdy2)
+	}
+}
+
+// reactRow is point-local: c holds the n cells under out.
+func (pm *Params) reactRow(k coef, out, c []Conc, i, y0 int) {
+	c = c[:len(out)]
+	for j := range out {
+		out[j] = react(c[j], pm.emission(k.pos(i, y0+j)), pm.K1, pm.K2, pm.Dt)
+	}
+}
+
 // Sim is the distributed (SPMD) episode.
 type Sim struct {
 	Pm   Params
@@ -198,43 +252,27 @@ func fillOpen(g *meshspectral.Grid2D[Conc], nx, ny int) {
 // Step advances one operator-split time step.
 func (s *Sim) Step() {
 	pm := s.Pm
-	h := 1 / float64(pm.NX)
-	hy := 1 / float64(pm.NY)
-	dtdx, dtdy := pm.Dt/h, pm.Dt/hy
-	kdtdx2 := pm.K * pm.Dt / (h * h)
-	kdtdy2 := pm.K * pm.Dt / (hy * hy)
-	pos := func(gi, gj int) (float64, float64) {
-		return (float64(gi) + 0.5) * h, (float64(gj) + 0.5) * hy
-	}
+	k := pm.coef()
 
 	// Advection.
 	s.C.ExchangeBoundary()
 	fillOpen(s.C, pm.NX, pm.NY)
-	s.work.Assign(advectFlops, func(gi, gj int) Conc {
-		x, y := pos(gi, gj)
-		u, v := pm.Wind(x, y)
-		return upwind(s.C.At(gi, gj),
-			s.C.At(gi-1, gj), s.C.At(gi+1, gj),
-			s.C.At(gi, gj-1), s.C.At(gi, gj+1),
-			u, v, dtdx, dtdy)
+	s.work.Assign(advectFlops, func(gi, y0, y1 int, out []Conc) {
+		pm.advectRow(k, out, s.C.RowSpan(gi-1, y0, y1), s.C.RowSpan(gi, y0-1, y1+1), s.C.RowSpan(gi+1, y0, y1), gi, y0)
 	})
 	s.C, s.work = s.work, s.C
 
 	// Diffusion.
 	s.C.ExchangeBoundary()
 	fillOpen(s.C, pm.NX, pm.NY)
-	s.work.Assign(diffuseFlops, func(gi, gj int) Conc {
-		return diffuse(s.C.At(gi, gj),
-			s.C.At(gi-1, gj), s.C.At(gi+1, gj),
-			s.C.At(gi, gj-1), s.C.At(gi, gj+1),
-			kdtdx2, kdtdy2)
+	s.work.Assign(diffuseFlops, func(gi, y0, y1 int, out []Conc) {
+		diffuseRow(k, out, s.C.RowSpan(gi-1, y0, y1), s.C.RowSpan(gi, y0-1, y1+1), s.C.RowSpan(gi+1, y0, y1))
 	})
 	s.C, s.work = s.work, s.C
 
 	// Chemistry and emissions (point-local; no exchange needed).
-	s.work.Assign(reactFlops, func(gi, gj int) Conc {
-		x, y := pos(gi, gj)
-		return react(s.C.At(gi, gj), pm.emission(x, y), pm.K1, pm.K2, pm.Dt)
+	s.work.Assign(reactFlops, func(gi, y0, y1 int, out []Conc) {
+		pm.reactRow(k, out, s.C.RowSpan(gi, y0, y1), gi, y0)
 	})
 	s.C, s.work = s.work, s.C
 }
@@ -252,6 +290,7 @@ type SeqSim struct {
 	Pm   Params
 	C    *array.Dense2D[Conc]
 	work *array.Dense2D[Conc]
+	mid  []Conc // one row plus its two zero-gradient ghosts
 }
 
 // NewSeq builds the sequential simulation.
@@ -259,62 +298,38 @@ func NewSeq(pm Params) *SeqSim {
 	s := &SeqSim{Pm: pm}
 	s.C = array.New2D[Conc](pm.NX, pm.NY)
 	s.work = array.New2D[Conc](pm.NX, pm.NY)
+	s.mid = make([]Conc, pm.NY+2)
 	s.C.Fill(func(i, j int) Conc { return pm.initial() })
 	return s
 }
 
-// at reads with clamped indices (zero-gradient boundaries), matching the
-// distributed ghost contents exactly.
-func (s *SeqSim) at(i, j int) Conc {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.Pm.NX {
-		i = s.Pm.NX - 1
-	}
-	if j < 0 {
-		j = 0
-	}
-	if j >= s.Pm.NY {
-		j = s.Pm.NY - 1
-	}
-	return s.C.At(i, j)
+// stencilRows returns row i's neighbour rows and the row itself widened by
+// one cell each side, all with clamped indices (zero-gradient boundaries),
+// matching the distributed ghost contents exactly.
+func (s *SeqSim) stencilRows(i int) (xm, mid, xp []Conc) {
+	nx, ny := s.Pm.NX, s.Pm.NY
+	row := s.C.Row(i)
+	s.mid[0], s.mid[ny+1] = row[0], row[ny-1]
+	copy(s.mid[1:], row)
+	return s.C.Row(max(i-1, 0)), s.mid, s.C.Row(min(i+1, nx-1))
 }
 
 // Step advances one time step sequentially, charging m.
 func (s *SeqSim) Step(m core.Meter) {
 	pm := s.Pm
-	h := 1 / float64(pm.NX)
-	hy := 1 / float64(pm.NY)
-	dtdx, dtdy := pm.Dt/h, pm.Dt/hy
-	kdtdx2 := pm.K * pm.Dt / (h * h)
-	kdtdy2 := pm.K * pm.Dt / (hy * hy)
-	pos := func(i, j int) (float64, float64) {
-		return (float64(i) + 0.5) * h, (float64(j) + 0.5) * hy
-	}
+	k := pm.coef()
 	for i := 0; i < pm.NX; i++ {
-		for j := 0; j < pm.NY; j++ {
-			x, y := pos(i, j)
-			u, v := pm.Wind(x, y)
-			s.work.Set(i, j, upwind(s.C.At(i, j),
-				s.at(i-1, j), s.at(i+1, j), s.at(i, j-1), s.at(i, j+1),
-				u, v, dtdx, dtdy))
-		}
+		xm, mid, xp := s.stencilRows(i)
+		pm.advectRow(k, s.work.Row(i), xm, mid, xp, i, 0)
 	}
 	s.C, s.work = s.work, s.C
 	for i := 0; i < pm.NX; i++ {
-		for j := 0; j < pm.NY; j++ {
-			s.work.Set(i, j, diffuse(s.C.At(i, j),
-				s.at(i-1, j), s.at(i+1, j), s.at(i, j-1), s.at(i, j+1),
-				kdtdx2, kdtdy2))
-		}
+		xm, mid, xp := s.stencilRows(i)
+		diffuseRow(k, s.work.Row(i), xm, mid, xp)
 	}
 	s.C, s.work = s.work, s.C
 	for i := 0; i < pm.NX; i++ {
-		for j := 0; j < pm.NY; j++ {
-			x, y := pos(i, j)
-			s.work.Set(i, j, react(s.C.At(i, j), pm.emission(x, y), pm.K1, pm.K2, pm.Dt))
-		}
+		pm.reactRow(k, s.work.Row(i), s.C.Row(i), i, 0)
 	}
 	s.C, s.work = s.work, s.C
 	m.Flops(float64((advectFlops + diffuseFlops + reactFlops) * pm.NX * pm.NY))

@@ -99,6 +99,12 @@ func (a *Dense3D[T]) Set(i, j, k int, v T) { a.Data[(i*a.NY+j)*a.NZ+k] = v }
 // Plane returns the (j,k) plane at index i as a slice aliasing storage.
 func (a *Dense3D[T]) Plane(i int) []T { return a.Data[i*a.NY*a.NZ : (i+1)*a.NY*a.NZ] }
 
+// Pencil returns the k-line at (i, j) as a slice aliasing storage.
+func (a *Dense3D[T]) Pencil(i, j int) []T {
+	base := (i*a.NY + j) * a.NZ
+	return a.Data[base : base+a.NZ]
+}
+
 // Fill sets every element to f(i, j, k).
 func (a *Dense3D[T]) Fill(f func(i, j, k int) T) {
 	idx := 0

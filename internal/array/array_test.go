@@ -138,6 +138,14 @@ func TestDense3DBasics(t *testing.T) {
 	if len(p) != 12 || p[0] != 100 {
 		t.Errorf("Plane = %v", p)
 	}
+	pen := a.Pencil(1, 2)
+	if len(pen) != 4 || pen[0] != 120 || pen[3] != 123 {
+		t.Errorf("Pencil(1,2) = %v", pen)
+	}
+	pen[1] = -1 // pencils alias storage
+	if a.At(1, 2, 1) != -1 {
+		t.Error("Pencil should alias storage")
+	}
 	b := a.Clone()
 	b.Set(0, 0, 0, -5)
 	if a.At(0, 0, 0) == -5 {

@@ -102,14 +102,20 @@ func Pressure(gamma float64, c Cell) float64 {
 	return (gamma - 1) * (e - 0.5*(mx*mx+my*my)/rho)
 }
 
-// fluxes returns the x-direction and y-direction flux vectors of c.
-func fluxes(gamma float64, c Cell) (Cell, Cell) {
-	rho, mx, my, e := c[0], c[1], c[2], c[3]
-	u, v := mx/rho, my/rho
-	p := (gamma - 1) * (e - 0.5*(mx*mx+my*my)/rho)
-	f := Cell{mx, mx*u + p, my * u, (e + p) * u}
-	g := Cell{my, mx * v, my*v + p, (e + p) * v}
-	return f, g
+// fluxX returns the x-direction flux vector of c.
+func fluxX(gamma float64, c Cell) Cell {
+	mx, my, e := c[1], c[2], c[3]
+	u := mx / c[0]
+	p := Pressure(gamma, c)
+	return Cell{mx, mx*u + p, my * u, (e + p) * u}
+}
+
+// fluxY returns the y-direction flux vector of c.
+func fluxY(gamma float64, c Cell) Cell {
+	mx, my, e := c[1], c[2], c[3]
+	v := my / c[0]
+	p := Pressure(gamma, c)
+	return Cell{my, mx * v, my*v + p, (e + p) * v}
 }
 
 // waveSpeed returns (|u|+c)/dx + (|v|+c)/dy for the CFL condition.
@@ -124,12 +130,21 @@ func waveSpeed(gamma, dx, dy float64, c Cell) float64 {
 	return (math.Abs(u)+snd)/dx + (math.Abs(v)+snd)/dy
 }
 
+// waveRow returns the largest wave speed along one row of cells. The
+// builtin max propagates NaN as math.Max does, so a blown-up state still
+// poisons dt instead of being skipped.
+func waveRow(row []Cell, gamma, dx, dy float64) float64 {
+	m := 0.0
+	for _, c := range row {
+		m = max(m, waveSpeed(gamma, dx, dy, c))
+	}
+	return m
+}
+
 // lf computes the Lax–Friedrichs update from the four neighbours.
 func lf(gamma, dtdx, dtdy float64, xm, xp, ym, yp Cell) Cell {
-	fxm, _ := fluxes(gamma, xm)
-	fxp, _ := fluxes(gamma, xp)
-	_, gym := fluxes(gamma, ym)
-	_, gyp := fluxes(gamma, yp)
+	fxm, fxp := fluxX(gamma, xm), fluxX(gamma, xp)
+	gym, gyp := fluxY(gamma, ym), fluxY(gamma, yp)
 	var out Cell
 	for k := 0; k < 4; k++ {
 		out[k] = 0.25*(xm[k]+xp[k]+ym[k]+yp[k]) -
@@ -137,6 +152,19 @@ func lf(gamma, dtdx, dtdy float64, xm, xp, ym, yp Cell) Cell {
 			0.5*dtdy*(gyp[k]-gym[k])
 	}
 	return out
+}
+
+// lfRow is the arithmetic of both program versions: the Lax–Friedrichs
+// update of one row. With n = len(out), xm and xp hold the n cells of the
+// rows before and after, and mid the n+2 cells of this row from one left
+// of the span to one right of it, so out[j] updates mid[j+1].
+func lfRow(out, xm, mid, xp []Cell, gamma, dtdx, dtdy float64) {
+	n := len(out)
+	xm, xp = xm[:n], xp[:n]
+	ym, yp := mid[:n], mid[2:n+2]
+	for j := range out {
+		out[j] = lf(gamma, dtdx, dtdy, xm[j], xp[j], ym[j], yp[j])
+	}
 }
 
 // Sim is the distributed (SPMD) simulation state.
@@ -190,20 +218,18 @@ func (s *Sim) Step() float64 {
 
 	x0, x1 := s.U.OwnedX()
 	y0, y1 := s.U.OwnedY()
+	gamma := s.Pm.Gamma
 	localMax := 0.0
 	for gi := x0; gi < x1; gi++ {
-		for gj := y0; gj < y1; gj++ {
-			localMax = math.Max(localMax, waveSpeed(s.Pm.Gamma, s.dx, s.dy, s.U.At(gi, gj)))
-		}
+		localMax = max(localMax, waveRow(s.U.RowSpan(gi, y0, y1), gamma, s.dx, s.dy))
 	}
 	p.Flops(waveFlops * float64((x1-x0)*(y1-y0)))
 	dt := s.Pm.CFL / s.dtGlob.SetReduced(localMax, math.Max)
 
 	dtdx, dtdy := dt/s.dx, dt/s.dy
-	s.unew.Assign(flopsPerPoint, func(gi, gj int) Cell {
-		return lf(s.Pm.Gamma, dtdx, dtdy,
-			s.U.At(gi-1, gj), s.U.At(gi+1, gj),
-			s.U.At(gi, gj-1), s.U.At(gi, gj+1))
+	s.unew.Assign(flopsPerPoint, func(gi, y0, y1 int, out []Cell) {
+		lfRow(out, s.U.RowSpan(gi-1, y0, y1), s.U.RowSpan(gi, y0-1, y1+1), s.U.RowSpan(gi+1, y0, y1),
+			gamma, dtdx, dtdy)
 	})
 	s.U, s.unew = s.unew, s.U
 	return dt
@@ -219,12 +245,13 @@ func (s *Sim) Run(n int) float64 {
 }
 
 // SeqSim is the sequential simulation, bit-identical to the SPMD version
-// step for step (the max-reduction is exact and the per-point arithmetic
-// is shared).
+// step for step (the max-reduction is exact and both call waveRow and
+// lfRow).
 type SeqSim struct {
 	Pm     Params
 	U      *array.Dense2D[Cell]
 	unew   *array.Dense2D[Cell]
+	mid    []Cell // one row plus its two periodic ghosts
 	dx, dy float64
 }
 
@@ -233,42 +260,32 @@ func NewSeq(pm Params) *SeqSim {
 	s := &SeqSim{Pm: pm, dx: 1 / float64(pm.NX), dy: 1 / float64(pm.NY)}
 	s.U = array.New2D[Cell](pm.NX, pm.NY)
 	s.unew = array.New2D[Cell](pm.NX, pm.NY)
+	s.mid = make([]Cell, pm.NY+2)
 	s.U.Fill(func(i, j int) Cell {
 		return pm.InitCell((float64(i)+0.5)*s.dx, (float64(j)+0.5)*s.dy)
 	})
 	return s
 }
 
-// at reads with x clamped (zero gradient) and y wrapped (periodic) —
-// exactly the values the distributed ghosts hold.
-func (s *SeqSim) at(i, j int) Cell {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.Pm.NX {
-		i = s.Pm.NX - 1
-	}
-	j = ((j % s.Pm.NY) + s.Pm.NY) % s.Pm.NY
-	return s.U.At(i, j)
-}
-
 // Step advances one time step sequentially, charging m, and returns dt.
+// Neighbour rows are clamped in x (zero gradient) and the row itself is
+// wrapped in y (periodic) — exactly the values the distributed ghosts
+// hold.
 func (s *SeqSim) Step(m core.Meter) float64 {
+	nx, ny, gamma := s.Pm.NX, s.Pm.NY, s.Pm.Gamma
 	localMax := 0.0
-	for i := 0; i < s.Pm.NX; i++ {
-		for j := 0; j < s.Pm.NY; j++ {
-			localMax = math.Max(localMax, waveSpeed(s.Pm.Gamma, s.dx, s.dy, s.U.At(i, j)))
-		}
+	for i := 0; i < nx; i++ {
+		localMax = max(localMax, waveRow(s.U.Row(i), gamma, s.dx, s.dy))
 	}
 	dt := s.Pm.CFL / localMax
 	dtdx, dtdy := dt/s.dx, dt/s.dy
-	for i := 0; i < s.Pm.NX; i++ {
-		for j := 0; j < s.Pm.NY; j++ {
-			s.unew.Set(i, j, lf(s.Pm.Gamma, dtdx, dtdy,
-				s.at(i-1, j), s.at(i+1, j), s.at(i, j-1), s.at(i, j+1)))
-		}
+	for i := 0; i < nx; i++ {
+		row := s.U.Row(i)
+		s.mid[0], s.mid[ny+1] = row[ny-1], row[0]
+		copy(s.mid[1:], row)
+		lfRow(s.unew.Row(i), s.U.Row(max(i-1, 0)), s.mid, s.U.Row(min(i+1, nx-1)), gamma, dtdx, dtdy)
 	}
-	m.Flops(float64(s.Pm.NX*s.Pm.NY) * (flopsPerPoint + waveFlops))
+	m.Flops(float64(nx*ny) * (flopsPerPoint + waveFlops))
 	s.U, s.unew = s.unew, s.U
 	return dt
 }

@@ -44,7 +44,7 @@ func TestFluxesConsistency(t *testing.T) {
 	// For a state with velocity u and no v, the mass flux is ρu and the
 	// y-flux's mass component is 0.
 	c := prim2cons(1.4, 2, 0.7, 0, 1)
-	f, g := fluxes(1.4, c)
+	f, g := fluxX(1.4, c), fluxY(1.4, c)
 	if math.Abs(f[0]-1.4) > 1e-12 {
 		t.Errorf("mass flux = %g, want 1.4", f[0])
 	}
@@ -54,6 +54,14 @@ func TestFluxesConsistency(t *testing.T) {
 	// Momentum flux includes pressure: ρu² + p = 2·0.49 + 1.
 	if math.Abs(f[1]-(2*0.49+1)) > 1e-12 {
 		t.Errorf("momentum flux = %g", f[1])
+	}
+	// The two directions are one formula under x↔y: the y-flux of a state
+	// is the x-flux of the state with its momenta swapped, with the two
+	// momentum components swapped back.
+	c = prim2cons(1.4, 1.3, 0.7, -0.4, 2.1)
+	sw := fluxX(1.4, Cell{c[0], c[2], c[1], c[3]})
+	if got, want := fluxY(1.4, c), (Cell{sw[0], sw[2], sw[1], sw[3]}); got != want {
+		t.Errorf("fluxY = %v, want fluxX mirrored = %v", got, want)
 	}
 }
 

@@ -12,7 +12,7 @@
 // archetype. Figure 17's speedup experiment runs this code.
 //
 // Sequential and SPMD versions advance bit-identically (no reductions
-// appear in the time loop and per-point arithmetic is shared), which the
+// appear in the time loop and both call curlHRow and curlERow), which the
 // tests assert — the paper's transformation-correctness story; the actual
 // electromagnetics code was validated the same way ("the final parallel
 // version needed no debugging; it ran correctly on the first execution").
@@ -82,6 +82,42 @@ func curlE(e, h, hxm, hym, hzm Vec3, s float64) Vec3 {
 	}
 }
 
+// curlHRow and curlERow are the arithmetic of both program versions: one
+// k-pencil of a half-step, updated in place. With n = len(h) points, exp
+// and eyp are the E pencils at i+1 and j+1 and e the n+1 values of E from
+// the pencil's first point to one past its last (the k+1 neighbour).
+func curlHRow(h, e, exp, eyp []Vec3, s float64) {
+	n := len(h)
+	exp, eyp = exp[:n], eyp[:n]
+	e, ezp := e[:n], e[1:n+1]
+	for k := range h {
+		h[k] = curlH(h[k], e[k], exp[k], eyp[k], ezp[k], s)
+	}
+}
+
+// curlERow mirrors curlHRow: hxm and hym are the H pencils at i-1 and j-1,
+// and h the n+1 values of H from one before the pencil's first point (the
+// k-1 neighbour) to its last.
+func curlERow(e, h, hxm, hym []Vec3, s float64) {
+	n := len(e)
+	hxm, hym = hxm[:n], hym[:n]
+	hzm, h := h[:n], h[1:n+1]
+	for k := range e {
+		e[k] = curlE(e[k], h[k], hxm[k], hym[k], hzm[k], s)
+	}
+}
+
+// addEnergy returns sum plus Σ(E²+H²) over one pencil, adding point by
+// point so that a scan in pencils rounds exactly like a flat one.
+func addEnergy(sum float64, es, hs []Vec3) float64 {
+	hs = hs[:len(es)]
+	for k, e := range es {
+		h := hs[k]
+		sum += e[0]*e[0] + e[1]*e[1] + e[2]*e[2] + h[0]*h[0] + h[1]*h[1] + h[2]*h[2]
+	}
+	return sum
+}
+
 // Sim is the distributed (SPMD) cavity simulation.
 type Sim struct {
 	Pm   Params
@@ -107,17 +143,15 @@ func (s *Sim) Step() {
 
 	// Half-step 1: H from curl E. Needs E at +1 in each axis.
 	s.E.ExchangeBoundary()
-	s.H.AssignRegion(0, n-1, 0, n-1, 0, n-1, updateFlops, func(gi, gj, gk int) Vec3 {
-		return curlH(s.H.At(gi, gj, gk), s.E.At(gi, gj, gk),
-			s.E.At(gi+1, gj, gk), s.E.At(gi, gj+1, gk), s.E.At(gi, gj, gk+1), cdt)
+	s.H.AssignRegion(0, n-1, 0, n-1, 0, n-1, updateFlops, func(gi, gj, z0, z1 int, out []Vec3) {
+		curlHRow(out, s.E.Pencil(gi, gj, z0, z1+1), s.E.Pencil(gi+1, gj, z0, z1), s.E.Pencil(gi, gj+1, z0, z1), cdt)
 	})
 
 	// Half-step 2: E from curl H on the interior (tangential E at the
 	// cavity walls stays zero — PEC boundary). Needs H at -1.
 	s.H.ExchangeBoundary()
-	s.E.AssignRegion(1, n-1, 1, n-1, 1, n-1, updateFlops, func(gi, gj, gk int) Vec3 {
-		return curlE(s.E.At(gi, gj, gk), s.H.At(gi, gj, gk),
-			s.H.At(gi-1, gj, gk), s.H.At(gi, gj-1, gk), s.H.At(gi, gj, gk-1), cdt)
+	s.E.AssignRegion(1, n-1, 1, n-1, 1, n-1, updateFlops, func(gi, gj, z0, z1 int, out []Vec3) {
+		curlERow(out, s.H.Pencil(gi, gj, z0-1, z1), s.H.Pencil(gi-1, gj, z0, z1), s.H.Pencil(gi, gj-1, z0, z1), cdt)
 	})
 }
 
@@ -133,14 +167,11 @@ func (s *Sim) Run(n int) {
 // tree).
 func (s *Sim) Energy() float64 {
 	x0, x1 := s.E.OwnedX()
+	n := s.Pm.N
 	local := 0.0
 	for gi := x0; gi < x1; gi++ {
-		for j := 0; j < s.Pm.N; j++ {
-			for k := 0; k < s.Pm.N; k++ {
-				e := s.E.At(gi, j, k)
-				h := s.H.At(gi, j, k)
-				local += e[0]*e[0] + e[1]*e[1] + e[2]*e[2] + h[0]*h[0] + h[1]*h[1] + h[2]*h[2]
-			}
+		for j := 0; j < n; j++ {
+			local = addEnergy(local, s.E.Pencil(gi, j, 0, n), s.H.Pencil(gi, j, 0, n))
 		}
 	}
 	p := s.E.Proc()
@@ -168,20 +199,15 @@ func NewSeq(pm Params) *SeqSim {
 func (s *SeqSim) Step(m core.Meter) {
 	n := s.Pm.N
 	cdt := s.Pm.Courant
+	e, h := s.E, s.H
 	for i := 0; i < n-1; i++ {
 		for j := 0; j < n-1; j++ {
-			for k := 0; k < n-1; k++ {
-				s.H.Set(i, j, k, curlH(s.H.At(i, j, k), s.E.At(i, j, k),
-					s.E.At(i+1, j, k), s.E.At(i, j+1, k), s.E.At(i, j, k+1), cdt))
-			}
+			curlHRow(h.Pencil(i, j)[:n-1], e.Pencil(i, j), e.Pencil(i+1, j), e.Pencil(i, j+1), cdt)
 		}
 	}
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {
-			for k := 1; k < n-1; k++ {
-				s.E.Set(i, j, k, curlE(s.E.At(i, j, k), s.H.At(i, j, k),
-					s.H.At(i-1, j, k), s.H.At(i, j-1, k), s.H.At(i, j, k-1), cdt))
-			}
+			curlERow(e.Pencil(i, j)[1:n-1], h.Pencil(i, j)[:n-1], h.Pencil(i-1, j)[1:], h.Pencil(i, j-1)[1:], cdt)
 		}
 	}
 	hPts := float64((n - 1) * (n - 1) * (n - 1))
@@ -198,10 +224,5 @@ func (s *SeqSim) Run(m core.Meter, n int) {
 
 // Energy returns the sequential total field energy.
 func (s *SeqSim) Energy() float64 {
-	sum := 0.0
-	for idx := range s.E.Data {
-		e, h := s.E.Data[idx], s.H.Data[idx]
-		sum += e[0]*e[0] + e[1]*e[1] + e[2]*e[2] + h[0]*h[0] + h[1]*h[1] + h[2]*h[2]
-	}
-	return 0.5 * sum
+	return 0.5 * addEnergy(0, s.E.Data, s.H.Data)
 }

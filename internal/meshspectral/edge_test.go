@@ -21,7 +21,11 @@ func TestEmptyLocalSections(t *testing.T) {
 			t.Errorf("rank %d owns %d rows of a 2-row grid over 4 procs", p.Rank(), x1-x0)
 		}
 		g.ExchangeBoundary() // must not deadlock or panic
-		g.Assign(1, func(gi, gj int) float64 { return val(gi, gj) + 1 })
+		g.Assign(1, func(gi, y0, y1 int, out []float64) {
+			for k := range out {
+				out[k] = val(gi, y0+k) + 1
+			}
+		})
 		full := GatherGrid(g, 0)
 		if p.Rank() == 0 {
 			for i := 0; i < nx; i++ {
@@ -127,7 +131,9 @@ func TestInteriorOnEmptySection(t *testing.T) {
 		if lo > hi {
 			// Empty is fine, inverted is fine to iterate (no-op), but
 			// AssignRegion must tolerate it:
-			g.AssignRegion(lo, hi, 0, 2, 1, func(gi, gj int) float64 { return 0 })
+			g.AssignRegion(lo, hi, 0, 2, 1, func(gi, y0, y1 int, out []float64) {
+				t.Errorf("rank %d: row callback ran for empty region row %d", p.Rank(), gi)
+			})
 		}
 	})
 }

@@ -96,7 +96,10 @@ func (g *Grid2D[T]) check(gi, gj int) (int, int) {
 }
 
 // At returns the value at global point (gi, gj), which must lie within the
-// owned block or its ghost boundary.
+// owned block or its ghost boundary. At and Set are the cold-path
+// accessors — physical-boundary ghost fills, assembly, tests — and pay a
+// range check and an index translation per point; sweeps and scans read
+// and write whole rows through RowSpan.
 func (g *Grid2D[T]) At(gi, gj int) T {
 	li, lj := g.check(gi, gj)
 	return g.loc.At(li, lj)
@@ -107,6 +110,22 @@ func (g *Grid2D[T]) At(gi, gj int) T {
 func (g *Grid2D[T]) Set(gi, gj int, v T) {
 	li, lj := g.check(gi, gj)
 	g.loc.Set(li, lj, v)
+}
+
+// RowSpan returns global row gi over global columns [y0, y1) as a slice
+// aliasing local storage: element k is point (gi, y0+k), and a write
+// through the span is a write to the grid. The row and both column ends
+// may reach into the ghost boundary, so a stencil's neighbour rows are
+// RowSpan(gi-1, …), RowSpan(gi+1, …) and RowSpan(gi, y0-1, y1+1). The
+// range is checked once, here, for the whole span.
+func (g *Grid2D[T]) RowSpan(gi, y0, y1 int) []T {
+	li, l0, l1 := gi-g.ix0+g.H, y0-g.iy0+g.H, y1-g.iy0+g.H
+	if li < 0 || li >= g.loc.NX || l0 < 0 || l1 > g.loc.NY || l0 > l1 {
+		panic(fmt.Sprintf("meshspectral: row span (%d,[%d,%d)) outside local section [%d,%d)x[%d,%d) with halo %d",
+			gi, y0, y1, g.ix0, g.ix1, g.iy0, g.iy1, g.H))
+	}
+	base := li * g.loc.NY
+	return g.loc.Data[base+l0 : base+l1 : base+l1]
 }
 
 // Fill sets every owned point to f(gi, gj) without communication or
@@ -120,40 +139,33 @@ func (g *Grid2D[T]) Fill(f func(gi, gj int) T) {
 	}
 }
 
-// Assign performs a grid operation (§3.1) over the whole owned block:
-// every owned point is set to f(gi, gj). Per the archetype's
+// Assign performs a grid operation (§3.1) over the whole owned block, a
+// row at a time: f is called once per owned row gi with the owned column
+// range [y0, y1) and out = RowSpan(gi, y0, y1), and must set every
+// out[k] to the new value of point (gi, y0+k). Per the archetype's
 // data-dependency rule, f must not read this grid at any point other
-// than (gi, gj) itself — neighbour reads must go to other grids
-// (typically the previous time level, whose ghosts were refreshed by
-// ExchangeBoundary). flopsPerPoint is charged for each owned point.
-func (g *Grid2D[T]) Assign(flopsPerPoint float64, f func(gi, gj int) T) {
+// than the one it is writing (out[k] still holds that point's current
+// value, so in-place updates are safe) — neighbour reads must go to
+// other grids (typically the previous time level, whose ghosts were
+// refreshed by ExchangeBoundary), fetched as spans. flopsPerPoint is
+// charged for each owned point.
+func (g *Grid2D[T]) Assign(flopsPerPoint float64, f func(gi, y0, y1 int, out []T)) {
 	g.AssignRegion(g.ix0, g.ix1, g.iy0, g.iy1, flopsPerPoint, f)
 }
 
 // AssignRegion is Assign restricted to the intersection of the owned
-// block with the global rectangle [x0,x1)×[y0,y1).
-func (g *Grid2D[T]) AssignRegion(x0, x1, y0, y1 int, flopsPerPoint float64, f func(gi, gj int) T) {
-	if x0 < g.ix0 {
-		x0 = g.ix0
-	}
-	if x1 > g.ix1 {
-		x1 = g.ix1
-	}
-	if y0 < g.iy0 {
-		y0 = g.iy0
-	}
-	if y1 > g.iy1 {
-		y1 = g.iy1
+// block with the global rectangle [x0,x1)×[y0,y1); f sees the clipped
+// column range, and is not called when the intersection is empty.
+func (g *Grid2D[T]) AssignRegion(x0, x1, y0, y1 int, flopsPerPoint float64, f func(gi, y0, y1 int, out []T)) {
+	x0, x1 = max(x0, g.ix0), min(x1, g.ix1)
+	y0, y1 = max(y0, g.iy0), min(y1, g.iy1)
+	if x1 <= x0 || y1 <= y0 {
+		return
 	}
 	for gi := x0; gi < x1; gi++ {
-		row := g.loc.Row(gi - g.ix0 + g.H)
-		for gj := y0; gj < y1; gj++ {
-			row[gj-g.iy0+g.H] = f(gi, gj)
-		}
+		f(gi, y0, y1, g.RowSpan(gi, y0, y1))
 	}
-	if x1 > x0 && y1 > y0 {
-		g.p.Flops(flopsPerPoint * float64((x1-x0)*(y1-y0)))
-	}
+	g.p.Flops(flopsPerPoint * float64((x1-x0)*(y1-y0)))
 }
 
 // CopyFrom copies the owned block of src (which must share layout and

@@ -288,8 +288,12 @@ func TestAssignAndInterior(t *testing.T) {
 		g.ExchangeBoundary()
 		ix0, ix1 := h.InteriorX()
 		iy0, iy1 := h.InteriorY()
-		h.AssignRegion(ix0, ix1, iy0, iy1, 4, func(gi, gj int) float64 {
-			return g.At(gi-1, gj) + g.At(gi+1, gj) + g.At(gi, gj-1) + g.At(gi, gj+1)
+		h.AssignRegion(ix0, ix1, iy0, iy1, 4, func(gi, y0, y1 int, out []float64) {
+			up, down := g.RowSpan(gi-1, y0, y1), g.RowSpan(gi+1, y0, y1)
+			mid := g.RowSpan(gi, y0-1, y1+1)
+			for k := range out {
+				out[k] = up[k] + down[k] + mid[k] + mid[k+2]
+			}
 		})
 		x0, x1 := h.OwnedX()
 		y0, y1 := h.OwnedY()

@@ -69,7 +69,8 @@ func (g *Grid3D[T]) check(gi, gj, gk int) int {
 }
 
 // At returns the value at global point (gi, gj, gk); gi may reach into
-// the ghost planes.
+// the ghost planes. Like Grid2D's, At and Set are the cold-path accessors;
+// sweeps and scans use Pencil.
 func (g *Grid3D[T]) At(gi, gj, gk int) T {
 	return g.loc.At(g.check(gi, gj, gk), gj, gk)
 }
@@ -77,6 +78,20 @@ func (g *Grid3D[T]) At(gi, gj, gk int) T {
 // Set assigns the value at global point (gi, gj, gk).
 func (g *Grid3D[T]) Set(gi, gj, gk int, v T) {
 	g.loc.Set(g.check(gi, gj, gk), gj, gk, v)
+}
+
+// Pencil returns the k-line at global (gi, gj) over [z0, z1) as a slice
+// aliasing local storage: element k is point (gi, gj, z0+k). gi may reach
+// into the ghost planes; j and k are not decomposed and have no ghosts.
+// The range is checked once, here, for the whole pencil.
+func (g *Grid3D[T]) Pencil(gi, gj, z0, z1 int) []T {
+	li := gi - g.ix0 + g.H
+	if li < 0 || li >= g.loc.NX || gj < 0 || gj >= g.NY || z0 < 0 || z1 > g.NZ || z0 > z1 {
+		panic(fmt.Sprintf("meshspectral: pencil (%d,%d,[%d,%d)) outside slab [%d,%d) (halo %d) of %dx%dx%d",
+			gi, gj, z0, z1, g.ix0, g.ix1, g.H, g.NX, g.NY, g.NZ))
+	}
+	base := (li*g.NY + gj) * g.NZ
+	return g.loc.Data[base+z0 : base+z1 : base+z1]
 }
 
 // Fill sets every owned point to f(gi, gj, gk) (initialization; not
@@ -92,43 +107,29 @@ func (g *Grid3D[T]) Fill(f func(gi, gj, gk int) T) {
 }
 
 // AssignRegion performs a grid operation over the intersection of the
-// owned slab with [x0,x1)×[y0,y1)×[z0,z1): each point is set to f. f must
-// not read this grid at points other than (gi, gj, gk) itself (the
-// archetype's disjointness rule; same-point in-place updates are safe).
-func (g *Grid3D[T]) AssignRegion(x0, x1, y0, y1, z0, z1 int, flopsPerPoint float64, f func(gi, gj, gk int) T) {
-	if x0 < g.ix0 {
-		x0 = g.ix0
-	}
-	if x1 > g.ix1 {
-		x1 = g.ix1
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if y1 > g.NY {
-		y1 = g.NY
-	}
-	if z0 < 0 {
-		z0 = 0
-	}
-	if z1 > g.NZ {
-		z1 = g.NZ
+// owned slab with [x0,x1)×[y0,y1)×[z0,z1), a pencil at a time: f is called
+// once per (gi, gj) of the clipped region with the clipped k-range and
+// out = Pencil(gi, gj, z0, z1), and must set every out[k] to the new value
+// of point (gi, gj, z0+k). f must not read this grid at points other than
+// the one it is writing (the archetype's disjointness rule; out[k] holds
+// the current value, so same-point in-place updates are safe).
+func (g *Grid3D[T]) AssignRegion(x0, x1, y0, y1, z0, z1 int, flopsPerPoint float64, f func(gi, gj, z0, z1 int, out []T)) {
+	x0, x1 = max(x0, g.ix0), min(x1, g.ix1)
+	y0, y1 = max(y0, 0), min(y1, g.NY)
+	z0, z1 = max(z0, 0), min(z1, g.NZ)
+	if x1 <= x0 || y1 <= y0 || z1 <= z0 {
+		return
 	}
 	for gi := x0; gi < x1; gi++ {
-		li := gi - g.ix0 + g.H
-		for j := y0; j < y1; j++ {
-			for k := z0; k < z1; k++ {
-				g.loc.Set(li, j, k, f(gi, j, k))
-			}
+		for gj := y0; gj < y1; gj++ {
+			f(gi, gj, z0, z1, g.Pencil(gi, gj, z0, z1))
 		}
 	}
-	if x1 > x0 && y1 > y0 && z1 > z0 {
-		g.p.Flops(flopsPerPoint * float64((x1-x0)*(y1-y0)*(z1-z0)))
-	}
+	g.p.Flops(flopsPerPoint * float64((x1-x0)*(y1-y0)*(z1-z0)))
 }
 
 // Assign performs a grid operation over the whole owned slab.
-func (g *Grid3D[T]) Assign(flopsPerPoint float64, f func(gi, gj, gk int) T) {
+func (g *Grid3D[T]) Assign(flopsPerPoint float64, f func(gi, gj, z0, z1 int, out []T)) {
 	g.AssignRegion(g.ix0, g.ix1, 0, g.NY, 0, g.NZ, flopsPerPoint, f)
 }
 

@@ -88,10 +88,13 @@ func TestGrid3DAssignStencil(t *testing.T) {
 		v := New3D[float64](p, nx, ny, nz, 1)
 		u.ExchangeBoundary()
 		x0, x1 := v.InteriorX()
-		v.AssignRegion(x0, x1, 1, ny-1, 1, nz-1, 6, func(i, j, k int) float64 {
-			return u.At(i-1, j, k) + u.At(i+1, j, k) +
-				u.At(i, j-1, k) + u.At(i, j+1, k) +
-				u.At(i, j, k-1) + u.At(i, j, k+1)
+		v.AssignRegion(x0, x1, 1, ny-1, 1, nz-1, 6, func(i, j, z0, z1 int, out []float64) {
+			xm, xp := u.Pencil(i-1, j, z0, z1), u.Pencil(i+1, j, z0, z1)
+			ym, yp := u.Pencil(i, j-1, z0, z1), u.Pencil(i, j+1, z0, z1)
+			mid := u.Pencil(i, j, z0-1, z1+1)
+			for k := range out {
+				out[k] = xm[k] + xp[k] + ym[k] + yp[k] + mid[k] + mid[k+2]
+			}
 		})
 		gx0, gx1 := v.OwnedX()
 		for gi := gx0; gi < gx1; gi++ {

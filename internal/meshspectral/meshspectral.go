@@ -19,6 +19,13 @@
 // "row operations require that data be distributed by rows" (§3.2); the
 // redistribution operation is what satisfies the precondition, as in the
 // 2D FFT example (Figures 10–11).
+//
+// Grid operations and scans are written a row at a time. Grid2D.RowSpan
+// and Grid3D.Pencil hand out contiguous slices of the local section —
+// ghosts included, aliasing storage, range-checked once per span — and
+// Assign / AssignRegion call their function once per owned row (pencil)
+// with the span to fill. At and Set remain for the cold paths:
+// physical-boundary ghost fills, assembly and tests.
 package meshspectral
 
 import (

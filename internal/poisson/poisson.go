@@ -13,7 +13,7 @@
 // original sequential program), SolveV1 (Figure 13 — the forall form),
 // and SolveSPMD (Figure 14 — the message-passing form over a generic
 // block distribution). All three produce bit-identical fields and
-// iteration counts: the stencil arithmetic is per-point identical and the
+// iteration counts: all three call the one row kernel, jacobiRow, and the
 // max-reduction is exact regardless of association order.
 package poisson
 
@@ -56,9 +56,26 @@ func (pr *Problem) XY(i, j int) (float64, float64) {
 // stencil plus the h²f term).
 const flopsPerPoint = 7
 
-// update computes the Jacobi step at one point. h2f is h²·f at the point.
-func update(up, down, left, right, h2f float64) float64 {
-	return (up + down + left + right - h2f) * 0.25
+// jacobiRow is the arithmetic of every version: one row of the Jacobi
+// step. With n = len(out), up, down and f hold the n points above, below
+// and at the row, and mid the n+2 current values from one point left of the
+// row to one point right of it, so out[j] updates mid[j+1]. It returns the
+// row's max |new − old|.
+//
+// The max is the builtin, not an if: like math.Max it propagates NaN, so a
+// diverged solve ends with DiffMax = NaN rather than looking converged —
+// and unlike math.Max it is inlined.
+func jacobiRow(out, up, mid, down, f []float64, h2 float64) float64 {
+	n := len(out)
+	up, down, f = up[:n], down[:n], f[:n]
+	left, centre, right := mid[:n], mid[1:n+1], mid[2:n+2]
+	d := 0.0
+	for j := range out {
+		v := (up[j] + down[j] + left[j] + right[j] - h2*f[j]) * 0.25
+		out[j] = v
+		d = max(d, math.Abs(v-centre[j]))
+	}
+	return d
 }
 
 // Result reports a solve.
@@ -81,11 +98,7 @@ func SolveSeq(m core.Meter, pr *Problem) (*array.Dense2D[float64], Result) {
 	for res.DiffMax > pr.Tolerance && (pr.MaxIter == 0 || res.Iterations < pr.MaxIter) {
 		diff := 0.0
 		for i := 1; i < pr.NX-1; i++ {
-			for j := 1; j < pr.NY-1; j++ {
-				v := update(uk.At(i-1, j), uk.At(i+1, j), uk.At(i, j-1), uk.At(i, j+1), h2*f.At(i, j))
-				ukp.Set(i, j, v)
-				diff = math.Max(diff, math.Abs(v-uk.At(i, j)))
-			}
+			diff = max(diff, denseRow(ukp, uk, f, i, h2))
 		}
 		m.Flops(float64((pr.NX - 2) * (pr.NY - 2) * (flopsPerPoint + 2)))
 		uk, ukp = ukp, uk
@@ -110,18 +123,11 @@ func SolveV1(mode core.Mode, pr *Problem) (*array.Dense2D[float64], Result) {
 	res := Result{DiffMax: math.Inf(1)}
 	for res.DiffMax > pr.Tolerance && (pr.MaxIter == 0 || res.Iterations < pr.MaxIter) {
 		core.ParFor(mode, pr.NX-2, func(r int) {
-			i := r + 1
-			d := 0.0
-			for j := 1; j < pr.NY-1; j++ {
-				v := update(uk.At(i-1, j), uk.At(i+1, j), uk.At(i, j-1), uk.At(i, j+1), h2*f.At(i, j))
-				ukp.Set(i, j, v)
-				d = math.Max(d, math.Abs(v-uk.At(i, j)))
-			}
-			rowDiff[i] = d
+			rowDiff[r+1] = denseRow(ukp, uk, f, r+1, h2)
 		})
 		diff := 0.0
 		for i := 1; i < pr.NX-1; i++ {
-			diff = math.Max(diff, rowDiff[i])
+			diff = max(diff, rowDiff[i])
 		}
 		uk, ukp = ukp, uk
 		res.DiffMax = diff
@@ -163,15 +169,14 @@ func SolveSPMD(p spmd.Comm, pr *Problem, l meshspectral.Layout) (*meshspectral.G
 	res := Result{DiffMax: math.Inf(1)}
 	for res.DiffMax > pr.Tolerance && (pr.MaxIter == 0 || res.Iterations < pr.MaxIter) {
 		uk.ExchangeBoundary()
-		ukp.AssignRegion(ix0, ix1, iy0, iy1, flopsPerPoint, func(gi, gj int) float64 {
-			return update(uk.At(gi-1, gj), uk.At(gi+1, gj), uk.At(gi, gj-1), uk.At(gi, gj+1), h2*f.At(gi, gj))
-		})
+		// The |ukp−uk| scan is fused into the update row, where both values
+		// are in registers; each row's max is merged into local once.
 		local := 0.0
-		for gi := ix0; gi < ix1; gi++ {
-			for gj := iy0; gj < iy1; gj++ {
-				local = math.Max(local, math.Abs(ukp.At(gi, gj)-uk.At(gi, gj)))
-			}
-		}
+		ukp.AssignRegion(ix0, ix1, iy0, iy1, flopsPerPoint, func(gi, y0, y1 int, out []float64) {
+			local = max(local, jacobiRow(out,
+				uk.RowSpan(gi-1, y0, y1), uk.RowSpan(gi, y0-1, y1+1), uk.RowSpan(gi+1, y0, y1),
+				f.RowSpan(gi, y0, y1), h2))
+		})
 		if ix1 > ix0 && iy1 > iy0 {
 			p.Flops(float64(2 * (ix1 - ix0) * (iy1 - iy0)))
 		}
@@ -180,6 +185,15 @@ func SolveSPMD(p spmd.Comm, pr *Problem, l meshspectral.Layout) (*meshspectral.G
 		res.Iterations++
 	}
 	return uk, res
+}
+
+// denseRow applies jacobiRow to interior row i of the whole-grid arrays of
+// the sequential versions.
+func denseRow(ukp, uk, f *array.Dense2D[float64], i int, h2 float64) float64 {
+	ny := uk.NY
+	return jacobiRow(ukp.Row(i)[1:ny-1],
+		uk.Row(i - 1)[1:ny-1], uk.Row(i), uk.Row(i + 1)[1:ny-1],
+		f.Row(i)[1:ny-1], h2)
 }
 
 // initDense fills a dense u with boundary values of G (interior zero) and
@@ -226,9 +240,9 @@ func MaxError(g *meshspectral.Grid2D[float64], pr *Problem) float64 {
 	y0, y1 := g.OwnedY()
 	local := 0.0
 	for gi := x0; gi < x1; gi++ {
-		for gj := y0; gj < y1; gj++ {
-			x, y := pr.XY(gi, gj)
-			local = math.Max(local, math.Abs(g.At(gi, gj)-Exact(x, y)))
+		for j, v := range g.RowSpan(gi, y0, y1) {
+			x, y := pr.XY(gi, y0+j)
+			local = max(local, math.Abs(v-Exact(x, y)))
 		}
 	}
 	return collective.AllReduce(g.Proc(), local, math.Max)

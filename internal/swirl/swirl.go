@@ -121,6 +121,14 @@ func stepRFD(m core.Meter, col, newCol []complex128, nu, dt, dr float64) {
 	m.Flops(float64(22 * n))
 }
 
+// forceRow adds one step of the stirring force to ring i in place; row[j]
+// is axial station j0+j. Shared by both program versions.
+func (pm *Params) forceRow(row []complex128, i, j0 int) {
+	for j := range row {
+		row[j] += complex(pm.forcing(i, j0+j)*pm.Dt, 0)
+	}
+}
+
 // Sim is the distributed (SPMD) simulation. U is held distributed by
 // rows between steps.
 type Sim struct {
@@ -165,8 +173,8 @@ func (s *Sim) Step() {
 
 	// Grid operation: add the stirring force (no distribution
 	// requirement; done while by columns).
-	cols.Assign(4, func(gi, gj int) complex128 {
-		return cols.At(gi, gj) + complex(pm.forcing(gi, gj)*pm.Dt, 0)
+	cols.Assign(4, func(gi, y0, y1 int, out []complex128) {
+		pm.forceRow(out, gi, y0)
 	})
 
 	// Restore the row distribution.
@@ -206,10 +214,7 @@ func (s *SeqSim) Step(m core.Meter) {
 		s.U.SetCol(j, buf)
 	}
 	for i := 0; i < pm.NR; i++ {
-		row := s.U.Row(i)
-		for j := 0; j < pm.NZ; j++ {
-			row[j] += complex(pm.forcing(i, j)*pm.Dt, 0)
-		}
+		pm.forceRow(s.U.Row(i), i, 0)
 	}
 	m.MemWords(float64(4 * pm.NR * pm.NZ))
 	m.Flops(float64(4 * pm.NR * pm.NZ))
