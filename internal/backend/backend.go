@@ -86,6 +86,12 @@ type Transport interface {
 	// along with the sender's rank. The choice among concurrently
 	// available messages depends on host scheduling.
 	RecvAny(dst, tag int) (int, any)
+	// Recorder returns the run's flight recorder — present when the
+	// transport was created under a context carrying an obs.Collector
+	// (see obs.RunRecorder), so spmd.World can stamp world-level events
+	// onto the same trace and hand the recorder back with the run's
+	// Result — and nil when tracing is off, which obs makes free.
+	Recorder() *obs.Recorder
 	// Finish assembles the run summary after every process has returned.
 	// It may release the transport's internal fabric for reuse by later
 	// runs: the transport is dead afterwards, and no method (including
@@ -127,16 +133,6 @@ type RankObserver interface {
 	RankReturned(rank int)
 }
 
-// Traced is an optional Transport capability: a transport created under
-// a context carrying an obs.Collector (see obs.RunRecorder) exposes the
-// run's flight recorder so spmd.World can stamp world-level events onto
-// the same trace and hand the recorder back with the run's Result.
-// Recorder returns nil when tracing is off for this run — callers must
-// treat a nil recorder as "disabled", which obs makes free.
-type Traced interface {
-	Recorder() *obs.Recorder
-}
-
 // Runner is a named Transport factory: one Runner per execution backend.
 // Runners are stateless and safe for concurrent use; each NewTransport
 // call yields an independent run substrate.
@@ -154,8 +150,10 @@ type Runner interface {
 	// with) the given machine model. Cancelling ctx aborts the run:
 	// blocked (and subsequently attempted) transport operations raise the
 	// cancellation sentinel (see AsCanceled), which spmd.World.Run turns
-	// into the context's error.
-	NewTransport(ctx context.Context, n int, m *machine.Model) Transport
+	// into the context's error. A substrate that cannot be brought up
+	// (workers that never attach, an unspawnable command) is the returned
+	// error: spmd.World.Run reports it before any rank body executes.
+	NewTransport(ctx context.Context, n int, m *machine.Model) (Transport, error)
 }
 
 // canceled is the panic value mailbox operations raise when the run's

@@ -9,7 +9,8 @@
 // RecvAny (and therefore every collective, which is built from them)
 // through those workers over length-prefixed frames.
 //
-// The data plane is destination-routed and push-all-the-way:
+// The data plane has one route, destination-routed and
+// push-all-the-way:
 //
 //	coordinator ── opSend ──> worker[dst]
 //	coordinator <── opDeliver (eager push) ── worker[dst]
@@ -18,15 +19,17 @@
 // worker pushes the body straight back up as an opDeliver, and the
 // coordinator banks it in a per-rank inbox so Recv and RecvAny are local
 // pops — one worker visit and two socket crossings per message, no
-// request/response round trip per receive. (WithPeerRouting restores the
-// source-routed path — coordinator → worker[src] → worker[dst] →
-// coordinator — which exercises the worker↔worker fabric a multi-host
-// deployment relies on.) Writers on every connection coalesce
-// back-to-back frames into one multi-message opBatch frame and flush on
-// idle; the receiving rank's own goroutine reads its control connection,
-// so a delivery wakes it straight from the socket with no relay
-// goroutine on the critical path. Self-spawned worlds speak the control
-// protocol over unix-domain sockets (the peer plane stays TCP).
+// request/response round trip per receive. A worker is an echo of its
+// own rank's inbox and nothing else: it binds no listener and talks to
+// no other worker. Both ends coalesce back-to-back frames into one
+// multi-message opBatch frame and flush on idle; the receiving rank's
+// own goroutine reads its control connection, so a delivery wakes it
+// straight from the socket with no relay goroutine on the critical path.
+// Send is buffered, as on every other backend: a worker never stops
+// reading its down stream because its up stream is full (see upstream),
+// so a coordinator write always completes and a program may have any
+// number of sends in flight before its first receive. Self-spawned
+// worlds speak the control protocol over unix-domain sockets.
 //
 // Rank bodies execute as goroutines in the coordinating process (they are
 // ordinary Go closures; shipping code is out of scope), but every payload
@@ -39,8 +42,10 @@
 //
 // Lifecycle: NewTransport spawns the workers (by default re-executing the
 // current binary — see MaybeWorker — authenticated by a per-pool secret),
-// collects their hellos, assigns ranks, and broadcasts the address book;
-// all n ready frames complete the world-start barrier. Finish runs the
+// collects their hellos, and assigns ranks; all n ready frames complete
+// the world-start barrier. A world that cannot start is NewTransport's
+// error ("dist: world start: …"), returned by Run before any rank body
+// executes. Finish runs the
 // mirror-image barrier (finish/bye), then releases the processes. With
 // WithWorkerPool, cleanly finished workers — their control connections
 // still warm — go back to a runner-owned pool, and the next world's start
@@ -77,9 +82,8 @@ import (
 )
 
 // runner is the dist backend: a Transport factory whose configuration
-// (spawn command or attach addresses, routing mode, handshake timeout)
-// is fixed at construction. The registered default self-spawns localhost
-// workers.
+// (spawn command or attach addresses, handshake timeout) is fixed at
+// construction. The registered default self-spawns localhost workers.
 type runner struct {
 	// attach lists pre-started worker control addresses (cmd/archworker
 	// -listen); empty means self-spawn.
@@ -93,11 +97,6 @@ type runner struct {
 	handshake time.Duration
 	// inj is the fault-injection seam (nil injects nothing).
 	inj *faultinject.Injector
-	// relay selects source-routed sends (WithPeerRouting): messages
-	// travel coordinator → worker[src] → worker[dst] → coordinator over
-	// the worker↔worker data plane instead of the destination-direct
-	// default.
-	relay bool
 	// pool, when non-nil, keeps cleanly finished self-spawned workers
 	// (process + warm control connection) for the runner's next world.
 	pool *workerPool
@@ -139,16 +138,6 @@ func WithInjector(in *faultinject.Injector) Option {
 	return func(r *runner) { r.inj = in }
 }
 
-// WithPeerRouting routes messages through the worker↔worker data plane
-// (coordinator → source's worker → destination's worker → coordinator)
-// instead of the destination-direct default. It costs one extra socket
-// crossing per message but sends every payload across the peer fabric —
-// the path a multi-host deployment's bytes actually take — so parity
-// tests keep that plane honest end to end.
-func WithPeerRouting() Option {
-	return func(r *runner) { r.relay = true }
-}
-
 // WithWorkerPool reuses worker processes across this runner's worlds: a
 // cleanly finished world parks its workers — processes alive, control
 // connections warm — in a runner-owned pool, and the next world starts
@@ -181,12 +170,12 @@ func (r *runner) Name() string { return "dist" }
 // real processes), so sweeps serialize them like the real backend's.
 func (r *runner) Virtual() bool { return false }
 
-func (r *runner) NewTransport(ctx context.Context, n int, m *machine.Model) backend.Transport {
+func (r *runner) NewTransport(ctx context.Context, n int, m *machine.Model) (backend.Transport, error) {
 	t, err := r.start(ctx, n)
 	if err != nil {
-		return &failedTransport{n: n, err: fmt.Errorf("dist: world start: %w", err)}
+		return nil, fmt.Errorf("dist: world start: %w", err)
 	}
-	return t
+	return t, nil
 }
 
 // proc is one spawned worker process. Its wait goroutine reaps the
@@ -320,8 +309,7 @@ func (wp *workerPool) put(pw *pooledWorker) {
 
 // start acquires the workers (pool, spawn, or attach) and runs the
 // world-start barrier. On any error it tears down whatever it had
-// started and returns the error; the caller wraps it into a
-// failedTransport so every rank's first transport operation reports it.
+// started and returns the error.
 func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 	t := &transport{
 		ctx:      ctx,
@@ -374,7 +362,7 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 			if pw == nil {
 				break
 			}
-			wc := &workerConn{c: pw.c, br: pw.br, w: NewWriter(pw.c), proc: pw.p}
+			wc := &workerConn{c: pw.c, br: pw.br, w: newWriter(pw.c), proc: pw.p}
 			if err := wc.expectHello(deadline, cp.token); err != nil {
 				wc.c.Close()
 				pw.p.kill()
@@ -397,27 +385,15 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 		}
 	}
 
-	// All n workers present: assign ranks in arrival order, publish the
-	// address book and the peer-plane secret (minted per world so a
-	// worker's data listener only accepts its own world's peers — the
-	// control token cannot serve, attach-mode workers have none), and
-	// wait for every ready — the world-start barrier.
-	var peerSecretRaw [16]byte
-	if _, err := rand.Read(peerSecretRaw[:]); err != nil {
-		return nil, fmt.Errorf("peer secret: %w", err)
-	}
-	peerSecret := hex.EncodeToString(peerSecretRaw[:])
-	addrs := make([]string, n)
+	// All n workers present: assign ranks in arrival order and wait for
+	// every ready — the world-start barrier.
 	for rank, wc := range t.conns {
-		addrs[rank] = wc.peerAddr
-	}
-	for rank, wc := range t.conns {
-		if err := WriteFrame(wc.c, opAssign, assignBody(rank, n, peerSecret, addrs)); err != nil {
+		if err := WriteFrame(wc.c, opAssign, assignBody(rank, n)); err != nil {
 			return nil, fmt.Errorf("assigning rank %d: %w", rank, err)
 		}
 	}
 	for rank, wc := range t.conns {
-		op, _, err := wc.read(deadline)
+		op, _, err := wc.read(deadline, maxHandshakeFrame)
 		if err != nil {
 			return nil, fmt.Errorf("awaiting ready from rank %d: %w", rank, err)
 		}
@@ -543,8 +519,8 @@ func (r *runner) spawnInto(t *transport, cp *controlPlane, n int, deadline time.
 func init() { backend.Register(New()) }
 
 // workerConn is the coordinator's control connection to one worker.
-// After the world starts, writes go through the coalescing Writer (any
-// rank may send toward this connection's worker; Writer serializes them)
+// After the world starts, writes go through the coalescing writer (any
+// rank may send toward this connection's worker; writer serializes them)
 // and reads belong to the connection's own rank's goroutine (inside
 // Recv/RecvAny) until the finish barrier takes them over — the rank
 // goroutines are gone by then. Close is safe concurrently (net.Conn
@@ -553,11 +529,10 @@ func init() { backend.Register(New()) }
 type workerConn struct {
 	c  net.Conn
 	br *bufio.Reader
-	w  *Writer
+	w  *writer
 	// proc is the worker's process; nil for attach-mode connections.
-	proc     *proc
-	peerAddr string
-	pid      int
+	proc *proc
+	pid  int
 	// poolable is set by the finish barrier on receipt of the worker's
 	// bye: the worker is provably between worlds, so teardown may park
 	// it in the runner's pool instead of killing it.
@@ -565,37 +540,38 @@ type workerConn struct {
 }
 
 func newWorkerConn(c net.Conn) *workerConn {
-	return &workerConn{c: c, br: bufio.NewReader(c), w: NewWriter(c)}
+	return &workerConn{c: c, br: bufio.NewReader(c), w: newWriter(c)}
 }
 
-// read returns the next frame; a zero deadline means block indefinitely.
-// Used at handshake time and by the finish barrier; mid-run reads belong
-// to the rank's own goroutine via popMsg.
-func (wc *workerConn) read(deadline time.Time) (byte, []byte, error) {
+// read returns the next frame of at most limit bytes by deadline:
+// maxHandshakeFrame at handshake time (the peer has proved nothing yet),
+// maxFrame in the finish barrier (stale deliveries may be large). Mid-run
+// reads belong to the rank's own goroutine via popMsg.
+func (wc *workerConn) read(deadline time.Time, limit uint32) (byte, []byte, error) {
 	if err := wc.c.SetReadDeadline(deadline); err != nil {
 		return 0, nil, err
 	}
-	return ReadFrame(wc.br)
+	return readFrame(wc.br, limit)
 }
 
 // expectHello consumes the worker's hello frame, checking the world
 // secret when one is required.
 func (wc *workerConn) expectHello(deadline time.Time, token string) error {
-	op, body, err := wc.read(deadline)
+	op, body, err := wc.read(deadline, maxHandshakeFrame)
 	if err != nil {
 		return fmt.Errorf("awaiting hello: %w", err)
 	}
 	if op != opHello {
 		return fmt.Errorf("expected hello frame, got op %d", op)
 	}
-	got, peerAddr, pid, err := parseHello(body)
+	got, pid, err := ParseHello(body)
 	if err != nil {
 		return err
 	}
 	if token != "" && got != token {
 		return fmt.Errorf("hello with wrong world secret")
 	}
-	wc.peerAddr, wc.pid = peerAddr, pid
+	wc.pid = pid
 	return nil
 }
 
@@ -712,7 +688,6 @@ func (t *transport) SetResident(rank int, bytes float64) {}
 
 func (t *transport) Clock(rank int) float64 { return time.Since(t.begin).Seconds() }
 
-// Recorder implements backend.Traced.
 func (t *transport) Recorder() *obs.Recorder { return t.rec }
 
 // Idle cannot advance a wall clock.
@@ -741,13 +716,12 @@ func (t *transport) inject(point string, rank int) {
 	}
 }
 
-// Send appends the message to the routing-mode's connection: the
-// destination rank's (default — its worker pushes the body back up as
-// the delivery) or the source rank's (peer routing — its worker relays
-// across the data plane). Either way the frame only reaches the wire at
-// the sending rank's next flush point (its next receive, or its body
-// returning), which is the write-coalescing boundary: a burst of sends
-// goes out as one opBatch frame.
+// Send appends the message to the destination rank's connection, whose
+// worker pushes the body back up as the delivery. The frame only reaches
+// the wire at the sending rank's next flush point (its next receive, its
+// body returning, or the writer's size threshold), which is the
+// write-coalescing boundary: a burst of sends goes out as one opBatch
+// frame.
 func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 	var start int64
 	if t.rec != nil {
@@ -768,11 +742,7 @@ func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 		}
 		return
 	}
-	wc, op, rankField := t.conns[dst], opSend, src
-	if t.r.relay {
-		wc, op, rankField = t.conns[src], opRelay, dst
-	}
-	hdr := appendMsgHeader(t.sendBufs[src][:0], rankField, tag, bytes)
+	hdr := appendMsgHeader(t.sendBufs[src][:0], src, tag, bytes)
 	body, err := spmd.AppendPayload(hdr, data)
 	if err != nil {
 		// A payload outside the wire codec is a programming error of the
@@ -780,7 +750,7 @@ func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 		// than poisoning the run with a substrate error.
 		panic(fmt.Sprintf("dist: process %d: %v", src, err))
 	}
-	werr := wc.w.Write(op, body)
+	werr := t.conns[dst].w.Write(opSend, body)
 	t.sendBufs[src] = body[:0]
 	if werr != nil {
 		t.raise(src, werr)
@@ -798,7 +768,7 @@ func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 // its body returns). Flushing all connections rather than just the
 // rank's own is what lets Send stay fire-and-forget with no flusher
 // goroutine: whichever rank blocks first drives everyone's pending bytes
-// out, and an idle Writer's Flush is a mutex acquisition, not a syscall.
+// out, and an idle writer's Flush is a mutex acquisition, not a syscall.
 func (t *transport) flushConns(rank int) {
 	if t.rec == nil {
 		for _, wc := range t.conns {
@@ -981,7 +951,7 @@ func (t *transport) Finish() backend.Result {
 	if failedErr == nil && t.ctx.Err() == nil {
 		deadline := time.Now().Add(10 * time.Second)
 		for _, wc := range t.conns {
-			// Through the Writer so the finish frame orders after any
+			// Through the writer so the finish frame orders after any
 			// still-buffered sends.
 			wc.w.Write(opFinish, nil) //nolint:errcheck // teardown is best-effort
 			wc.w.Flush()              //nolint:errcheck
@@ -992,7 +962,7 @@ func (t *transport) Finish() backend.Result {
 		// is between worlds — exactly the state the pool parks.
 		for _, wc := range t.conns {
 			for {
-				op, body, err := wc.read(deadline)
+				op, body, err := wc.read(deadline, maxFrame)
 				if err != nil {
 					break // dead or deadline: either way this world is over
 				}
@@ -1060,25 +1030,4 @@ func (t *transport) teardown() {
 	}
 	t.monWG.Wait()
 	t.procs = nil
-}
-
-// failedTransport is what NewTransport returns when the world could not
-// start (the Runner interface has no error channel): every operation a
-// rank attempts raises the cancellation sentinel carrying the start
-// error, so the run reports it instead of executing on a half-built
-// substrate.
-type failedTransport struct {
-	n   int
-	err error
-}
-
-func (f *failedTransport) Charge(rank int, sec float64)         { panic(backend.Canceled(f.err)) }
-func (f *failedTransport) SetResident(rank int, bytes float64)  { panic(backend.Canceled(f.err)) }
-func (f *failedTransport) Clock(rank int) float64               { panic(backend.Canceled(f.err)) }
-func (f *failedTransport) Idle(rank int, at float64)            { panic(backend.Canceled(f.err)) }
-func (f *failedTransport) Send(src, dst, tag int, d any, b int) { panic(backend.Canceled(f.err)) }
-func (f *failedTransport) Recv(src, dst, tag int) any           { panic(backend.Canceled(f.err)) }
-func (f *failedTransport) RecvAny(dst, tag int) (int, any)      { panic(backend.Canceled(f.err)) }
-func (f *failedTransport) Finish() backend.Result {
-	return backend.Result{Clocks: make([]float64, f.n)}
 }

@@ -426,58 +426,28 @@ func TestDistRecvAnyFIFOPerSource(t *testing.T) {
 	}
 }
 
-// TestDistPeerRoutingParity runs the same program under destination
-// routing (default) and source routing (WithPeerRouting, exercising the
-// worker↔worker data plane) and demands identical results and meters —
-// routing mode is an implementation detail, not a semantic.
-func TestDistPeerRoutingParity(t *testing.T) {
-	const n = 3
-	prog := func(sums []float64) func(p *spmd.Proc) {
-		return func(p *spmd.Proc) {
-			rank := p.Rank()
-			spmd.SendT(p, (rank+1)%n, 7, []float64{float64(rank)})
-			got := spmd.Recv[[]float64](p, (rank+n-1)%n, 7)
-			if got[0] != float64((rank+n-1)%n) {
-				panic(fmt.Sprintf("rank %d: bad ring payload %v", rank, got))
-			}
-			sums[rank] = collective.AllReduce(p, float64(rank+1), func(a, b float64) float64 { return a + b })
-		}
-	}
-	direct := make([]float64, n)
-	directRes, err := runOn(t, dist.New(), n, prog(direct))
-	if err != nil {
-		t.Fatalf("destination-routed run: %v", err)
-	}
-	relayed := make([]float64, n)
-	relayRes, err := runOn(t, dist.New(dist.WithPeerRouting()), n, prog(relayed))
-	if err != nil {
-		t.Fatalf("peer-routed run: %v", err)
-	}
-	for rank := range direct {
-		if direct[rank] != relayed[rank] {
-			t.Errorf("rank %d: destination-routed %g != peer-routed %g", rank, direct[rank], relayed[rank])
-		}
-	}
-	if directRes.Msgs != relayRes.Msgs || directRes.Bytes != relayRes.Bytes {
-		t.Errorf("meters differ: destination-routed %d msgs/%d bytes, peer-routed %d msgs/%d bytes",
-			directRes.Msgs, directRes.Bytes, relayRes.Msgs, relayRes.Bytes)
-	}
-}
-
-// TestDistCrashMidPush kills a worker at the narrowest window of the
-// eager-push path: after the message crossed the worker↔worker data
-// plane (peer routing) but before its opDeliver push reaches the
-// coordinator. The world must fail with a worker error — not hang on the
-// never-delivered message, and not masquerade as a cancellation.
+// TestDistCrashMidPush kills a worker with bulk traffic in flight around
+// it: every rank bursts 1 MiB blocks at every other rank before its
+// first receive, and rank 1's worker dies on the first block that reaches
+// it — so peers are mid-write toward a dead process (the Send error
+// path), other workers hold deliveries their ranks have not read yet,
+// and rank 1 waits for pushes that will never come. The world must fail
+// with a worker error — not hang, and not masquerade as a cancellation.
+// (TestDistCrashedWorker is the same hook under one-word messages, where
+// the failure is only ever seen by blocked receives.)
 func TestDistCrashMidPush(t *testing.T) {
-	t.Setenv("ARCHDIST_CRASH_PUSH_RANK", "1") // rank 1's worker dies before its first push
+	t.Setenv("ARCHDIST_CRASH_RANK", "1")
 	const n = 4
 	done := make(chan error, 1)
 	go func() {
-		_, err := runOn(t, dist.New(dist.WithPeerRouting()), n, func(p *spmd.Proc) {
-			rank := p.Rank()
-			spmd.SendT(p, (rank+1)%n, 5, rank)
-			spmd.Recv[int](p, (rank+n-1)%n, 5)
+		_, err := runOn(t, dist.New(), n, func(p *spmd.Proc) {
+			block := make([]float64, 1<<17)
+			for d := 1; d < n; d++ {
+				spmd.SendT(p, (p.Rank()+d)%n, 5, block)
+			}
+			for d := 1; d < n; d++ {
+				spmd.Recv[[]float64](p, (p.Rank()+n-d)%n, 5)
+			}
 		})
 		done <- err
 	}()

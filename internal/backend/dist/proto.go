@@ -12,55 +12,39 @@ import (
 //
 //	[u32 big-endian length] [u8 op] [body...]
 //
-// where length counts the op byte plus the body. Two kinds of connection
-// speak it:
+// where length counts the op byte plus the body. One kind of connection
+// speaks it, control (coordinator ↔ worker): the handshake
+// (hello/assign/ready), then two one-way streams riding the same
+// connection — the coordinator's opSend stream down (fire and forget),
+// and the worker's eager opDeliver stream up (every message that reaches
+// the worker's rank is pushed to the coordinator immediately, no request
+// needed; the coordinator banks deliveries in a per-rank inbox so Recv
+// and RecvAny are local pops). The opFinish/opBye finish barrier ends the
+// world, after which the same connection can host the next world's
+// handshake — worker processes and their control connections are
+// reusable (see the coordinator's worker pool).
 //
-//   - control (coordinator ↔ worker): the handshake (hello/assign/ready),
-//     then two one-way streams riding the same connection — the
-//     coordinator's send stream down (fire and forget), and the worker's
-//     eager opDeliver stream up (every message that reaches the worker's
-//     rank is pushed to the coordinator immediately, no request needed;
-//     the coordinator banks deliveries in a per-rank inbox so Recv and
-//     RecvAny are local pops). The opFinish/opBye finish barrier ends the
-//     world, after which the same connection can host the next world's
-//     handshake — worker processes and their control connections are
-//     reusable (see the coordinator's worker pool).
-//   - peer (worker ↔ worker): one opPeerHello identifying the dialer,
-//     then a one-way opData stream. Peer connections are dialed lazily on
-//     the first relayed message toward that rank.
-//
-// The down stream has two send ops for the two routing modes:
-//
-//   - opSend is destination-routed (the default): the coordinator writes
-//     it down the *destination* rank's control connection, and that
-//     worker pushes the body back up verbatim as an opDeliver — the
-//     message takes one worker visit, two socket crossings end to end.
-//   - opRelay is source-routed (WithPeerRouting): the coordinator writes
-//     it down the *source* rank's control connection; that worker
-//     re-headers it as opData, forwards it across the peer plane to the
-//     destination's worker, which pushes it up as opDeliver — three
-//     crossings, but the bytes traverse the worker↔worker fabric, which
-//     is what a multi-host deployment exercises.
+// There is one route: the coordinator writes an opSend down the
+// *destination* rank's control connection, and that worker pushes the
+// body back up verbatim as an opDeliver — one worker visit, two socket
+// crossings end to end.
 //
 // Any frame may be an opBatch container: back-to-back frames toward one
-// destination, coalesced by Writer into a single multi-message frame
+// destination, coalesced by the sender into a single multi-message frame
 // (and a single TCP segment). Readers expand batches with forEachFrame;
 // batches never nest.
 //
-// Message payloads inside opSend/opRelay/opData/opDeliver are spmd
-// wire-codec bytes; workers forward them opaquely and only the
-// coordinator encodes and decodes.
+// Message payloads inside opSend/opDeliver are spmd wire-codec bytes;
+// workers echo them opaquely and only the coordinator encodes and
+// decodes.
 const (
 	opHello byte = 1 + iota
 	opAssign
 	opReady
 	opSend
-	opRelay
 	opDeliver
 	opFinish
 	opBye
-	opPeerHello
-	opData
 	opBatch
 )
 
@@ -68,7 +52,14 @@ const (
 // trigger a gigantic allocation.
 const maxFrame = 1 << 30
 
-// writerFlushBytes caps how much a Writer buffers before flushing
+// maxHandshakeFrame bounds the frames read before a connection has
+// proved anything (hello, assign, ready, and the elastic welcome): a
+// dialer's first four bytes must not buy a maxFrame allocation ahead of
+// the token check. The largest legitimate handshake body is a token and
+// a pid, three orders of magnitude below this.
+const maxHandshakeFrame = 64 << 10
+
+// writerFlushBytes caps how much a writer buffers before flushing
 // inline: it bounds both coalescing memory and the size of one opBatch
 // container.
 const writerFlushBytes = 32 << 10
@@ -89,8 +80,8 @@ func AppendFrame(buf []byte, op byte, body []byte) []byte {
 var frameScratch = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // WriteFrame sends one frame in a single Write call, assembling it in a
-// pooled scratch buffer. For high-rate paths use Writer, which coalesces
-// consecutive frames too.
+// pooled scratch buffer. High-rate paths coalesce consecutive frames
+// instead (writer, upstream).
 func WriteFrame(w io.Writer, op byte, body []byte) error {
 	bp := frameScratch.Get().(*[]byte)
 	buf := AppendFrame((*bp)[:0], op, body)
@@ -103,12 +94,23 @@ func WriteFrame(w io.Writer, op byte, body []byte) error {
 // ReadFrame reads one frame. The returned body is freshly allocated and
 // owned by the caller.
 func ReadFrame(br *bufio.Reader) (op byte, body []byte, err error) {
+	return readFrame(br, maxFrame)
+}
+
+// ReadHandshakeFrame is ReadFrame for the frames exchanged before a
+// connection is authenticated: a length prefix above maxHandshakeFrame
+// is rejected before anything is allocated.
+func ReadHandshakeFrame(br *bufio.Reader) (op byte, body []byte, err error) {
+	return readFrame(br, maxHandshakeFrame)
+}
+
+func readFrame(br *bufio.Reader, limit uint32) (op byte, body []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	length := binary.BigEndian.Uint32(hdr[:4])
-	if length == 0 || length > maxFrame {
+	if length == 0 || length > limit {
 		return 0, nil, fmt.Errorf("dist: invalid frame length %d", length)
 	}
 	body = make([]byte, length-1)
@@ -206,44 +208,80 @@ func forEachFrame(op byte, body []byte, fn func(op byte, body []byte) error) err
 	return nil
 }
 
-// Writer coalesces frames toward one connection. Write appends a frame
-// to the pending buffer without touching the socket; Flush issues
-// everything pending as one Write call — a single frame verbatim, or
-// several wrapped in one opBatch container (one multi-message frame, one
-// TCP segment). Writers are safe for concurrent use; the first I/O error
-// latches and fails every subsequent call.
-//
-// The flush discipline is the caller's contract: every goroutine that
-// Writes must Flush before blocking (Writer cannot know when the
-// sender's burst is over). Write self-flushes past writerFlushBytes so
-// pending data and batch frames stay bounded. The type is exported
-// because the elastic backend's control plane shares the frame format.
-type Writer struct {
-	mu     sync.Mutex
-	dst    io.Writer
-	buf    []byte // 5 bytes reserved for a batch header, then pending frames
+// frameBuf accumulates frames for one Write call: five bytes stay
+// reserved at the head so seal can turn several pending frames into one
+// opBatch container in place.
+type frameBuf struct {
+	buf    []byte
 	frames int
-	err    error
 }
 
-// NewWriter returns a coalescing frame writer over dst (an unbuffered
-// connection: Writer is the buffer).
-func NewWriter(dst io.Writer) *Writer {
-	w := &Writer{dst: dst, buf: make([]byte, 5, 4096)}
-	return w
+func newFrameBuf() frameBuf { return frameBuf{buf: make([]byte, 5, 4096)} }
+
+func (b *frameBuf) add(op byte, body []byte) {
+	b.buf = AppendFrame(b.buf, op, body)
+	b.frames++
+}
+
+// seal returns the wire image of everything pending — a single frame
+// verbatim, or several wrapped in one opBatch container (one
+// multi-message frame, one TCP segment). It aliases the buffer until the
+// next reset.
+func (b *frameBuf) seal() []byte {
+	if b.frames == 1 {
+		return b.buf[5:]
+	}
+	binary.BigEndian.PutUint32(b.buf, uint32(1+len(b.buf)-5))
+	b.buf[4] = opBatch
+	return b.buf
+}
+
+// reset empties the buffer, dropping a backing array a one-off burst
+// grew far past the flush threshold.
+func (b *frameBuf) reset() {
+	if cap(b.buf) > 4*writerFlushBytes {
+		*b = newFrameBuf()
+		return
+	}
+	b.buf, b.frames = b.buf[:5], 0
+}
+
+// writer coalesces frames toward one connection on the coordinator,
+// where any rank may send toward any worker. Write appends a frame to
+// the pending buffer without touching the socket; Flush issues
+// everything pending as one (blocking) Write call. Writers are safe for
+// concurrent use; the first I/O error latches and fails every subsequent
+// call.
+//
+// The flush discipline is the caller's contract: every goroutine that
+// Writes must Flush before blocking (writer cannot know when the
+// sender's burst is over). Write self-flushes past writerFlushBytes so
+// pending data and batch frames stay bounded. The blocking Write is safe
+// here because a worker never stops reading its down stream (see
+// upstream).
+type writer struct {
+	mu      sync.Mutex
+	dst     io.Writer
+	pending frameBuf
+	err     error
+}
+
+// newWriter returns a coalescing frame writer over dst (an unbuffered
+// connection: writer is the buffer).
+func newWriter(dst io.Writer) *writer {
+	return &writer{dst: dst, pending: newFrameBuf()}
 }
 
 // Write appends one frame to the pending buffer, flushing inline only
 // when the buffer exceeds writerFlushBytes.
-func (w *Writer) Write(op byte, body []byte) error {
+func (w *writer) Write(op byte, body []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
-	w.buf = AppendFrame(w.buf, op, body)
-	w.frames++
-	if len(w.buf) >= writerFlushBytes {
+	w.pending.add(op, body)
+	if len(w.pending.buf) >= writerFlushBytes {
 		return w.flushLocked()
 	}
 	return nil
@@ -251,57 +289,35 @@ func (w *Writer) Write(op byte, body []byte) error {
 
 // Flush issues all pending frames in one Write call; a no-op when
 // nothing is pending.
-func (w *Writer) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	return w.flushLocked()
+func (w *writer) Flush() error {
+	_, err := w.FlushN()
+	return err
 }
 
 // FlushN is Flush reporting how many frames it put on the wire (0 when
 // nothing was pending; >1 means the frames went out coalesced in one
 // opBatch container). The transport's trace instrumentation uses the
 // count to record flush and batch events only for flushes that did work.
-func (w *Writer) FlushN() (int, error) {
+func (w *writer) FlushN() (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, w.err
 	}
-	n := w.frames
+	n := w.pending.frames
 	return n, w.flushLocked()
 }
 
-func (w *Writer) flushLocked() error {
-	if w.frames == 0 {
+func (w *writer) flushLocked() error {
+	if w.pending.frames == 0 {
 		return nil
 	}
-	out := w.buf[5:]
-	if w.frames > 1 {
-		binary.BigEndian.PutUint32(w.buf, uint32(1+len(w.buf)-5))
-		w.buf[4] = opBatch
-		out = w.buf
-	}
-	_, err := w.dst.Write(out)
-	if cap(w.buf) > 4*writerFlushBytes {
-		w.buf = make([]byte, 5, 4096)
-	} else {
-		w.buf = w.buf[:5]
-	}
-	w.frames = 0
+	_, err := w.dst.Write(w.pending.seal())
+	w.pending.reset()
 	if err != nil {
 		w.err = err
 	}
 	return err
-}
-
-// Err returns the writer's latched I/O error, if any.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
 }
 
 // Handshake and header bodies are hand-rolled uvarint/fixed-width
@@ -312,143 +328,114 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// reader cursors over a frame body; its err field latches the first
-// truncation so call sites check once.
-type reader struct {
-	b   []byte
+// Cursor reads the fixed-width and length-prefixed fields of a frame
+// body; Err latches the first truncation so call sites check once. It is
+// exported for the elastic control plane's bodies.
+type Cursor struct {
+	B   []byte
 	off int
-	err error
+	Err error
 }
 
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("dist: truncated frame body at offset %d", r.off)
+func (c *Cursor) fail() {
+	if c.Err == nil {
+		c.Err = fmt.Errorf("dist: truncated frame body at offset %d", c.off)
 	}
 }
 
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
+func (c *Cursor) U32() uint32 {
+	if c.Err != nil || c.off+4 > len(c.B) {
+		c.fail()
 		return 0
 	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
+	v := binary.BigEndian.Uint32(c.B[c.off:])
+	c.off += 4
 	return v
 }
 
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
+func (c *Cursor) U64() uint64 {
+	if c.Err != nil || c.off+8 > len(c.B) {
+		c.fail()
 		return 0
 	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
+	v := binary.BigEndian.Uint64(c.B[c.off:])
+	c.off += 8
 	return v
 }
 
-func (r *reader) string() string {
-	if r.err != nil {
+func (c *Cursor) Str() string {
+	if c.Err != nil {
 		return ""
 	}
-	n, w := binary.Uvarint(r.b[r.off:])
+	n, w := binary.Uvarint(c.B[c.off:])
 	// Compare in uint64 space: a corrupt huge length must fail cleanly,
 	// not overflow the int conversion into a passing bounds check (the
 	// coordinator parses hello frames from arbitrary connections).
-	if w <= 0 || n > uint64(len(r.b)-r.off-w) {
-		r.fail()
+	if w <= 0 || n > uint64(len(c.B)-c.off-w) {
+		c.fail()
 		return ""
 	}
-	s := string(r.b[r.off+w : r.off+w+int(n)])
-	r.off += w + int(n)
+	s := string(c.B[c.off+w : c.off+w+int(n)])
+	c.off += w + int(n)
 	return s
 }
 
-func (r *reader) rest() []byte {
-	if r.err != nil {
+// Rest returns the unread remainder of the body (aliasing it).
+func (c *Cursor) Rest() []byte {
+	if c.Err != nil {
 		return nil
 	}
-	return r.b[r.off:]
+	return c.B[c.off:]
 }
 
-// hello (worker → coordinator): authenticate and advertise.
-func helloBody(token, peerAddr string, pid int) []byte {
+// HelloBody is the hello frame's body (worker → coordinator):
+// authenticate and identify the process. The elastic control plane's
+// hello has the same body under its own op, so the pair is exported.
+func HelloBody(token string, pid int) []byte {
 	buf := appendString(nil, token)
-	buf = appendString(buf, peerAddr)
 	return binary.BigEndian.AppendUint64(buf, uint64(pid))
 }
 
-func parseHello(b []byte) (token, peerAddr string, pid int, err error) {
-	r := &reader{b: b}
-	token, peerAddr = r.string(), r.string()
-	pid = int(r.u64())
-	return token, peerAddr, pid, r.err
+// ParseHello undoes HelloBody.
+func ParseHello(b []byte) (token string, pid int, err error) {
+	c := &Cursor{B: b}
+	token = c.Str()
+	pid = int(c.U64())
+	return token, pid, c.Err
 }
 
-// assign (coordinator → worker): rank, world size, the peer-plane
-// secret, and every rank's peer address. Sent only after all n hellos
-// arrived — the world-start barrier's first half. The secret is minted
-// per world by the coordinator and echoed in every peerhello, so a
-// worker's data plane only accepts connections from its own world (the
-// control-plane token cannot serve here: attach-mode workers have none).
-func assignBody(rank, n int, peerSecret string, addrs []string) []byte {
+// assign (coordinator → worker): rank and world size. Sent only after
+// all n hellos arrived — the world-start barrier's first half.
+func assignBody(rank, n int) []byte {
 	buf := binary.BigEndian.AppendUint32(nil, uint32(rank))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	buf = appendString(buf, peerSecret)
-	for _, a := range addrs {
-		buf = appendString(buf, a)
-	}
-	return buf
+	return binary.BigEndian.AppendUint32(buf, uint32(n))
 }
 
-func parseAssign(b []byte) (rank, n int, peerSecret string, addrs []string, err error) {
-	r := &reader{b: b}
-	rank, n = int(r.u32()), int(r.u32())
-	if r.err == nil && (n <= 0 || n > maxFrame) {
-		return 0, 0, "", nil, fmt.Errorf("dist: invalid assign world size %d", n)
+func parseAssign(b []byte) (rank, n int, err error) {
+	c := &Cursor{B: b}
+	rank, n = int(c.U32()), int(c.U32())
+	if c.Err == nil && (rank < 0 || rank >= n) {
+		return 0, 0, fmt.Errorf("dist: assigned rank %d outside world of %d", rank, n)
 	}
-	peerSecret = r.string()
-	addrs = make([]string, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		addrs = append(addrs, r.string())
-	}
-	return rank, n, peerSecret, addrs, r.err
+	return rank, n, c.Err
 }
 
-// send/relay (coordinator → worker) / data (worker → worker) / deliver
-// (worker → coordinator) share one header shape: the varying rank field
-// (src for send, data, and deliver — the destination is implied by which
-// connection carries the frame — and dst for relay, whose whole point is
-// naming a rank the carrying connection does not), the tag, the metered
-// byte count, then the opaque payload. opSend sharing the deliver shape
-// is what makes the destination worker's hot path a verbatim push: it
-// republishes the body untouched under the opDeliver op.
-func appendMsgHeader(buf []byte, rank, tag, metered int) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(rank))
+// send (coordinator → worker) and deliver (worker → coordinator) share
+// one body shape: the source rank (the destination is implied by which
+// connection carries the frame), the tag, the metered byte count, then
+// the opaque payload. That sharing is what makes the worker's hot path a
+// verbatim push: it republishes an opSend body untouched under the
+// opDeliver op.
+func appendMsgHeader(buf []byte, src, tag, metered int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(src))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(tag)))
 	return binary.BigEndian.AppendUint64(buf, uint64(int64(metered)))
 }
 
-func msgHeader(rank, tag, metered int, payload []byte) []byte {
-	buf := appendMsgHeader(make([]byte, 0, 20+len(payload)), rank, tag, metered)
-	return append(buf, payload...)
-}
-
-func parseMsgHeader(b []byte) (rank, tag, metered int, payload []byte, err error) {
-	r := &reader{b: b}
-	rank = int(r.u32())
-	tag = int(int64(r.u64()))
-	metered = int(int64(r.u64()))
-	return rank, tag, metered, r.rest(), r.err
-}
-
-func peerHelloBody(from int, peerSecret string) []byte {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(from))
-	return appendString(buf, peerSecret)
-}
-
-func parsePeerHello(b []byte) (from int, peerSecret string, err error) {
-	r := &reader{b: b}
-	from = int(r.u32())
-	peerSecret = r.string()
-	return from, peerSecret, r.err
+func parseMsgHeader(b []byte) (src, tag, metered int, payload []byte, err error) {
+	c := &Cursor{B: b}
+	src = int(c.U32())
+	tag = int(int64(c.U64()))
+	metered = int(int64(c.U64()))
+	return src, tag, metered, c.Rest(), c.Err
 }

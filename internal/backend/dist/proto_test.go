@@ -5,24 +5,22 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 )
 
-// TestProtoRoundTrip pins the frame-body encodings both planes speak.
+// TestProtoRoundTrip pins the frame-body encodings the control plane
+// speaks.
 func TestProtoRoundTrip(t *testing.T) {
-	token, addr, pid, err := parseHello(helloBody("tok", "127.0.0.1:9", 42))
-	if err != nil || token != "tok" || addr != "127.0.0.1:9" || pid != 42 {
-		t.Fatalf("hello round trip = %q %q %d %v", token, addr, pid, err)
+	token, pid, err := ParseHello(HelloBody("tok", 42))
+	if err != nil || token != "tok" || pid != 42 {
+		t.Fatalf("hello round trip = %q %d %v", token, pid, err)
 	}
-	rank, n, secret, addrs, err := parseAssign(assignBody(2, 3, "s3cret", []string{"a", "b", "c"}))
-	if err != nil || rank != 2 || n != 3 || secret != "s3cret" || len(addrs) != 3 || addrs[1] != "b" {
-		t.Fatalf("assign round trip = %d %d %q %v %v", rank, n, secret, addrs, err)
+	rank, n, err := parseAssign(assignBody(2, 3))
+	if err != nil || rank != 2 || n != 3 {
+		t.Fatalf("assign round trip = %d %d %v", rank, n, err)
 	}
-	from, psec, err := parsePeerHello(peerHelloBody(1, "s3cret"))
-	if err != nil || from != 1 || psec != "s3cret" {
-		t.Fatalf("peerhello round trip = %d %q %v", from, psec, err)
-	}
-	r, tag, metered, payload, err := parseMsgHeader(msgHeader(5, -7, 16, []byte{1, 2}))
+	r, tag, metered, payload, err := parseMsgHeader(append(appendMsgHeader(nil, 5, -7, 16), 1, 2))
 	if err != nil || r != 5 || tag != -7 || metered != 16 || !bytes.Equal(payload, []byte{1, 2}) {
 		t.Fatalf("msg header round trip = %d %d %d %v %v", r, tag, metered, payload, err)
 	}
@@ -34,7 +32,7 @@ func TestProtoRoundTrip(t *testing.T) {
 // original sequence.
 func TestWriterCoalescing(t *testing.T) {
 	var sink bytes.Buffer
-	w := NewWriter(&sink)
+	w := newWriter(&sink)
 
 	// Single frame: byte-identical to an uncoalesced WriteFrame.
 	if err := w.Write(opSend, []byte("solo")); err != nil {
@@ -91,12 +89,12 @@ func TestWriterCoalescing(t *testing.T) {
 // decodable.
 func TestWriterSelfFlush(t *testing.T) {
 	var sink bytes.Buffer
-	w := NewWriter(&sink)
+	w := newWriter(&sink)
 	payload := make([]byte, 1024)
 	const sent = 100 // ~100 KiB total, several self-flushes
 	for i := range sent {
 		payload[0] = byte(i)
-		if err := w.Write(opData, payload); err != nil {
+		if err := w.Write(opDeliver, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +112,7 @@ func TestWriterSelfFlush(t *testing.T) {
 			break
 		}
 		if err := forEachFrame(op, body, func(op byte, b []byte) error {
-			if op != opData || len(b) != len(payload) || b[0] != byte(seen) {
+			if op != opDeliver || len(b) != len(payload) || b[0] != byte(seen) {
 				t.Fatalf("frame %d corrupted: op %d, len %d, lead %d", seen, op, len(b), b[0])
 			}
 			seen++
@@ -131,7 +129,7 @@ func TestWriterSelfFlush(t *testing.T) {
 // TestWriterLatchedError pins fail-fast: after the destination errors,
 // every subsequent Write and Flush reports it.
 func TestWriterLatchedError(t *testing.T) {
-	w := NewWriter(failWriter{})
+	w := newWriter(failWriter{})
 	if err := w.Write(opSend, []byte("x")); err != nil {
 		t.Fatalf("buffered write errored early: %v", err)
 	}
@@ -141,8 +139,8 @@ func TestWriterLatchedError(t *testing.T) {
 	if err := w.Write(opSend, []byte("y")); err == nil {
 		t.Fatal("write after latched error returned nil")
 	}
-	if w.Err() == nil {
-		t.Fatal("Err() nil after failed flush")
+	if err := w.Flush(); err == nil {
+		t.Fatal("flush after latched error returned nil")
 	}
 }
 
@@ -155,11 +153,11 @@ func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("wire down
 // drops.
 func TestForEachFrameRejectsMalformedBatch(t *testing.T) {
 	nop := func(byte, []byte) error { return nil }
-	inner := AppendFrame(nil, opBatch, AppendFrame(nil, opData, []byte("x")))
+	inner := AppendFrame(nil, opBatch, AppendFrame(nil, opDeliver, []byte("x")))
 	if err := forEachFrame(opBatch, inner, nop); err == nil {
 		t.Error("nested batch accepted")
 	}
-	truncated := AppendFrame(nil, opData, []byte("payload"))
+	truncated := AppendFrame(nil, opDeliver, []byte("payload"))
 	if err := forEachFrame(opBatch, truncated[:len(truncated)-3], nop); err == nil {
 		t.Error("truncated batch accepted")
 	}
@@ -171,7 +169,7 @@ func TestForEachFrameRejectsMalformedBatch(t *testing.T) {
 // TestPendingFrame pins the flush-on-idle predicate: true exactly when a
 // complete frame is already buffered.
 func TestPendingFrame(t *testing.T) {
-	full := AppendFrame(nil, opData, []byte("hello"))
+	full := AppendFrame(nil, opDeliver, []byte("hello"))
 	br := bufio.NewReader(bytes.NewReader(append(full, full[:7]...)))
 	if pendingFrame(br) {
 		t.Error("pendingFrame true before any buffered read")
@@ -197,18 +195,21 @@ func TestProtoMalformedFrames(t *testing.T) {
 	// A string whose uvarint length is astronomically larger than the
 	// body: the overflow-bait case.
 	huge := binary.AppendUvarint(nil, 1<<62)
-	if _, _, _, err := parseHello(huge); err == nil {
-		t.Error("parseHello(huge length): want error")
+	if _, _, err := ParseHello(huge); err == nil {
+		t.Error("ParseHello(huge length): want error")
 	}
-	if _, _, _, _, err := parseAssign(append(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, 0), 2), huge...)); err == nil {
-		t.Error("parseAssign(huge length): want error")
-	}
-	if _, _, err := parsePeerHello(append(binary.BigEndian.AppendUint32(nil, 1), huge...)); err == nil {
-		t.Error("parsePeerHello(huge length): want error")
+	// A rank outside its world (which covers an empty world) is refused.
+	for _, rn := range [][2]int{{2, 2}, {0, 0}} {
+		if _, _, err := parseAssign(assignBody(rn[0], rn[1])); err == nil {
+			t.Errorf("parseAssign(rank %d of %d): want error", rn[0], rn[1])
+		}
 	}
 	for _, b := range [][]byte{nil, {1}, {1, 2, 3}} {
-		if _, _, _, err := parseHello(b); err == nil {
-			t.Errorf("parseHello(%v): want error", b)
+		if _, _, err := ParseHello(b); err == nil {
+			t.Errorf("ParseHello(%v): want error", b)
+		}
+		if _, _, err := parseAssign(b); err == nil {
+			t.Errorf("parseAssign(%v): want error", b)
 		}
 		if _, _, _, _, err := parseMsgHeader(b); err == nil {
 			t.Errorf("parseMsgHeader(%v): want error", b)
@@ -222,5 +223,37 @@ func TestProtoMalformedFrames(t *testing.T) {
 		if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hdr))); err == nil {
 			t.Errorf("ReadFrame(length %v): want error", hdr[:4])
 		}
+	}
+}
+
+// TestHandshakeFrameBound pins that a connection which has proved
+// nothing cannot make its reader allocate: the coordinator reads hello
+// frames from arbitrary dialers before checking the token, and a 4-byte
+// prefix naming a ~1 GiB frame (legal for ReadFrame) must be refused by
+// ReadHandshakeFrame on the length alone.
+func TestHandshakeFrameBound(t *testing.T) {
+	hostile := []byte{0x3f, 0xff, 0xff, 0xff, opHello}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadHandshakeFrame(bufio.NewReaderSize(bytes.NewReader(hostile), 16))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ReadHandshakeFrame accepted a 0x3fffffff length prefix")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("rejecting the prefix allocated %d bytes", grew)
+	}
+	// The bound itself: the largest handshake frame passes, one byte more
+	// does not, and a real hello is far inside it.
+	atBound := AppendFrame(nil, opHello, make([]byte, maxHandshakeFrame-1))
+	if _, body, err := ReadHandshakeFrame(bufio.NewReader(bytes.NewReader(atBound))); err != nil || len(body) != maxHandshakeFrame-1 {
+		t.Fatalf("frame at the bound: %d bytes, %v", len(body), err)
+	}
+	over := AppendFrame(nil, opHello, make([]byte, maxHandshakeFrame))
+	if _, _, err := ReadHandshakeFrame(bufio.NewReader(bytes.NewReader(over))); err == nil {
+		t.Fatal("frame one byte over the bound accepted")
+	}
+	if n := len(HelloBody("0123456789abcdef0123456789abcdef", 1<<22)); n*1000 > maxHandshakeFrame {
+		t.Fatalf("hello body is %d bytes: the bound is no longer 1000x the largest handshake frame", n)
 	}
 }

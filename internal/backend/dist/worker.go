@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -25,44 +24,10 @@ const (
 	envWorker = "ARCHDIST_WORKER"
 	envToken  = "ARCHDIST_TOKEN"
 	// envCrashRank is a test hook: the worker whose assigned rank matches
-	// kills itself when the first message for its rank (or, in relay mode,
-	// from its rank) reaches it, simulating a mid-run crash.
+	// kills itself when the first message for its rank reaches it — before
+	// the delivery is pushed back up — simulating a mid-run crash.
 	envCrashRank = "ARCHDIST_CRASH_RANK"
-	// envCrashPushRank is the eager-push twin: the worker whose assigned
-	// rank matches kills itself just before its first opDeliver push up
-	// the control connection — a crash in the middle of the delivery
-	// path, with the receiving rank already parked on the coordinator
-	// inbox.
-	envCrashPushRank = "ARCHDIST_CRASH_PUSH_RANK"
 )
-
-// Timeouts of the worker's network edges, atomics so tests can shrink
-// them without racing live workers: peerDialTimeout bounds dialing a
-// peer's data listener (a dead peer address must fail the world
-// promptly, not hang the handler for the OS connect timeout), and
-// peerHelloTimeout bounds how long an accepted inbound data connection
-// may stall before its peerhello (a connection that sends nothing must
-// not pin a goroutine and an fd for the life of the process).
-var (
-	peerDialTimeout  = newTimeout(10 * time.Second)
-	peerHelloTimeout = newTimeout(30 * time.Second)
-)
-
-type timeout struct{ atomic.Int64 }
-
-func newTimeout(d time.Duration) *timeout {
-	t := &timeout{}
-	t.Store(int64(d))
-	return t
-}
-
-func (t *timeout) get() time.Duration { return time.Duration(t.Load()) }
-
-// set installs d and returns a restore function for tests.
-func (t *timeout) set(d time.Duration) func() {
-	old := t.Swap(int64(d))
-	return func() { t.Store(old) }
-}
 
 // MaybeWorker turns the current process into a dist worker when it was
 // self-spawned by a dist coordinator (the ARCHDIST_WORKER environment
@@ -113,7 +78,7 @@ func JoinWorld(addr, token string) error {
 	if err != nil {
 		return fmt.Errorf("dist: dialing coordinator %s: %w", addr, err)
 	}
-	return ServeConn(conn, token)
+	return serveConn(conn, token)
 }
 
 // Serve accepts coordinator connections on l and serves worlds on each,
@@ -138,24 +103,21 @@ func Serve(l net.Listener) error {
 		}
 		fails = 0
 		go func() {
-			if err := ServeConn(conn, ""); err != nil {
+			if err := serveConn(conn, ""); err != nil {
 				fmt.Fprintf(os.Stderr, "dist worker: world failed: %v\n", err)
 			}
 		}()
 	}
 }
 
-// Control-loop internal signals: errWorldFinished marks a world's clean
-// finish barrier, errConnDone the coordinator's disappearance (the
-// connection is the worker's lease on life — when it closes, between or
-// during worlds, the worker is simply done; a cancelled run and a pooled
-// worker's final release look identical from here).
-var (
-	errWorldFinished = errors.New("dist: world finished")
-	errConnDone      = errors.New("dist: coordinator connection closed")
-)
+// errConnDone is the control loop's signal for the coordinator's
+// disappearance (the connection is the worker's lease on life — when it
+// closes, between or during worlds, the worker is simply done; a
+// cancelled run and a pooled worker's final release look identical from
+// here).
+var errConnDone = errors.New("dist: coordinator connection closed")
 
-// ServeConn speaks the worker side of the control protocol on an
+// serveConn speaks the worker side of the control protocol on an
 // established coordinator connection, serving worlds back to back: each
 // iteration runs one world's handshake (hello → assign → ready), its
 // message traffic, and its finish barrier, then offers a fresh hello for
@@ -168,11 +130,12 @@ var (
 // every hello frame; self-spawned workers relay the coordinator's
 // secret, attach-mode workers send the empty string (the coordinator
 // dialed them, so the connection itself is the introduction).
-func ServeConn(conn net.Conn, token string) error {
+func serveConn(conn net.Conn, token string) error {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
+	up := newUpstream(conn)
 	for first := true; ; first = false {
-		err := serveWorld(conn, br, token, first)
+		err := serveWorld(conn, br, up, token, first)
 		switch {
 		case err == nil: // clean finish: offer the next world
 		case errors.Is(err, errConnDone):
@@ -183,38 +146,25 @@ func ServeConn(conn net.Conn, token string) error {
 	}
 }
 
-// serveWorld runs one world on the control connection. The worker's hot
-// path is the verbatim push: an opSend frame arriving here was routed by
-// the coordinator down the *destination's* connection — this worker's
+// serveWorld runs one world on the control connection. A worker is an
+// echo of its own rank's inbox: an opSend frame arriving here was routed
+// by the coordinator down the *destination's* connection — this worker's
 // rank is the addressee — so its body goes straight back up as an
-// opDeliver, untouched. opRelay frames (peer-routing mode) are instead
-// re-headered and forwarded across the worker↔worker data plane. Every
-// writer follows the flush-on-idle discipline: frames accumulate in the
-// connection's Writer while more input is already buffered, and flush as
-// one (possibly multi-message) frame the moment the loop would block.
-func serveWorld(conn net.Conn, br *bufio.Reader, token string, first bool) error {
-	// Peer listener: other workers dial here, per world so its lifetime
-	// and secret are the world's. Bind the interface the coordinator
-	// reached us on so multi-host attach topologies work; a unix-domain
-	// control connection has no host, so the peer plane (always TCP)
-	// binds loopback — unix control implies a same-host world.
-	host := "127.0.0.1"
-	if h, _, err := net.SplitHostPort(conn.LocalAddr().String()); err == nil && h != "" {
-		host = h
-	}
-	peerLn, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
-	if err != nil {
-		return fmt.Errorf("dist: worker peer listener: %w", err)
-	}
-	defer peerLn.Close()
-
-	if err := WriteFrame(conn, opHello, helloBody(token, peerLn.Addr().String(), os.Getpid())); err != nil {
+// opDeliver, untouched. The up stream follows the flush-on-idle
+// discipline: frames accumulate while more input is already buffered and
+// go out as one (possibly multi-message) frame the moment the loop would
+// block. The loop blocks only on reading the connection — never on
+// writing it (see upstream) — so a vanished coordinator unblocks it by
+// failing the read, and a coordinator mid-write toward this worker
+// always completes.
+func serveWorld(conn net.Conn, br *bufio.Reader, up *upstream, token string, first bool) error {
+	if err := WriteFrame(conn, opHello, HelloBody(token, os.Getpid())); err != nil {
 		if first {
 			return fmt.Errorf("dist: worker hello: %w", err)
 		}
 		return errConnDone
 	}
-	op, body, err := ReadFrame(br)
+	op, body, err := ReadHandshakeFrame(br)
 	if err != nil {
 		if first {
 			return fmt.Errorf("dist: worker awaiting assignment: %w", err)
@@ -224,41 +174,19 @@ func serveWorld(conn net.Conn, br *bufio.Reader, token string, first bool) error
 	if op != opAssign {
 		return fmt.Errorf("dist: worker expected assign frame, got op %d", op)
 	}
-	rank, n, peerSecret, addrs, err := parseAssign(body)
+	rank, _, err := parseAssign(body)
 	if err != nil {
 		return err
 	}
-	if rank < 0 || rank >= n {
-		return fmt.Errorf("dist: assigned rank %d outside world of %d", rank, n)
-	}
-
-	w := &worker{
-		rank:    rank,
-		n:       n,
-		addrs:   addrs,
-		secret:  peerSecret,
-		peers:   make([]*Writer, n),
-		conns:   make([]net.Conn, n),
-		control: NewWriter(conn),
-	}
-	w.crash = os.Getenv(envCrashRank) == strconv.Itoa(rank)
-	w.crashPush = os.Getenv(envCrashPushRank) == strconv.Itoa(rank)
-	defer w.closeConns()
-
-	go w.acceptPeers(peerLn)
-
+	crash := os.Getenv(envCrashRank) == strconv.Itoa(rank)
 	if err := WriteFrame(conn, opReady, nil); err != nil {
 		return fmt.Errorf("dist: worker ready: %w", err)
 	}
 
-	// The control loop: read the coordinator's frames directly (nothing
-	// here blocks on anything but the connection, so a vanished
-	// coordinator unblocks the loop by failing the read), flushing dirty
-	// writers only when no further frame is already buffered. Frames land
-	// in a reused scratch buffer: every dispatch arm copies the body
-	// onward (into the control Writer's pending buffer or fwdBuf) before
-	// the next read, so the loop is allocation-free in steady state.
-	var ctrlBuf, fwdBuf []byte
+	// Frames land in a reused scratch buffer and are copied into the up
+	// stream's pending buffer before the next read, so the loop is
+	// allocation-free in steady state.
+	var ctrlBuf []byte
 	for {
 		op, body, err := readFrameInto(br, &ctrlBuf)
 		if err != nil {
@@ -267,67 +195,45 @@ func serveWorld(conn net.Conn, br *bufio.Reader, token string, first bool) error
 			// worker. Exiting quietly is the expected path.
 			return errConnDone
 		}
+		finished := false
 		err = forEachFrame(op, body, func(op byte, b []byte) error {
 			switch op {
 			case opSend:
-				// Destination-routed message for this worker's rank.
-				if w.crash {
+				if crash {
 					// Test hook: die exactly where a real fault would —
 					// mid-run, with ranks blocked on messages that will
 					// never arrive.
 					os.Exit(3)
 				}
-				if w.crashPush {
-					os.Exit(3)
-				}
-				return w.control.Write(opDeliver, b)
-			case opRelay:
-				// Source-routed message from this worker's rank: carry it
-				// across the peer plane.
-				if w.crash {
-					os.Exit(3)
-				}
-				dst, tag, metered, payload, err := parseMsgHeader(b)
-				if err != nil {
-					return err
-				}
-				if dst < 0 || dst >= n {
-					return fmt.Errorf("dist: worker %d: relay to invalid rank %d", rank, dst)
-				}
-				fwdBuf = appendMsgHeader(fwdBuf[:0], w.rank, tag, metered)
-				fwdBuf = append(fwdBuf, payload...)
-				return w.forward(dst, fwdBuf)
+				return up.write(opDeliver, b)
 			case opFinish:
-				// Finish barrier: acknowledge, then tear down.
-				if err := w.control.Write(opBye, nil); err != nil {
-					return fmt.Errorf("dist: worker %d: bye: %w", rank, err)
-				}
-				return errWorldFinished
+				// Finish barrier: acknowledge, then end the world.
+				finished = true
+				return up.write(opBye, nil)
 			default:
-				return fmt.Errorf("dist: worker %d: unexpected control op %d", rank, op)
+				return fmt.Errorf("unexpected control op %d", op)
 			}
 		})
-		if errors.Is(err, errWorldFinished) {
-			return w.flushAll()
+		switch {
+		case err != nil:
+		case finished:
+			err = up.sync() // the bye, and every delivery before it
+		case !pendingFrame(br):
+			err = up.flush()
 		}
 		if err != nil {
 			if connIOErr(err) {
-				// A delivery push or relay failed at the socket level: the
+				// A delivery push failed at the socket level: the
 				// coordinator tore the world down (cancellation, a peer's
 				// failure) while frames were in flight. That is the same
 				// quiet exit as the read path seeing the connection close —
 				// only protocol violations deserve noise.
 				return errConnDone
 			}
-			return err
+			return fmt.Errorf("dist: worker %d: %w", rank, err)
 		}
-		if !pendingFrame(br) {
-			if err := w.flushAll(); err != nil {
-				if connIOErr(err) {
-					return errConnDone
-				}
-				return err
-			}
+		if finished {
+			return nil
 		}
 	}
 }
@@ -341,197 +247,115 @@ func connIOErr(err error) bool {
 		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// worker is one rank's message endpoint for one world: pushing messages
-// addressed to its rank up to the coordinator and, in peer-routing mode,
-// relaying its rank's sends across the worker↔worker data plane.
-type worker struct {
-	rank, n int
-	addrs   []string
-	// secret is the world's peer-plane secret from the assign frame:
-	// sent in every outgoing peerhello, required on every incoming one.
-	secret string
-	// peers/conns are this worker's outbound data plane, lazily dialed,
-	// control-loop only.
-	peers []*Writer
-	conns []net.Conn
-	// control carries opDeliver pushes (from the control loop's verbatim
-	// path and the peer-reader goroutines) and the finish bye; Writer
-	// serializes them.
-	control *Writer
-	crash   bool
-	// crashPush is the envCrashPushRank hook: exit just before the first
-	// delivery push.
-	crashPush bool
+// upstream is the worker's up stream: the opDeliver pushes and the bye,
+// written by the control loop alone. Its contract is that the loop never
+// waits for the socket. A flush makes one non-blocking write attempt
+// inline — the uncontended case costs what a blocking write did, with no
+// goroutine hand-off and no timer. Only when the kernel refuses bytes
+// (the coordinator's rank is itself busy writing and not reading yet)
+// does the unsent tail go to a drain goroutine that issues blocking
+// writes; while it lives, the loop just appends frames, which the
+// drainer picks up in order, and when it has caught up it exits and
+// flushes are inline again. Pending deliveries therefore grow in worker
+// memory, bounded by the program's in-flight bytes exactly as the
+// in-process mailbox is, instead of stalling the down stream — a loop
+// that stopped reading while its write blocked deadlocked against a
+// coordinator rank doing the same thing in the other direction.
+type upstream struct {
+	conn net.Conn
+	// try makes one non-blocking write attempt; nil when the connection
+	// offers none (every flush then takes the drain path — correct,
+	// slower).
+	try func(p []byte) (int, error)
 
-	// mu guards the inbound data connections accepted by acceptPeers so
-	// closeConns can tear them down at world end; done marks the world
-	// over, making late accepts close immediately.
-	mu      sync.Mutex
-	inbound []net.Conn
-	done    bool
+	mu       sync.Mutex
+	caughtUp sync.Cond // the drainer exited
+	pending  frameBuf
+	draining bool
+	err      error // first I/O error, latched
 }
 
-// forward routes an already-headered message (src, tag, metered,
-// payload) from this worker's rank toward dst: a delivery straight back
-// up the control conn for self-sends, a peer connection otherwise
-// (dialed with a bounded timeout on first use — a dead peer address
-// fails the world promptly instead of hanging for the OS connect
-// timeout). The frame lands in the destination's Writer; the control
-// loop flushes on idle.
-func (w *worker) forward(dst int, body []byte) error {
-	if dst == w.rank {
-		if err := w.control.Write(opDeliver, body); err != nil {
-			return fmt.Errorf("dist: worker %d: self delivery: %w", w.rank, err)
+func newUpstream(conn net.Conn) *upstream {
+	u := &upstream{conn: conn, try: nonblockingWrite(conn), pending: newFrameBuf()}
+	u.caughtUp.L = &u.mu
+	return u
+}
+
+// write appends one frame, flushing only when the pending buffer
+// exceeds writerFlushBytes.
+func (u *upstream) write(op byte, body []byte) error {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.err != nil {
+		return u.err
+	}
+	u.pending.add(op, body)
+	if len(u.pending.buf) >= writerFlushBytes {
+		return u.flushLocked()
+	}
+	return nil
+}
+
+// flush puts the pending frames on the wire as far as the kernel takes
+// them without blocking, and leaves the rest to the drainer.
+func (u *upstream) flush() error {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.flushLocked()
+}
+
+func (u *upstream) flushLocked() error {
+	if u.err != nil || u.draining || u.pending.frames == 0 {
+		return u.err
+	}
+	out := u.pending.seal()
+	sent := 0
+	if u.try != nil {
+		if sent, u.err = u.try(out); u.err != nil {
+			return u.err
 		}
+	}
+	if sent == len(out) {
+		u.pending.reset()
 		return nil
 	}
-	pw := w.peers[dst]
-	if pw == nil {
-		c, err := net.DialTimeout("tcp", w.addrs[dst], peerDialTimeout.get())
-		if err != nil {
-			return fmt.Errorf("dist: worker %d dialing peer %d: %w", w.rank, dst, err)
-		}
-		pw = NewWriter(c)
-		// The peerhello rides the same flush as the first data frame.
-		if err := pw.Write(opPeerHello, peerHelloBody(w.rank, w.secret)); err != nil {
-			c.Close()
-			return fmt.Errorf("dist: worker %d greeting peer %d: %w", w.rank, dst, err)
-		}
-		w.peers[dst], w.conns[dst] = pw, c
-	}
-	if err := pw.Write(opData, body); err != nil {
-		return fmt.Errorf("dist: worker %d forwarding to peer %d: %w", w.rank, dst, err)
-	}
+	u.draining = true
+	go u.drain(out[sent:], u.pending)
+	u.pending = newFrameBuf()
 	return nil
 }
 
-// flushAll flushes every dirty writer this worker owns — the control
-// loop's idle point.
-func (w *worker) flushAll() error {
-	for dst, pw := range w.peers {
-		if pw == nil {
-			continue
-		}
-		if err := pw.Flush(); err != nil {
-			return fmt.Errorf("dist: worker %d flushing peer %d: %w", w.rank, dst, err)
-		}
-	}
-	if err := w.control.Flush(); err != nil {
-		return fmt.Errorf("dist: worker %d flushing control: %w", w.rank, err)
-	}
-	return nil
-}
-
-// acceptPeers drains incoming peer connections, one reader goroutine per
-// peer, each pushing arrived messages up the control conn as opDeliver
-// frames. The accept loop ends when the peer listener closes (world
-// teardown); closeConns closes the accepted connections themselves,
-// unblocking their readers, so neither goroutines nor fds outlive the
-// world.
-func (w *worker) acceptPeers(l net.Listener) {
+// drain writes tail — the unsent part of a sealed image held in hold —
+// with blocking writes, then whatever the loop appended meanwhile, and
+// exits once nothing is pending.
+func (u *upstream) drain(tail []byte, hold frameBuf) {
 	for {
-		c, err := l.Accept()
+		_, err := u.conn.Write(tail)
+		u.mu.Lock()
 		if err != nil {
+			u.err = err
+		}
+		if u.err != nil || u.pending.frames == 0 {
+			u.draining = false
+			u.caughtUp.Broadcast()
+			u.mu.Unlock()
 			return
 		}
-		if !w.trackInbound(c) {
-			c.Close()
-			return
-		}
-		go w.servePeer(c)
+		hold.reset()
+		hold, u.pending = u.pending, hold
+		tail = hold.seal()
+		u.mu.Unlock()
 	}
 }
 
-// trackInbound registers an accepted data connection for world-end
-// teardown, reporting false once the world is already over.
-func (w *worker) trackInbound(c net.Conn) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.done {
-		return false
+// sync flushes and waits until every pending byte is on the wire — the
+// finish barrier's flush: the bye goes out last, after every delivery.
+func (u *upstream) sync() error {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.flushLocked() //nolint:errcheck // latched in u.err, returned below
+	for u.draining {
+		u.caughtUp.Wait()
 	}
-	w.inbound = append(w.inbound, c)
-	return true
-}
-
-// servePeer validates one inbound data connection (the peerhello must
-// arrive within peerHelloTimeout — a connection that sends nothing may
-// not pin this goroutine forever) and then pushes every opData message
-// up the control connection, batch-expanding coalesced frames and
-// flushing on idle.
-func (w *worker) servePeer(c net.Conn) {
-	defer c.Close()
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(peerHelloTimeout.get())) //nolint:errcheck // enforced by the read
-	// from stays -1 until a valid peerhello: the dialer coalesces its
-	// peerhello into one batch container with the first data frames, so
-	// the handshake is the first *logical* frame, not the first physical
-	// one, and validation happens inside the batch expansion.
-	from := -1
-	var buf, readBuf []byte
-	for {
-		op, body, err := readFrameInto(br, &readBuf)
-		if err != nil {
-			return
-		}
-		c.SetReadDeadline(time.Time{}) //nolint:errcheck // handshake deadline served its purpose
-		err = forEachFrame(op, body, func(op byte, b []byte) error {
-			if from < 0 {
-				if op != opPeerHello {
-					return fmt.Errorf("dist: peer connection opened with op %d, not peerhello", op)
-				}
-				f, secret, err := parsePeerHello(b)
-				if err != nil || f < 0 || f >= w.n || secret != w.secret {
-					// Wrong world (or not a worker at all): drop the
-					// connection before any data frame reaches the
-					// coordinator.
-					return fmt.Errorf("dist: bad peerhello")
-				}
-				from = f
-				return nil
-			}
-			if op != opData {
-				return fmt.Errorf("dist: unexpected peer op %d", op)
-			}
-			src, tag, metered, payload, err := parseMsgHeader(b)
-			if err != nil || src != from {
-				return fmt.Errorf("dist: bad peer data frame")
-			}
-			if w.crashPush {
-				// Test hook: die mid-push, after the message crossed the
-				// peer plane but before its delivery reaches the
-				// coordinator inbox.
-				os.Exit(3)
-			}
-			buf = appendMsgHeader(buf[:0], src, tag, metered)
-			buf = append(buf, payload...)
-			return w.control.Write(opDeliver, buf)
-		})
-		if err != nil {
-			return
-		}
-		if !pendingFrame(br) {
-			if err := w.control.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// closeConns tears down the worker's data plane at world end: outbound
-// peer connections and every accepted inbound connection (whose readers
-// unblock and exit).
-func (w *worker) closeConns() {
-	for _, c := range w.conns {
-		if c != nil {
-			c.Close()
-		}
-	}
-	w.mu.Lock()
-	inbound := w.inbound
-	w.inbound, w.done = nil, true
-	w.mu.Unlock()
-	for _, c := range inbound {
-		c.Close()
-	}
+	return u.err
 }

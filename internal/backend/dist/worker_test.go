@@ -1,11 +1,12 @@
 package dist
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
-	"io"
+	"fmt"
 	"net"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -79,113 +80,158 @@ func TestServeRecoversFromTransientAcceptErrors(t *testing.T) {
 	}
 }
 
-// TestForwardDeadPeerFailsPromptly is the peer-dial regression: forward
-// must bound the connect with peerDialTimeout so a dead peer address
-// fails the world promptly instead of hanging the control loop for the
-// OS connect timeout (~2 min). A genuinely blackholed address cannot be
-// simulated portably (some environments transparently accept every
-// connect), so the deadline's plumbing is pinned the other way around: an
-// already-expired timeout must fail the dial even toward a healthy
-// listener, which the old unbounded net.Dial would happily reach.
-func TestForwardDeadPeerFailsPromptly(t *testing.T) {
-	defer peerDialTimeout.set(time.Nanosecond)()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	w := &worker{
-		rank:    0,
-		n:       2,
-		addrs:   []string{"", ln.Addr().String()},
-		peers:   make([]*Writer, 2),
-		conns:   make([]net.Conn, 2),
-		control: NewWriter(io.Discard),
-	}
-	start := time.Now()
-	err = w.forward(1, msgHeader(0, 1, 0, nil))
-	if err == nil {
-		t.Fatal("forward ignored the expired dial deadline: the peer dial is unbounded")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("bounded peer dial took %v", elapsed)
-	}
-}
-
-// TestStalledPeerHelloTimesOut is the acceptPeers regression: an inbound
-// data connection that never sends its peerhello must be dropped by the
-// handshake deadline instead of pinning a goroutine and an fd forever.
-func TestStalledPeerHelloTimesOut(t *testing.T) {
-	defer peerHelloTimeout.set(200 * time.Millisecond)()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	w := &worker{rank: 0, n: 2, secret: "s", control: NewWriter(io.Discard)}
-	go w.acceptPeers(ln)
-
-	c, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// Send nothing. The worker must close the connection; our read then
-	// errors with EOF/reset — hitting our own deadline instead means the
-	// worker is still holding the stalled connection open.
-	c.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("stalled peer connection read = %v, want closed by the worker's handshake deadline", err)
-	}
-}
-
-// TestCloseConnsClosesInbound pins world-end teardown of the inbound data
-// plane: accepted connections close when the world ends, and connections
-// accepted after the world ended are closed immediately.
-func TestCloseConnsClosesInbound(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	w := &worker{rank: 0, n: 2, secret: "s", control: NewWriter(io.Discard)}
-	go w.acceptPeers(ln)
-
-	c, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		w.mu.Lock()
-		tracked := len(w.inbound)
-		w.mu.Unlock()
-		if tracked == 1 {
-			break
+// TestUpstreamNeverBlocksTheLoop drives the worker's up stream against a
+// peer that does not read: write and flush must keep returning (the
+// control loop must keep consuming its down stream — the dist send/echo
+// deadlock was this loop parked in a socket write), frames must arrive in
+// order across the inline → drain → inline transitions, and sync must
+// put the bye on the wire last. Over a socket the first flush goes out
+// inline; over net.Pipe there is no descriptor to try, so every flush
+// takes the drain path.
+func TestUpstreamNeverBlocksTheLoop(t *testing.T) {
+	tcpPair := func(t *testing.T) (net.Conn, net.Conn) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("accepted connection never tracked")
+		defer ln.Close()
+		a, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+		b, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, b
 	}
+	for _, tc := range []struct {
+		name   string
+		pair   func(t *testing.T) (net.Conn, net.Conn)
+		inline bool
+	}{
+		{"socket", tcpPair, true},
+		{"pipe", func(*testing.T) (net.Conn, net.Conn) { return net.Pipe() }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			near, far := tc.pair(t)
+			defer near.Close()
+			defer far.Close()
+			u := newUpstream(near)
+			if (u.try != nil) != tc.inline {
+				t.Fatalf("non-blocking write available = %v, want %v", u.try != nil, tc.inline)
+			}
+			draining := func() bool {
+				u.mu.Lock()
+				defer u.mu.Unlock()
+				return u.draining
+			}
+			// The loop's side of the contract, under a watchdog: a call that
+			// blocks on the stalled peer fails the test instead of hanging it.
+			bulk := make([]byte, 64<<10)
+			seq := uint64(0)
+			push := func(body []byte) {
+				t.Helper()
+				binary.BigEndian.PutUint64(body, seq)
+				seq++
+				done := make(chan error, 1)
+				go func() {
+					err := u.write(opDeliver, body)
+					if err == nil {
+						err = u.flush()
+					}
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("frame %d: %v", seq-1, err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("frame %d: the up stream blocked on a peer that is not reading", seq-1)
+				}
+			}
 
-	w.closeConns()
-	c.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("inbound connection read = %v, want closed at world end", err)
-	}
+			push(bulk[:64])
+			if tc.inline && draining() {
+				t.Fatal("a small frame into an empty socket buffer took the drain path")
+			}
+			for !draining() {
+				if seq > 4096 {
+					t.Fatal("256 MiB into a stalled peer and the stream never reported backpressure")
+				}
+				push(bulk)
+			}
+			for i := 0; i < 64; i++ { // appended behind the drainer
+				push(bulk)
+			}
 
-	// A straggler connecting after the world ended is closed on accept.
-	c2, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		return // listener already torn down: equally dead
-	}
-	defer c2.Close()
-	c2.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	if _, err := c2.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("post-world connection read = %v, want immediate close", err)
+			// The peer wakes up and reads everything, checking order.
+			type seen struct {
+				frames uint64
+				err    error
+			}
+			atBye, atEnd := make(chan seen, 1), make(chan seen, 1)
+			go func() {
+				br := bufio.NewReader(far)
+				var next uint64
+				for {
+					op, b, err := ReadFrame(br)
+					if err != nil {
+						atEnd <- seen{next, err}
+						return
+					}
+					err = forEachFrame(op, b, func(op byte, b []byte) error {
+						switch {
+						case op == opBye:
+							atBye <- seen{frames: next}
+						case op != opDeliver || len(b) < 8:
+							return fmt.Errorf("frame %d: op %d, %d bytes", next, op, len(b))
+						case binary.BigEndian.Uint64(b) != next:
+							return fmt.Errorf("frame %d arrived carrying seq %d", next, binary.BigEndian.Uint64(b))
+						default:
+							next++
+						}
+						return nil
+					})
+					if err != nil {
+						atEnd <- seen{next, err}
+						return
+					}
+				}
+			}()
+			if err := u.write(opBye, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := u.sync(); err != nil {
+				t.Fatalf("sync: %v", err)
+			}
+			if draining() {
+				t.Fatal("sync returned with the drainer still live")
+			}
+			select {
+			case got := <-atBye:
+				if got.frames != seq {
+					t.Fatalf("bye arrived after %d deliveries, want all %d before it", got.frames, seq)
+				}
+			case got := <-atEnd:
+				t.Fatalf("reader stopped after %d frames: %v", got.frames, got.err)
+			case <-time.After(30 * time.Second):
+				t.Fatal("bye never arrived")
+			}
+
+			// Caught up: the next world's frames go inline again.
+			push(bulk[:64])
+			if tc.inline && draining() {
+				t.Fatal("stream still on the drain path after catching up")
+			}
+			if err := u.sync(); err != nil {
+				t.Fatal(err)
+			}
+			near.Close()
+			if got := <-atEnd; got.frames != seq {
+				t.Fatalf("reader saw %d deliveries, want %d (%v)", got.frames, seq, got.err)
+			}
+		})
 	}
 }

@@ -326,8 +326,9 @@ func TestSpinEligibility(t *testing.T) {
 	// The transports pass their half of the rule.
 	for procs, want := range map[int]int{1: 0, 2: spinYields} {
 		runtime.GOMAXPROCS(procs)
-		rt := Real().NewTransport(context.Background(), 2, nil).(*realTransport)
-		st := Sim().NewTransport(context.Background(), 2, nil).(*simTransport)
+		rtr, _ := Real().NewTransport(context.Background(), 2, nil)
+		str, _ := Sim().NewTransport(context.Background(), 2, nil)
+		rt, st := rtr.(*realTransport), str.(*simTransport)
 		if rt.spin != want || st.spin != 0 {
 			t.Errorf("GOMAXPROCS=%d: real spin %d, sim spin %d, want %d and 0", procs, rt.spin, st.spin, want)
 		}

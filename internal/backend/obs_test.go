@@ -182,13 +182,16 @@ type observedRunner struct {
 	calls *rankCalls
 }
 
-func (o observedRunner) NewTransport(ctx context.Context, n int, m *machine.Model) backend.Transport {
-	inner := o.Runner.NewTransport(ctx, n, m)
+func (o observedRunner) NewTransport(ctx context.Context, n int, m *machine.Model) (backend.Transport, error) {
+	inner, err := o.Runner.NewTransport(ctx, n, m)
+	if err != nil {
+		return nil, err
+	}
 	ot := &observedTransport{Transport: inner, calls: o.calls}
 	if d, ok := inner.(backend.Driver); ok {
-		return &observedDriverTransport{observedTransport: ot, d: d}
+		return &observedDriverTransport{observedTransport: ot, d: d}, nil
 	}
-	return ot
+	return ot, nil
 }
 
 type observedTransport struct {
@@ -275,12 +278,11 @@ func ringObsProg(np int, bodyGids []uint64, bodyDone []bool) (core.Program, func
 // allocating.
 func TestDisabledRecorderIsNil(t *testing.T) {
 	for _, b := range obsBackends() {
-		tr := b.NewTransport(context.Background(), 2, machine.IBMSP())
-		tc, ok := tr.(backend.Traced)
-		if !ok {
-			t.Fatalf("%s transport does not implement backend.Traced", b.Name())
+		tr, err := b.NewTransport(context.Background(), 2, machine.IBMSP())
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name(), err)
 		}
-		if rec := tc.Recorder(); rec != nil {
+		if rec := tr.Recorder(); rec != nil {
 			t.Fatalf("%s: recorder without a collector context = %v, want nil", b.Name(), rec)
 		}
 		// Drain the transport so fabrics and worker processes release.

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/backend"
 	"repro/internal/backend/dist"
@@ -89,6 +91,70 @@ func TestBackendParity(t *testing.T) {
 					}
 			},
 		},
+		{
+			// Send is buffered on every backend: a rank may put any number
+			// of bytes in flight before its first receive. Every rank bursts
+			// three 1 MiB blocks at every other rank (3 MiB per direction at
+			// P=2, an all-to-all at P=4) and only then receives — far past
+			// any socket buffer, which is what used to deadlock dist: its
+			// worker stopped reading the down stream while its echo up was
+			// blocked on a rank that was itself still writing.
+			name: "burst/exchange-before-first-recv",
+			prog: func(np int) (core.Program, func() any) {
+				const blocks, words = 3, 1 << 17
+				type digest struct {
+					First, Last, Sum float64
+				}
+				got := make([][]digest, np)
+				return func(p *spmd.Proc) {
+					r, n := p.Rank(), p.N()
+					p.MemWords(words) // the fill; keeps the P=1 makespan positive
+					for d := 1; d < n; d++ {
+						for k := 0; k < blocks; k++ {
+							b := make([]float64, words)
+							for i := range b {
+								b[i] = float64(r*1000+k) + float64(i)/words
+							}
+							spmd.SendT(p, (r+d)%n, 3, b)
+						}
+					}
+					for d := 1; d < n; d++ {
+						for k := 0; k < blocks; k++ {
+							b := spmd.Recv[[]float64](p, (r+n-d)%n, 3)
+							dg := digest{First: b[0], Last: b[len(b)-1]}
+							for _, v := range b {
+								dg.Sum += v
+							}
+							got[r] = append(got[r], dg)
+						}
+					}
+				}, func() any { return got }
+			},
+		},
+	}
+
+	// run is core.Run under a watchdog: a backend that deadlocks fails its
+	// row with every goroutine's stack instead of riding out the package
+	// timeout.
+	run := func(t *testing.T, b backend.Runner, np int, prog core.Program) (*spmd.Result, error) {
+		type outcome struct {
+			res *spmd.Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := core.Run(context.Background(), b, np, model, prog)
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			return o.res, o.err
+		case <-time.After(30 * time.Second):
+			stacks := make([]byte, 1<<20)
+			stacks = stacks[:runtime.Stack(stacks, true)]
+			t.Fatalf("P=%d %s: no result after 30s — deadlock?\n%s", np, b.Name(), stacks)
+			return nil, nil
+		}
 	}
 
 	// Elastic runs its workers as in-process goroutines here (the kill
@@ -99,7 +165,7 @@ func TestBackendParity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, np := range []int{1, 2, 4} {
 				simProg, simSnap := tc.prog(np)
-				simRes, err := core.Run(context.Background(), backends[0], np, model, simProg)
+				simRes, err := run(t, backends[0], np, simProg)
 				if err != nil {
 					t.Fatalf("P=%d sim: %v", np, err)
 				}
@@ -109,7 +175,7 @@ func TestBackendParity(t *testing.T) {
 				want := simSnap()
 				for _, b := range backends[1:] {
 					prog, snap := tc.prog(np)
-					res, err := core.Run(context.Background(), b, np, model, prog)
+					res, err := run(t, b, np, prog)
 					if err != nil {
 						t.Fatalf("P=%d %s: %v", np, b.Name(), err)
 					}

@@ -36,7 +36,7 @@ func (r realRunner) Name() string { return "real" }
 
 func (r realRunner) Virtual() bool { return false }
 
-func (r realRunner) NewTransport(ctx context.Context, n int, m *machine.Model) Transport {
+func (r realRunner) NewTransport(ctx context.Context, n int, m *machine.Model) (Transport, error) {
 	var elapsed func() float64
 	if r.clock != nil {
 		start := r.clock()
@@ -47,7 +47,7 @@ func (r realRunner) NewTransport(ctx context.Context, n int, m *machine.Model) T
 		start := time.Now()
 		elapsed = func() float64 { return time.Since(start).Seconds() }
 	}
-	return &realTransport{mailbox: newMailbox(ctx, n, true), elapsed: elapsed, rec: obs.RunRecorder(ctx, n, "real")}
+	return &realTransport{mailbox: newMailbox(ctx, n, true), elapsed: elapsed, rec: obs.RunRecorder(ctx, n, "real")}, nil
 }
 
 // realTransport carries messages at native channel speed and meters the

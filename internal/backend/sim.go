@@ -20,14 +20,14 @@ func (simRunner) Name() string { return "sim" }
 
 func (simRunner) Virtual() bool { return true }
 
-func (simRunner) NewTransport(ctx context.Context, n int, m *machine.Model) Transport {
+func (simRunner) NewTransport(ctx context.Context, n int, m *machine.Model) (Transport, error) {
 	return &simTransport{
 		mailbox:  newMailbox(ctx, n, false),
 		model:    m,
 		clocks:   make([]float64, n),
 		resident: make([]float64, n),
 		rec:      obs.RunRecorder(ctx, n, "sim"),
-	}
+	}, nil
 }
 
 // simTransport prices computation and communication in virtual time.

@@ -76,10 +76,6 @@ type runner struct {
 	// external expects the starting pool to attach from outside (via
 	// onAttach or archworker -elastic -join) instead of being spawned.
 	external bool
-	// workerCmd overrides the spawned command (default: re-execute this
-	// binary, relying on MaybeWorker).
-	workerCmd []string
-	handshake time.Duration
 	// hbInterval/hbMiss: ping cadence and consecutive misses before a
 	// worker is declared dead.
 	hbInterval time.Duration
@@ -124,19 +120,6 @@ func WithWorkerCount(w int) Option {
 // as a fresh worker), which is what spawned workers always do.
 func WithLocalWorkers(reconnect bool) Option {
 	return func(r *runner) { r.local = true; r.reconnect = reconnect }
-}
-
-// WithWorkerCommand spawns workers by running the given command instead
-// of re-executing the current binary; the command's main must call
-// MaybeWorker (coordinator address and token travel in the environment).
-func WithWorkerCommand(name string, args ...string) Option {
-	return func(r *runner) { r.workerCmd = append([]string{name}, args...) }
-}
-
-// WithHandshakeTimeout bounds how long NewTransport waits for the
-// starting pool to attach (default 30s).
-func WithHandshakeTimeout(d time.Duration) Option {
-	return func(r *runner) { r.handshake = d }
 }
 
 // WithHeartbeat sets the coordinator→worker ping interval and the number
@@ -199,7 +182,6 @@ func WithStarveHook(f func(addr, token string)) Option {
 func New(opts ...Option) backend.Runner {
 	r := &runner{
 		reconnect:   true,
-		handshake:   30 * time.Second,
 		hbInterval:  500 * time.Millisecond,
 		hbMiss:      4,
 		maxRestarts: 3,
@@ -219,12 +201,12 @@ func (r *runner) Name() string { return "elastic" }
 // real worker endpoints, serialized in sweeps like real and dist runs.
 func (r *runner) Virtual() bool { return false }
 
-func (r *runner) NewTransport(ctx context.Context, n int, m *machine.Model) backend.Transport {
+func (r *runner) NewTransport(ctx context.Context, n int, m *machine.Model) (backend.Transport, error) {
 	t, err := r.start(ctx, n)
 	if err != nil {
-		return &failedTransport{n: n, err: fmt.Errorf("elastic: world start: %w", err)}
+		return nil, fmt.Errorf("elastic: world start: %w", err)
 	}
-	return t
+	return t, nil
 }
 
 // poolSize resolves the starting worker-pool size for an n-rank world.
@@ -236,24 +218,4 @@ func (r *runner) poolSize(n int) int {
 		return n
 	}
 	return 4
-}
-
-// failedTransport reports a world-start failure from every operation (the
-// Runner interface has no error channel), exactly as dist does. Drive
-// reports it directly without running any rank.
-type failedTransport struct {
-	n   int
-	err error
-}
-
-func (f *failedTransport) Charge(rank int, sec float64)         {}
-func (f *failedTransport) SetResident(rank int, bytes float64)  {}
-func (f *failedTransport) Clock(rank int) float64               { return 0 }
-func (f *failedTransport) Idle(rank int, at float64)            {}
-func (f *failedTransport) Send(src, dst, tag int, d any, b int) { panic(backend.Canceled(f.err)) }
-func (f *failedTransport) Recv(src, dst, tag int) any           { panic(backend.Canceled(f.err)) }
-func (f *failedTransport) RecvAny(dst, tag int) (int, any)      { panic(backend.Canceled(f.err)) }
-func (f *failedTransport) Drive(run func(rank int) error) error { return f.err }
-func (f *failedTransport) Finish() backend.Result {
-	return backend.Result{Clocks: make([]float64, f.n)}
 }

@@ -28,7 +28,7 @@ func silentWorker(addr, token string) {
 		return
 	}
 	defer conn.Close()
-	if err := dist.WriteFrame(conn, opHello, helloBody(token, os.Getpid())); err != nil {
+	if err := dist.WriteFrame(conn, opHello, dist.HelloBody(token, os.Getpid())); err != nil {
 		return
 	}
 	br := bufio.NewReader(conn)
@@ -117,8 +117,8 @@ func TestAttachRejectsBadToken(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			dist.WriteFrame(conn, opHello, helloBody("not-"+gotToken, 1)) //nolint:errcheck // rejection path
-			conn.SetReadDeadline(time.Now().Add(2 * time.Second))         //nolint:errcheck // enforced by the read
+			dist.WriteFrame(conn, opHello, dist.HelloBody("not-"+gotToken, 1)) //nolint:errcheck // rejection path
+			conn.SetReadDeadline(time.Now().Add(2 * time.Second))              //nolint:errcheck // enforced by the read
 			if _, _, err := dist.ReadFrame(bufio.NewReader(conn)); err == nil {
 				panic("impostor with a bad token was welcomed")
 			}

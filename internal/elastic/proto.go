@@ -2,16 +2,18 @@ package elastic
 
 import (
 	"encoding/binary"
-	"fmt"
 	"time"
+
+	"repro/internal/backend/dist"
 )
 
 // The elastic control protocol rides the dist backend's length-prefixed
 // frame format ([u32 BE length][u8 op][body], see dist.ReadFrame) with
 // its own op space. One TCP connection per worker carries everything:
 //
-//   - handshake: hello (worker → coordinator: token, pid) answered by
-//     welcome (worker id, heartbeat interval);
+//   - handshake: hello (worker → coordinator: token, pid — dist's hello
+//     body, dist.HelloBody) answered by welcome (worker id, heartbeat
+//     interval);
 //   - data plane: enq (coordinator → worker, fire-and-forget: store a
 //     message in the worker-side inbox of the rank it hosts) and
 //     pop (coordinator → worker, request) answered by msg (response) —
@@ -35,77 +37,6 @@ const (
 	opBye
 )
 
-// maxBody bounds parsed frame fields against corrupt lengths.
-const maxBody = 1 << 30
-
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail() {
-	if c.err == nil {
-		c.err = fmt.Errorf("elastic: truncated frame body at offset %d", c.off)
-	}
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil || c.off+4 > len(c.b) {
-		c.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if c.err != nil || c.off+8 > len(c.b) {
-		c.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *cursor) str() string {
-	n, w := binary.Uvarint(c.b[c.off:])
-	if c.err != nil || w <= 0 || n > uint64(len(c.b)-c.off-w) {
-		c.fail()
-		return ""
-	}
-	s := string(c.b[c.off+w : c.off+w+int(n)])
-	c.off += w + int(n)
-	return s
-}
-
-func (c *cursor) rest() []byte {
-	if c.err != nil {
-		return nil
-	}
-	return c.b[c.off:]
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// hello (worker → coordinator): authenticate.
-func helloBody(token string, pid int) []byte {
-	buf := appendStr(nil, token)
-	return binary.BigEndian.AppendUint64(buf, uint64(pid))
-}
-
-func parseHello(b []byte) (token string, pid int, err error) {
-	c := &cursor{b: b}
-	token = c.str()
-	pid = int(c.u64())
-	return token, pid, c.err
-}
-
 // welcome (coordinator → worker): attach acknowledgment.
 func welcomeBody(id int, heartbeat time.Duration) []byte {
 	buf := binary.BigEndian.AppendUint32(nil, uint32(id))
@@ -113,10 +44,10 @@ func welcomeBody(id int, heartbeat time.Duration) []byte {
 }
 
 func parseWelcome(b []byte) (id int, heartbeat time.Duration, err error) {
-	c := &cursor{b: b}
-	id = int(c.u32())
-	heartbeat = time.Duration(c.u64())
-	return id, heartbeat, c.err
+	c := &dist.Cursor{B: b}
+	id = int(c.U32())
+	heartbeat = time.Duration(c.U64())
+	return id, heartbeat, c.Err
 }
 
 // enq (coordinator → worker): store a message for a hosted rank. msg
@@ -133,11 +64,11 @@ func enqBody(rank, src, tag, metered int, payload []byte) []byte {
 }
 
 func parseEnq(b []byte) (rank, src, tag, metered int, payload []byte, err error) {
-	c := &cursor{b: b}
-	rank, src = int(c.u32()), int(c.u32())
-	tag = int(int64(c.u64()))
-	metered = int(int64(c.u64()))
-	return rank, src, tag, metered, c.rest(), c.err
+	c := &dist.Cursor{B: b}
+	rank, src = int(c.U32()), int(c.U32())
+	tag = int(int64(c.U64()))
+	metered = int(int64(c.U64()))
+	return rank, src, tag, metered, c.Rest(), c.Err
 }
 
 func popBody(rank, src int) []byte {
@@ -146,9 +77,9 @@ func popBody(rank, src int) []byte {
 }
 
 func parsePop(b []byte) (rank, src int, err error) {
-	c := &cursor{b: b}
-	rank, src = int(c.u32()), int(c.u32())
-	return rank, src, c.err
+	c := &dist.Cursor{B: b}
+	rank, src = int(c.U32()), int(c.U32())
+	return rank, src, c.Err
 }
 
 func msgBody(src, tag, metered int, payload []byte) []byte {
@@ -160,9 +91,9 @@ func msgBody(src, tag, metered int, payload []byte) []byte {
 }
 
 func parseMsg(b []byte) (src, tag, metered int, payload []byte, err error) {
-	c := &cursor{b: b}
-	src = int(c.u32())
-	tag = int(int64(c.u64()))
-	metered = int(int64(c.u64()))
-	return src, tag, metered, c.rest(), c.err
+	c := &dist.Cursor{B: b}
+	src = int(c.U32())
+	tag = int(int64(c.U64()))
+	metered = int(int64(c.U64()))
+	return src, tag, metered, c.Rest(), c.Err
 }

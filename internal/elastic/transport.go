@@ -25,6 +25,10 @@ import (
 // completed rank operation.
 const pointRankOp = "elastic.rank.op"
 
+// handshakeTimeout bounds how long world start waits for the starting
+// pool to attach.
+const handshakeTimeout = 30 * time.Second
+
 // msgRec is one message as the coordinator's shadow state records it:
 // the sender, tag, metered byte count, and the encoded payload bytes.
 // The same record serves three roles — undelivered shadow-queue entry,
@@ -192,16 +196,12 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 			envWorker+"="+ln.Addr().String(),
 			envToken+"="+t.token)
 		for i := 0; i < pool; i++ {
-			var cmd *exec.Cmd
-			if len(r.workerCmd) > 0 {
-				cmd = exec.CommandContext(ctx, r.workerCmd[0], r.workerCmd[1:]...)
-			} else {
-				exe, err := os.Executable()
-				if err != nil {
-					return nil, fmt.Errorf("locating own binary: %w", err)
-				}
-				cmd = exec.CommandContext(ctx, exe)
+			// Workers re-execute this binary, whose main calls MaybeWorker.
+			exe, err := os.Executable()
+			if err != nil {
+				return nil, fmt.Errorf("locating own binary: %w", err)
 			}
+			cmd := exec.CommandContext(ctx, exe)
 			cmd.Env = env
 			cmd.Stderr = os.Stderr
 			if err := cmd.Start(); err != nil {
@@ -234,8 +234,8 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 
 	// Attach barrier for the starting pool; joins after this count as
 	// mid-run joins.
-	deadline := time.Now().Add(r.handshake)
-	wake := time.AfterFunc(r.handshake, func() {
+	deadline := time.Now().Add(handshakeTimeout)
+	wake := time.AfterFunc(handshakeTimeout, func() {
 		t.mu.Lock()
 		t.cond.Broadcast()
 		t.mu.Unlock()
@@ -250,7 +250,7 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 	t.mu.Unlock()
 	if got < pool {
 		return nil, fmt.Errorf("%d of %d workers attached within %v (self-spawned workers re-execute this binary — does its main call elastic.MaybeWorker?)",
-			got, pool, r.handshake)
+			got, pool, handshakeTimeout)
 	}
 	if ctx.Done() != nil {
 		t.stopCancel = context.AfterFunc(ctx, func() { t.fail(ctx.Err()) })
@@ -286,12 +286,12 @@ func (t *transport) acceptLoop(ln net.Listener) {
 func (t *transport) admit(c net.Conn) {
 	c.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // enforced by the read
 	br := bufio.NewReader(c)
-	op, body, err := dist.ReadFrame(br)
+	op, body, err := dist.ReadHandshakeFrame(br) // unauthenticated dialer: bounded
 	if err != nil || op != opHello {
 		c.Close()
 		return
 	}
-	token, pid, err := parseHello(body)
+	token, pid, err := dist.ParseHello(body)
 	if err != nil || token != t.token {
 		// Wrong world (or not a worker at all): drop before it can host
 		// anything.
@@ -524,7 +524,6 @@ func (t *transport) SetResident(rank int, bytes float64) {}
 
 func (t *transport) Clock(rank int) float64 { return time.Since(t.begin).Seconds() }
 
-// Recorder implements backend.Traced.
 func (t *transport) Recorder() *obs.Recorder { return t.rec }
 
 // Idle cannot advance a wall clock.

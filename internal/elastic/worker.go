@@ -96,11 +96,11 @@ func Join(ctx context.Context, addr, token string) error {
 // error) as opposed to a reconnectable link loss.
 func serveConn(conn net.Conn, token string) (attached, done bool, err error) {
 	defer conn.Close()
-	if err := dist.WriteFrame(conn, opHello, helloBody(token, os.Getpid())); err != nil {
+	if err := dist.WriteFrame(conn, opHello, dist.HelloBody(token, os.Getpid())); err != nil {
 		return false, false, nil
 	}
 	br := bufio.NewReader(conn)
-	op, body, err := dist.ReadFrame(br)
+	op, body, err := dist.ReadHandshakeFrame(br)
 	if err != nil {
 		return false, false, nil
 	}

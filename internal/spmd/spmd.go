@@ -49,9 +49,8 @@ type World struct {
 	model  *machine.Model
 	t      backend.Transport
 	ran    bool
-	// rec is the run's flight recorder, taken from the transport when it
-	// implements backend.Traced; nil when tracing is off (the normal,
-	// free case).
+	// rec is the run's flight recorder, taken from the transport; nil
+	// when tracing is off (the normal, free case).
 	rec *obs.Recorder
 }
 
@@ -134,7 +133,8 @@ type Result struct {
 // either finish or would deadlock — tests rely on `go test` timeouts for
 // the latter, which indicates a protocol bug). When the world's context
 // is cancelled, processes blocked in communication unwind and Run returns
-// the context's error.
+// the context's error. A backend that cannot bring its substrate up
+// (Runner.NewTransport's error) fails the run before any process starts.
 func (w *World) Run(body func(p *Proc)) (*Result, error) {
 	if w.ran {
 		// A world is one run: Finish releases the transport's fabric for
@@ -145,10 +145,16 @@ func (w *World) Run(body func(p *Proc)) (*Result, error) {
 	if err := w.ctx.Err(); err != nil {
 		return nil, err
 	}
-	w.t = w.runner.NewTransport(w.ctx, w.n, w.model)
-	if tr, ok := w.t.(backend.Traced); ok {
-		w.rec = tr.Recorder()
+	t, err := w.runner.NewTransport(w.ctx, w.n, w.model)
+	if err != nil {
+		// The substrate never came up: no rank runs. A cancellation that
+		// landed during start is still reported as the context's error.
+		if cerr := w.ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		return nil, err
 	}
+	w.t, w.rec = t, t.Recorder()
 	if w.rec != nil {
 		w.rec.EmitSys(obs.Event{T: w.rec.Now(), Rank: -1, Kind: obs.KindStart})
 	}

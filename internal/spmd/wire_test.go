@@ -24,12 +24,11 @@ type unexportedField struct {
 
 func (unexportedField) VBytes() int { return 16 }
 
-// TestWireRoundTrip pins the codec contract the dist backend relies on:
-// every payload type BytesOf prices explicitly survives
-// AppendPayload/DecodePayload with reflect.DeepEqual identity (including
-// the nil/empty slice distinction) and unchanged BytesOf pricing.
-func TestWireRoundTrip(t *testing.T) {
-	payloads := []any{
+// wirePayloads is one value of every payload type the codec's tables
+// encode explicitly, plus reflect-fallback structs: the round-trip
+// table, and the fuzzer's seed corpus.
+func wirePayloads() []any {
+	return []any{
 		nil,
 		true, false,
 		int8(-5), int16(-300), int32(-70000), int64(-1 << 40), int(42),
@@ -53,7 +52,14 @@ func TestWireRoundTrip(t *testing.T) {
 		sizedVec[float64]{MinRank: 3, Data: []float64{1.5, -2.5}},
 		sizedVec[int32]{MinRank: 1, Data: nil},
 	}
-	for _, v := range payloads {
+}
+
+// TestWireRoundTrip pins the codec contract the dist backend relies on:
+// every payload type BytesOf prices explicitly survives
+// AppendPayload/DecodePayload with reflect.DeepEqual identity (including
+// the nil/empty slice distinction) and unchanged BytesOf pricing.
+func TestWireRoundTrip(t *testing.T) {
+	for _, v := range wirePayloads() {
 		buf, err := AppendPayload(nil, v)
 		if err != nil {
 			t.Fatalf("AppendPayload(%T %v): %v", v, v, err)
