@@ -249,3 +249,21 @@ func TestTwoDSPMDInverseRoundtrip(t *testing.T) {
 		t.Errorf("SPMD 2D roundtrip error %g", e)
 	}
 }
+
+// TestStepTables: the precomputed twiddle steps are, bit for bit, what
+// Transform used to evaluate per butterfly level per call, for every
+// size an int length can reach (2^30 and beyond) and both directions.
+func TestStepTables(t *testing.T) {
+	for l := 1; l < len(stepFwd); l++ {
+		size := 1 << l
+		for _, dir := range []struct {
+			sign  float64
+			table *[len(stepFwd)]complex128
+		}{{-1, &stepFwd}, {1, &stepInv}} {
+			ang := dir.sign * 2 * math.Pi / float64(size)
+			if got := dir.table[l]; real(got) != math.Cos(ang) || imag(got) != math.Sin(ang) {
+				t.Errorf("size 2^%d sign %+g: table has %v, want (%v, %v)", l, dir.sign, got, math.Cos(ang), math.Sin(ang))
+			}
+		}
+	}
+}

@@ -75,8 +75,11 @@ func scalePipeline(workers int) *stream.Pipeline[float64] {
 	return &stream.Pipeline[float64]{
 		Name:  "scale",
 		Width: 1,
-		Source: func(c spmd.Comm, i int64, dst []float64) []float64 {
-			return append(dst, float64(i))
+		Source: func(c spmd.Comm, first int64, n int, dst []float64) []float64 {
+			for i := first; i < first+int64(n); i++ {
+				dst = append(dst, float64(i))
+			}
+			return dst
 		},
 		Stages: []stream.Stage[float64]{{
 			Name:    "scale",

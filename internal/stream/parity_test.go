@@ -10,14 +10,15 @@ import (
 	"repro/internal/backend"
 	"repro/internal/backend/dist"
 	"repro/internal/core"
+	"repro/internal/elastic"
 	"repro/internal/spmd"
 	"repro/internal/stream"
 )
 
 // TestStreamParity extends the repository's cross-backend contract to
 // the streaming archetype: the same pipeline, run on the virtual-time
-// simulator, the shared-memory backend, and the distributed backend,
-// must deliver the element-exact output stream with identical
+// simulator, the shared-memory backend, the distributed backend and the
+// elastic backend, must deliver the element-exact output stream with identical
 // message/byte meters. The stream runtime uses only plain Recv (no
 // RecvAny), so its protocol is deterministic by construction; this pins
 // it.
@@ -38,8 +39,8 @@ func TestStreamParity(t *testing.T) {
 				return &stream.Pipeline[float64]{
 					Name:  "two",
 					Width: 1,
-					Source: func(c spmd.Comm, i int64, dst []float64) []float64 {
-						return append(dst, float64(i))
+					Source: func(c spmd.Comm, first int64, n int, dst []float64) []float64 {
+						return iota64(first, n, dst)
 					},
 					Stages: []stream.Stage[float64]{
 						{Name: "inc", Workers: 3, Fn: func(c spmd.Comm, _ any, in []float64) []float64 {
@@ -59,9 +60,47 @@ func TestStreamParity(t *testing.T) {
 			},
 			cfg: stream.Config{Elems: 257, Batch: 5, Credits: 3},
 		},
+		{
+			// The sink keeps the very slices the last stage was handed.
+			name: "forwarding-last-stage",
+			pl: func() *stream.Pipeline[float64] {
+				pl := countingPipeline(2, nil)
+				pl.Stages = append(pl.Stages, stream.Stage[float64]{
+					Name: "forward", Workers: 2,
+					Fn: func(c spmd.Comm, _ any, in []float64) []float64 { return in },
+				})
+				return pl
+			},
+			cfg: stream.Config{Elems: 203, Batch: 6, Credits: 2},
+		},
+		{
+			// The sink keeps a slice of the last stage's own state: Flush
+			// hands over the running sums it accumulated in place (4 scalars,
+			// so that one is packed, after 8-scalar batches forwarded as two
+			// 4-wide elements each).
+			name: "flush-returns-state",
+			pl: func() *stream.Pipeline[float64] {
+				pl := countingPipeline(3, nil)
+				pl.Stages = append(pl.Stages, stream.Stage[float64]{
+					Name:     "sums",
+					OutWidth: 4,
+					State:    func(c spmd.Comm) any { return new([4]float64) },
+					Fn: func(c spmd.Comm, state any, in []float64) []float64 {
+						sums := state.(*[4]float64)
+						for k, v := range in {
+							sums[k%4] += v
+						}
+						return in
+					},
+					Flush: func(c spmd.Comm, state any) []float64 { return state.(*[4]float64)[:] },
+				})
+				return pl
+			},
+			cfg: stream.Config{Elems: 120, Batch: 8, Credits: 2},
+		},
 	}
 
-	backends := []backend.Runner{backend.Sim(), backend.Real(), dist.New()}
+	backends := []backend.Runner{backend.Sim(), backend.Real(), dist.New(), elastic.New(elastic.WithLocalWorkers(true))}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []float64

@@ -51,6 +51,19 @@
 // before sending EOS, so a finished stream leaves no undelivered
 // messages in the fabric.
 //
+// # Ownership
+//
+// A batch belongs to whoever holds it: after send the producer neither
+// reads nor writes it, and the sink keeps batches until end of stream.
+// Every backend already delivers on those terms (sim and real hand the
+// slice over, dist and elastic decode into a fresh one), so nothing on
+// the path copies a batch: the source fills a fresh buffer per batch, a
+// stage may transform its input in place and forward it, and the sink
+// holds what it receives (packing only batches of a few scalars, which
+// cost more to hold than to copy) and makes one exact-size copy when the
+// stream ends. A stage that emits a slice of its own state must not
+// touch that memory again.
+//
 // Per-stage state (Danelutto et al.'s state access patterns) is
 // per-worker: a Stage's State constructor runs once on each worker rank,
 // and Fn/Flush receive that worker's value. Stateful stages that must
@@ -82,10 +95,13 @@ type Stage[T any] struct {
 	// Fn transforms one input batch (whole elements, owned by the stage:
 	// it may mutate or retain in) into one output batch — a multiple of
 	// OutWidth scalars, possibly empty, possibly the input slice itself.
-	// It runs once per input batch, in stream order per worker.
+	// It runs once per input batch, in stream order per worker. The
+	// returned batch is handed downstream and is no longer the stage's
+	// (see Ownership in the package comment).
 	Fn func(c spmd.Comm, state any, in []T) []T
 	// Flush optionally emits one final batch (buffered state, partial
-	// windows) after the worker's last input batch and before EOS.
+	// windows) after the worker's last input batch and before EOS, under
+	// the same ownership rule as Fn's result.
 	Flush func(c spmd.Comm, state any) []T
 }
 
@@ -96,9 +112,12 @@ type Pipeline[T any] struct {
 	Name string
 	// Width is the number of scalars per source element.
 	Width int
-	// Source appends element i (Width scalars) to dst and returns it; it
-	// runs on the source rank in element order.
-	Source func(c spmd.Comm, i int64, dst []T) []T
+	// Source appends elements [first, first+n) — n·Width scalars, in
+	// element order — to dst and returns it. It runs on the source rank
+	// once per batch, in stream order; n is Config.Batch except for a
+	// shorter final batch. dst arrives empty with capacity for the whole
+	// batch and is never handed to Source twice.
+	Source func(c spmd.Comm, first int64, n int, dst []T) []T
 	// Stages is the transformation layers in flow order.
 	Stages []Stage[T]
 }
@@ -427,30 +446,23 @@ func Run[T any](p *spmd.Proc, pl *Pipeline[T], cfg Config) []T {
 	}
 }
 
-// runSource generates elements in order, batches them, and ships them
-// into the first edge. It blocks — and therefore stops generating —
+// runSource generates the stream one batch per Source call and ships
+// each into the first edge. It blocks — and therefore stops generating —
 // whenever the edge's credit window is exhausted.
 func runSource[T any](p *spmd.Proc, pl *Pipeline[T], cfg Config, cons layer) {
 	out := newSender[T](p, 0, 1, cons, 0, cfg.Credits)
-	capScalars := cfg.Batch * pl.Width
-	buf := make([]T, 0, capScalars)
-	inBatch := 0
-	for i := int64(0); i < cfg.Elems; i++ {
-		buf = pl.Source(p, i, buf)
-		if len(buf) != (inBatch+1)*pl.Width {
-			panic(fmt.Sprintf("stream: pipeline %q source emitted %d scalars for element %d, want %d",
-				pl.Name, len(buf)-inBatch*pl.Width, i, pl.Width))
+	for first := int64(0); first < cfg.Elems; first += int64(cfg.Batch) {
+		n := cfg.Batch
+		if rest := cfg.Elems - first; rest < int64(n) {
+			n = int(rest)
 		}
-		inBatch++
-		if inBatch == cfg.Batch {
-			out.send(buf)
-			// The sent batch is owned by the receiver now; start fresh.
-			buf = make([]T, 0, capScalars)
-			inBatch = 0
+		// A sent batch is the receiver's, so every batch gets its own buffer.
+		batch := pl.Source(p, first, n, make([]T, 0, n*pl.Width))
+		if len(batch) != n*pl.Width {
+			panic(fmt.Sprintf("stream: pipeline %q source emitted %d scalars for elements [%d, %d+%d), want %d",
+				pl.Name, len(batch), first, first, n, n*pl.Width))
 		}
-	}
-	if inBatch > 0 {
-		out.send(buf)
+		out.send(batch)
 	}
 	out.close()
 }
@@ -494,15 +506,45 @@ func runWorker[T any](p *spmd.Proc, st *Stage[T], w, k int, cfg Config, prods, c
 	out.close()
 }
 
-// runSink collects the output stream in order, fires progress windows,
-// and returns the collected elements.
+// Keeping a batch costs the sink a slice header and one more live
+// object. For a few scalars that is dearer than copying them (measured
+// for float64: 14 % dearer at one scalar per batch, even at 4–8, cheaper
+// from 16 — EXPERIMENTS.md), so batches below packBelow scalars are
+// packed into sink-owned runs of runCap scalars that never regrow and
+// sit among the kept batches in stream order.
+const (
+	packBelow = 16
+	runCap    = 4096
+)
+
+// runSink keeps the output stream's batches in order, fires progress
+// windows, and returns the collected elements: one exact-size copy made
+// at end of stream (nil for an empty stream). Growing a result slice per
+// batch instead would move the whole prefix again at every regrowth.
 func runSink[T any](p *spmd.Proc, cfg Config, prods layer, edge, width int) []T {
 	in := newReceiver[T](p, 0, 1, prods, edge)
-	var out []T
+	observed := cfg.Window > 0 && cfg.OnWindow != nil
+	var kept [][]T   // the stream so far, in order: received batches and runs
+	packing := false // kept's last entry is a run, not a received batch
+	var scalars int
 	start := time.Now()
 	winStart := start
 	var winIdx int
 	var fired int64 // elements already attributed to fired windows
+	// fire reports the n windows of winElems elements each that ended at
+	// now, all at the rate measured since the last fired window.
+	fire := func(n, winElems int64, now time.Time) {
+		rate := 0.0
+		if dt := now.Sub(winStart).Seconds(); dt > 0 {
+			rate = float64(n*winElems) / dt
+		}
+		for ; n > 0; n-- {
+			fired += winElems
+			winIdx++
+			cfg.OnWindow(Window{Index: winIdx, Elems: fired, Elapsed: now.Sub(start).Seconds(), Rate: rate})
+		}
+		winStart = now
+	}
 	for {
 		batch, ok := in.next()
 		if !ok {
@@ -512,38 +554,35 @@ func runSink[T any](p *spmd.Proc, cfg Config, prods layer, edge, width int) []T 
 			panic(fmt.Sprintf("stream: sink received %d scalars, not a multiple of element width %d",
 				len(batch), width))
 		}
-		out = append(out, batch...)
-		if cfg.Window > 0 && cfg.OnWindow != nil {
-			elems := int64(len(out) / width)
-			for elems-fired >= cfg.Window {
-				fired += cfg.Window
-				winIdx++
-				now := time.Now()
-				fire(cfg, winIdx, fired, start, winStart, now, cfg.Window)
-				winStart = now
+		switch last := len(kept) - 1; {
+		case len(batch) >= packBelow:
+			kept = append(kept, batch)
+			packing = false
+		case packing && cap(kept[last])-len(kept[last]) >= len(batch):
+			kept[last] = append(kept[last], batch...)
+		case len(batch) > 0:
+			kept = append(kept, append(make([]T, 0, runCap), batch...))
+			packing = true
+		}
+		scalars += len(batch)
+		if observed {
+			// One timestamp per batch: the windows a batch completes ended
+			// together, as far as the sink can tell.
+			if n := (int64(scalars/width) - fired) / cfg.Window; n > 0 {
+				fire(n, cfg.Window, time.Now())
 			}
 		}
 		in.ack()
 	}
-	elems := int64(len(out) / width)
-	if cfg.Window > 0 && cfg.OnWindow != nil && elems > fired {
-		winIdx++
-		fire(cfg, winIdx, elems, start, winStart, time.Now(), elems-fired)
+	if tail := int64(scalars/width) - fired; observed && tail > 0 {
+		fire(1, tail, time.Now())
+	}
+	if scalars == 0 {
+		return nil
+	}
+	out := make([]T, 0, scalars)
+	for _, batch := range kept {
+		out = append(out, batch...)
 	}
 	return out
-}
-
-// fire reports one completed progress window.
-func fire(cfg Config, idx int, elems int64, start, winStart, now time.Time, winElems int64) {
-	dt := now.Sub(winStart).Seconds()
-	rate := 0.0
-	if dt > 0 {
-		rate = float64(winElems) / dt
-	}
-	cfg.OnWindow(Window{
-		Index:   idx,
-		Elems:   elems,
-		Elapsed: now.Sub(start).Seconds(),
-		Rate:    rate,
-	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,11 +24,11 @@ func countingPipeline(workers int, produced *atomic.Int64) *stream.Pipeline[floa
 	return &stream.Pipeline[float64]{
 		Name:  "count",
 		Width: 1,
-		Source: func(c spmd.Comm, i int64, dst []float64) []float64 {
+		Source: func(c spmd.Comm, first int64, n int, dst []float64) []float64 {
 			if produced != nil {
-				produced.Add(1)
+				produced.Add(int64(n))
 			}
-			return append(dst, float64(i))
+			return iota64(first, n, dst)
 		},
 		Stages: []stream.Stage[float64]{{
 			Name:    "double",
@@ -40,6 +41,15 @@ func countingPipeline(workers int, produced *atomic.Int64) *stream.Pipeline[floa
 			},
 		}},
 	}
+}
+
+// iota64 appends first, first+1, … (n values) to dst: the element
+// generator every scalar test source shares.
+func iota64(first int64, n int, dst []float64) []float64 {
+	for i := first; i < first+int64(n); i++ {
+		dst = append(dst, float64(i))
+	}
+	return dst
 }
 
 // TestOrderRestoration: a farm of any width must deliver the stream to
@@ -85,8 +95,8 @@ func TestStagesReshapeStream(t *testing.T) {
 	pl := &stream.Pipeline[float64]{
 		Name:  "reshape",
 		Width: 1,
-		Source: func(c spmd.Comm, i int64, dst []float64) []float64 {
-			return append(dst, float64(i))
+		Source: func(c spmd.Comm, first int64, n int, dst []float64) []float64 {
+			return iota64(first, n, dst)
 		},
 		Stages: []stream.Stage[float64]{
 			{
@@ -290,10 +300,10 @@ func TestSplitWorkers(t *testing.T) {
 // deep inside a running world.
 func TestPipelineValidation(t *testing.T) {
 	for name, pl := range map[string]*stream.Pipeline[float64]{
-		"zero width": {Width: 0, Source: func(c spmd.Comm, i int64, dst []float64) []float64 { return dst }},
+		"zero width": {Width: 0, Source: func(c spmd.Comm, first int64, n int, dst []float64) []float64 { return dst }},
 		"no source":  {Width: 1},
 		"no fn": {Width: 1,
-			Source: func(c spmd.Comm, i int64, dst []float64) []float64 { return append(dst, 0) },
+			Source: func(c spmd.Comm, first int64, n int, dst []float64) []float64 { return iota64(first, n, dst) },
 			Stages: []stream.Stage[float64]{{Name: "hole"}}},
 	} {
 		func() {
@@ -313,4 +323,222 @@ func TestProcsLayout(t *testing.T) {
 	if got := pl.Procs(); got != 6 {
 		t.Errorf("Procs() = %d, want 6 (source + 4 workers + sink)", got)
 	}
+}
+
+// runReal runs pl on the real backend and returns the sink's output.
+func runReal(t testing.TB, pl *stream.Pipeline[float64], cfg stream.Config) ([]float64, error) {
+	t.Helper()
+	var out []float64
+	_, err := core.Run(context.Background(), backend.Real(), pl.Procs(), model(), func(p *spmd.Proc) {
+		if res := stream.Run(p, pl, cfg); res != nil {
+			out = res
+		}
+	})
+	return out, err
+}
+
+// TestSinkReturnsExactSlice: the sink's one end-of-stream copy is sized
+// to the stream (no regrowth slack handed to the caller), through
+// batches that do not divide the element count; an empty stream is nil.
+func TestSinkReturnsExactSlice(t *testing.T) {
+	out, err := runReal(t, countingPipeline(2, nil), stream.Config{Elems: 1000, Batch: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1000 || cap(out) != len(out) {
+		t.Errorf("sink returned len %d cap %d, want 1000 and cap == len", len(out), cap(out))
+	}
+	out, err = runReal(t, countingPipeline(2, nil), stream.Config{Elems: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != nil {
+		t.Errorf("empty stream returned %v, want nil", out)
+	}
+}
+
+// TestSinkPacksSmallBatchesInOrder: the sink copies batches of a few
+// scalars into its own runs and keeps the rest as received; a stream
+// that mixes both — a stretch of one-scalar batches long enough to fill
+// a run, then sizes on either side of the threshold, empty ones included
+// — must come out in stream order.
+func TestSinkPacksSmallBatchesInOrder(t *testing.T) {
+	sizes := []int{1, 40, 2, 0, 15, 16, 3, 5000}
+	pl := countingPipeline(1, nil)
+	pl.Stages = append(pl.Stages, stream.Stage[float64]{
+		Name:  "ragged",
+		State: func(c spmd.Comm) any { return new([2]int) }, // batches seen, scalars emitted
+		Fn: func(c spmd.Comm, state any, in []float64) []float64 {
+			st := state.(*[2]int)
+			n := 1
+			if st[0] >= 5000 {
+				n = sizes[st[0]%len(sizes)]
+			}
+			st[0]++
+			st[1] += n
+			return iota64(int64(st[1]-n), n, nil)
+		},
+	})
+	out, err := runReal(t, pl, stream.Config{Elems: 5400, Batch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 5000 + 50*(1+40+2+15+16+3+5000); len(out) != want || cap(out) != len(out) {
+		t.Fatalf("sink returned len %d cap %d, want %d", len(out), cap(out), want)
+	}
+	for i, v := range out {
+		if v != float64(i) {
+			t.Fatalf("out[%d] = %g: stream order lost between packed and kept batches", i, v)
+		}
+	}
+}
+
+// TestSinkAllocationBudget: a streamfft-shaped run (1,024-scalar
+// elements, 4 per batch) may allocate its output about twice — the
+// source's batch buffers and the sink's end-of-stream copy — plus
+// protocol small change. A sink that regrows its result per batch moves
+// and reallocates the prefix over and over and lands several times
+// higher.
+func TestSinkAllocationBudget(t *testing.T) {
+	const width, elems = 1024, 512
+	pl := &stream.Pipeline[float64]{
+		Name:  "wide",
+		Width: width,
+		Source: func(c spmd.Comm, first int64, n int, dst []float64) []float64 {
+			return dst[:n*width]
+		},
+		Stages: []stream.Stage[float64]{{
+			Name: "forward",
+			Fn:   func(c spmd.Comm, _ any, in []float64) []float64 { return in },
+		}},
+	}
+	cfg := stream.Config{Elems: elems, Batch: 4, Credits: 4}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := runReal(t, pl, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outBytes := uint64(len(out)) * 8
+	if outBytes != width*elems*8 {
+		t.Fatalf("sink returned %d scalars, want %d", len(out), width*elems)
+	}
+	if got, budget := after.TotalAlloc-before.TotalAlloc, outBytes*5/2; got > budget {
+		t.Errorf("run allocated %d bytes for %d bytes of output, budget %d (2.5x)", got, outBytes, budget)
+	}
+}
+
+// TestSourceContract: a source that appends one scalar too many or too
+// few for its batch panics on the source rank with a message naming the
+// pipeline and the batch it was asked for. A rank panic does not unwind
+// its peers, so the body cancels the world once it has the message.
+func TestSourceContract(t *testing.T) {
+	for _, off := range []int{-1, +1} {
+		pl := &stream.Pipeline[float64]{
+			Name:  "miscount",
+			Width: 3,
+			Source: func(c spmd.Comm, first int64, n int, dst []float64) []float64 {
+				k := n * 3
+				if first == 10 {
+					k += off
+				}
+				return append(dst, make([]float64, k)...)
+			},
+			Stages: []stream.Stage[float64]{{
+				Name: "forward",
+				Fn:   func(c spmd.Comm, _ any, in []float64) []float64 { return in },
+			}},
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var msg atomic.Value
+		_, err := core.Run(ctx, backend.Real(), pl.Procs(), model(), func(p *spmd.Proc) {
+			defer func() {
+				r := recover()
+				if s, ok := r.(string); ok {
+					msg.Store(s)
+					cancel()
+				}
+				if r != nil {
+					panic(r)
+				}
+			}()
+			stream.Run(p, pl, stream.Config{Elems: 100, Batch: 5})
+		})
+		cancel()
+		got, _ := msg.Load().(string)
+		if err == nil || got == "" {
+			t.Fatalf("off by %+d: run returned %v with panic %q, want a source-contract panic", off, err, got)
+		}
+		for _, want := range []string{`"miscount"`, "[10, 10+5)", fmt.Sprintf("emitted %d scalars", 15+off)} {
+			if !strings.Contains(got, want) {
+				t.Errorf("off by %+d: panic %q does not mention %s", off, got, want)
+			}
+		}
+	}
+}
+
+// TestWindowRatesWithinABatch: when one batch completes several progress
+// windows they all ended at that batch's arrival, so they share one rate
+// — the batch's elements over the time since the previous batch's
+// windows — instead of the first being timed and the rest reading
+// nanoseconds apart. The source paces the first batch and a sleep in the
+// last window of every batch paces the rest, so every batch interval is
+// at least pace and every honest rate is within 10x of the overall one.
+func TestWindowRatesWithinABatch(t *testing.T) {
+	const (
+		perBatch = 4 // windows per batch
+		batches  = 16
+		pace     = 5 * time.Millisecond
+	)
+	pl := countingPipeline(1, nil)
+	src := pl.Source
+	pl.Source = func(c spmd.Comm, first int64, n int, dst []float64) []float64 {
+		time.Sleep(pace)
+		return src(c, first, n, dst)
+	}
+	var wins []stream.Window
+	cfg := stream.Config{
+		Elems: perBatch * batches, Batch: perBatch, Credits: 2,
+		Window: 1,
+		OnWindow: func(w stream.Window) {
+			wins = append(wins, w)
+			if w.Index%perBatch == 0 {
+				time.Sleep(pace)
+			}
+		},
+	}
+	if _, err := runReal(t, pl, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(wins) != perBatch*batches {
+		t.Fatalf("observed %d windows, want %d", len(wins), perBatch*batches)
+	}
+	last := wins[len(wins)-1]
+	overall := float64(last.Elems) / last.Elapsed
+	for i, w := range wins {
+		if w.Index != i+1 || w.Elems != int64(i+1) {
+			t.Fatalf("window %d = %+v, want index %d and %d elems", i, w, i+1, i+1)
+		}
+		if w.Rate > 10*overall || w.Rate < overall/10 {
+			t.Errorf("window %d rate %.0f elems/s, overall %.0f: not within 10x", w.Index, w.Rate, overall)
+		}
+	}
+}
+
+// BenchmarkStreamSink: a scalar pipeline whose every element ends up in
+// the sink's result, the shape that exposes what the sink does with a
+// batch besides receiving it.
+func BenchmarkStreamSink(b *testing.B) {
+	const elems = 1 << 20
+	pl := countingPipeline(1, nil)
+	cfg := stream.Config{Elems: elems, Batch: 256}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out, err := runReal(b, pl, cfg)
+		if err != nil || len(out) != elems {
+			b.Fatalf("sink collected %d elems, err %v", len(out), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
 }

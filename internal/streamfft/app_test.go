@@ -2,10 +2,15 @@ package streamfft
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/arch"
+	"repro/internal/array"
+	"repro/internal/backend"
+	"repro/internal/core"
+	"repro/internal/fft"
 )
 
 // TestRunStreamVerifies: a small observed run on the simulator streams
@@ -48,4 +53,74 @@ func TestRunStreamRejectsTinyWorlds(t *testing.T) {
 	if _, _, err := RunStream(context.Background(), s, nil); err == nil {
 		t.Fatal("RunStream with 3 procs succeeded, want error")
 	}
+}
+
+// frameAt is the per-element definition of the stream's frames, kept as
+// the reference appendFrame is pinned against: the source and the oracle
+// share appendFrame, so this comparison is what keeps the oracle an
+// independent check.
+func frameAt(f int64, i, j int) complex128 {
+	return complex(
+		math.Sin(0.11*float64(i)+0.007*float64(f)),
+		math.Cos(0.23*float64(j)-0.003*float64(f)),
+	)
+}
+
+// TestAppendFrameMatchesFrameAt: the row/column-factored generator is
+// bit-identical to the per-element formula at every point, including
+// frame indices far past anything a run streams, and appends after
+// whatever dst already holds.
+func TestAppendFrameMatchesFrameAt(t *testing.T) {
+	for _, f := range []int64{0, 1, 2047, 1 << 40} {
+		got := appendFrame([]complex128{42}, f)
+		if len(got) != 1+Edge*Edge || got[0] != 42 {
+			t.Fatalf("frame %d: appendFrame returned %d scalars, first %v", f, len(got), got[0])
+		}
+		for i := 0; i < Edge; i++ {
+			for j := 0; j < Edge; j++ {
+				if g, w := got[1+i*Edge+j], frameAt(f, i, j); g != w {
+					t.Fatalf("frame %d (%d, %d) = %v, want %v", f, i, j, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestVerifyReportsLowestFrame: the parallel oracle accepts a correct
+// stream, and on one corrupted in two chunks names the lowest bad frame,
+// as the sequential scan it replaced would.
+func TestVerifyReportsLowestFrame(t *testing.T) {
+	const frames, width = 701, Edge * Edge
+	out := make([]complex128, 0, frames*width)
+	for f := 0; f < frames; f++ {
+		out = appendFrame(out, int64(f))
+		frame := &array.Dense2D[complex128]{NX: Edge, NY: Edge, Data: out[f*width:]}
+		fft.TwoDSeq(core.Nop, frame, false)
+	}
+	if err := verify(out, frames); err != nil {
+		t.Fatalf("correct stream rejected: %v", err)
+	}
+	if err := verify(out[:len(out)-1], frames); err == nil {
+		t.Error("short stream accepted")
+	}
+	out[700*width+5] += 1
+	out[3*width+9] += 1
+	err := verify(out, frames)
+	if err == nil || !strings.Contains(err.Error(), "frame 3 scalar 9 ") {
+		t.Errorf("verify = %v, want frame 3 scalar 9 reported", err)
+	}
+}
+
+// BenchmarkStreamFFT is the dev-loop number for the bench's stream part
+// A at an eighth of its size: streamfft@256 on real, 4 ranks, oracle
+// included, with the bytes a run allocates beside its 4 MiB of output.
+func BenchmarkStreamFFT(b *testing.B) {
+	s := arch.NewSettings(arch.WithProcs(4), arch.WithSize(256), arch.WithBackend(backend.Real()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := RunStream(context.Background(), s, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 }

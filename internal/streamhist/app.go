@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/arch"
+	"repro/internal/core"
 	"repro/internal/stream"
 )
 
@@ -76,8 +77,11 @@ func pipeline(scoreWorkers int) *stream.Pipeline[float64] {
 	return &stream.Pipeline[float64]{
 		Name:  "streamhist",
 		Width: 1,
-		Source: func(c arch.Comm, i int64, dst []float64) []float64 {
-			return append(dst, sampleAt(i))
+		Source: func(c arch.Comm, first int64, n int, dst []float64) []float64 {
+			for i := first; i < first+int64(n); i++ {
+				dst = append(dst, sampleAt(i))
+			}
+			return dst
 		},
 		Stages: []stream.Stage[float64]{
 			{
@@ -154,30 +158,48 @@ func RunStream(ctx context.Context, s arch.Settings, obs arch.StreamObserver) (s
 		return "", rep, err
 	}
 
-	wantHists := (samples + SamplesPerWin - 1) / SamplesPerWin
-	if int64(len(out)) != wantHists*Bins {
-		return "", rep, fmt.Errorf("streamhist: sink collected %d scalars, want %d histograms x %d bins", len(out), wantHists, Bins)
-	}
-	var want [Bins]float64
-	var seen int
-	var hist int64
-	for i := int64(0); i < samples; i++ {
-		want[bucket(sampleAt(i))]++
-		seen++
-		if seen == SamplesPerWin || i == samples-1 {
-			got := out[hist*Bins : (hist+1)*Bins]
-			for b := range got {
-				if got[b] != want[b] {
-					return "", rep, fmt.Errorf("streamhist: window %d bin %d = %g, want %g (sequential)", hist, b, got[b], want[b])
-				}
-			}
-			want = [Bins]float64{}
-			seen = 0
-			hist++
-		}
+	if err := verify(out, samples); err != nil {
+		return "", rep, err
 	}
 	return fmt.Sprintf("streamed %d samples into %d windowed %d-bin histograms through %d score workers (exact vs sequential)",
-		samples, wantHists, Bins, s.Procs-3), rep, nil
+		samples, len(out)/Bins, Bins, s.Procs-3), rep, nil
+}
+
+// verifyChunk is how many windows one oracle task recounts.
+const verifyChunk = 64
+
+// verify is the oracle: out must hold one exact histogram per window of
+// SamplesPerWin samples (the last possibly partial). Windows are
+// independent, so chunks of them are recounted on every core; the error
+// names the lowest failing window, as a sequential recount would.
+func verify(out []float64, samples int64) error {
+	hists := int((samples + SamplesPerWin - 1) / SamplesPerWin)
+	if len(out) != hists*Bins {
+		return fmt.Errorf("streamhist: sink collected %d scalars, want %d histograms x %d bins", len(out), hists, Bins)
+	}
+	errs := make([]error, (hists+verifyChunk-1)/verifyChunk)
+	core.ParFor(core.Concurrent, len(errs), func(c int) {
+		for h := c * verifyChunk; h < min((c+1)*verifyChunk, hists); h++ {
+			var want [Bins]float64
+			first := int64(h) * SamplesPerWin
+			for i := first; i < min(first+SamplesPerWin, samples); i++ {
+				want[bucket(sampleAt(i))]++
+			}
+			got := out[h*Bins : (h+1)*Bins]
+			for b := range got {
+				if got[b] != want[b] {
+					errs[c] = fmt.Errorf("streamhist: window %d bin %d = %g, want %g (sequential)", h, b, got[b], want[b])
+					return
+				}
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // histWindow picks the progress-window size in output histograms for an

@@ -62,3 +62,28 @@ func TestSampleDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyReportsLowestWindow: the parallel recount accepts a correct
+// stream — a partial last window included — and on one corrupted in two
+// chunks names the lowest bad window, as the sequential recount it
+// replaced would.
+func TestVerifyReportsLowestWindow(t *testing.T) {
+	const samples = 200*SamplesPerWin + 17
+	hists := 201
+	out := make([]float64, hists*Bins)
+	for i := int64(0); i < samples; i++ {
+		out[int(i/SamplesPerWin)*Bins+bucket(sampleAt(i))]++
+	}
+	if err := verify(out, samples); err != nil {
+		t.Fatalf("correct stream rejected: %v", err)
+	}
+	if err := verify(out[:len(out)-Bins], samples); err == nil {
+		t.Error("stream missing its partial last window accepted")
+	}
+	out[200*Bins+1]++
+	out[2*Bins+7]++
+	err := verify(out, samples)
+	if err == nil || !strings.Contains(err.Error(), "window 2 bin 7 ") {
+		t.Errorf("verify = %v, want window 2 bin 7 reported", err)
+	}
+}
