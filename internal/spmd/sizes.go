@@ -9,94 +9,34 @@ type Sized interface {
 	VBytes() int
 }
 
-// BytesOf estimates the wire size of common payload types for cost
-// accounting. Types not covered here should implement Sized.
+// BytesOf is the wire size of a payload for cost accounting: its element
+// count times the width its descriptor in the payload table gives
+// (payload.go), else its own VBytes if it is Sized.
 //
 // Unknown types are priced at one word. That default is silent and
 // under-counts anything bigger than a scalar, so it is a trap for new
-// payload types: payload_sizes_test.go (repository root) asserts that
-// every payload type the registered apps actually put on the wire hits
-// an explicit case below or implements Sized, which keeps the default
-// from ever pricing real traffic.
+// payload types: payload_sizes_test.go (repository root) lists what the
+// registered apps put on the wire.
 func BytesOf(v any) int {
-	if n, ok := bytesOfKnown(v); ok {
-		return n
+	d, n := describe(v, true)
+	if d != nil {
+		n *= d.w
+	}
+	return n
+}
+
+// unlisted prices a payload the table does not list.
+func unlisted(v any) int {
+	if s, ok := v.(Sized); ok {
+		return s.VBytes()
 	}
 	return 8
 }
 
-// bytesOfKnown is BytesOf without the one-word fallback: it reports
-// whether the payload type is explicitly priced (including via Sized).
-func bytesOfKnown(v any) (int, bool) {
-	switch x := v.(type) {
-	case nil:
-		return 0, true
-	case Sized:
-		return x.VBytes(), true
-	case []byte:
-		return len(x), true
-	case []int32:
-		return 4 * len(x), true
-	case []uint32:
-		return 4 * len(x), true
-	case []int64:
-		return 8 * len(x), true
-	case []int:
-		return 8 * len(x), true
-	case []float32:
-		return 4 * len(x), true
-	case []float64:
-		return 8 * len(x), true
-	case []complex64:
-		return 8 * len(x), true
-	case []complex128:
-		return 16 * len(x), true
-	case [][]float64:
-		n := 0
-		for _, row := range x {
-			n += 8 * len(row)
-		}
-		return n, true
-	case [][3]float64:
-		return 24 * len(x), true
-	case [][4]float64:
-		return 32 * len(x), true
-	case [][]complex128:
-		n := 0
-		for _, row := range x {
-			n += 16 * len(row)
-		}
-		return n, true
-	case bool, int8, uint8:
-		return 1, true
-	case int16, uint16:
-		return 2, true
-	case int32, uint32, float32:
-		return 4, true
-	case int, int64, uint64, float64, uintptr:
-		return 8, true
-	case complex64:
-		return 8, true
-	case complex128:
-		return 16, true
-	case [2]int64:
-		return 16, true
-	case [3]float64:
-		return 24, true
-	case [4]float64:
-		return 32, true
-	case string:
-		return len(x), true
-	default:
-		return 0, false
-	}
-}
-
-// SizeKnown reports whether BytesOf prices v explicitly — through a
-// dedicated case or the Sized interface — rather than through the silent
-// one-word default. Tests use it to assert that every payload type the
-// apps actually send is priced deliberately.
+// SizeKnown reports whether BytesOf prices v explicitly rather than
+// through the silent one-word default.
 func SizeKnown(v any) bool {
-	_, ok := bytesOfKnown(v)
-	return ok
+	d, _ := describe(v, false)
+	_, sized := v.(Sized)
+	return d != nil || sized
 }

@@ -1,12 +1,44 @@
 package spmd
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 type sizedThing struct{ n int }
 
 func (s sizedThing) VBytes() int { return s.n }
 
+// structuralBytes prices a table type without the table: fixed-width
+// leaves at their width (int and uintptr at 64 bits), strings and slices
+// by content.
+func structuralBytes(rv reflect.Value) int {
+	switch rv.Kind() {
+	case reflect.Invalid:
+		return 0
+	case reflect.String:
+		return rv.Len()
+	case reflect.Slice, reflect.Array:
+		n := 0
+		for i := 0; i < rv.Len(); i++ {
+			n += structuralBytes(rv.Index(i))
+		}
+		return n
+	case reflect.Int, reflect.Uint, reflect.Uintptr:
+		return 8
+	default:
+		return int(rv.Type().Size())
+	}
+}
+
 func TestBytesOf(t *testing.T) {
+	// Every registration, priced against an oracle that does not read it.
+	for _, d := range table {
+		if got, want := BytesOf(d.sample), structuralBytes(reflect.ValueOf(d.sample)); got != want {
+			t.Errorf("BytesOf(%T %v) = %d, want %d", d.sample, d.sample, got, want)
+		}
+	}
+	// The prices the meters have always read, spelled out.
 	cases := []struct {
 		in   any
 		want int

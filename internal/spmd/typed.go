@@ -17,8 +17,8 @@ type sizedComm interface {
 func sendFast[T any](c Comm, dst, tag int, v T) {
 	data := any(v)
 	if sc, ok := c.(sizedComm); ok {
-		if n, known := bytesOfKnown(data); known {
-			sc.sendSized(dst, tag, data, n)
+		if SizeKnown(data) {
+			sc.sendSized(dst, tag, data, BytesOf(data))
 			return
 		}
 	}

@@ -8,258 +8,75 @@ import (
 	"sync"
 )
 
-// This file is the wire codec seam beside sendSized: transports whose
-// ranks do not share an address space (backend/dist) cannot hand payload
-// values across a channel, so they serialize them with AppendPayload and
-// reconstruct them with DecodePayload. The codec covers exactly the
-// payload vocabulary the pricing table covers — every type BytesOf prices
-// explicitly has a dedicated fast case below, and Sized application types
-// (structs of exported scalar/slice fields, including generic wrappers
-// like collective's partial[T]) go through a reflection fallback — so any
-// payload that is priced deliberately also crosses process boundaries
-// faithfully. Metering is untouched by encoding: the priced byte count
-// travels beside the encoded payload in the transport's frame header, so
-// message/byte meters are identical to the in-process backends.
+// This file is the wire codec: transports whose ranks do not share an
+// address space (backend/dist, elastic) serialize payloads with
+// AppendPayload and rebuild them with DecodePayload. It covers exactly
+// the vocabulary BytesOf prices, because both read the same descriptor: a
+// type in the payload table (payload.go) is encoded by its registration,
+// and Sized application types (structs of exported scalar/slice fields,
+// including generic wrappers like collective's partial[T]) go through the
+// reflection fallback below. Metering is untouched by encoding: the priced
+// byte count travels beside the payload in the transport's frame header.
 //
-// The encoding is self-describing for the table types (one kind byte,
-// then fixed-width little-endian data). Fallback types are tagged with an
-// identifier from a process-local type registry, which makes the fallback
-// decodable only by the process that encoded it. That is exactly the dist
-// backend's shape — the coordinator encodes on Send and decodes on Recv
-// while worker processes forward opaque bytes — and it is what lets the
-// codec handle unexported generic types that no cross-process registry
+// Table types are self-describing (one kind byte, then fixed-width
+// little-endian data). Fallback types carry the first kind past the table
+// and an identifier from a process-local type registry, so only the
+// process that encoded one can decode it. That is the dist backend's shape — the coordinator encodes
+// on Send and decodes on Recv, workers forward opaque bytes — and it lets
+// the codec carry unexported generic types no cross-process registry
 // could name.
-
-// Wire kind bytes. The numeric values are part of no on-disk format and
-// may change freely; both codec ends always run the same build.
-const (
-	wNil byte = iota
-	wBool
-	wInt8
-	wInt16
-	wInt32
-	wInt64
-	wInt
-	wUint8
-	wUint16
-	wUint32
-	wUint64
-	wUintptr
-	wFloat32
-	wFloat64
-	wComplex64
-	wComplex128
-	wString
-	wBytes
-	wInt32s
-	wUint32s
-	wInt64s
-	wInts
-	wFloat32s
-	wFloat64s
-	wComplex64s
-	wComplex128s
-	wFloat64ss
-	wComplex128ss
-	wVec3s // [][3]float64
-	wVec4s // [][4]float64
-	wPair64
-	wVec3
-	wVec4
-	wReflect
-)
-
-func appendUvarint(buf []byte, n uint64) []byte {
-	return binary.AppendUvarint(buf, n)
-}
 
 // appendSliceLen encodes a slice length with the nil distinction: 0 means
 // nil, k+1 means a (possibly empty) slice of length k. DeepEqual-grade
 // parity across backends needs nil and empty to survive the round trip.
 func appendSliceLen(buf []byte, n int, isNil bool) []byte {
 	if isNil {
-		return appendUvarint(buf, 0)
+		return append(buf, 0)
 	}
-	return appendUvarint(buf, uint64(n)+1)
+	return binary.AppendUvarint(buf, uint64(n)+1)
 }
 
-func appendU16(buf []byte, v uint16) []byte  { return binary.LittleEndian.AppendUint16(buf, v) }
-func appendU32(buf []byte, v uint32) []byte  { return binary.LittleEndian.AppendUint32(buf, v) }
-func appendU64(buf []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(buf, v) }
-func appendF32(buf []byte, v float32) []byte { return appendU32(buf, math.Float32bits(v)) }
-func appendF64(buf []byte, v float64) []byte { return appendU64(buf, math.Float64bits(v)) }
-
-func appendC64(buf []byte, v complex64) []byte {
-	return appendF32(appendF32(buf, real(v)), imag(v))
-}
-
-func appendC128(buf []byte, v complex128) []byte {
-	return appendF64(appendF64(buf, real(v)), imag(v))
+func appendString(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
 // AppendPayload appends the wire encoding of payload v to buf and returns
 // the extended buffer. It errors on payload types outside the codec's
-// vocabulary (anything BytesOf would price by its silent default plus
-// types the reflection fallback cannot faithfully rebuild: pointers,
-// maps, channels, funcs, interfaces, structs with unexported fields).
+// vocabulary: not in the table, and not something the reflection fallback
+// can faithfully rebuild (pointers, maps, channels, funcs, interfaces,
+// structs with unexported fields).
 func AppendPayload(buf []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(buf, wNil), nil
-	case bool:
-		b := byte(0)
-		if x {
-			b = 1
-		}
-		return append(buf, wBool, b), nil
-	case int8:
-		return append(buf, wInt8, byte(x)), nil
-	case int16:
-		return appendU16(append(buf, wInt16), uint16(x)), nil
-	case int32:
-		return appendU32(append(buf, wInt32), uint32(x)), nil
-	case int64:
-		return appendU64(append(buf, wInt64), uint64(x)), nil
-	case int:
-		return appendU64(append(buf, wInt), uint64(x)), nil
-	case uint8:
-		return append(buf, wUint8, x), nil
-	case uint16:
-		return appendU16(append(buf, wUint16), x), nil
-	case uint32:
-		return appendU32(append(buf, wUint32), x), nil
-	case uint64:
-		return appendU64(append(buf, wUint64), x), nil
-	case uintptr:
-		return appendU64(append(buf, wUintptr), uint64(x)), nil
-	case float32:
-		return appendF32(append(buf, wFloat32), x), nil
-	case float64:
-		return appendF64(append(buf, wFloat64), x), nil
-	case complex64:
-		return appendC64(append(buf, wComplex64), x), nil
-	case complex128:
-		return appendC128(append(buf, wComplex128), x), nil
-	case string:
-		buf = appendUvarint(append(buf, wString), uint64(len(x)))
-		return append(buf, x...), nil
-	case []byte:
-		buf = appendSliceLen(append(buf, wBytes), len(x), x == nil)
-		return append(buf, x...), nil
-	case []int32:
-		buf = appendSliceLen(append(buf, wInt32s), len(x), x == nil)
-		for _, e := range x {
-			buf = appendU32(buf, uint32(e))
-		}
-		return buf, nil
-	case []uint32:
-		buf = appendSliceLen(append(buf, wUint32s), len(x), x == nil)
-		for _, e := range x {
-			buf = appendU32(buf, e)
-		}
-		return buf, nil
-	case []int64:
-		buf = appendSliceLen(append(buf, wInt64s), len(x), x == nil)
-		for _, e := range x {
-			buf = appendU64(buf, uint64(e))
-		}
-		return buf, nil
-	case []int:
-		buf = appendSliceLen(append(buf, wInts), len(x), x == nil)
-		for _, e := range x {
-			buf = appendU64(buf, uint64(e))
-		}
-		return buf, nil
-	case []float32:
-		buf = appendSliceLen(append(buf, wFloat32s), len(x), x == nil)
-		for _, e := range x {
-			buf = appendF32(buf, e)
-		}
-		return buf, nil
-	case []float64:
-		buf = appendSliceLen(append(buf, wFloat64s), len(x), x == nil)
-		for _, e := range x {
-			buf = appendF64(buf, e)
-		}
-		return buf, nil
-	case []complex64:
-		buf = appendSliceLen(append(buf, wComplex64s), len(x), x == nil)
-		for _, e := range x {
-			buf = appendC64(buf, e)
-		}
-		return buf, nil
-	case []complex128:
-		buf = appendSliceLen(append(buf, wComplex128s), len(x), x == nil)
-		for _, e := range x {
-			buf = appendC128(buf, e)
-		}
-		return buf, nil
-	case [][]float64:
-		buf = appendSliceLen(append(buf, wFloat64ss), len(x), x == nil)
-		for _, row := range x {
-			buf = appendSliceLen(buf, len(row), row == nil)
-			for _, e := range row {
-				buf = appendF64(buf, e)
-			}
-		}
-		return buf, nil
-	case [][]complex128:
-		buf = appendSliceLen(append(buf, wComplex128ss), len(x), x == nil)
-		for _, row := range x {
-			buf = appendSliceLen(buf, len(row), row == nil)
-			for _, e := range row {
-				buf = appendC128(buf, e)
-			}
-		}
-		return buf, nil
-	case [][3]float64:
-		buf = appendSliceLen(append(buf, wVec3s), len(x), x == nil)
-		for _, e := range x {
-			buf = appendF64(appendF64(appendF64(buf, e[0]), e[1]), e[2])
-		}
-		return buf, nil
-	case [][4]float64:
-		buf = appendSliceLen(append(buf, wVec4s), len(x), x == nil)
-		for _, e := range x {
-			buf = appendF64(appendF64(appendF64(appendF64(buf, e[0]), e[1]), e[2]), e[3])
-		}
-		return buf, nil
-	case [2]int64:
-		return appendU64(appendU64(append(buf, wPair64), uint64(x[0])), uint64(x[1])), nil
-	case [3]float64:
-		return appendF64(appendF64(appendF64(append(buf, wVec3), x[0]), x[1]), x[2]), nil
-	case [4]float64:
-		return appendF64(appendF64(appendF64(appendF64(append(buf, wVec4), x[0]), x[1]), x[2]), x[3]), nil
-	default:
-		return appendReflect(buf, v)
+	if d, _ := describe(v, false); d != nil {
+		return d.put(append(buf, d.kind), v), nil
 	}
+	rv := reflect.ValueOf(v)
+	if err := checkWireable(rv.Type()); err != nil {
+		return nil, fmt.Errorf("spmd: unencodable payload %T: %w", v, err)
+	}
+	buf = binary.AppendUvarint(append(buf, byte(len(table))), wireTypeID(rv.Type()))
+	return appendReflectValue(buf, rv), nil
 }
 
 // wireTypes is the process-local registry backing the reflection
 // fallback: encode interns the payload's reflect.Type and ships the
-// identifier; decode resolves the identifier back. Identifiers are only
-// meaningful within the process that assigned them (see the file
-// comment).
-var wireTypes struct {
-	mu     sync.RWMutex
+// identifier; decode resolves it back.
+var wireTypes = struct {
+	sync.RWMutex
 	byType map[reflect.Type]uint64
 	types  []reflect.Type
-}
+}{byType: map[reflect.Type]uint64{}}
 
 func wireTypeID(t reflect.Type) uint64 {
-	wireTypes.mu.RLock()
+	wireTypes.RLock()
 	id, ok := wireTypes.byType[t]
-	wireTypes.mu.RUnlock()
+	wireTypes.RUnlock()
 	if ok {
 		return id
 	}
-	wireTypes.mu.Lock()
-	defer wireTypes.mu.Unlock()
+	wireTypes.Lock()
+	defer wireTypes.Unlock()
 	if id, ok := wireTypes.byType[t]; ok {
 		return id
-	}
-	if wireTypes.byType == nil {
-		wireTypes.byType = map[reflect.Type]uint64{}
 	}
 	id = uint64(len(wireTypes.types))
 	wireTypes.types = append(wireTypes.types, t)
@@ -268,101 +85,75 @@ func wireTypeID(t reflect.Type) uint64 {
 }
 
 func wireTypeByID(id uint64) (reflect.Type, bool) {
-	wireTypes.mu.RLock()
-	defer wireTypes.mu.RUnlock()
+	wireTypes.RLock()
+	defer wireTypes.RUnlock()
 	if id >= uint64(len(wireTypes.types)) {
 		return nil, false
 	}
 	return wireTypes.types[id], true
 }
 
-func appendReflect(buf []byte, v any) ([]byte, error) {
-	rv := reflect.ValueOf(v)
-	if err := checkWireable(rv.Type()); err != nil {
-		return nil, fmt.Errorf("spmd: unencodable payload %T: %w", v, err)
-	}
-	buf = appendUvarint(append(buf, wReflect), wireTypeID(rv.Type()))
-	return appendReflectValue(buf, rv), nil
-}
-
 // checkWireable validates a fallback payload type up front so encoding
 // never half-writes: every reachable field must be an exported
 // scalar/string/slice/array/struct.
 func checkWireable(t reflect.Type) error {
-	switch t.Kind() {
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128,
-		reflect.String:
+	switch k := t.Kind(); {
+	case k >= reflect.Bool && k <= reflect.Complex128, k == reflect.String:
 		return nil
-	case reflect.Slice, reflect.Array:
+	case k == reflect.Slice, k == reflect.Array:
 		return checkWireable(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				return fmt.Errorf("struct %s has unexported field %s", t, f.Name)
-			}
-			if err := checkWireable(f.Type); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("kind %s is not wireable", t.Kind())
+	case k != reflect.Struct:
+		return fmt.Errorf("kind %s is not wireable", k)
 	}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() {
+			return fmt.Errorf("struct %s has unexported field %s", t, f.Name)
+		}
+		if err := checkWireable(f.Type); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
+// appendReflectValue walks a fallback value; every leaf is a 64-bit word
+// (a complex two).
 func appendReflectValue(buf []byte, rv reflect.Value) []byte {
 	switch rv.Kind() {
 	case reflect.Bool:
-		b := byte(0)
-		if rv.Bool() {
-			b = 1
-		}
-		return append(buf, b)
+		return le.AppendUint64(buf, uint64(bit(rv.Bool())))
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return appendU64(buf, uint64(rv.Int()))
+		return le.AppendUint64(buf, uint64(rv.Int()))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return appendU64(buf, rv.Uint())
-	case reflect.Float32:
-		return appendF32(buf, float32(rv.Float()))
-	case reflect.Float64:
-		return appendF64(buf, rv.Float())
-	case reflect.Complex64:
-		return appendC64(buf, complex64(rv.Complex()))
-	case reflect.Complex128:
-		return appendC128(buf, rv.Complex())
+		return le.AppendUint64(buf, rv.Uint())
+	case reflect.Float32, reflect.Float64:
+		return le.AppendUint64(buf, math.Float64bits(rv.Float()))
+	case reflect.Complex64, reflect.Complex128:
+		return putsC128(buf, []complex128{rv.Complex()})
 	case reflect.String:
-		s := rv.String()
-		buf = appendUvarint(buf, uint64(len(s)))
-		return append(buf, s...)
+		return appendString(buf, rv.String())
 	case reflect.Slice:
 		buf = appendSliceLen(buf, rv.Len(), rv.IsNil())
-		for i := 0; i < rv.Len(); i++ {
-			buf = appendReflectValue(buf, rv.Index(i))
-		}
-		return buf
+		fallthrough
 	case reflect.Array:
 		for i := 0; i < rv.Len(); i++ {
 			buf = appendReflectValue(buf, rv.Index(i))
 		}
-		return buf
 	case reflect.Struct:
 		for i := 0; i < rv.NumField(); i++ {
 			buf = appendReflectValue(buf, rv.Field(i))
 		}
-		return buf
 	default:
 		// checkWireable rejected these before any byte was written.
 		panic(fmt.Sprintf("spmd: unreachable wire kind %s", rv.Kind()))
 	}
+	return buf
 }
 
-// decoder walks an encoded payload; all take methods error (via the err
-// field, checked once at the end) on truncated input instead of panicking
-// so a corrupt frame surfaces as an error, not a crash.
+// decoder walks an encoded payload; its methods record the first error in
+// err, checked once at the end, so that a truncated or corrupt frame
+// surfaces as an error, not a panic.
 type decoder struct {
 	b   []byte
 	off int
@@ -388,9 +179,9 @@ func (d *decoder) take(n int) []byte {
 	return s
 }
 
-func (d *decoder) byte() byte {
-	if s := d.take(1); s != nil {
-		return s[0]
+func (d *decoder) u64() uint64 {
+	if s := d.take(8); s != nil {
+		return le.Uint64(s)
 	}
 	return 0
 }
@@ -408,307 +199,79 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-// sliceLen undoes appendSliceLen: (length, isNil).
-func (d *decoder) sliceLen() (int, bool) {
+func (d *decoder) string() string { return string(d.take(int(d.uvarint()))) }
+
+// sliceLen undoes appendSliceLen for a slice whose elements take at
+// least w bytes each on the wire: (length, isNil). A forged length must
+// not pre-allocate an absurd slice or overflow the int conversion, so it
+// is believed only up to the elements the remaining bytes can hold,
+// compared in uint64 space; on success length*w bytes are there to take.
+func (d *decoder) sliceLen(w int) (int, bool) {
 	v := d.uvarint()
 	if v == 0 {
 		return 0, true
 	}
-	// Guard against corrupt lengths pre-allocating absurd slices (or
-	// overflowing the int conversion into a negative length): a length
-	// cannot exceed the remaining bytes, compared in uint64 space so a
-	// huge uvarint cannot slip through.
-	if v-1 > uint64(len(d.b)-d.off) {
+	if v-1 > uint64(len(d.b)-d.off)/uint64(w) {
 		d.fail()
 		return 0, true
 	}
 	return int(v - 1), false
 }
 
-func (d *decoder) u16() uint16 {
-	if s := d.take(2); s != nil {
-		return binary.LittleEndian.Uint16(s)
-	}
-	return 0
-}
-
-func (d *decoder) u32() uint32 {
-	if s := d.take(4); s != nil {
-		return binary.LittleEndian.Uint32(s)
-	}
-	return 0
-}
-
-func (d *decoder) u64() uint64 {
-	if s := d.take(8); s != nil {
-		return binary.LittleEndian.Uint64(s)
-	}
-	return 0
-}
-
-func (d *decoder) f32() float32 { return math.Float32frombits(d.u32()) }
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *decoder) c64() complex64 {
-	re := d.f32()
-	return complex(re, d.f32())
-}
-func (d *decoder) c128() complex128 {
-	re := d.f64()
-	return complex(re, d.f64())
-}
-
 // DecodePayload decodes one payload produced by AppendPayload from the
-// front of b, returning the value and the number of bytes consumed.
-// Payloads that used the reflection fallback are only decodable in the
-// process that encoded them (the dist coordinator encodes and decodes at
-// the same end, see the file comment).
+// front of b, returning the value and the number of bytes consumed. A
+// payload that used the reflection fallback decodes only in the process
+// that encoded it (see the file comment).
 func DecodePayload(b []byte) (any, int, error) {
-	d := &decoder{b: b}
-	v := d.value()
+	d := decoder{b: b}
+	var v any
+	switch kind := d.take(1); {
+	case kind == nil:
+	case int(kind[0]) < len(table):
+		v, d = table[kind[0]].get(d)
+	case int(kind[0]) > len(table):
+		d.err = fmt.Errorf("spmd: unknown wire kind %d", kind[0])
+	default:
+		id := d.uvarint()
+		if t, ok := wireTypeByID(id); ok {
+			rv := reflect.New(t).Elem()
+			d.reflectValue(rv)
+			v = rv.Interface()
+		} else if d.err == nil {
+			d.err = fmt.Errorf("spmd: unknown wire type id %d (fallback payloads decode only in the encoding process)", id)
+		}
+	}
 	if d.err != nil {
 		return nil, 0, d.err
 	}
 	return v, d.off, nil
 }
 
-func (d *decoder) value() any {
-	switch kind := d.byte(); kind {
-	case wNil:
-		return nil
-	case wBool:
-		return d.byte() != 0
-	case wInt8:
-		return int8(d.byte())
-	case wInt16:
-		return int16(d.u16())
-	case wInt32:
-		return int32(d.u32())
-	case wInt64:
-		return int64(d.u64())
-	case wInt:
-		return int(d.u64())
-	case wUint8:
-		return d.byte()
-	case wUint16:
-		return d.u16()
-	case wUint32:
-		return d.u32()
-	case wUint64:
-		return d.u64()
-	case wUintptr:
-		return uintptr(d.u64())
-	case wFloat32:
-		return d.f32()
-	case wFloat64:
-		return d.f64()
-	case wComplex64:
-		return d.c64()
-	case wComplex128:
-		return d.c128()
-	case wString:
-		return string(d.take(int(d.uvarint())))
-	case wBytes:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return []byte(nil)
-		}
-		out := make([]byte, n)
-		copy(out, d.take(n))
-		return out
-	case wInt32s:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return []int32(nil)
-		}
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(d.u32())
-		}
-		return out
-	case wUint32s:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return []uint32(nil)
-		}
-		out := make([]uint32, n)
-		for i := range out {
-			out[i] = d.u32()
-		}
-		return out
-	case wInt64s:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return []int64(nil)
-		}
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = int64(d.u64())
-		}
-		return out
-	case wInts:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return []int(nil)
-		}
-		out := make([]int, n)
-		for i := range out {
-			out[i] = int(d.u64())
-		}
-		return out
-	case wFloat32s:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return []float32(nil)
-		}
-		out := make([]float32, n)
-		for i := range out {
-			out[i] = d.f32()
-		}
-		return out
-	case wFloat64s:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return []float64(nil)
-		}
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = d.f64()
-		}
-		return out
-	case wComplex64s:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return []complex64(nil)
-		}
-		out := make([]complex64, n)
-		for i := range out {
-			out[i] = d.c64()
-		}
-		return out
-	case wComplex128s:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return []complex128(nil)
-		}
-		out := make([]complex128, n)
-		for i := range out {
-			out[i] = d.c128()
-		}
-		return out
-	case wFloat64ss:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return [][]float64(nil)
-		}
-		out := make([][]float64, n)
-		for i := range out {
-			rn, rowNil := d.sliceLen()
-			if rowNil {
-				continue
-			}
-			row := make([]float64, rn)
-			for j := range row {
-				row[j] = d.f64()
-			}
-			out[i] = row
-		}
-		return out
-	case wComplex128ss:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return [][]complex128(nil)
-		}
-		out := make([][]complex128, n)
-		for i := range out {
-			rn, rowNil := d.sliceLen()
-			if rowNil {
-				continue
-			}
-			row := make([]complex128, rn)
-			for j := range row {
-				row[j] = d.c128()
-			}
-			out[i] = row
-		}
-		return out
-	case wVec3s:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return [][3]float64(nil)
-		}
-		out := make([][3]float64, n)
-		for i := range out {
-			out[i] = [3]float64{d.f64(), d.f64(), d.f64()}
-		}
-		return out
-	case wVec4s:
-		n, isNil := d.sliceLen()
-		if isNil {
-			return [][4]float64(nil)
-		}
-		out := make([][4]float64, n)
-		for i := range out {
-			out[i] = [4]float64{d.f64(), d.f64(), d.f64(), d.f64()}
-		}
-		return out
-	case wPair64:
-		return [2]int64{int64(d.u64()), int64(d.u64())}
-	case wVec3:
-		return [3]float64{d.f64(), d.f64(), d.f64()}
-	case wVec4:
-		return [4]float64{d.f64(), d.f64(), d.f64(), d.f64()}
-	case wReflect:
-		id := d.uvarint()
-		if d.err != nil {
-			return nil
-		}
-		t, ok := wireTypeByID(id)
-		if !ok {
-			d.err = fmt.Errorf("spmd: unknown wire type id %d (fallback payloads decode only in the encoding process)", id)
-			return nil
-		}
-		rv := reflect.New(t).Elem()
-		d.reflectValue(rv)
-		return rv.Interface()
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("spmd: unknown wire kind %d", kind)
-		}
-		return nil
-	}
-}
-
+// reflectValue undoes appendReflectValue into rv.
 func (d *decoder) reflectValue(rv reflect.Value) {
-	if d.err != nil {
-		return
-	}
 	switch rv.Kind() {
 	case reflect.Bool:
-		rv.SetBool(d.byte() != 0)
+		rv.SetBool(d.u64() != 0)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		rv.SetInt(int64(d.u64()))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
 		rv.SetUint(d.u64())
 	case reflect.Float32, reflect.Float64:
-		rv.SetFloat(d.f64ForKind(rv.Kind()))
-	case reflect.Complex64:
-		rv.SetComplex(complex128(d.c64()))
-	case reflect.Complex128:
-		rv.SetComplex(d.c128())
+		rv.SetFloat(math.Float64frombits(d.u64()))
+	case reflect.Complex64, reflect.Complex128:
+		re := math.Float64frombits(d.u64())
+		rv.SetComplex(complex(re, math.Float64frombits(d.u64())))
 	case reflect.String:
-		rv.SetString(string(d.take(int(d.uvarint()))))
+		rv.SetString(d.string())
 	case reflect.Slice:
-		n, isNil := d.sliceLen()
+		n, isNil := d.sliceLen(1)
 		if isNil {
 			return
 		}
-		s := reflect.MakeSlice(rv.Type(), n, n)
-		for i := 0; i < n; i++ {
-			d.reflectValue(s.Index(i))
-		}
-		rv.Set(s)
+		rv.Set(reflect.MakeSlice(rv.Type(), n, n))
+		fallthrough
 	case reflect.Array:
-		for i := 0; i < rv.Len(); i++ {
+		for i := 0; i < rv.Len() && d.err == nil; i++ {
 			d.reflectValue(rv.Index(i))
 		}
 	case reflect.Struct:
@@ -718,11 +281,4 @@ func (d *decoder) reflectValue(rv reflect.Value) {
 	default:
 		d.err = fmt.Errorf("spmd: undecodable wire kind %s", rv.Kind())
 	}
-}
-
-func (d *decoder) f64ForKind(k reflect.Kind) float64 {
-	if k == reflect.Float32 {
-		return float64(d.f32())
-	}
-	return d.f64()
 }

@@ -3,23 +3,31 @@ package spmd
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"runtime"
 	"testing"
 )
 
 // FuzzDecodePayload feeds DecodePayload — which the dist and elastic
 // coordinators run on bytes that crossed a socket — arbitrary input. It
-// must never panic, and never allocate more than a small multiple of the
-// input: a slice length is only believed up to the bytes that remain, so
-// the worst case is the widest element (a [4]float64, 32 bytes) claimed
-// once per remaining byte. Whatever it does accept must be a fixed point
-// of the codec: re-encoding the decoded value and decoding that again
-// reproduces the same bytes, which is DeepEqual identity in a form that
-// survives NaNs and keeps nil apart from empty (they encode differently).
+// must never panic, and never allocate more than the payload table
+// guarantees: a slice length is believed only up to the elements the
+// remaining bytes can hold, so a fixed-width kind ([]T, [][4]float64, a
+// string) decodes into no more memory than its input occupied, and the
+// worst case left is [][]T — and the reflection fallback's slices —
+// where an element that costs one byte on the wire (an empty row's
+// header) costs a 24-byte slice header in memory. Whatever it does
+// accept must be a fixed point of the codec: re-encoding the decoded
+// value and decoding that again reproduces the same bytes, which is
+// DeepEqual identity in a form that survives NaNs and keeps nil apart
+// from empty (they encode differently).
 //
-// The seeds are the round-trip table's encodings (every table type, and
-// the reflect fallback), their truncations, and the forged lengths of
-// TestWireTruncated; `go test` runs them all.
+// The seeds are read off the payload table: the round-trip corpus's
+// encodings (every registration, nil and empty of every slice type, the
+// reflect fallback) and their truncations, a forged huge length for
+// every length-prefixed kind, and for every slice kind a count that its
+// input's bytes — but not that many elements — could back; `go test`
+// runs them all.
 func FuzzDecodePayload(f *testing.F) {
 	for _, v := range wirePayloads() {
 		buf, err := AppendPayload(nil, v)
@@ -29,18 +37,28 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(buf)
 		f.Add(buf[:len(buf)/2])
 	}
-	huge := binary.AppendUvarint(nil, 1<<62)
-	for _, kind := range []byte{wString, wBytes, wFloat64s, wVec4s, wFloat64ss, wReflect, 255} {
-		f.Add(append([]byte{kind}, huge...))
+	for _, in := range forgedLengths() {
+		f.Add(in)
+	}
+	const body = 1 << 16
+	for _, d := range table {
+		if reflect.ValueOf(d.sample).Kind() == reflect.Slice {
+			in := binary.AppendUvarint([]byte{d.kind}, body+1)
+			f.Add(append(in, make([]byte, body)...))
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
+		per := 1
+		if len(in) > 0 && (int(in[0]) == len(table) || int(in[0]) < len(table) && isRows(table[in[0]].sample)) {
+			per = 24
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		v, n, err := DecodePayload(in)
 		runtime.ReadMemStats(&after)
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(40*len(in)+64<<10); grew > limit {
-			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(in), grew, limit)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(per*len(in)+64<<10); grew > limit {
+			t.Fatalf("decoding %d bytes of kind %d allocated %d (limit %d)", len(in), in[0], grew, limit)
 		}
 		if err != nil {
 			return
@@ -62,4 +80,10 @@ func FuzzDecodePayload(f *testing.F) {
 			t.Fatalf("%T is not a fixed point of the codec:\n%x\n%x (%v)", v, enc, enc2, err)
 		}
 	})
+}
+
+// isRows reports a [][]T sample.
+func isRows(sample any) bool {
+	t := reflect.TypeOf(sample)
+	return t != nil && t.Kind() == reflect.Slice && t.Elem().Kind() == reflect.Slice
 }

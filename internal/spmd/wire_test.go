@@ -24,40 +24,62 @@ type unexportedField struct {
 
 func (unexportedField) VBytes() int { return 16 }
 
-// wirePayloads is one value of every payload type the codec's tables
-// encode explicitly, plus reflect-fallback structs: the round-trip
-// table, and the fuzzer's seed corpus.
+// sizedRows is a Sized slice of structs: a fallback payload whose slice
+// the table does not know, so it is walked element by element.
+type sizedRows []struct {
+	X, Y float64
+	Tag  string
+}
+
+func (s sizedRows) VBytes() int { return 16 * len(s) }
+
+// wirePayloads is the round-trip corpus and the fuzzer's seed corpus. It
+// is read off the payload table — every registration's sample, and for a
+// slice type its nil and its empty value beside it — so a type cannot be
+// registered without being round-tripped and fuzz-seeded. Beside the
+// table: a few more values of table types, and reflect-fallback structs.
 func wirePayloads() []any {
-	return []any{
-		nil,
-		true, false,
-		int8(-5), int16(-300), int32(-70000), int64(-1 << 40), int(42),
-		uint8(5), uint16(300), uint32(70000), uint64(1 << 40), uintptr(7),
-		float32(1.5), float64(math.Pi), math.NaN(), math.Inf(-1),
-		complex64(complex(1, -2)), complex(3.5, -4.5),
-		"", "hello",
-		[]byte(nil), []byte{}, []byte{1, 2, 3},
-		[]int32(nil), []int32{}, []int32{-1, 0, 1 << 30},
-		[]uint32{0, 1, math.MaxUint32},
-		[]int64{-1 << 60, 1 << 60}, []int{1, 2, 3},
-		[]float32{1.25, -2.5}, []float64(nil), []float64{0.1, 0.2, math.NaN()},
-		[]complex64{complex(1, 2)}, []complex128(nil), []complex128{complex(0.5, -0.5)},
-		[][]float64(nil), [][]float64{{1, 2}, nil, {}},
-		[][]complex128{{complex(1, 1)}, nil},
-		[][3]float64{{1, 2, 3}, {4, 5, 6}},
-		[][4]float64{{1, 2, 3, 4}},
-		[2]int64{3, -4},
-		[3]float64{1.5, 2.5, 3.5},
-		[4]float64{1, 2, 3, 4},
+	var out []any
+	for _, d := range table {
+		out = append(out, d.sample)
+		if t := reflect.TypeOf(d.sample); t != nil && t.Kind() == reflect.Slice {
+			out = append(out, reflect.Zero(t).Interface(), reflect.MakeSlice(t, 0, 0).Interface())
+		}
+	}
+	return append(out,
+		false, "", float64(math.Pi), math.Inf(-1), int(42),
 		sizedVec[float64]{MinRank: 3, Data: []float64{1.5, -2.5}},
 		sizedVec[int32]{MinRank: 1, Data: nil},
+		sizedVec[string]{MinRank: 2, Data: []string{"a", ""}},
+		sizedRows{{1, 2, "a"}, {3, math.NaN(), ""}},
+	)
+}
+
+// TestPayloadTable pins the table's own consistency: a descriptor's kind
+// is its position, and describe dispatches each registration's sample to
+// that registration — a type added to the table but not to describe (or
+// dispatched to the wrong line) fails here.
+func TestPayloadTable(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	for i, d := range table {
+		if int(d.kind) != i {
+			t.Errorf("table[%d] has kind %d", i, d.kind)
+		}
+		if got, _ := describe(d.sample, false); got != d {
+			t.Errorf("describe(%T) does not dispatch to its registration (kind %d)", d.sample, i)
+		}
+		if typ := reflect.TypeOf(d.sample); seen[typ] {
+			t.Errorf("%v is registered twice", typ)
+		} else {
+			seen[typ] = true
+		}
 	}
 }
 
 // TestWireRoundTrip pins the codec contract the dist backend relies on:
-// every payload type BytesOf prices explicitly survives
-// AppendPayload/DecodePayload with reflect.DeepEqual identity (including
-// the nil/empty slice distinction) and unchanged BytesOf pricing.
+// every payload type BytesOf prices survives AppendPayload/DecodePayload
+// with bit identity (including the nil/empty slice distinction and NaN
+// payloads) and unchanged BytesOf pricing.
 func TestWireRoundTrip(t *testing.T) {
 	for _, v := range wirePayloads() {
 		buf, err := AppendPayload(nil, v)
@@ -71,7 +93,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if n != len(buf) {
 			t.Errorf("DecodePayload(%T): consumed %d of %d bytes", v, n, len(buf))
 		}
-		if !deepEqualNaN(got, v) {
+		if reflect.TypeOf(got) != reflect.TypeOf(v) || !sameBits(reflect.ValueOf(got), reflect.ValueOf(v)) {
 			t.Errorf("round trip of %T: got %#v, want %#v", v, got, v)
 		}
 		if BytesOf(got) != BytesOf(v) {
@@ -80,26 +102,41 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// deepEqualNaN is reflect.DeepEqual except NaN floats compare equal by
-// bit pattern (the codec must preserve them; DeepEqual would reject).
-func deepEqualNaN(a, b any) bool {
-	if f, ok := a.(float64); ok {
-		g, ok2 := b.(float64)
-		return ok2 && math.Float64bits(f) == math.Float64bits(g)
+// sameBits is reflect.DeepEqual except that floats compare by bit
+// pattern (the codec must preserve NaNs; DeepEqual would reject them).
+func sameBits(a, b reflect.Value) bool {
+	if a.IsValid() != b.IsValid() {
+		return false
 	}
-	if fs, ok := a.([]float64); ok {
-		gs, ok2 := b.([]float64)
-		if !ok2 || len(fs) != len(gs) || (fs == nil) != (gs == nil) {
+	switch a.Kind() {
+	case reflect.Invalid:
+		return true
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Complex64, reflect.Complex128:
+		x, y := a.Complex(), b.Complex()
+		return math.Float64bits(real(x)) == math.Float64bits(real(y)) &&
+			math.Float64bits(imag(x)) == math.Float64bits(imag(y))
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() || a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() {
 			return false
 		}
-		for i := range fs {
-			if math.Float64bits(fs[i]) != math.Float64bits(gs[i]) {
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
 				return false
 			}
 		}
 		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Interface() == b.Interface()
 	}
-	return reflect.DeepEqual(a, b)
 }
 
 // TestWireRejectsUnencodable pins the failure mode: payloads the codec
@@ -118,28 +155,41 @@ func TestWireRejectsUnencodable(t *testing.T) {
 	}
 }
 
+// forgedLengths is one input per length-prefixed kind (every table type
+// whose sample is a slice or a string, and the fallback's type
+// identifier) claiming a huge length, plus a kind byte past the table.
+func forgedLengths() [][]byte {
+	huge := binary.AppendUvarint(nil, 1<<62)
+	out := [][]byte{append([]byte{byte(len(table))}, huge...), {byte(len(table)) + 1}}
+	for _, d := range table {
+		switch reflect.ValueOf(d.sample).Kind() {
+		case reflect.Slice, reflect.String:
+			out = append(out, append([]byte{d.kind}, huge...))
+		}
+	}
+	return out
+}
+
 // TestWireTruncated pins that corrupt frames surface as errors, not
 // panics or giant allocations.
 func TestWireTruncated(t *testing.T) {
-	buf, err := AppendPayload(nil, []float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 1; cut < len(buf); cut++ {
-		if _, _, err := DecodePayload(buf[:cut]); err == nil {
-			t.Errorf("DecodePayload of %d/%d bytes: want error", cut, len(buf))
+	for _, v := range wirePayloads() {
+		buf, err := AppendPayload(nil, v)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, _, err := DecodePayload([]byte{255}); err == nil {
-		t.Error("unknown kind byte: want error")
+		for cut := 0; cut < len(buf); cut++ {
+			if _, _, err := DecodePayload(buf[:cut]); err == nil {
+				t.Errorf("DecodePayload of %d/%d bytes of %T: want error", cut, len(buf), v)
+			}
+		}
 	}
 	// Forged huge lengths must fail cleanly, not overflow the int
 	// conversion into a panic or a giant allocation (the dist
 	// coordinator decodes frames that crossed the network).
-	huge := binary.AppendUvarint(nil, 1<<62)
-	for _, kind := range []byte{wString, wBytes, wFloat64s, wReflect} {
-		if _, _, err := DecodePayload(append([]byte{kind}, huge...)); err == nil {
-			t.Errorf("kind %d with huge length: want error", kind)
+	for _, in := range forgedLengths() {
+		if _, _, err := DecodePayload(in); err == nil {
+			t.Errorf("forged input %x: want error", in)
 		}
 	}
 }
@@ -163,4 +213,34 @@ func TestWireSizedTypesDecodeInProcess(t *testing.T) {
 	if got.(sizedVec[complex128]).Data[0] != complex(1, -1) {
 		t.Error("typed access after decode failed")
 	}
+}
+
+// The two payload shapes the remote workload sends — one float64
+// (poisson's halo corner) and a mebibyte of int32 (mergesort's blocks):
+// the `go test -bench` form of bench's spmd.encode_* / spmd.decode_* /
+// spmd.codec_allocs_small layer metrics.
+func BenchmarkCodecSmall(b *testing.B) { benchCodec(b, []float64{1}, 8) }
+func BenchmarkCodecBulk(b *testing.B)  { benchCodec(b, make([]int32, 1<<18), 1<<20) }
+
+var codecSink any
+
+func benchCodec(b *testing.B, v any, bytes int64) {
+	buf, err := AppendPayload(nil, v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(bytes)
+		for i := 0; i < b.N; i++ {
+			buf, _ = AppendPayload(buf[:0], v)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(bytes)
+		for i := 0; i < b.N; i++ {
+			codecSink, _, _ = DecodePayload(buf)
+		}
+	})
 }
