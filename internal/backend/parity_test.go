@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,6 +40,10 @@ func TestBackendParity(t *testing.T) {
 	cases := []struct {
 		name string
 		prog func(np int) (core.Program, func() any)
+		// wantErr, when set, makes the row a failure-parity row: every
+		// backend must fail the run, within a second, with an error that
+		// contains it.
+		wantErr string
 	}{
 		{
 			name: "sorting/one-deep-mergesort",
@@ -131,6 +136,21 @@ func TestBackendParity(t *testing.T) {
 				}, func() any { return got }
 			},
 		},
+		{
+			// A rank that panics while its peers are blocked on it fails
+			// the run with its own panic on every backend: the peers are
+			// unwound, not left waiting (they used to hang Run forever).
+			name:    "panic/peers-blocked-on-the-dead-rank",
+			wantErr: "spmd: process 0 panicked: boom",
+			prog: func(np int) (core.Program, func() any) {
+				return func(p *spmd.Proc) {
+					if p.Rank() == 0 {
+						panic("boom")
+					}
+					p.Recv(0, 1)
+				}, func() any { return nil }
+			},
+		},
 	}
 
 	// run is core.Run under a watchdog: a backend that deadlocks fails its
@@ -164,6 +184,20 @@ func TestBackendParity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, np := range []int{1, 2, 4} {
+				if tc.wantErr != "" {
+					for _, b := range backends {
+						prog, _ := tc.prog(np)
+						start := time.Now()
+						_, err := run(t, b, np, prog)
+						if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+							t.Errorf("P=%d %s: error %v, want one containing %q", np, b.Name(), err, tc.wantErr)
+						}
+						if took := time.Since(start); took > time.Second {
+							t.Errorf("P=%d %s: failed after %v, want under a second", np, b.Name(), took)
+						}
+					}
+					continue
+				}
 				simProg, simSnap := tc.prog(np)
 				simRes, err := run(t, backends[0], np, simProg)
 				if err != nil {

@@ -129,11 +129,11 @@ type Result struct {
 
 // Run executes body on every process concurrently and waits for all of
 // them. A panic in any process is recovered and returned as an error
-// naming the process; the remaining processes are not cancelled (they
-// either finish or would deadlock — tests rely on `go test` timeouts for
-// the latter, which indicates a protocol bug). When the world's context
-// is cancelled, processes blocked in communication unwind and Run returns
-// the context's error. A backend that cannot bring its substrate up
+// naming the process, and it cancels the run: peers blocked on the dead
+// process (or entering communication later) unwind instead of waiting
+// forever. When the world's own context is cancelled, processes blocked
+// in communication unwind likewise and Run returns the context's error,
+// which takes precedence. A backend that cannot bring its substrate up
 // (Runner.NewTransport's error) fails the run before any process starts.
 func (w *World) Run(body func(p *Proc)) (*Result, error) {
 	if w.ran {
@@ -145,7 +145,16 @@ func (w *World) Run(body func(p *Proc)) (*Result, error) {
 	if err := w.ctx.Err(); err != nil {
 		return nil, err
 	}
-	t, err := w.runner.NewTransport(w.ctx, w.n, w.model)
+	// The transport runs under a context of the run's own, which the first
+	// process to panic cancels; firstPanic is that process's error, what
+	// Run then returns rather than the cancellation it caused.
+	ctx, cancel := context.WithCancel(w.ctx)
+	defer cancel()
+	var (
+		panicked   sync.Once
+		firstPanic error
+	)
+	t, err := w.runner.NewTransport(ctx, w.n, w.model)
 	if err != nil {
 		// The substrate never came up: no rank runs. A cancellation that
 		// landed during start is still reported as the context's error.
@@ -159,9 +168,9 @@ func (w *World) Run(body func(p *Proc)) (*Result, error) {
 		w.rec.EmitSys(obs.Event{T: w.rec.Now(), Rank: -1, Kind: obs.KindStart})
 	}
 
-	// runRank executes the body for one rank, translating panics the same
-	// way the per-goroutine path below does: the cancellation sentinel
-	// becomes its carried error, anything else a process-panic error.
+	// runRank executes the body for one rank, translating panics: the
+	// cancellation sentinel becomes its carried error, anything else a
+	// process-panic error that cancels the run.
 	runRank := func(rank int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -170,6 +179,10 @@ func (w *World) Run(body func(p *Proc)) (*Result, error) {
 					return
 				}
 				err = fmt.Errorf("spmd: process %d panicked: %v", rank, r)
+				panicked.Do(func() {
+					firstPanic = err
+					cancel()
+				})
 			}
 		}()
 		body(&Proc{world: w, rank: rank})
@@ -181,6 +194,7 @@ func (w *World) Run(body func(p *Proc)) (*Result, error) {
 		return nil
 	}
 
+	errs := make([]error, w.n)
 	if d, ok := w.t.(backend.Driver); ok {
 		// The transport owns rank scheduling (elastic backends): it decides
 		// when and how often each rank body executes, and may re-execute a
@@ -197,44 +211,34 @@ func (w *World) Run(body func(p *Proc)) (*Result, error) {
 				return err
 			}
 		}
-		err := d.Drive(run)
-		if cerr := w.ctx.Err(); cerr != nil {
-			w.t.Finish()
-			return nil, cerr
+		errs = []error{d.Drive(run)}
+	} else {
+		ro, _ := w.t.(backend.RankObserver)
+		var wg sync.WaitGroup
+		wg.Add(w.n)
+		for rank := 0; rank < w.n; rank++ {
+			rank := rank
+			go func() {
+				defer wg.Done()
+				errs[rank] = runRank(rank)
+				if ro != nil {
+					// The rank's last word to the transport: flush whatever
+					// its body left buffered while its peers still run.
+					ro.RankReturned(rank)
+				}
+			}()
 		}
-		if err != nil {
-			w.t.Finish()
-			return nil, err
-		}
-		return w.finishResult(), nil
+		wg.Wait()
 	}
 
-	errs := make([]error, w.n)
-	ro, _ := w.t.(backend.RankObserver)
-	var wg sync.WaitGroup
-	wg.Add(w.n)
-	for rank := 0; rank < w.n; rank++ {
-		rank := rank
-		go func() {
-			defer wg.Done()
-			errs[rank] = runRank(rank)
-			if ro != nil {
-				// The rank's last word to the transport: flush whatever
-				// its body left buffered while its peers still run.
-				ro.RankReturned(rank)
-			}
-		}()
-	}
-	wg.Wait()
 	// Every process has returned, so the transport must be finished on
 	// every exit path — Finish releases the fabric (and deregisters the
 	// context watcher) for reuse; skipping it on errors would pin the
-	// fabric and any undrained payloads to the run's context.
-	if err := w.ctx.Err(); err != nil {
-		w.t.Finish()
-		return nil, err
-	}
-	for _, err := range errs {
+	// fabric and any undrained payloads to the run's context. The errors
+	// in order of precedence: the caller's cancellation, the first panic,
+	// then whatever the ranks (or the driving transport) returned, which
+	// after a panic is only the cancellation it caused.
+	for _, err := range append([]error{w.ctx.Err(), firstPanic}, errs...) {
 		if err != nil {
 			w.t.Finish()
 			return nil, err

@@ -431,8 +431,8 @@ func TestSinkAllocationBudget(t *testing.T) {
 
 // TestSourceContract: a source that appends one scalar too many or too
 // few for its batch panics on the source rank with a message naming the
-// pipeline and the batch it was asked for. A rank panic does not unwind
-// its peers, so the body cancels the world once it has the message.
+// pipeline and the batch it was asked for; the panic unwinds the other
+// ranks and is the run's error.
 func TestSourceContract(t *testing.T) {
 	for _, off := range []int{-1, +1} {
 		pl := &stream.Pipeline[float64]{
@@ -450,29 +450,15 @@ func TestSourceContract(t *testing.T) {
 				Fn:   func(c spmd.Comm, _ any, in []float64) []float64 { return in },
 			}},
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		var msg atomic.Value
-		_, err := core.Run(ctx, backend.Real(), pl.Procs(), model(), func(p *spmd.Proc) {
-			defer func() {
-				r := recover()
-				if s, ok := r.(string); ok {
-					msg.Store(s)
-					cancel()
-				}
-				if r != nil {
-					panic(r)
-				}
-			}()
+		_, err := core.Run(context.Background(), backend.Real(), pl.Procs(), model(), func(p *spmd.Proc) {
 			stream.Run(p, pl, stream.Config{Elems: 100, Batch: 5})
 		})
-		cancel()
-		got, _ := msg.Load().(string)
-		if err == nil || got == "" {
-			t.Fatalf("off by %+d: run returned %v with panic %q, want a source-contract panic", off, err, got)
+		if err == nil {
+			t.Fatalf("off by %+d: run succeeded, want a source-contract panic", off)
 		}
-		for _, want := range []string{`"miscount"`, "[10, 10+5)", fmt.Sprintf("emitted %d scalars", 15+off)} {
-			if !strings.Contains(got, want) {
-				t.Errorf("off by %+d: panic %q does not mention %s", off, got, want)
+		for _, want := range []string{"process 0 panicked", `"miscount"`, "[10, 10+5)", fmt.Sprintf("emitted %d scalars", 15+off)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("off by %+d: error %q does not mention %s", off, err, want)
 			}
 		}
 	}
