@@ -493,13 +493,18 @@ func TestDistWorkerPoolReuse(t *testing.T) {
 	}
 }
 
+// block is an app-style Sized wrapper type: header fields and an inner
+// payload, priced through BytesOf.
+type block struct {
+	X0, X1 int
+	Data   []float64
+}
+
+func (b block) VBytes() int { return 16 + spmd.BytesOf(b.Data) }
+
 // TestDistSizedPayloads sends an app-style Sized wrapper type through the
 // reflection fallback of the wire codec, across real process boundaries.
 func TestDistSizedPayloads(t *testing.T) {
-	type block struct {
-		X0, X1 int
-		Data   []float64
-	}
 	const n = 2
 	_, err := runOn(t, dist.New(), n, func(p *spmd.Proc) {
 		if p.Rank() == 0 {

@@ -151,6 +151,25 @@ func TestBackendParity(t *testing.T) {
 				}, func() any { return nil }
 			},
 		},
+		{
+			// Nothing is priced by default: a payload with no price fails
+			// the run in Send, naming its type, before it reaches a
+			// transport — the same diagnosis on every backend.
+			name:    "unpriced/payload-with-no-price",
+			wantErr: "payload type struct { X int } has no price",
+			prog: func(np int) (core.Program, func() any) {
+				return func(p *spmd.Proc) {
+					if next := p.Rank() + 1; next < p.N() {
+						p.Send(next, 1, struct{ X int }{7})
+					} else if p.N() == 1 {
+						p.Send(0, 1, struct{ X int }{7})
+					}
+					if p.Rank() > 0 {
+						p.Recv(p.Rank()-1, 1)
+					}
+				}, func() any { return nil }
+			},
+		},
 	}
 
 	// run is core.Run under a watchdog: a backend that deadlocks fails its

@@ -161,6 +161,16 @@ const (
 	tagToManager
 )
 
+// incumbent is the best complete solution a process knows of, the value
+// SolveSync all-reduces every round.
+type incumbent struct {
+	V     float64
+	Found bool
+}
+
+// VBytes implements spmd.Sized: a float64 and a flag.
+func (incumbent) VBytes() int { return 9 }
+
 // SolveSync runs the deterministic bulk-synchronous parallel branch and
 // bound as process p's body. Every process returns the identical Result
 // (Expanded is the global total). chunk controls how many nodes each
@@ -192,19 +202,15 @@ func SolveSync[N any](p spmd.Comm, spec *Spec[N], chunk int) Result {
 
 		// Establish the global incumbent (recursive doubling), then
 		// queue surviving children.
-		type inc struct {
-			V     float64
-			Found bool
-		}
-		localBest := inc{res.Best, res.Found}
+		localBest := incumbent{res.Best, res.Found}
 		for _, c := range children {
 			if v, complete := spec.Value(p, c); complete {
 				if !localBest.Found || v > localBest.V {
-					localBest = inc{v, true}
+					localBest = incumbent{v, true}
 				}
 			}
 		}
-		best := collective.AllReduce(p, localBest, func(a, b inc) inc {
+		best := collective.AllReduce(p, localBest, func(a, b incumbent) incumbent {
 			switch {
 			case !a.Found:
 				return b

@@ -18,6 +18,9 @@ type KnapNode struct {
 	Idx, Weight, Value int
 }
 
+// VBytes implements spmd.Sized: the solvers ship frontier nodes.
+func (KnapNode) VBytes() int { return 24 }
+
 // Knapsack returns the branch-and-bound spec for the 0/1 knapsack with
 // the given items and capacity, maximizing total value. Items are
 // branched in value-density order and bounded by the fractional

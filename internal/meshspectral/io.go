@@ -40,20 +40,20 @@ func GatherGrid[T any](g *Grid2D[T], root int) *array.Dense2D[T] {
 // distributed grid — the file-input pattern. Only root's full argument is
 // consulted; its dimensions are broadcast.
 func ScatterGrid[T any](p spmd.Comm, full *array.Dense2D[T], root int, l Layout, halo int) *Grid2D[T] {
-	type dims struct{ NX, NY int }
-	var d dims
+	var dims [2]int64
 	if p.Rank() == root {
-		d = dims{full.NX, full.NY}
+		dims = [2]int64{int64(full.NX), int64(full.NY)}
 	}
-	d = collective.Broadcast(p, root, d)
-	g := New2D[T](p, d.NX, d.NY, l, halo)
+	dims = collective.Broadcast(p, root, dims)
+	nx, ny := int(dims[0]), int(dims[1])
+	g := New2D[T](p, nx, ny, l, halo)
 	var parts []subBlock[T]
 	if p.Rank() == root {
 		parts = make([]subBlock[T], p.N())
 		for r := 0; r < p.N(); r++ {
 			rx, ry := l.Coords(r)
-			x0, x1 := blockRange(d.NX, l.PX, rx)
-			y0, y1 := blockRange(d.NY, l.PY, ry)
+			x0, x1 := blockRange(nx, l.PX, rx)
+			y0, y1 := blockRange(ny, l.PY, ry)
 			data := make([]T, 0, (x1-x0)*(y1-y0))
 			for gi := x0; gi < x1; gi++ {
 				data = append(data, full.Row(gi)[y0:y1]...)

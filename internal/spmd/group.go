@@ -21,7 +21,7 @@ type Comm interface {
 	Rank() int
 	// Send and Recv address ranks within this communicator. Payload
 	// sizes for cost accounting are computed by BytesOf; payload types
-	// outside its table implement Sized.
+	// outside the payload table implement Sized.
 	Send(dst, tag int, data any)
 	Recv(src, tag int) any
 
@@ -127,12 +127,6 @@ func (g *Group) World() *Proc { return g.Proc }
 // Send sends to a group rank.
 func (g *Group) Send(dst, tag int, data any) {
 	g.Proc.Send(g.WorldRank(dst), tag, data)
-}
-
-// sendSized translates the group rank and forwards to the world process's
-// typed-send fast path.
-func (g *Group) sendSized(dst, tag int, data any, bytes int) {
-	g.Proc.sendSized(g.WorldRank(dst), tag, data, bytes)
 }
 
 // Recv receives from a group rank.

@@ -2,6 +2,7 @@ package spmd
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -9,13 +10,11 @@ import (
 
 // This file is the payload table: the one place a payload type is
 // described. A registration (a line of the table below) yields the type's
-// price, its wire encoding and its decoding, and its position in the
-// table is its wire kind; BytesOf, AppendPayload and DecodePayload only
-// look a descriptor up. The sole other mention of a type is its dispatch
-// line in describe. Adding a type: register scalar, flat or rows of its
-// element description with a sample value, and add its line to describe.
-// The tests iterate the table, so the registration alone gets the type
-// priced, round-tripped and fuzz-seeded.
+// price, its wire encoding and its decoding; its position in the table is
+// its wire kind. The only other mention of a type is its dispatch line in
+// describe. To add a type, register scalar, flat or rows of its element
+// description with a sample value and add its line to describe: the tests
+// iterate the table, so that prices, round-trips and fuzz-seeds it.
 
 // desc is one payload type's whole description.
 type desc struct {
@@ -24,9 +23,8 @@ type desc struct {
 	w      int  // price of one element: n of them (describe counts) are n*w bytes
 	// put appends the body, what follows the kind byte, to buf.
 	put func(buf []byte, v any) []byte
-	// get decodes the body. The decoder goes in and out by value so that
-	// it lives on the caller's stack: a pointer handed through a func
-	// value is a heap allocation per message.
+	// get decodes the body. The decoder goes in and out by value to stay on
+	// the stack: a pointer through a func value is an allocation per message.
 	get func(d decoder) (any, decoder)
 }
 
@@ -47,11 +45,10 @@ func reg(d desc, sample any) *desc {
 	return &d
 }
 
-// elem describes a fixed-width element type by its wire width (also its
-// price) and its span codecs: puts appends the encoding of xs, w bytes an
-// element, to buf; gets fills dst from src, exactly w*len(dst) bytes.
-// Spans, not elements, are the unit of work, so the indirect call and the
-// length check are paid once per slice.
+// elem describes a fixed-width element type: its wire width (also its
+// price) and its span codecs. puts appends xs to buf, w bytes each; gets
+// fills dst from exactly w*len(dst) bytes of src. Spans are the unit of
+// work so that the indirect call and the length check are paid per slice.
 type elem[T any] struct {
 	w    int
 	puts func(buf []byte, xs []T) []byte
@@ -60,10 +57,10 @@ type elem[T any] struct {
 
 var le = binary.LittleEndian
 
-// The span codecs of the element types that travel in bulk. They are
-// top-level functions on purpose: the same loops written as closures
-// inside a generic constructor, or over a per-element func value as in
-// each, run at a third of the speed (EXPERIMENTS.md).
+// The span codecs of the element types that travel in bulk: top-level
+// functions on purpose, because the same loops as closures in a generic
+// constructor, or over per-element func values as in each, run at a third
+// of the speed (EXPERIMENTS.md).
 
 func puts32[T ~int32 | ~uint32](buf []byte, xs []T) []byte {
 	for _, x := range xs {
@@ -121,11 +118,16 @@ func each[T any](w int, put func([]byte, T) []byte, get func([]byte) T) elem[T] 
 	}}
 }
 
-// int and uintptr travel as 64 bits whatever the host's word.
-func put64[T ~int64 | ~uint64 | ~int | ~uintptr](b []byte, x T) []byte {
-	return le.AppendUint64(b, uint64(x))
+// ints describes the integer types that are no bulk payload by their low
+// w bytes, little-endian (int and uintptr are 64 bits on the wire whatever
+// the host's word).
+func ints[T ~int8 | ~int16 | ~uint16 | ~int64 | ~int | ~uint64 | ~uintptr](w int) elem[T] {
+	return each(w, func(b []byte, x T) []byte { return le.AppendUint64(b, uint64(x))[:len(b)+w] }, func(b []byte) T {
+		var word [8]byte
+		copy(word[:], b[:w])
+		return T(le.Uint64(word[:]))
+	})
 }
-func get64[T ~int64 | ~uint64 | ~int | ~uintptr](b []byte) T { return T(le.Uint64(b)) }
 
 func bit(x bool) byte {
 	if x {
@@ -137,8 +139,8 @@ func bit(x bool) byte {
 // The element types with more than one registration.
 var (
 	elI32 = elem[int32]{4, puts32[int32], gets32[int32]}
-	elI64 = each(8, put64[int64], get64[int64])
-	elInt = each(8, put64[int], get64[int])
+	elI64 = ints[int64](8)
+	elInt = ints[int](8)
 	elU8  = elem[uint8]{1, func(b, xs []byte) []byte { return append(b, xs...) }, func(dst, src []byte) { copy(dst, src) }}
 	elU32 = elem[uint32]{4, puts32[uint32], gets32[uint32]}
 	elF32 = each(4, func(b []byte, x float32) []byte { return le.AppendUint32(b, math.Float32bits(x)) }, func(b []byte) float32 { return math.Float32frombits(le.Uint32(b)) })
@@ -154,35 +156,29 @@ var (
 	elVec4 = each(32, func(b []byte, x [4]float64) []byte { return putsF64(b, x[:]) }, func(b []byte) (x [4]float64) { getsF64(x[:], b); return })
 )
 
-// The table: one line per payload type.
+// The table: one line per payload type (the basic scalars need no name:
+// reg files them under their kind).
 var (
-	dNil = reg(desc{put: func(buf []byte, _ any) []byte { return buf }, get: func(d decoder) (any, decoder) { return nil, d }}, nil)
-	_    = [...]*desc{
-		reg(scalar(each(1, func(b []byte, x bool) []byte { return append(b, bit(x)) }, func(b []byte) bool { return b[0] != 0 })), true),
-		reg(scalar(each(1, func(b []byte, x int8) []byte { return append(b, byte(x)) }, func(b []byte) int8 { return int8(b[0]) })), int8(-5)),
-		reg(scalar(each(2, func(b []byte, x int16) []byte { return le.AppendUint16(b, uint16(x)) }, func(b []byte) int16 { return int16(le.Uint16(b)) })), int16(-300)),
-		reg(scalar(elI32), int32(-70000)),
-		reg(scalar(elI64), int64(-1<<40)),
-		reg(scalar(elInt), int(-42)),
-		reg(scalar(elU8), uint8(5)),
-		reg(scalar(each(2, le.AppendUint16, le.Uint16)), uint16(300)),
-		reg(scalar(elU32), uint32(70000)),
-		reg(scalar(each(8, le.AppendUint64, le.Uint64)), uint64(1<<40)),
-		reg(scalar(each(8, put64[uintptr], get64[uintptr])), uintptr(7)),
-		reg(scalar(elF32), float32(1.5)),
-		reg(scalar(elF64), math.NaN()),
-		reg(scalar(elC64), complex64(complex(1, -2))),
-		reg(scalar(elC128), complex(3.5, math.Inf(-1))),
-	}
-	dPair = reg(scalar(each(16, func(b []byte, x [2]int64) []byte { return put64(put64(b, x[0]), x[1]) }, func(b []byte) [2]int64 {
-		return [2]int64{get64[int64](b), get64[int64](b[8:])}
-	})), [2]int64{3, -4})
+	dNil    = reg(desc{put: func(buf []byte, _ any) []byte { return buf }, get: func(d decoder) (any, decoder) { return nil, d }}, nil)
+	_       = reg(scalar(each(1, func(b []byte, x bool) []byte { return append(b, bit(x)) }, func(b []byte) bool { return b[0] != 0 })), true)
+	_       = reg(scalar(ints[int8](1)), int8(-5))
+	_       = reg(scalar(ints[int16](2)), int16(-300))
+	_       = reg(scalar(elI32), int32(-70000))
+	_       = reg(scalar(elI64), int64(-1<<40))
+	_       = reg(scalar(elInt), int(-42))
+	_       = reg(scalar(elU8), uint8(5))
+	_       = reg(scalar(ints[uint16](2)), uint16(300))
+	_       = reg(scalar(elU32), uint32(70000))
+	_       = reg(scalar(ints[uint64](8)), uint64(1<<40))
+	_       = reg(scalar(ints[uintptr](8)), uintptr(7))
+	_       = reg(scalar(elF32), float32(1.5))
+	_       = reg(scalar(elF64), math.NaN())
+	_       = reg(scalar(elC64), complex64(complex(1, -2)))
+	_       = reg(scalar(elC128), complex(3.5, math.Inf(-1)))
+	dPair   = reg(scalar(each(16, func(b []byte, x [2]int64) []byte { return elI64.puts(b, x[:]) }, func(b []byte) (x [2]int64) { elI64.gets(x[:], b[:16]); return })), [2]int64{3, -4})
 	dVec3   = reg(scalar(elVec3), [3]float64{1.5, 2.5, 3.5})
 	dVec4   = reg(scalar(elVec4), [4]float64{1, 2, 3, 4})
-	dString = reg(desc{w: 1, put: func(buf []byte, v any) []byte { return appendString(buf, v.(string)) }, get: func(d decoder) (any, decoder) {
-		s := d.string()
-		return s, d
-	}}, "hello")
+	dString = reg(desc{w: 1, put: func(buf []byte, v any) []byte { return appendString(buf, v.(string)) }, get: func(d decoder) (any, decoder) { s := d.string(); return s, d }}, "hello")
 	dBytes  = reg(flat(elU8), []byte{1, 2, 3})
 	dI32s   = reg(flat(elI32), []int32{-1, 0, 1 << 30})
 	dU32s   = reg(flat(elU32), []uint32{0, 1, math.MaxUint32})
@@ -194,18 +190,18 @@ var (
 	dC128s  = reg(flat(elC128), []complex128{complex(0.5, -0.5), complex(math.NaN(), 0)})
 	dVec3s  = reg(flat(elVec3), [][3]float64{{1, 2, 3}, {4, 5, 6}})
 	dVec4s  = reg(flat(elVec4), [][4]float64{{1, 2, 3, 4}})
+	dI32ss  = reg(rows(elI32), [][]int32{{-1, 2}, {}, nil})
 	dF64ss  = reg(rows(elF64), [][]float64{{1, 2}, nil, {}})
 	dC128ss = reg(rows(elC128), [][]complex128{{complex(1, 1)}, nil})
 )
 
 // describe maps a payload to its descriptor and counts its elements. For
-// a payload the table does not list (a Sized application type, which
-// travels through the reflection fallback, or no payload at all) d is
-// nil, and n is its price if the caller asks for one. Only BytesOf does:
-// the question rides on this call so that BytesOf is small enough to
-// inline (a second call there makes every send half again as dear), and
-// describe is a type switch because a map keyed by reflect.Type costs
-// five times as much (EXPERIMENTS.md).
+// a payload the table does not list (a Sized application type, or no
+// payload at all) d is nil, and n is its price if the caller asks for one,
+// a panic if it has none. Only BytesOf asks: the question rides on this
+// call so that BytesOf is small enough to inline (a second call there
+// makes every send half again as dear), and describe is a type switch
+// because a map keyed by reflect.Type costs five times as much.
 func describe(v any, price bool) (d *desc, n int) {
 	switch x := v.(type) {
 	case nil:
@@ -243,13 +239,17 @@ func describe(v any, price bool) (d *desc, n int) {
 		return dVec3s, len(x)
 	case [][4]float64:
 		return dVec4s, len(x)
+	case [][]int32:
+		return dI32ss, total(x)
 	case [][]float64:
 		return dF64ss, total(x)
 	case [][]complex128:
 		return dC128ss, total(x)
 	}
 	if price {
-		n = unlisted(v)
+		if n = unlisted(v); n < 0 {
+			panic(fmt.Sprintf("spmd: payload type %T has no price: it is not in the payload table, not spmd.Sized, and not a slice of such", v))
+		}
 	}
 	return nil, n
 }
@@ -293,7 +293,7 @@ func getSpan[T any](d *decoder, e *elem[T]) []T {
 // flat is the descriptor of []T.
 func flat[T any](e elem[T]) desc {
 	return desc{w: e.w, put: func(buf []byte, v any) []byte { return putSpan(buf, &e, v.([]T)) },
-		get: func(d decoder) (any, decoder) { return getSpan(&d, &e), d }}
+		get: func(d decoder) (any, decoder) { xs := getSpan(&d, &e); return xs, d }}
 }
 
 // rows is the descriptor of [][]T: priced as the sum of its rows, nil

@@ -1,7 +1,9 @@
 package spmd
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -72,7 +74,13 @@ func TestBytesOf(t *testing.T) {
 		{[][3]float64{{1, 2, 3}}, 24},
 		{[][4]float64{{1, 2, 3, 4}}, 32},
 		{sizedThing{42}, 42},
-		{struct{ X int }{1}, 8}, // unknown type: one-word estimate
+		// Not in the table and not Sized, but slices of what is: the sum
+		// of their elements.
+		{[][]int32{{1, 2}, nil, {3}}, 12},
+		{[]sizedThing{{3}, {4}}, 7},
+		{[]string{"ab", "", "c"}, 3},
+		{[][]sizedThing{{{1}}, {{2}, {3}}}, 6},
+		{[]struct{ X int }{}, 0},
 	}
 	for _, tc := range cases {
 		if got := BytesOf(tc.in); got != tc.want {
@@ -81,14 +89,24 @@ func TestBytesOf(t *testing.T) {
 	}
 }
 
-// TestSizeKnown: the one-word default is detectable, so coverage tests
-// (see payload_sizes_test.go at the repository root) can assert no app
-// payload silently falls through to it.
-func TestSizeKnown(t *testing.T) {
-	if !SizeKnown([]float64{1}) || !SizeKnown(sizedThing{1}) || !SizeKnown(nil) {
-		t.Error("explicitly priced types must report SizeKnown")
+// TestUnpricedPayload: nothing is priced by default. A payload that is
+// neither in the table, nor Sized, nor a slice of such reports
+// !SizeKnown, and pricing it panics naming its type.
+func TestUnpricedPayload(t *testing.T) {
+	if !SizeKnown([]float64{1}) || !SizeKnown(sizedThing{1}) || !SizeKnown(nil) || !SizeKnown([]sizedThing{{1}}) {
+		t.Error("priced types must report SizeKnown")
 	}
-	if SizeKnown(struct{ X int }{1}) || SizeKnown(map[int]int{}) {
-		t.Error("unknown types must not report SizeKnown")
+	for _, v := range []any{struct{ X int }{1}, map[int]int{}, []struct{ X int }{{1}}} {
+		if SizeKnown(v) {
+			t.Errorf("%T must not report SizeKnown", v)
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprintf("%T", v)) || !strings.Contains(msg, "no price") {
+					t.Errorf("BytesOf(%T) panicked with %q, want a panic naming the type", v, msg)
+				}
+			}()
+			BytesOf(v)
+		}()
 	}
 }

@@ -23,9 +23,10 @@
 // or wall — is bookkeeping layered on top.
 //
 // Messaging is typed and self-metering: Send prices every payload through
-// BytesOf (payload types outside its table implement Sized), so call
-// sites never hand-count bytes; SendT and Chan add static payload typing
-// on top, pairing with the typed Recv.
+// BytesOf, which reads the payload table (payload.go; payload types it
+// does not list implement Sized), so call sites never hand-count bytes;
+// SendT and Chan add static payload typing on top, pairing with the typed
+// Recv.
 package spmd
 
 import (
@@ -343,24 +344,17 @@ func (p *Proc) MemWords(n float64) { p.Charge(n * p.world.model.MemTime) }
 func (p *Proc) Idle(t float64) { p.world.t.Idle(p.rank, t) }
 
 // Send transmits data to process dst. The payload's wire size for cost
-// accounting is computed by BytesOf — payload types outside its table
-// implement Sized. tag is a protocol check: the matching Recv must ask
-// for the same tag. Send to self is a memory copy: it costs copy time but
-// no latency, and is delivered through the same FIFO so program structure
-// is uniform.
+// accounting is computed by BytesOf — payload types outside the payload
+// table implement Sized, and a payload with no price panics, which fails
+// the run. tag is a protocol check: the matching Recv must ask for the
+// same tag. Send to self is a memory copy: it costs copy time but no
+// latency, and is delivered through the same FIFO so program structure is
+// uniform.
 func (p *Proc) Send(dst, tag int, data any) {
-	p.sendSized(dst, tag, data, BytesOf(data))
-}
-
-// sendSized is the typed-send fast path: the caller (SendT, Chan) already
-// sized the payload statically, so the dynamic BytesOf switch is skipped.
-// The bytes value must equal BytesOf(data) — the typed layer guarantees it
-// so metering is identical on both paths.
-func (p *Proc) sendSized(dst, tag int, data any, bytes int) {
 	if dst < 0 || dst >= p.world.n {
 		panic(fmt.Sprintf("spmd: process %d sent to invalid rank %d (world size %d)", p.rank, dst, p.world.n))
 	}
-	p.world.t.Send(p.rank, dst, tag, data, bytes)
+	p.world.t.Send(p.rank, dst, tag, data, BytesOf(data))
 }
 
 // Recv receives the next message from src, which must carry the given tag

@@ -1,36 +1,11 @@
 package spmd
 
-// sizedComm is the internal fast-path seam of the typed send layer: a
-// communicator that accepts a payload the caller has already priced, so
-// the send skips the dynamic BytesOf switch. *Proc and *Group implement
-// it; foreign Comm implementations simply take the ordinary Send path.
-type sizedComm interface {
-	sendSized(dst, tag int, data any, bytes int)
-}
-
-// sendFast boxes v exactly once, prices the boxed value through
-// BytesOf's explicit table, and hands the pre-priced payload to the
-// communicator's sendSized seam, skipping Send's second boxing and
-// pricing pass. Unknown types (and foreign Comm implementations) take
-// the ordinary Send path; metering is identical either way because both
-// paths price through the same table.
-func sendFast[T any](c Comm, dst, tag int, v T) {
-	data := any(v)
-	if sc, ok := c.(sizedComm); ok {
-		if SizeKnown(data) {
-			sc.sendSized(dst, tag, data, BytesOf(data))
-			return
-		}
-	}
-	c.Send(dst, tag, data)
-}
-
 // SendT is the typed send over any communicator: the static counterpart
 // of Recv. The payload's wire size is metered automatically, like every
 // send. Using SendT (or a Chan) on both ends of a protocol makes a
 // payload-type mismatch a compile error instead of a runtime panic in
 // Recv.
-func SendT[T any](c Comm, dst, tag int, v T) { sendFast(c, dst, tag, v) }
+func SendT[T any](c Comm, dst, tag int, v T) { c.Send(dst, tag, v) }
 
 // Chan is a typed, tagged point-to-point link between this process and
 // one peer rank of a communicator: the pair (peer, tag) with the payload
@@ -51,8 +26,8 @@ func NewChan[T any](c Comm, peer, tag int) Chan[T] {
 	return Chan[T]{c: c, peer: peer, tag: tag}
 }
 
-// Send transmits v to the channel's peer on the typed fast path.
-func (ch Chan[T]) Send(v T) { sendFast(ch.c, ch.peer, ch.tag, v) }
+// Send transmits v to the channel's peer.
+func (ch Chan[T]) Send(v T) { ch.c.Send(ch.peer, ch.tag, v) }
 
 // Recv receives the next value from the channel's peer.
 func (ch Chan[T]) Recv() T { return Recv[T](ch.c, ch.peer, ch.tag) }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the wire codec: transports whose ranks do not share an
@@ -21,10 +22,10 @@ import (
 // Table types are self-describing (one kind byte, then fixed-width
 // little-endian data). Fallback types carry the first kind past the table
 // and an identifier from a process-local type registry, so only the
-// process that encoded one can decode it. That is the dist backend's shape — the coordinator encodes
-// on Send and decodes on Recv, workers forward opaque bytes — and it lets
-// the codec carry unexported generic types no cross-process registry
-// could name.
+// process that encoded one can decode it. That is the dist backend's shape
+// (the coordinator encodes on Send and decodes on Recv, workers forward
+// opaque bytes), and it lets the codec carry unexported generic types no
+// cross-process registry could name.
 
 // appendSliceLen encodes a slice length with the nil distinction: 0 means
 // nil, k+1 means a (possibly empty) slice of length k. DeepEqual-grade
@@ -41,10 +42,9 @@ func appendString(buf []byte, s string) []byte {
 }
 
 // AppendPayload appends the wire encoding of payload v to buf and returns
-// the extended buffer. It errors on payload types outside the codec's
-// vocabulary: not in the table, and not something the reflection fallback
-// can faithfully rebuild (pointers, maps, channels, funcs, interfaces,
-// structs with unexported fields).
+// the extended buffer. It errors on a type that is not in the table and
+// that the reflection fallback cannot faithfully rebuild (pointers, maps,
+// channels, funcs, interfaces, structs with unexported fields).
 func AppendPayload(buf []byte, v any) ([]byte, error) {
 	if d, _ := describe(v, false); d != nil {
 		return d.put(append(buf, d.kind), v), nil
@@ -57,40 +57,26 @@ func AppendPayload(buf []byte, v any) ([]byte, error) {
 	return appendReflectValue(buf, rv), nil
 }
 
-// wireTypes is the process-local registry backing the reflection
-// fallback: encode interns the payload's reflect.Type and ships the
-// identifier; decode resolves it back.
-var wireTypes = struct {
-	sync.RWMutex
-	byType map[reflect.Type]uint64
-	types  []reflect.Type
-}{byType: map[reflect.Type]uint64{}}
+// wireIDs and wireTypes are the process-local registry backing the
+// reflection fallback: encode interns the payload's reflect.Type and ships
+// the identifier; decode resolves it back. A type is stored under its
+// identifier before the identifier is published, so a decoder is never
+// handed one it cannot resolve; losing the race to publish strands an
+// identifier, which costs nothing.
+var (
+	wireIDs   sync.Map // reflect.Type -> uint64
+	wireTypes sync.Map // uint64 -> reflect.Type
+	wireNext  atomic.Uint64
+)
 
 func wireTypeID(t reflect.Type) uint64 {
-	wireTypes.RLock()
-	id, ok := wireTypes.byType[t]
-	wireTypes.RUnlock()
-	if ok {
-		return id
+	id, ok := wireIDs.Load(t)
+	if !ok {
+		fresh := wireNext.Add(1) - 1
+		wireTypes.Store(fresh, t)
+		id, _ = wireIDs.LoadOrStore(t, fresh)
 	}
-	wireTypes.Lock()
-	defer wireTypes.Unlock()
-	if id, ok := wireTypes.byType[t]; ok {
-		return id
-	}
-	id = uint64(len(wireTypes.types))
-	wireTypes.types = append(wireTypes.types, t)
-	wireTypes.byType[t] = id
-	return id
-}
-
-func wireTypeByID(id uint64) (reflect.Type, bool) {
-	wireTypes.RLock()
-	defer wireTypes.RUnlock()
-	if id >= uint64(len(wireTypes.types)) {
-		return nil, false
-	}
-	return wireTypes.types[id], true
+	return id.(uint64)
 }
 
 // checkWireable validates a fallback payload type up front so encoding
@@ -167,9 +153,8 @@ func (d *decoder) fail() {
 }
 
 func (d *decoder) take(n int) []byte {
-	// n > len-off (not off+n > len) so a corrupt huge length cannot
-	// overflow the addition into a passing check; n < 0 rejects lengths
-	// that overflowed an int conversion upstream.
+	// n > len-off (not off+n > len) so a huge length cannot overflow into
+	// a passing check; n < 0 rejects one that overflowed an int conversion.
 	if d.err != nil || n < 0 || n > len(d.b)-d.off {
 		d.fail()
 		return nil
@@ -233,8 +218,8 @@ func DecodePayload(b []byte) (any, int, error) {
 		d.err = fmt.Errorf("spmd: unknown wire kind %d", kind[0])
 	default:
 		id := d.uvarint()
-		if t, ok := wireTypeByID(id); ok {
-			rv := reflect.New(t).Elem()
+		if t, ok := wireTypes.Load(id); ok {
+			rv := reflect.New(t.(reflect.Type)).Elem()
 			d.reflectValue(rv)
 			v = rv.Interface()
 		} else if d.err == nil {
