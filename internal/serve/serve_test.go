@@ -451,6 +451,10 @@ func TestFailedRunReported(t *testing.T) {
 	if st2.Cached {
 		t.Error("failed result was served from the persistent cache")
 	}
+	// Its execution is counted below, so it must have happened by then.
+	if _, err := c2.Wait(ctx, st2.ID); err != nil {
+		t.Fatalf("post-restart Wait: %v", err)
+	}
 	// A resubmission on the original server retries (new execution)
 	// instead of returning the pinned failed job.
 	st3, err := c.Submit(ctx, sp)
