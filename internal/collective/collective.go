@@ -11,8 +11,9 @@
 //
 // Every process in the world must call the same collective in the same
 // order — the usual SPMD contract. Payload sizes for cost accounting come
-// from spmd.BytesOf; payload types outside its table should implement
-// spmd.Sized.
+// from spmd.BytesOf; payload types outside spmd's payload table implement
+// spmd.Sized (a slice of priced values, what AllGather broadcasts, is the
+// sum of its elements), and a payload with no price fails the run.
 package collective
 
 import (

@@ -13,14 +13,16 @@ import (
 // must never panic, and never allocate more than the payload table
 // guarantees: a slice length is believed only up to the elements the
 // remaining bytes can hold, so a fixed-width kind ([]T, [][4]float64, a
-// string) decodes into no more memory than its input occupied, and the
-// worst case left is [][]T — and the reflection fallback's slices —
-// where an element that costs one byte on the wire (an empty row's
-// header) costs a 24-byte slice header in memory. Whatever it does
-// accept must be a fixed point of the codec: re-encoding the decoded
-// value and decoding that again reproduces the same bytes, which is
-// DeepEqual identity in a form that survives NaNs and keeps nil apart
-// from empty (they encode differently).
+// string) decodes into no more memory than its input occupied (1x), and
+// the worst case left in the table is [][]T, where a row that costs one
+// byte on the wire (an empty row's header) costs a 24-byte slice header in
+// memory (24x). The reflection fallback's slices still believe one element
+// per remaining byte, so they are held to the same 24x: the seeds'
+// fallback types have no slice element larger than that. Whatever it does
+// accept must be a fixed point of the codec: re-encoding the decoded value
+// and decoding that again reproduces the same bytes, which is DeepEqual
+// identity in a form that survives NaNs and keeps nil apart from empty
+// (they encode differently).
 //
 // The seeds are read off the payload table: the round-trip corpus's
 // encodings (every registration, nil and empty of every slice type, the
@@ -58,7 +60,7 @@ func FuzzDecodePayload(f *testing.F) {
 		v, n, err := DecodePayload(in)
 		runtime.ReadMemStats(&after)
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(per*len(in)+64<<10); grew > limit {
-			t.Fatalf("decoding %d bytes of kind %d allocated %d (limit %d)", len(in), in[0], grew, limit)
+			t.Fatalf("decoding %d bytes (kind %x) allocated %d (limit %d)", len(in), in[:min(len(in), 1)], grew, limit)
 		}
 		if err != nil {
 			return
