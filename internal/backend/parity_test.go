@@ -159,13 +159,11 @@ func TestBackendParity(t *testing.T) {
 			wantErr: "payload type struct { X int } has no price",
 			prog: func(np int) (core.Program, func() any) {
 				return func(p *spmd.Proc) {
-					if next := p.Rank() + 1; next < p.N() {
-						p.Send(next, 1, struct{ X int }{7})
-					} else if p.N() == 1 {
-						p.Send(0, 1, struct{ X int }{7})
+					if p.Rank() == 0 {
+						p.Send(p.N()-1, 1, struct{ X int }{7})
 					}
-					if p.Rank() > 0 {
-						p.Recv(p.Rank()-1, 1)
+					if p.Rank() == p.N()-1 {
+						p.Recv(0, 1)
 					}
 				}, func() any { return nil }
 			},

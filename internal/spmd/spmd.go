@@ -195,7 +195,7 @@ func (w *World) Run(body func(p *Proc)) (*Result, error) {
 		return nil
 	}
 
-	errs := make([]error, w.n)
+	var errs []error
 	if d, ok := w.t.(backend.Driver); ok {
 		// The transport owns rank scheduling (elastic backends): it decides
 		// when and how often each rank body executes, and may re-execute a
@@ -214,6 +214,7 @@ func (w *World) Run(body func(p *Proc)) (*Result, error) {
 		}
 		errs = []error{d.Drive(run)}
 	} else {
+		errs = make([]error, w.n)
 		ro, _ := w.t.(backend.RankObserver)
 		var wg sync.WaitGroup
 		wg.Add(w.n)
@@ -239,11 +240,16 @@ func (w *World) Run(body func(p *Proc)) (*Result, error) {
 	// in order of precedence: the caller's cancellation, the first panic,
 	// then whatever the ranks (or the driving transport) returned, which
 	// after a panic is only the cancellation it caused.
-	for _, err := range append([]error{w.ctx.Err(), firstPanic}, errs...) {
-		if err != nil {
-			w.t.Finish()
-			return nil, err
-		}
+	err = w.ctx.Err()
+	if err == nil {
+		err = firstPanic
+	}
+	for i := 0; err == nil && i < len(errs); i++ {
+		err = errs[i]
+	}
+	if err != nil {
+		w.t.Finish()
+		return nil, err
 	}
 	return w.finishResult(), nil
 }
