@@ -202,8 +202,17 @@ type partial[T any] struct {
 	V       T
 }
 
-// VBytes implements spmd.Sized.
-func (x partial[T]) VBytes() int { return spmd.BytesOf(x.V) + 8 }
+// VBytes implements spmd.Sized. It runs once per send, and BytesOf's
+// parameter escapes, so pricing x.V there boxes it on the heap. The word
+// scalars that loop-control reductions carry are recognized first, by a
+// type switch whose box stays on the stack, at their table price of 8.
+func (x partial[T]) VBytes() int {
+	switch any(x.V).(type) {
+	case float64, int, int64:
+		return 8 + 8
+	}
+	return spmd.BytesOf(x.V) + 8
+}
 
 // AllReduce combines every process's value with op and returns the result
 // on all processes, using recursive doubling (Figure 9):

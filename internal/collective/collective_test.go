@@ -397,3 +397,28 @@ func TestAllReducePropertyRandomSizes(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPartialPrice: a recursive-doubling partial costs its payload's table
+// price plus the rank word, for the scalars VBytes recognizes without
+// asking BytesOf as for everything that falls through to it; pricing one
+// allocates only on the fallback.
+func TestPartialPrice(t *testing.T) {
+	check := func(name string, got int, v any) {
+		t.Helper()
+		if want := spmd.BytesOf(v) + 8; got != want {
+			t.Errorf("partial[%s].VBytes() = %d, want %d", name, got, want)
+		}
+	}
+	check("float64", partial[float64]{V: 1.5}.VBytes(), 1.5)
+	check("int", partial[int]{V: 7}.VBytes(), 7)
+	check("int64", partial[int64]{V: 7}.VBytes(), int64(7))
+	check("float32", partial[float32]{V: 1.5}.VBytes(), float32(1.5))
+	check("[2]int64", partial[[2]int64]{V: [2]int64{1, 2}}.VBytes(), [2]int64{1, 2})
+	check("[]float64", partial[[]float64]{V: []float64{1, 2, 3}}.VBytes(), []float64{1, 2, 3})
+
+	x := partial[float64]{MinRank: 1, V: math.Pi}
+	var s spmd.Sized = x // the one box a send pays
+	if n := testing.AllocsPerRun(100, func() { _ = s.VBytes() }); n != 0 {
+		t.Errorf("pricing a partial[float64] allocates %.0f objects, want 0", n)
+	}
+}

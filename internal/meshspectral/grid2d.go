@@ -23,6 +23,7 @@ type Grid2D[T any] struct {
 	ix0, ix1, iy0, iy1 int // owned global ranges [ix0,ix1) × [iy0,iy1)
 	loc                *array.Dense2D[T]
 	words              float64 // elemWords[T](), computed once
+	spare              [4][]T  // a halo buffer per neighbour: see ExchangeBoundary
 }
 
 // New2D creates this process's section of an NX×NY grid distributed
@@ -258,106 +259,110 @@ func (g *Grid2D[T]) neighbour(dx, dy int) int {
 	return g.L.Rank(nx, ny)
 }
 
+// Halo buffers are kept per neighbour; these index Grid2D.spare (Grid3D
+// uses the first two).
+const (
+	dirUp = iota
+	dirDown
+	dirLeft
+	dirRight
+)
+
 // ExchangeBoundary refreshes the ghost boundary with neighbours' boundary
 // values (Figure 8). Two phases — first along i, then along j including
 // the freshly received i-ghost rows — so diagonal (corner) ghost cells are
 // also correct, supporting 9-point stencils.
+//
+// In steady state the exchange allocates nothing. The grid keeps one spare
+// buffer per neighbour: a send packs into the spare and gives it away (on
+// sim and real a sent slice belongs to its receiver; dist and elastic have
+// encoded it by the time Send returns), and the halo then received from
+// that same neighbour — always the shape of the next send to it — is the
+// next spare once it is unpacked. dist and elastic decode into fresh
+// memory, which is kept just the same.
 func (g *Grid2D[T]) ExchangeBoundary() {
 	if g.H == 0 {
 		return
 	}
-	g.exchangeX()
-	g.exchangeY()
-}
-
-// packRows copies local rows [r0,r1) over local columns [c0,c1) into a
-// fresh slice.
-func (g *Grid2D[T]) packRows(r0, r1, c0, c1 int) []T {
-	out := make([]T, 0, (r1-r0)*(c1-c0))
-	for r := r0; r < r1; r++ {
-		out = append(out, g.loc.Row(r)[c0:c1]...)
-	}
-	return out
-}
-
-// unpackRows writes buf into local rows [r0,r1) over columns [c0,c1).
-func (g *Grid2D[T]) unpackRows(buf []T, r0, r1, c0, c1 int) {
-	k := 0
-	w := c1 - c0
-	for r := r0; r < r1; r++ {
-		copy(g.loc.Row(r)[c0:c1], buf[k:k+w])
-		k += w
-	}
-}
-
-func (g *Grid2D[T]) exchangeX() {
-	up := g.neighbour(-1, 0)
-	down := g.neighbour(1, 0)
 	H := g.H
-	lnx := g.ix1 - g.ix0
-	c0, c1 := H, H+g.iy1-g.iy0
-	if up >= 0 {
-		buf := g.packRows(H, 2*H, c0, c1)
-		g.p.MemWords(float64(len(buf)) * g.words)
-		spmd.SendT(g.p, up, tagHaloXLo, buf)
-	}
-	if down >= 0 {
-		buf := g.packRows(lnx, lnx+H, c0, c1)
-		g.p.MemWords(float64(len(buf)) * g.words)
-		spmd.SendT(g.p, down, tagHaloXHi, buf)
-	}
-	if down >= 0 {
-		buf := spmd.Recv[[]T](g.p, down, tagHaloXLo)
-		g.unpackRows(buf, lnx+H, lnx+2*H, c0, c1)
-		g.p.MemWords(float64(len(buf)) * g.words)
-	}
-	if up >= 0 {
-		buf := spmd.Recv[[]T](g.p, up, tagHaloXHi)
-		g.unpackRows(buf, 0, H, c0, c1)
-		g.p.MemWords(float64(len(buf)) * g.words)
-	}
-}
-
-func (g *Grid2D[T]) exchangeY() {
-	left := g.neighbour(0, -1)
-	right := g.neighbour(0, 1)
-	H := g.H
-	lny := g.iy1 - g.iy0
+	lnx, lny := g.ix1-g.ix0, g.iy1-g.iy0
+	up, down := g.neighbour(-1, 0), g.neighbour(1, 0)
+	g.sendHalo(dirUp, up, tagHaloXLo, H, 2*H, H, H+lny)
+	g.sendHalo(dirDown, down, tagHaloXHi, lnx, lnx+H, H, H+lny)
+	g.recvHalo(dirDown, down, tagHaloXLo, lnx+H, lnx+2*H, H, H+lny)
+	g.recvHalo(dirUp, up, tagHaloXHi, 0, H, H, H+lny)
 	// Full local height including i-ghost rows so corners are carried.
-	r0, r1 := 0, g.loc.NX
-	packCols := func(cl0, cl1 int) []T {
-		out := make([]T, 0, (r1-r0)*(cl1-cl0))
-		for r := r0; r < r1; r++ {
-			out = append(out, g.loc.Row(r)[cl0:cl1]...)
+	left, right := g.neighbour(0, -1), g.neighbour(0, 1)
+	g.sendHalo(dirLeft, left, tagHaloYLo, 0, g.loc.NX, H, 2*H)
+	g.sendHalo(dirRight, right, tagHaloYHi, 0, g.loc.NX, lny, lny+H)
+	g.recvHalo(dirRight, right, tagHaloYLo, 0, g.loc.NX, lny+H, lny+2*H)
+	g.recvHalo(dirLeft, left, tagHaloYHi, 0, g.loc.NX, 0, H)
+}
+
+// takeSpare empties *spare and returns it with length n, or a fresh slice
+// if it cannot hold n.
+func takeSpare[T any](spare *[]T, n int) []T {
+	buf := *spare
+	*spare = nil
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// checkHalo panics unless a halo received from rank from has want
+// elements: unpacking a short one would index past it, and a buffer of any
+// other length is not the next send's.
+func checkHalo(p spmd.Comm, from, tag, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("meshspectral: rank %d received a halo of %d elements from rank %d (tag %d), want %d",
+			p.Rank(), got, from, tag, want))
+	}
+}
+
+// sendHalo packs local rows [r0,r1) over local columns [c0,c1) into the
+// spare buffer of neighbour dir and sends it to rank to (no neighbour if
+// negative). A one-wide column is walked by stride.
+func (g *Grid2D[T]) sendHalo(dir, to, tag, r0, r1, c0, c1 int) {
+	if to < 0 {
+		return
+	}
+	w, ny := c1-c0, g.loc.NY
+	buf := takeSpare(&g.spare[dir], (r1-r0)*w)
+	src := g.loc.Data[r0*ny+c0:]
+	if w == 1 {
+		for k := range buf {
+			buf[k] = src[k*ny]
 		}
-		return out
-	}
-	unpackCols := func(buf []T, cl0, cl1 int) {
-		k := 0
-		w := cl1 - cl0
-		for r := r0; r < r1; r++ {
-			copy(g.loc.Row(r)[cl0:cl1], buf[k:k+w])
-			k += w
+	} else {
+		for k, r := 0, 0; k < len(buf); k, r = k+w, r+ny {
+			copy(buf[k:k+w], src[r:])
 		}
 	}
-	if left >= 0 {
-		buf := packCols(H, 2*H)
-		g.p.MemWords(float64(len(buf)) * g.words)
-		spmd.SendT(g.p, left, tagHaloYLo, buf)
+	g.p.MemWords(float64(len(buf)) * g.words)
+	spmd.SendT(g.p, to, tag, buf)
+}
+
+// recvHalo receives neighbour dir's halo from rank from, writes it into
+// local rows [r0,r1) over local columns [c0,c1) and keeps the buffer as
+// that neighbour's spare.
+func (g *Grid2D[T]) recvHalo(dir, from, tag, r0, r1, c0, c1 int) {
+	if from < 0 {
+		return
 	}
-	if right >= 0 {
-		buf := packCols(lny, lny+H)
-		g.p.MemWords(float64(len(buf)) * g.words)
-		spmd.SendT(g.p, right, tagHaloYHi, buf)
+	buf := spmd.Recv[[]T](g.p, from, tag)
+	w, ny := c1-c0, g.loc.NY
+	checkHalo(g.p, from, tag, len(buf), (r1-r0)*w)
+	dst := g.loc.Data[r0*ny+c0:]
+	if w == 1 {
+		for k, v := range buf {
+			dst[k*ny] = v
+		}
+	} else {
+		for k, r := 0, 0; k < len(buf); k, r = k+w, r+ny {
+			copy(dst[r:], buf[k:k+w])
+		}
 	}
-	if right >= 0 {
-		buf := spmd.Recv[[]T](g.p, right, tagHaloYLo)
-		unpackCols(buf, lny+H, lny+2*H)
-		g.p.MemWords(float64(len(buf)) * g.words)
-	}
-	if left >= 0 {
-		buf := spmd.Recv[[]T](g.p, left, tagHaloYHi)
-		unpackCols(buf, 0, H)
-		g.p.MemWords(float64(len(buf)) * g.words)
-	}
+	g.spare[dir] = buf
+	g.p.MemWords(float64(len(buf)) * g.words)
 }

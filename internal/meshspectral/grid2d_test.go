@@ -138,7 +138,6 @@ func TestExchangeBoundaryAllLayouts(t *testing.T) {
 func TestExchangeBoundaryPeriodic(t *testing.T) {
 	const nx, ny = 8, 8
 	val := func(i, j int) float64 { return float64(i*1000 + j) }
-	wrap := func(v, n int) int { return ((v % n) + n) % n }
 	for _, l := range []Layout{Rows(4), Cols(4), Blocks(2, 2)} {
 		run(t, 4, func(p *spmd.Proc) {
 			g := New2D[float64](p, nx, ny, l, 1)

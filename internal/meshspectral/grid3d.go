@@ -22,6 +22,7 @@ type Grid3D[T any] struct {
 	ix0, ix1 int
 	loc      *array.Dense3D[T]
 	words    float64 // elemWords[T](), computed once
+	spare    [2][]T  // a halo buffer per neighbour: see Grid2D.ExchangeBoundary
 }
 
 // New3D creates this process's slab of an NX×NY×NZ grid with ghost width
@@ -134,61 +135,50 @@ func (g *Grid3D[T]) Assign(flopsPerPoint float64, f func(gi, gj, z0, z1 int, out
 }
 
 // ExchangeBoundary refreshes the ghost planes with the neighbouring
-// slabs' boundary planes.
+// slabs' boundary planes. Halo buffers are reused under Grid2D's rule.
 func (g *Grid3D[T]) ExchangeBoundary() {
 	if g.H == 0 {
 		return
 	}
-	p := g.p
-	n := p.N()
-	rank := p.Rank()
-	up, down := rank-1, rank+1
+	n := g.p.N()
+	up, down := g.p.Rank()-1, g.p.Rank()+1
 	if g.perX {
-		up = (up + n) % n
-		down = down % n
-	} else {
-		if up < 0 {
-			up = -1
-		}
-		if down >= n {
-			down = -1
-		}
+		up, down = (up+n)%n, down%n
+	} else if down >= n {
+		down = -1
 	}
-	H := g.H
 	lnx := g.ix1 - g.ix0
+	g.sendHalo(dirUp, up, tagHalo3Lo, g.H)
+	g.sendHalo(dirDown, down, tagHalo3Hi, lnx)
+	g.recvHalo(dirDown, down, tagHalo3Lo, lnx+g.H)
+	g.recvHalo(dirUp, up, tagHalo3Hi, 0)
+}
+
+// sendHalo sends local planes [l0, l0+H), contiguous in storage, to rank
+// to (no neighbour if negative) in the spare buffer of neighbour dir.
+func (g *Grid3D[T]) sendHalo(dir, to, tag, l0 int) {
+	if to < 0 {
+		return
+	}
 	plane := g.NY * g.NZ
-	pack := func(l0 int) []T {
-		out := make([]T, 0, H*plane)
-		for l := l0; l < l0+H; l++ {
-			out = append(out, g.loc.Plane(l)...)
-		}
-		return out
+	buf := takeSpare(&g.spare[dir], g.H*plane)
+	copy(buf, g.loc.Data[l0*plane:])
+	g.p.MemWords(float64(len(buf)) * g.words)
+	spmd.SendT(g.p, to, tag, buf)
+}
+
+// recvHalo receives neighbour dir's halo from rank from into local planes
+// [l0, l0+H) and keeps the buffer as that neighbour's spare.
+func (g *Grid3D[T]) recvHalo(dir, from, tag, l0 int) {
+	if from < 0 {
+		return
 	}
-	unpack := func(buf []T, l0 int) {
-		for h := 0; h < H; h++ {
-			copy(g.loc.Plane(l0+h), buf[h*plane:(h+1)*plane])
-		}
-	}
-	if up >= 0 {
-		buf := pack(H)
-		p.MemWords(float64(len(buf)) * g.words)
-		spmd.SendT(p, up, tagHalo3Lo, buf)
-	}
-	if down >= 0 {
-		buf := pack(lnx)
-		p.MemWords(float64(len(buf)) * g.words)
-		spmd.SendT(p, down, tagHalo3Hi, buf)
-	}
-	if down >= 0 {
-		buf := spmd.Recv[[]T](p, down, tagHalo3Lo)
-		unpack(buf, lnx+H)
-		p.MemWords(float64(len(buf)) * g.words)
-	}
-	if up >= 0 {
-		buf := spmd.Recv[[]T](p, up, tagHalo3Hi)
-		unpack(buf, 0)
-		p.MemWords(float64(len(buf)) * g.words)
-	}
+	buf := spmd.Recv[[]T](g.p, from, tag)
+	plane := g.NY * g.NZ
+	checkHalo(g.p, from, tag, len(buf), g.H*plane)
+	copy(g.loc.Data[l0*plane:], buf)
+	g.spare[dir] = buf
+	g.p.MemWords(float64(len(buf)) * g.words)
 }
 
 // slab3 is a contiguous range of i-planes in transit during gather.
