@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/array"
 	"repro/internal/core"
@@ -27,54 +28,177 @@ import (
 // inverse transform is computed including the 1/n scaling. The standard
 // ~5·n·log2(n) floating-point operations are charged to m.
 func Transform(m core.Meter, a []complex128, inverse bool) {
-	n := len(a)
-	if n == 0 {
+	TransformRows(m, a, 1, len(a), inverse)
+}
+
+// rowsChunk is how many scalars of rows TransformRows takes through all
+// its levels at once: 16 KiB stays in L1 (EXPERIMENTS.md has the sweep).
+const rowsChunk = 1024
+
+// TransformRows transforms in place each of the nx rows of the row-major
+// nx×ny array a, level by level over blocks of whole rows, with a
+// row-by-row Transform's butterflies, twiddles and so output bits, and
+// its Flops charges: one per row, in row order.
+func TransformRows(m core.Meter, a []complex128, nx, ny int, inverse bool) {
+	p, tw, logn := planFor("TransformRows", a, nx, ny, ny, inverse)
+	if p == nil {
 		return
 	}
-	if n&(n-1) != 0 {
-		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
+	chunk := max(1, rowsChunk/ny) * ny
+	for lo := 0; lo < len(a); lo += chunk {
+		b := a[lo:min(lo+chunk, len(a))]
+		for row := 0; row < len(b); row += ny {
+			r := b[row : row+ny]
+			for _, s := range p.swaps {
+				r[s[0]], r[s[1]] = r[s[1]], r[s[0]]
+			}
+		}
+		for half := 1; half < ny; half <<= 1 {
+			size := 2 * half
+			for k, w := range tw[half:size] {
+				for s := k; s < len(b); s += size {
+					u, v := b[s], b[s+half]*w
+					b[s], b[s+half] = u+v, u-v
+				}
+			}
+		}
+		scale(b, ny, inverse)
 	}
-	logn := bits.TrailingZeros(uint(n))
+	charge(m, nx, ny, logn)
+}
 
-	// Bit-reversal permutation.
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse(uint(i)) >> (bits.UintSize - logn))
-		if j > i {
-			a[i], a[j] = a[j], a[i]
+// TransformCols transforms in place each of the ny columns of the
+// row-major nx×ny array a, bit for bit and charge for charge as Transform
+// of each column copied out and back would, but copying nothing: the bit
+// reversal swaps whole rows, each butterfly spans a pair of rows.
+func TransformCols(m core.Meter, a []complex128, nx, ny int, inverse bool) {
+	p, tw, logn := planFor("TransformCols", a, nx, ny, nx, inverse)
+	if p == nil {
+		return
+	}
+	for _, s := range p.swaps {
+		x, y := a[int(s[0])*ny:][:ny], a[int(s[1])*ny:][:ny]
+		for c := range x {
+			x[c], y[c] = y[c], x[c]
 		}
 	}
-
-	steps := &stepFwd
-	if inverse {
-		steps = &stepInv
-	}
-	for l, size := 1, 2; size <= n; l, size = l+1, size<<1 {
-		half := size >> 1
-		wstep := steps[l]
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				u := a[start+k]
-				v := a[start+k+half] * w
-				a[start+k] = u + v
-				a[start+k+half] = u - v
-				w *= wstep
+	for half := 1; half < nx; half <<= 1 {
+		for start := 0; start < nx; start += 2 * half {
+			for k, w := range tw[half : 2*half] {
+				x, y := a[(start+k)*ny:][:ny], a[(start+k+half)*ny:][:ny]
+				for c := range x {
+					u, v := x[c], y[c]*w
+					x[c], y[c] = u+v, u-v
+				}
 			}
 		}
 	}
+	scale(a, nx, inverse)
+	charge(m, ny, nx, logn)
+}
+
+// planFor checks that a is an nx×ny array whose transforms have length
+// n, and returns n's plan, its twiddles for the direction and log2(n),
+// or a nil plan when there is nothing to transform.
+func planFor(kernel string, a []complex128, nx, ny, n int, inverse bool) (*plan, []complex128, int) {
+	switch {
+	case nx < 0 || ny < 0:
+		panic(fmt.Sprintf("fft: %s of %d×%d (len(a) = %d): negative dimension", kernel, nx, ny, len(a)))
+	case len(a) != nx*ny:
+		panic(fmt.Sprintf("fft: %s of %d×%d (len(a) = %d): want len(a) = nx·ny", kernel, nx, ny, len(a)))
+	case n&(n-1) != 0:
+		panic(fmt.Sprintf("fft: %s of %d×%d (len(a) = %d): length %d is not a power of two", kernel, nx, ny, len(a), n))
+	case len(a) == 0:
+		return nil, nil, 0
+	}
+	logn := bits.TrailingZeros(uint(n))
+	p := planOf(logn)
+	if inverse {
+		return p, p.inv, logn
+	}
+	return p, p.fwd, logn
+}
+
+// scale applies the inverse transform's 1/n to every scalar of a.
+func scale(a []complex128, n int, inverse bool) {
 	if inverse {
 		inv := complex(1/float64(n), 0)
 		for i := range a {
 			a[i] *= inv
 		}
 	}
-	m.Flops(5 * float64(n) * float64(logn))
+}
+
+// charge makes the count Flops charges that count length-n transforms
+// make one by one: a single summed charge would round differently on a
+// virtual clock.
+func charge(m core.Meter, count, n, logn int) {
+	for range count {
+		m.Flops(5 * float64(n) * float64(logn))
+	}
+}
+
+// A plan is what every transform of one length n = 2^logn shares: the
+// bit-reversal permutation as (i, j) swap pairs with i < j, and each
+// direction's twiddles, those of butterfly level half at [half, 2·half)
+// (int32 indices: no row of 2^31 complex128s fits in memory).
+type plan struct {
+	swaps    [][2]int32
+	fwd, inv []complex128
+}
+
+// maxCachedLog bounds the plans kept, to 2^16 points: a plan costs about
+// 2.3× its input (≈ 2.4 MB for the largest) and archserve accepts any fft
+// size. A longer transform builds its plan per call, O(n) beside its
+// O(n log n).
+const maxCachedLog = 16
+
+var plans [bits.UintSize]atomic.Pointer[plan]
+
+// planOf returns the plan of length 2^logn. Goroutines that race to
+// build one build the same bits, so whichever store lands is right.
+func planOf(logn int) *plan {
+	if logn > maxCachedLog {
+		return newPlan(logn)
+	}
+	p := plans[logn].Load()
+	if p == nil {
+		p = newPlan(logn)
+		plans[logn].Store(p)
+	}
+	return p
+}
+
+func newPlan(logn int) *plan {
+	n := 1 << logn
+	p := &plan{swaps: make([][2]int32, 0, n/2), fwd: twiddles(n, &stepFwd), inv: twiddles(n, &stepInv)}
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse(uint(i)) >> (bits.UintSize - logn)); j > i {
+			p.swaps = append(p.swaps, [2]int32{int32(i), int32(j)})
+		}
+	}
+	return p
+}
+
+// twiddles tabulates one direction's twiddles for length n by the
+// recurrence w *= steps[l] from w = 1 that the butterfly loop once ran
+// per block, so every entry is bit-equal to what that loop multiplied by.
+func twiddles(n int, steps *[bits.UintSize - 1]complex128) []complex128 {
+	t := make([]complex128, n)
+	for l, half := 1, 1; half < n; l, half = l+1, half<<1 {
+		w := complex(1, 0)
+		for k := half; k < 2*half; k++ {
+			t[k] = w
+			w *= steps[l]
+		}
+	}
+	return t
 }
 
 // stepFwd[l] and stepInv[l] are the twiddle steps of butterfly size 2^l,
-// e^{-2πi/2^l} forward and e^{+2πi/2^l} inverse, computed once: per
-// Transform call they would be log2(n) cos/sin pairs, as dear as the
-// ~800 flops of a 32-point transform.
+// e^{-2πi/2^l} forward and e^{+2πi/2^l} inverse, computed once for every
+// size: the recurrence that builds each plan's twiddles multiplies by
+// them, and an uncached plan is built per call.
 var stepFwd, stepInv = stepTable(-1), stepTable(1)
 
 // stepTable evaluates e^{sign·2πi/2^l} for every butterfly size an int
@@ -113,16 +237,9 @@ func DFT(a []complex128, inverse bool) []complex128 {
 // TwoDSeq performs the 2D transform of a dense array sequentially (row
 // FFTs then column FFTs) — the original sequential algorithm of §3.5.1.
 func TwoDSeq(m core.Meter, a *array.Dense2D[complex128], inverse bool) {
-	for i := 0; i < a.NX; i++ {
-		Transform(m, a.Row(i), inverse)
-	}
-	col := make([]complex128, a.NX)
-	for j := 0; j < a.NY; j++ {
-		a.Col(j, col)
-		Transform(m, col, inverse)
-		a.SetCol(j, col)
-	}
-	m.MemWords(float64(4 * a.NX * a.NY)) // column copy traffic (complex = 2 words)
+	TransformRows(m, a.Data, a.NX, a.NY, inverse)
+	TransformCols(m, a.Data, a.NX, a.NY, inverse)
+	m.MemWords(float64(4 * a.NX * a.NY)) // the model's column copy traffic (complex = 2 words)
 }
 
 // TwoDV1 is the initial archetype-based version (Figure 10): a forall

@@ -86,12 +86,8 @@ func pipeline(workers []int) *stream.Pipeline[complex128] {
 				Name:    "rowfft",
 				Workers: workers[0],
 				Fn: func(c arch.Comm, _ any, in []complex128) []complex128 {
-					for off := 0; off < len(in); off += width {
-						frame := in[off : off+width]
-						for i := 0; i < Edge; i++ {
-							fft.Transform(c, frame[i*Edge:(i+1)*Edge], false)
-						}
-					}
+					// A batch's rows, frame after frame, are one array.
+					fft.TransformRows(c, in, len(in)/Edge, Edge, false)
 					return in
 				},
 			},
@@ -99,15 +95,9 @@ func pipeline(workers []int) *stream.Pipeline[complex128] {
 				Name:    "colfft",
 				Workers: workers[1],
 				Fn: func(c arch.Comm, _ any, in []complex128) []complex128 {
-					col := make([]complex128, Edge)
 					for off := 0; off < len(in); off += width {
-						a := &array.Dense2D[complex128]{NX: Edge, NY: Edge, Data: in[off : off+width]}
-						for j := 0; j < Edge; j++ {
-							a.Col(j, col)
-							fft.Transform(c, col, false)
-							a.SetCol(j, col)
-						}
-						c.MemWords(float64(4 * Edge * Edge)) // column copy traffic
+						fft.TransformCols(c, in[off:off+width], Edge, Edge, false)
+						c.MemWords(float64(4 * Edge * Edge)) // fft.TwoDSeq's column copy charge
 					}
 					return in
 				},
