@@ -9,7 +9,6 @@ import (
 	"repro/internal/figures"
 	"repro/internal/hostbench"
 	"repro/internal/machine"
-	"repro/internal/pipeline"
 	"repro/internal/sortapp"
 	"repro/internal/spmd"
 )
@@ -153,26 +152,6 @@ func BenchmarkMachineSweep(b *testing.B) {
 		}
 		if i == 0 {
 			b.ReportMetric(curves[3].SpeedupAt(64)/curves[2].SpeedupAt(64), "smp/workstations@64")
-		}
-	}
-}
-
-// BenchmarkPipelineOverlap measures the archetype-composition extension:
-// the metric is lockstep time over overlapped time (>1 means composition
-// pays).
-func BenchmarkPipelineOverlap(b *testing.B) {
-	fill := func(f, i, j int) complex128 { return complex(float64(i+f), float64(j)) }
-	for i := 0; i < b.N; i++ {
-		over, _, err := pipeline.Makespan(8, 64, 6, pipeline.Overlapped, machine.IBMSP(), fill)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lock, _, err := pipeline.Makespan(8, 64, 6, pipeline.Lockstep, machine.IBMSP(), fill)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(lock/over, "lockstep/overlapped")
 		}
 	}
 }

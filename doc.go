@@ -108,17 +108,16 @@
 //	internal/streamfft    streaming app: FFT frames through row/column farms
 //	internal/streamhist   streaming app: windowed histogram aggregation
 //	internal/spmd         SPMD process runtime over any backend; typed,
-//	                      self-metering messaging (SendT, Chan, BytesOf)
+//	                      self-metering messaging (SendT, BytesOf)
 //	internal/collective   broadcast/gather/scatter/all-to-all/reduce/barrier
 //	internal/onedeep      one-deep divide-and-conquer archetype + the
 //	                      traditional recursive baseline
 //	internal/meshspectral distributed 2D/3D grids: ghost exchange,
-//	                      redistribution, row/column ops, globals, grid I/O
+//	                      redistribution, whole-block row/column ops,
+//	                      globals, grid I/O
 //	internal/<app>        the applications listed above, each registering
 //	                      itself with the arch facade
 //	internal/figures      regenerates every evaluation figure of the paper
-//	internal/pipeline     archetype composition: task-parallel pipeline of
-//	                      data-parallel stages over process groups
 //	internal/bnb          the nondeterministic branch-and-bound archetype
 //	internal/perfmodel    closed-form performance models, simulator-validated
 //	cmd/archbench         CLI for the figures
@@ -126,7 +125,7 @@
 //	                      locally or against archserve (-remote)
 //	cmd/archserve         the archetype service daemon
 //	cmd/archworker        standalone worker (dist attach/join, elastic join)
-//	examples/             twelve runnable walkthroughs; quickstart, sorting,
+//	examples/             eleven runnable walkthroughs; quickstart, sorting,
 //	                      and poisson go through the arch facade
 //
 // The benchmarks in bench_test.go regenerate one figure each; see

@@ -10,13 +10,16 @@ import (
 	_ "repro/arch/apps"
 )
 
-// goldenCharges pins what the five mesh apps charge and send on the
+// goldenCharges pins what the six mesh apps charge and send on the
 // simulator: the makespan as exact float64 bits (every Flops / MemWords
 // call and every message feeds it), the message and byte meters, and the
-// one-line result summary. The rows were captured at commit 3f78bfc, before
-// the apps moved from per-point to row-span grid operations; a kernel
-// change that keeps its arithmetic and its charges leaves them untouched,
-// and one that does not fails here rather than in a figure table.
+// one-line result summary. The rows of the five grid-operation apps were
+// captured at commit 3f78bfc, before they moved from per-point to row-span
+// grid operations; the fft rows at commit e2845b9, before its row and
+// column operations moved from per-row / per-column callbacks to whole
+// blocks. A kernel change that keeps its arithmetic and its charges leaves
+// them untouched, and one that does not fails here rather than in a figure
+// table.
 var goldenCharges = []struct {
 	app         string
 	size, procs int
@@ -39,6 +42,9 @@ var goldenCharges = []struct {
 	{"swirl", 16, 1, 0x3f9a2fec81c8ee39, 0, 0, "swirl 17x16, 50 steps, kinetic energy 241.9379"},
 	{"swirl", 16, 2, 0x3f986b362ee61c99, 201, 226336, "swirl 17x16, 50 steps, kinetic energy 241.9379"},
 	{"swirl", 16, 4, 0x3f92e5031e54f360, 1203, 368224, "swirl 17x16, 50 steps, kinetic energy 241.9379"},
+	{"fft", 32, 1, 0x3f66504e770671c0, 0, 0, "2D FFT 32x32 forward+inverse (roundtrip error 1.4e-15)"},
+	{"fft", 32, 2, 0x3f61f9f764c49f9a, 10, 33056, "2D FFT 32x32 forward+inverse (roundtrip error 1.4e-15)"},
+	{"fft", 32, 4, 0x3f56d6b12729e589, 56, 50816, "2D FFT 32x32 forward+inverse (roundtrip error 1.4e-15)"},
 }
 
 func TestMeshAppChargesGolden(t *testing.T) {

@@ -9,11 +9,9 @@ import (
 	"repro/internal/cfd"
 	"repro/internal/collective"
 	"repro/internal/core"
-	"repro/internal/fft"
 	"repro/internal/machine"
 	"repro/internal/meshspectral"
 	"repro/internal/onedeep"
-	"repro/internal/pipeline"
 	"repro/internal/poisson"
 	"repro/internal/skyline"
 	"repro/internal/sortapp"
@@ -131,38 +129,6 @@ func TestSkylineThroughFullStack(t *testing.T) {
 	}
 	if res.Msgs == 0 {
 		t.Fatal("expected real communication")
-	}
-}
-
-// TestComposedPipelineMatchesMonolithicFFT cross-checks the composition
-// extension against the plain mesh-spectral FFT.
-func TestComposedPipelineMatchesMonolithicFFT(t *testing.T) {
-	const n, procs = 32, 4
-	fill := func(f, i, j int) complex128 {
-		return complex(float64(i%5)-2, float64(j%3)-1)
-	}
-	_, frames, err := pipeline.Makespan(procs, n, 2, pipeline.Overlapped, machine.IBMSP(), fill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f, frame := range frames {
-		var mono []complex128
-		if _, err := core.Simulate(procs, machine.IBMSP(), func(p *spmd.Proc) {
-			g := meshspectral.New2D[complex128](p, n, n, meshspectral.Rows(procs), 0)
-			g.Fill(func(i, j int) complex128 { return fill(f, i, j) })
-			out := fft.TwoDSPMD(p, g, false)
-			full := meshspectral.GatherGrid(out, 0)
-			if p.Rank() == 0 {
-				mono = full.Data
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for k := range mono {
-			if frame.Data[k] != mono[k] {
-				t.Fatalf("frame %d: pipeline differs from monolithic FFT at %d", f, k)
-			}
-		}
 	}
 }
 

@@ -257,17 +257,14 @@ func TwoDV1(mode core.Mode, a *array.Dense2D[complex128], inverse bool) {
 }
 
 // TwoDSPMD is the SPMD version (Figure 11) as process p's body. rows is
-// this process's section of the grid distributed by rows; the transform
-// happens in place through redistribution: row FFTs, redistribute to
-// columns, column FFTs, redistribute back to the original distribution.
+// this process's section of the grid distributed by rows (halo 0); the
+// transform happens in place through redistribution: the row kernel on
+// the owned row block, redistribute to columns, the column kernel on the
+// owned column block, redistribute back to the original distribution.
 // The returned grid holds the transformed data distributed by rows.
 func TwoDSPMD(p spmd.Comm, rows *meshspectral.Grid2D[complex128], inverse bool) *meshspectral.Grid2D[complex128] {
-	rows.RowOp(func(gi int, row []complex128) {
-		Transform(p, row, inverse)
-	})
+	rows.RowOp(func(a []complex128, nx, ny int) { TransformRows(p, a, nx, ny, inverse) })
 	cols := rows.Redistribute(meshspectral.Cols(p.N()))
-	cols.ColOp(func(gj int, col []complex128) {
-		Transform(p, col, inverse)
-	})
+	cols.ColOp(func(a []complex128, nx, ny int) { TransformCols(p, a, nx, ny, inverse) })
 	return cols.Redistribute(meshspectral.Rows(p.N()))
 }

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/arch"
 	"repro/internal/array"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -368,6 +370,26 @@ func BenchmarkTwoDSeq(b *testing.B) {
 				TwoDSeq(core.Nop, a, false)
 			}
 			sink = a.Data
+		})
+	}
+}
+
+// BenchmarkTwoDSPMD is batch-compute's fft share: Program() at 512 — a
+// forward and an inverse TwoDSPMD of a 512² grid, distributed by rows,
+// and the round-trip check — on the real backend at P=1 and P=2.
+func BenchmarkTwoDSPMD(b *testing.B) {
+	onReal, err := arch.ResolveBackend("real")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := arch.Run(context.Background(), Program(), 512, arch.WithBackend(onReal), arch.WithProcs(procs)); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -1,6 +1,9 @@
 package meshspectral
 
 import (
+	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/array"
@@ -60,16 +63,40 @@ func TestRedistributeWithEmptySections(t *testing.T) {
 	})
 }
 
+// TestRowOpOnEmptySection: a rank that owns no rows (no columns) still
+// runs the row (column) operation once, on an empty block, and is charged
+// what the per-row (per-column) forms charged it: nothing for the rows,
+// a zero-word move for the columns.
 func TestRowOpOnEmptySection(t *testing.T) {
+	var empty atomic.Int32
 	run(t, 4, func(p *spmd.Proc) {
-		g := New2D[float64](p, 2, 4, Rows(4), 0)
-		calls := 0
-		g.RowOp(func(gi int, row []float64) { calls++ })
-		x0, x1 := g.OwnedX()
-		if calls != x1-x0 {
-			t.Errorf("rank %d: RowOp ran %d times for %d rows", p.Rank(), calls, x1-x0)
+		rows := New2D[float64](p, 2, 4, Rows(4), 0)
+		cols := New2D[float64](p, 4, 2, Cols(4), 0)
+		x0, x1 := rows.OwnedX()
+		y0, y1 := cols.OwnedY()
+		if (x1 == x0) != (y1 == y0) {
+			t.Errorf("rank %d owns rows [%d,%d) but columns [%d,%d)", p.Rank(), x0, x1, y0, y1)
+		}
+		if x1 > x0 {
+			return
+		}
+		empty.Add(1)
+		tap := &chargeTap{Comm: p}
+		rows, cols = New2D[float64](tap, 2, 4, Rows(4), 0), New2D[float64](tap, 4, 2, Cols(4), 0)
+		var blocks []string
+		f := func(b []float64, nx, ny int) { blocks = append(blocks, fmt.Sprintf("%d×%d len %d", nx, ny, len(b))) }
+		rows.RowOp(f)
+		cols.ColOp(f)
+		if want := []string{"0×4 len 0", "4×0 len 0"}; !slices.Equal(blocks, want) {
+			t.Errorf("rank %d: blocks %v, want %v", p.Rank(), blocks, want)
+		}
+		if want := []string{"MemWords(0)"}; !slices.Equal(tap.charges, want) {
+			t.Errorf("rank %d: charges %v, want %v", p.Rank(), tap.charges, want)
 		}
 	})
+	if empty.Load() != 2 {
+		t.Errorf("%d of 4 ranks own no rows of 2, want 2", empty.Load())
+	}
 }
 
 func TestOneByOneGrid(t *testing.T) {

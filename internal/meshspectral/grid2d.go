@@ -184,41 +184,39 @@ func (g *Grid2D[T]) CopyFrom(src *Grid2D[T]) {
 	g.p.MemWords(float64((g.ix1-g.ix0)*(g.iy1-g.iy0)) * g.words)
 }
 
-// RowOp applies f to every owned row (§3.1 row operations). The grid must
-// be distributed by rows; rows are passed as contiguous slices of length
-// NY aliasing local storage, and f may modify them in place. f receives
-// the global row index. Work should be charged by the caller through the
-// grid's Proc.
-func (g *Grid2D[T]) RowOp(f func(gi int, row []T)) {
-	if g.L.PY != 1 {
-		panic(fmt.Sprintf("meshspectral: row operation requires distribution by rows, grid is %v", g.L))
-	}
-	for gi := g.ix0; gi < g.ix1; gi++ {
-		row := g.loc.Row(gi - g.ix0 + g.H)
-		f(gi, row[g.H:g.H+g.NY])
-	}
+// RowOp performs a row operation (§3.1) on the whole owned block: f is
+// called once with the owned rows as one row-major nx×ny block aliasing
+// local storage — nx owned rows (possibly none), ny = NY — and transforms
+// it in place. The grid must be distributed by rows with halo 0, so the
+// block is the local section. f charges its own work, through the grid's
+// Proc.
+func (g *Grid2D[T]) RowOp(f func(block []T, nx, ny int)) {
+	checkBlockOp("row", "rows", g.L.PY == 1, g.L, g.H)
+	f(g.loc.Data, g.ix1-g.ix0, g.NY)
 }
 
-// ColOp applies f to every owned column (§3.1 column operations). The
-// grid must be distributed by columns. Columns are copied into a
-// contiguous buffer for f and copied back afterwards, with the movement
-// charged; f receives the global column index.
-func (g *Grid2D[T]) ColOp(f func(gj int, col []T)) {
-	if g.L.PX != 1 {
-		panic(fmt.Sprintf("meshspectral: column operation requires distribution by columns, grid is %v", g.L))
-	}
-	buf := make([]T, g.NX)
-	for gj := g.iy0; gj < g.iy1; gj++ {
-		lj := gj - g.iy0 + g.H
-		for i := 0; i < g.NX; i++ {
-			buf[i] = g.loc.At(i+g.H, lj)
-		}
-		f(gj, buf)
-		for i := 0; i < g.NX; i++ {
-			g.loc.Set(i+g.H, lj, buf[i])
-		}
-	}
+// ColOp performs a column operation (§3.1) on the whole owned block: f is
+// called once with the owned columns as one row-major nx×ny block aliasing
+// local storage — nx = NX, ny owned columns (possibly none), so column k
+// is every ny-th element from k — and transforms it in place. The grid
+// must be distributed by columns with halo 0. f charges its own work;
+// after it, ColOp charges the movement of copying every owned column out
+// and back (2·NX·ny elements), which the machine model prices the
+// operation with although nothing is copied.
+func (g *Grid2D[T]) ColOp(f func(block []T, nx, ny int)) {
+	checkBlockOp("column", "columns", g.L.PX == 1, g.L, g.H)
+	f(g.loc.Data, g.NX, g.iy1-g.iy0)
 	g.p.MemWords(2 * float64(g.NX*(g.iy1-g.iy0)) * g.words)
+}
+
+// checkBlockOp panics, naming the grid's layout and halo, unless a grid
+// can hand its owned block to a row or column operation as it is stored:
+// distributed by rows (columns) and with no ghost boundary.
+func checkBlockOp(op, by string, distributed bool, l Layout, halo int) {
+	if !distributed || halo != 0 {
+		panic(fmt.Sprintf("meshspectral: %s operation requires a grid distributed by %s with halo 0, grid is %v with halo %d",
+			op, by, l, halo))
+	}
 }
 
 // elemWords estimates 8-byte words per element of type T for cost

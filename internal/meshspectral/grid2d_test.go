@@ -1,6 +1,8 @@
 package meshspectral
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/array"
@@ -222,58 +224,134 @@ func TestRedistributeSameLayoutIsCopy(t *testing.T) {
 	}
 }
 
-func TestRowOpAndColOp(t *testing.T) {
-	const nx, ny = 8, 8
-	reverse := func(row []float64) {
-		for i, j := 0, len(row)-1; i < j; i, j = i+1, j-1 {
-			row[i], row[j] = row[j], row[i]
-		}
-	}
-	// Sequential reference: reverse rows then reverse columns.
-	ref := array.New2D[float64](nx, ny)
-	ref.Fill(func(i, j int) float64 { return float64(i*100 + j) })
-	for i := 0; i < nx; i++ {
-		reverse(ref.Row(i))
-	}
-	for j := 0; j < ny; j++ {
-		col := ref.Col(j, nil)
-		reverse(col)
-		ref.SetCol(j, col)
-	}
+// chargeTap records every Flops and MemWords charge, in order, on its way
+// to the process.
+type chargeTap struct {
+	spmd.Comm
+	charges []string
+}
 
-	var got *array.Dense2D[float64]
-	run(t, 4, func(p *spmd.Proc) {
-		g := New2D[float64](p, nx, ny, Rows(4), 0)
-		g.Fill(func(i, j int) float64 { return float64(i*100 + j) })
-		g.RowOp(func(gi int, row []float64) { reverse(row) })
-		gc := g.Redistribute(Cols(4))
-		gc.ColOp(func(gj int, col []float64) { reverse(col) })
-		full := GatherGrid(gc, 0)
-		if p.Rank() == 0 {
-			got = full
+func (c *chargeTap) Flops(n float64) {
+	c.charges = append(c.charges, fmt.Sprintf("Flops(%g)", n))
+	c.Comm.Flops(n)
+}
+
+func (c *chargeTap) MemWords(n float64) {
+	c.charges = append(c.charges, fmt.Sprintf("MemWords(%g)", n))
+	c.Comm.MemWords(n)
+}
+
+// reverseLines reverses n lines of length elements of a row-major block in
+// place, line l starting at l·step and its elements stride apart, charging
+// Flops(length) per line as a per-line kernel would; lineCharges is what
+// a chargeTap records for that.
+func reverseLines(m spmd.Comm, a []float64, n, step, stride, length int) {
+	for l := 0; l < n; l++ {
+		for i, j := l*step, l*step+(length-1)*stride; i < j; i, j = i+stride, j-stride {
+			a[i], a[j] = a[j], a[i]
 		}
-	})
-	for k := range ref.Data {
-		if got.Data[k] != ref.Data[k] {
-			t.Fatalf("row+col op mismatch at %d: %g vs %g", k, got.Data[k], ref.Data[k])
+		m.Flops(float64(length))
+	}
+}
+
+func lineCharges(n, length int) []string {
+	out := make([]string, n)
+	for l := range out {
+		out[l] = fmt.Sprintf("Flops(%d)", length)
+	}
+	return out
+}
+
+// TestRowOpAndColOp: a row operation hands f the owned rows and a column
+// operation the owned columns as one block, once, on every rank — a block
+// of no rows or no columns included — and a kernel run over the blocks
+// matches it run over the whole grid. The charges are those of the
+// per-row / per-column callback forms the blocks replaced: the kernel's
+// own, one per line in order, and after a column operation the movement
+// of every owned column copied out and back.
+func TestRowOpAndColOp(t *testing.T) {
+	val := func(i, j int) float64 { return float64(i*100 + j) }
+	for _, s := range [][2]int{{7, 5}, {5, 7}, {2, 3}, {3, 2}, {1, 1}} {
+		nx, ny := s[0], s[1]
+		// Every row reversed, then every column: point (i, j) ends up
+		// holding (nx-1-i, ny-1-j).
+		ref := array.New2D[float64](nx, ny)
+		ref.Fill(func(i, j int) float64 { return val(nx-1-i, ny-1-j) })
+		for _, n := range []int{1, 2, 3, 4} {
+			var got *array.Dense2D[float64]
+			run(t, n, func(p *spmd.Proc) {
+				tap := &chargeTap{Comm: p}
+				g := New2D[float64](tap, nx, ny, Rows(n), 0)
+				g.Fill(val)
+				x0, x1 := g.OwnedX()
+				var blocks []string
+				g.RowOp(func(b []float64, bx, by int) {
+					blocks = append(blocks, fmt.Sprintf("%d×%d len %d", bx, by, len(b)))
+					reverseLines(tap, b, bx, by, 1, by)
+				})
+				want := lineCharges(x1-x0, ny)
+				wantBlock := fmt.Sprintf("%d×%d len %d", x1-x0, ny, (x1-x0)*ny)
+				if !slices.Equal(blocks, []string{wantBlock}) || !slices.Equal(tap.charges, want) {
+					t.Errorf("%d×%d over %d, rank %d: RowOp blocks %v charges %v, want [%s] %v",
+						nx, ny, n, p.Rank(), blocks, tap.charges, wantBlock, want)
+				}
+
+				c := g.Redistribute(Cols(n))
+				y0, y1 := c.OwnedY()
+				tap.charges, blocks = nil, nil
+				c.ColOp(func(b []float64, bx, by int) {
+					blocks = append(blocks, fmt.Sprintf("%d×%d len %d", bx, by, len(b)))
+					reverseLines(tap, b, by, 1, by, bx)
+				})
+				want = append(lineCharges(y1-y0, nx), fmt.Sprintf("MemWords(%d)", 2*nx*(y1-y0)))
+				wantBlock = fmt.Sprintf("%d×%d len %d", nx, y1-y0, nx*(y1-y0))
+				if !slices.Equal(blocks, []string{wantBlock}) || !slices.Equal(tap.charges, want) {
+					t.Errorf("%d×%d over %d, rank %d: ColOp blocks %v charges %v, want [%s] %v",
+						nx, ny, n, p.Rank(), blocks, tap.charges, wantBlock, want)
+				}
+				if full := GatherGrid(c, 0); p.Rank() == 0 {
+					got = full
+				}
+			})
+			if !slices.Equal(got.Data, ref.Data) {
+				t.Errorf("%d×%d over %d: row then column op gave %v, want %v", nx, ny, n, got.Data, ref.Data)
+			}
 		}
 	}
 }
 
+// TestRowOpRequiresRowDistribution: a block operation on a grid whose
+// owned block is not what it hands over — the other distribution, a block
+// layout, a ghost boundary — panics naming the layout and the halo, and
+// never calls f.
 func TestRowOpRequiresRowDistribution(t *testing.T) {
-	_, err := spmd.MustWorld(4, machine.IBMSP()).Run(func(p *spmd.Proc) {
-		g := New2D[float64](p, 8, 8, Cols(4), 0)
-		g.RowOp(func(int, []float64) {})
-	})
-	if err == nil {
-		t.Error("RowOp on column distribution should panic")
-	}
-	_, err = spmd.MustWorld(4, machine.IBMSP()).Run(func(p *spmd.Proc) {
-		g := New2D[float64](p, 8, 8, Rows(4), 0)
-		g.ColOp(func(int, []float64) {})
-	})
-	if err == nil {
-		t.Error("ColOp on row distribution should panic")
+	for _, c := range []struct {
+		op   string
+		l    Layout
+		halo int
+		want string
+	}{
+		{"row", Cols(4), 0, "row operation requires a grid distributed by rows with halo 0, grid is 1x4 with halo 0"},
+		{"row", Blocks(2, 2), 0, "row operation requires a grid distributed by rows with halo 0, grid is 2x2 with halo 0"},
+		{"row", Rows(4), 1, "row operation requires a grid distributed by rows with halo 0, grid is 4x1 with halo 1"},
+		{"column", Rows(4), 0, "column operation requires a grid distributed by columns with halo 0, grid is 4x1 with halo 0"},
+		{"column", Blocks(2, 2), 0, "column operation requires a grid distributed by columns with halo 0, grid is 2x2 with halo 0"},
+		{"column", Cols(4), 2, "column operation requires a grid distributed by columns with halo 0, grid is 1x4 with halo 2"},
+	} {
+		run(t, 4, func(p *spmd.Proc) {
+			g := New2D[float64](p, 8, 8, c.l, c.halo)
+			f := func([]float64, int, int) { t.Errorf("%s operation on %v halo %d called f", c.op, c.l, c.halo) }
+			msg := panicText(func() {
+				if c.op == "row" {
+					g.RowOp(f)
+				} else {
+					g.ColOp(f)
+				}
+			})
+			if msg != "meshspectral: "+c.want {
+				t.Errorf("rank %d: %s operation on %v halo %d panicked %q, want %q", p.Rank(), c.op, c.l, c.halo, msg, "meshspectral: "+c.want)
+			}
+		})
 	}
 }
 

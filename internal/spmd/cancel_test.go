@@ -115,29 +115,6 @@ func TestNewWorldOnValidation(t *testing.T) {
 	}
 }
 
-// TestTypedChan: the typed channel endpoints carry values with automatic
-// byte metering identical to a plain send.
-func TestTypedChan(t *testing.T) {
-	res, err := MustWorld(2, testModel()).Run(func(p *Proc) {
-		peer := 1 - p.Rank()
-		ch := NewChan[[]float64](p, peer, 42)
-		if p.Rank() == 0 {
-			ch.Send([]float64{1, 2, 3})
-		} else {
-			got := ch.Recv()
-			if len(got) != 3 || got[2] != 3 {
-				panic("typed chan payload corrupted")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Msgs != 1 || res.Bytes != 24 {
-		t.Errorf("stats = %d msgs %d bytes, want 1/24 (BytesOf-metered)", res.Msgs, res.Bytes)
-	}
-}
-
 // TestSendTMetersLikeSend: SendT and Send are the same wire operation.
 func TestSendTMetersLikeSend(t *testing.T) {
 	run := func(body func(p *Proc)) *Result {

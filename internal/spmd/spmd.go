@@ -25,8 +25,7 @@
 // Messaging is typed and self-metering: Send prices every payload through
 // BytesOf, which reads the payload table (payload.go; payload types it
 // does not list implement Sized), so call sites never hand-count bytes;
-// SendT and Chan add static payload typing on top, pairing with the typed
-// Recv.
+// SendT adds static payload typing on top, pairing with the typed Recv.
 package spmd
 
 import (

@@ -10,10 +10,10 @@
 // produces elements indefinitely (bounded here by Config.Elems so runs
 // terminate), stages transform them, and a sink consumes them while the
 // source is still producing. This is the stream-parallelism pattern of
-// the pipeline archetype generalized: internal/pipeline's two fixed FFT
-// stages become an arbitrary stage list, its implicit unbounded
-// inter-stage buffer becomes an explicit credit window, and its
-// one-rank-per-stage layout becomes a per-stage worker farm.
+// the pipeline archetype: an arbitrary stage list, whose stages work on
+// different batches at once (TestStagesOverlap pins that on the
+// simulator), an explicit credit window between every two of them
+// instead of an unbounded buffer, and a worker farm per stage.
 //
 // # Topology
 //

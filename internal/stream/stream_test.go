@@ -226,6 +226,46 @@ func TestBackpressureStallsSource(t *testing.T) {
 	}
 }
 
+// TestStagesOverlap: stages run concurrently on different batches. With
+// every stage charging a fixed compute time per batch on the simulator,
+// B batches through S stages take about (B+S−1) stage times — the
+// pipeline fills, then one batch leaves per stage time — not the B·S of
+// stages taking turns. That holds at a credit window of one batch too:
+// a consumer returns its credit once it has sent the batch on, so the
+// protocol has no lockstep setting; B·S is only the reference.
+func TestStagesOverlap(t *testing.T) {
+	const stages, batches, perBatch = 3, 16, 1e-3
+	pl := &stream.Pipeline[float64]{
+		Name:  "overlap",
+		Width: 1,
+		Source: func(c spmd.Comm, first int64, n int, dst []float64) []float64 {
+			return iota64(first, n, dst)
+		},
+	}
+	for s := range stages {
+		pl.Stages = append(pl.Stages, stream.Stage[float64]{
+			Name: fmt.Sprint("stage", s),
+			Fn: func(c spmd.Comm, _ any, in []float64) []float64 {
+				c.Charge(perBatch)
+				return in
+			},
+		})
+	}
+	fill, lockstep := float64(batches+stages-1)*perBatch, float64(batches*stages)*perBatch
+	for _, credits := range []int{1, 4} {
+		cfg := stream.Config{Elems: batches, Batch: 1, Credits: credits}
+		res, err := core.Simulate(pl.Procs(), model(), func(p *spmd.Proc) { stream.Run(p, pl, cfg) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("credits %d: makespan %.3f ms", credits, res.Makespan*1e3)
+		if res.Makespan < fill || res.Makespan > lockstep/2 {
+			t.Errorf("credits %d: makespan %.2f ms, want between the pipelined %.0f ms and half the lockstep %.0f ms",
+				credits, res.Makespan*1e3, fill*1e3, lockstep*1e3)
+		}
+	}
+}
+
 // TestCancelMidStream: cancelling the world's context while elements
 // are in flight unwinds every rank — source, farm workers, sink — with
 // no goroutine leaks and a prompt context.Canceled from the run.

@@ -2,9 +2,9 @@
 // unbounded sequence of n×n complex frames flows through a two-farm
 // stream pipeline (row FFTs, then column FFTs) and comes out 2D-Fourier
 // transformed, frame-exact against the sequential §3.5.1 algorithm. It
-// generalizes internal/pipeline's fixed two-stage FFT chain to the
-// stream archetype: bounded credit windows instead of an implicit
-// unbounded buffer, element batching, and a worker farm per stage with
+// is the paper's future-work composition — task parallelism between
+// data-parallel FFT stages — on the stream archetype: bounded credit
+// windows, element batching, and a worker farm per stage with
 // deterministic order restoration.
 package streamfft
 

@@ -21,7 +21,7 @@
 //  4. a grid operation adding the forcing, and the redistribution back.
 //
 // The sequential and SPMD versions advance bit-identically (shared
-// per-row/per-column kernels; redistribution moves data without
+// per-ring and block kernels; redistribution moves data without
 // arithmetic). Figure 18's speedup experiment runs this code with the
 // machine's paging model enabled, reproducing the paper's super-linear
 // small-P anomaly; Figure 21's sample output is its u(r, z) field.
@@ -93,32 +93,48 @@ func stepZSpectral(m core.Meter, row []complex128, nu, dt float64) {
 	fft.Transform(m, row, true)
 }
 
-// stepRFD advances the radial diffusion of one axial station with
-// fourth-order central differences (second-order one level from the
-// boundaries), explicit Euler. col[0] and col[NR-1] stay pinned at zero.
-// newCol receives the result; both slices have length NR.
-func stepRFD(m core.Meter, col, newCol []complex128, nu, dt, dr float64) {
-	n := len(col)
-	newCol[0] = 0
-	newCol[n-1] = 0
+// stepRFD advances the radial diffusion of the row-major NR×nz block u —
+// rings down, nz axial stations across — with fourth-order central
+// differences (second-order one ring from the boundaries), explicit
+// Euler, into next (same shape). Rings 0 and NR-1 stay pinned at zero.
+// Ring i of next is computed from rings i−2…i+2 of u, element by element
+// with the expression a station-at-a-time loop would use, and the charge
+// is one Flops per station in station order, so the SPMD version (its
+// column block) and the sequential one (the whole field) advance
+// bit-identically and charge alike.
+func (pm *Params) stepRFD(m core.Meter, u, next []complex128, nz int) {
+	n, dr := pm.NR, pm.dr()
+	ring := func(a []complex128, i int) []complex128 { return a[i*nz : (i+1)*nz] }
+	clear(ring(next, 0))
+	clear(ring(next, n-1))
 	inv12dr2 := 1 / (12 * dr * dr)
 	inv12dr := 1 / (12 * dr)
 	inv2dr := 1 / (2 * dr)
 	invdr2 := 1 / (dr * dr)
 	for i := 1; i < n-1; i++ {
 		r := float64(i) * dr
-		var d2, d1 complex128
-		if i >= 2 && i <= n-3 {
-			d2 = (-col[i-2] + 16*col[i-1] - 30*col[i] + 16*col[i+1] - col[i+2]) * complex(inv12dr2, 0)
-			d1 = (col[i-2] - 8*col[i-1] + 8*col[i+1] - col[i+2]) * complex(inv12dr, 0)
-		} else {
-			d2 = (col[i-1] - 2*col[i] + col[i+1]) * complex(invdr2, 0)
-			d1 = (col[i+1] - col[i-1]) * complex(inv2dr, 0)
+		c, lo, hi, out := ring(u, i), ring(u, i-1), ring(u, i+1), ring(next, i)
+		wide := i >= 2 && i <= n-3
+		var lo2, hi2 []complex128
+		if wide {
+			lo2, hi2 = ring(u, i-2), ring(u, i+2)
 		}
-		lap := d2 + d1*complex(1/r, 0) - col[i]*complex(1/(r*r), 0)
-		newCol[i] = col[i] + complex(nu*dt, 0)*lap
+		for k := range out {
+			var d2, d1 complex128
+			if wide {
+				d2 = (-lo2[k] + 16*lo[k] - 30*c[k] + 16*hi[k] - hi2[k]) * complex(inv12dr2, 0)
+				d1 = (lo2[k] - 8*lo[k] + 8*hi[k] - hi2[k]) * complex(inv12dr, 0)
+			} else {
+				d2 = (lo[k] - 2*c[k] + hi[k]) * complex(invdr2, 0)
+				d1 = (hi[k] - lo[k]) * complex(inv2dr, 0)
+			}
+			lap := d2 + d1*complex(1/r, 0) - c[k]*complex(1/(r*r), 0)
+			out[k] = c[k] + complex(pm.Nu*pm.Dt, 0)*lap
+		}
 	}
-	m.Flops(float64(22 * n))
+	for range nz {
+		m.Flops(float64(22 * n))
+	}
 }
 
 // forceRow adds one step of the stirring force to ring i in place; row[j]
@@ -159,16 +175,21 @@ func (s *Sim) Step() {
 	pm := s.Pm
 
 	// Row operation: exact axial diffusion per ring (rows distribution).
-	s.U.RowOp(func(gi int, row []complex128) {
-		stepZSpectral(p, row, pm.Nu, pm.Dt)
+	// Ring by ring, not TransformRows over the block: a ring charges its
+	// forward transform, mode scaling and inverse transform in turn, and
+	// batching the rings would reorder the virtual clock's additions.
+	s.U.RowOp(func(u []complex128, nr, nz int) {
+		for i := range nr {
+			stepZSpectral(p, u[i*nz:(i+1)*nz], pm.Nu, pm.Dt)
+		}
 	})
 
 	// Redistribute rows → columns for the radial operation (Figure 7).
 	cols := s.U.Redistribute(meshspectral.Cols(p.N()))
-	buf := make([]complex128, pm.NR)
-	cols.ColOp(func(gj int, col []complex128) {
-		stepRFD(p, col, buf, pm.Nu, pm.Dt, pm.dr())
-		copy(col, buf)
+	cols.ColOp(func(u []complex128, _, nz int) {
+		next := make([]complex128, len(u))
+		pm.stepRFD(p, u, next, nz)
+		copy(u, next)
 	})
 
 	// Grid operation: add the stirring force (no distribution
@@ -206,13 +227,9 @@ func (s *SeqSim) Step(m core.Meter) {
 	for i := 0; i < pm.NR; i++ {
 		stepZSpectral(m, s.U.Row(i), pm.Nu, pm.Dt)
 	}
-	col := make([]complex128, pm.NR)
-	buf := make([]complex128, pm.NR)
-	for j := 0; j < pm.NZ; j++ {
-		s.U.Col(j, col)
-		stepRFD(m, col, buf, pm.Nu, pm.Dt, pm.dr())
-		s.U.SetCol(j, buf)
-	}
+	next := make([]complex128, len(s.U.Data))
+	pm.stepRFD(m, s.U.Data, next, pm.NZ)
+	s.U.Data = next
 	for i := 0; i < pm.NR; i++ {
 		pm.forceRow(s.U.Row(i), i, 0)
 	}

@@ -3,6 +3,8 @@ package swirl
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/array"
@@ -43,14 +45,87 @@ func TestStepZSpectralConstantModeUnchanged(t *testing.T) {
 
 func TestStepRFDBoundariesPinned(t *testing.T) {
 	const n = 17
+	pm := Params{NR: n, Nu: 0.01, Dt: 0.001}
 	col := make([]complex128, n)
 	buf := make([]complex128, n)
 	for i := range col {
 		col[i] = complex(float64(i), 0)
 	}
-	stepRFD(core.Nop, col, buf, 0.01, 0.001, 1.0/(n-1))
+	pm.stepRFD(core.Nop, col, buf, 1)
 	if buf[0] != 0 || buf[n-1] != 0 {
 		t.Errorf("boundaries not pinned: %v %v", buf[0], buf[n-1])
+	}
+}
+
+// refStepRFD is stepRFD as it was before the block form: one axial
+// station, a column copied out of the field, at a time.
+func refStepRFD(m core.Meter, col, newCol []complex128, nu, dt, dr float64) {
+	n := len(col)
+	newCol[0] = 0
+	newCol[n-1] = 0
+	inv12dr2 := 1 / (12 * dr * dr)
+	inv12dr := 1 / (12 * dr)
+	inv2dr := 1 / (2 * dr)
+	invdr2 := 1 / (dr * dr)
+	for i := 1; i < n-1; i++ {
+		r := float64(i) * dr
+		var d2, d1 complex128
+		if i >= 2 && i <= n-3 {
+			d2 = (-col[i-2] + 16*col[i-1] - 30*col[i] + 16*col[i+1] - col[i+2]) * complex(inv12dr2, 0)
+			d1 = (col[i-2] - 8*col[i-1] + 8*col[i+1] - col[i+2]) * complex(inv12dr, 0)
+		} else {
+			d2 = (col[i-1] - 2*col[i] + col[i+1]) * complex(invdr2, 0)
+			d1 = (col[i+1] - col[i-1]) * complex(inv2dr, 0)
+		}
+		lap := d2 + d1*complex(1/r, 0) - col[i]*complex(1/(r*r), 0)
+		newCol[i] = col[i] + complex(nu*dt, 0)*lap
+	}
+	m.Flops(float64(22 * n))
+}
+
+// chargeTap records every Flops charge, in order.
+type chargeTap struct {
+	core.Meter
+	charges []float64
+}
+
+func (c *chargeTap) Flops(n float64) { c.charges = append(c.charges, n) }
+
+// TestStepRFDMatchesPerStation: the block kernel is the station-at-a-time
+// loop it replaced, bit for bit and Flops call for Flops call, on blocks
+// of every ring count from the two-ring minimum and of no, one and many
+// stations.
+func TestStepRFDMatchesPerStation(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for nr := 2; nr <= 9; nr++ {
+		for _, nz := range []int{0, 1, 3, 8} {
+			pm := DefaultParams(nr, 8)
+			u := make([]complex128, nr*nz)
+			for k := range u {
+				u[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			got := make([]complex128, len(u))
+			gm := &chargeTap{Meter: core.Nop}
+			pm.stepRFD(gm, u, got, nz)
+
+			want := &array.Dense2D[complex128]{NX: nr, NY: nz, Data: make([]complex128, len(u))}
+			field := &array.Dense2D[complex128]{NX: nr, NY: nz, Data: u}
+			wm := &chargeTap{Meter: core.Nop}
+			col, buf := make([]complex128, nr), make([]complex128, nr)
+			for j := 0; j < nz; j++ {
+				refStepRFD(wm, field.Col(j, col), buf, pm.Nu, pm.Dt, pm.dr())
+				want.SetCol(j, buf)
+			}
+			for k := range got {
+				if math.Float64bits(real(got[k])) != math.Float64bits(real(want.Data[k])) ||
+					math.Float64bits(imag(got[k])) != math.Float64bits(imag(want.Data[k])) {
+					t.Fatalf("%d×%d: element %d = %v, want %v", nr, nz, k, got[k], want.Data[k])
+				}
+			}
+			if !slices.Equal(gm.charges, wm.charges) {
+				t.Fatalf("%d×%d: Flops calls %v, want %v", nr, nz, gm.charges, wm.charges)
+			}
+		}
 	}
 }
 
@@ -71,7 +146,7 @@ func TestStepRFDDecaysEnergy(t *testing.T) {
 		e0 += real(v) * real(v)
 	}
 	for step := 0; step < 50; step++ {
-		stepRFD(core.Nop, col, buf, pm.Nu, pm.Dt, dr)
+		pm.stepRFD(core.Nop, col, buf, 1)
 		copy(col, buf)
 	}
 	e1 := 0.0
