@@ -42,9 +42,8 @@ import (
 	// user can resolve it; its default self-spawn mode additionally needs
 	// the host binary's main to call dist.MaybeWorker (see cmd/archdemo).
 	_ "repro/internal/backend/dist"
-	// The elastic (fault-tolerant task-queue) backend registers itself
-	// ("elastic"); its default self-spawn mode likewise needs main to
-	// call elastic.MaybeWorker.
+	// The remote backend's fault-tolerant policy registers itself as
+	// "elastic"; it runs on dist's workers, so dist.MaybeWorker serves it.
 	_ "repro/internal/elastic"
 )
 

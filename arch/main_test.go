@@ -5,13 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/backend/dist"
-	"repro/internal/elastic"
 )
 
 // TestMain lets this test binary self-spawn as dist workers for the
 // facade-level dist tests.
 func TestMain(m *testing.M) {
 	dist.MaybeWorker()
-	elastic.MaybeWorker()
 	os.Exit(m.Run())
 }

@@ -74,7 +74,6 @@ import (
 	"repro/arch"
 	"repro/internal/backend/dist"
 	"repro/internal/core"
-	"repro/internal/elastic"
 	"repro/internal/figures"
 	"repro/internal/hostbench"
 	"repro/internal/obs"
@@ -82,7 +81,6 @@ import (
 
 func main() {
 	dist.MaybeWorker()
-	elastic.MaybeWorker()
 	var (
 		fig      = flag.String("fig", "", "figure ID to run (see -list)")
 		all      = flag.Bool("all", false, "run every figure")

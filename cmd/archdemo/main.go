@@ -47,13 +47,11 @@ import (
 	"repro/arch"
 	_ "repro/arch/apps"
 	"repro/internal/backend/dist"
-	"repro/internal/elastic"
 	"repro/internal/serve"
 )
 
 func main() {
 	dist.MaybeWorker()
-	elastic.MaybeWorker()
 	var (
 		name   = flag.String("app", "", "application to run (see -list)")
 		list   = flag.Bool("list", false, "list applications")

@@ -49,14 +49,12 @@ import (
 
 	_ "repro/arch/apps"
 	"repro/internal/backend/dist"
-	"repro/internal/elastic"
 	"repro/internal/rescache"
 	"repro/internal/serve"
 )
 
 func main() {
 	dist.MaybeWorker()
-	elastic.MaybeWorker()
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		cacheDir = flag.String("cache", "", `persistent result cache directory ("" = per-user default, "off" = disabled)`)

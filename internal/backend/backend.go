@@ -22,7 +22,9 @@
 //
 // A third backend lives in the backend/dist sub-package and registers
 // itself as "dist": the same Transport operations routed across worker
-// OS processes over TCP (wall-clock metering, identical msg/byte counts).
+// OS processes over sockets (wall-clock metering, identical msg/byte
+// counts). Its fault-tolerant policy is registered as "elastic" by
+// internal/elastic.
 //
 // Programs keep their communication structure and computational results on
 // every backend; only the meaning of time (and, for dist, the address
@@ -99,38 +101,27 @@ type Transport interface {
 	Finish() Result
 }
 
-// Driver is an optional Transport capability: a transport that owns rank
+// Driver is the optional Transport capability: a transport that owns rank
 // scheduling. When a transport implements Driver, spmd.World.Run hands it
 // a run function instead of spawning one goroutine per rank itself, and
 // the transport decides when — and how many times — each rank's body
-// executes. This is the seam elastic (fault-tolerant) backends need:
-// re-executing a rank after its host worker dies only works if the
-// substrate, not the world, owns the rank's goroutine.
+// executes, and what happens on the rank's goroutine once the body
+// returns. This is the seam the remote backend needs: re-executing a rank
+// after its worker dies only works if the substrate, not the world, owns
+// the rank's goroutine, and a rank's buffered sends must reach the wire
+// after its body's last operation.
 //
 // Drive must call run(rank) at least once for every rank in [0, n) (ranks
 // may run concurrently; each call runs the full rank body) and return
 // after all rank executions it started have returned. run reports the
 // rank body's outcome: nil on normal completion, the sentinel error for a
 // panic carrying Canceled (how transports signal their own control flow,
-// e.g. "this attempt's host died, reschedule me"), or a wrapped panic
+// e.g. "this attempt's worker died, re-execute me"), or a wrapped panic
 // otherwise. Drive's returned error becomes the run's error; returning
 // nil means every rank completed exactly once from the program's point of
 // view. The world still calls Finish afterwards on every path.
 type Driver interface {
 	Drive(run func(rank int) error) error
-}
-
-// RankObserver is an optional Transport capability: RankReturned(rank) is
-// called by spmd.World.Run on the rank's own goroutine the moment that
-// rank's body returns (normally or by panic), before the world joins the
-// remaining ranks. Transports with buffered write paths use it as the
-// final flush point for work the rank left pending — a rank whose body
-// ends with a send and never blocks in the transport again still gets its
-// bytes on the wire while its peers are running. Implementations must
-// tolerate concurrent calls for different ranks and must not block on
-// other ranks' progress.
-type RankObserver interface {
-	RankReturned(rank int)
 }
 
 // Runner is a named Transport factory: one Runner per execution backend.

@@ -1,13 +1,13 @@
-// Package dist is the distributed execution backend: an SPMD world whose
-// message fabric spans OS processes connected by sockets.
+// Package dist is the remote execution backend: an SPMD world whose
+// message fabric spans OS processes connected by sockets, with fault
+// tolerance as a policy.
 //
 // The paper's archetype claim is that one communication skeleton runs on
 // many execution substrates. The sim and real backends prove it for two
 // in-process substrates; this package makes the Transport seam cross
-// address spaces. A run on the dist backend launches (or attaches to) N
-// worker processes — one per rank — and routes every Send, Recv, and
-// RecvAny (and therefore every collective, which is built from them)
-// through those workers over length-prefixed frames.
+// address spaces. A run launches (or attaches to) one worker process per
+// rank and routes every Send, Recv, and RecvAny (and therefore every
+// collective) through those workers over length-prefixed frames.
 //
 // The data plane has one route, destination-routed and
 // push-all-the-way:
@@ -16,49 +16,66 @@
 //	coordinator <── opDeliver (eager push) ── worker[dst]
 //
 // A send travels down the destination rank's control connection; its
-// worker pushes the body straight back up as an opDeliver, and the
-// coordinator banks it in a per-rank inbox so Recv and RecvAny are local
-// pops — one worker visit and two socket crossings per message, no
-// request/response round trip per receive. A worker is an echo of its
-// own rank's inbox and nothing else: it binds no listener and talks to
-// no other worker. Both ends coalesce back-to-back frames into one
-// multi-message opBatch frame and flush on idle; the receiving rank's
+// worker pushes the body straight back up, and the coordinator banks it
+// in a per-rank inbox so Recv and RecvAny are local pops — one worker
+// visit and two socket crossings per message. A worker is an echo of its
+// own rank's inbox and nothing else. Both ends coalesce back-to-back
+// frames into one opBatch frame and flush on idle; the receiving rank's
 // own goroutine reads its control connection, so a delivery wakes it
-// straight from the socket with no relay goroutine on the critical path.
-// Send is buffered, as on every other backend: a worker never stops
-// reading its down stream because its up stream is full (see upstream),
-// so a coordinator write always completes and a program may have any
-// number of sends in flight before its first receive. Self-spawned
-// worlds speak the control protocol over unix-domain sockets.
+// straight from the socket. Send is buffered, as on every other backend:
+// a worker never stops reading its down stream because its up stream is
+// full (see upstream), so a program may have any number of sends in
+// flight before its first receive. Self-spawned worlds speak the
+// protocol over unix-domain sockets.
 //
-// Rank bodies execute as goroutines in the coordinating process (they are
-// ordinary Go closures; shipping code is out of scope), but every payload
-// genuinely leaves the coordinator's address space as spmd wire-codec
-// bytes, crosses into a worker process, and is reconstructed on receive —
-// the bit-identical parity table across sim/real/dist is the proof the
-// codec and routing are faithful. (Self-sends short-circuit through the
-// local inbox, still codec-encoded, exactly as the in-process backends
-// deliver them locally.)
+// Rank bodies execute as goroutines in the coordinating process (shipping
+// code is out of scope), but every payload genuinely leaves the
+// coordinator's address space as spmd wire-codec bytes and is
+// reconstructed on receive — the bit-identical parity table across
+// sim/real/dist is the proof the codec and routing are faithful.
+// Self-sends short-circuit through the local inbox, still codec-encoded.
 //
-// Lifecycle: NewTransport spawns the workers (by default re-executing the
-// current binary — see MaybeWorker — authenticated by a per-pool secret),
-// collects their hellos, and assigns ranks; all n ready frames complete
-// the world-start barrier. A world that cannot start is NewTransport's
-// error ("dist: world start: …"), returned by Run before any rank body
-// executes. Finish runs the
-// mirror-image barrier (finish/bye), then releases the processes. With
-// WithWorkerPool, cleanly finished workers — their control connections
-// still warm — go back to a runner-owned pool, and the next world's start
-// is a handshake on an existing connection instead of a process spawn.
-// Messages and bytes are metered on the coordinator exactly as the
-// in-process mailbox meters them, so cost accounting is identical across
-// backends.
+// Lifecycle: NewTransport spawns the workers (re-executing the current
+// binary — see MaybeWorker — authenticated by a per-world secret),
+// collects their hellos and assigns ranks; all n ready frames complete
+// the world-start barrier, and a world that cannot start is its error
+// ("dist: world start: …"). The transport drives the ranks itself
+// (backend.Driver): each body runs on a goroutine of its own, which
+// flushes the sends the body left buffered when it returns. Finish runs
+// the finish/bye barrier and releases the processes, or, with
+// WithWorkerPool, parks them with their connections warm for the next
+// world. Messages and bytes are metered on the coordinator exactly as
+// the in-process mailbox meters them.
 //
-// Failure is fail-fast: cancelling the run's context, or any worker
-// process dying mid-run, closes every control connection and every
-// coordinator inbox; blocked receives unwind with the same cancellation
-// sentinel the in-process mailbox raises, and the run returns an error
-// instead of hanging. Failed worlds never return workers to the pool.
+// Liveness is one path under every policy. A per-world pinger writes an
+// opPing down every connection each heartbeat interval, and the worker's
+// opPong is consumed by the rank's own reader like any other frame: no
+// coordinator goroutine reads a rank's connection. A rank that has waited
+// interval × misses (WithHeartbeat) with nothing arriving has lost its
+// worker, whether the process died, the connection closed, or the worker
+// is wedged with its socket open.
+//
+// What a lost worker costs is the recovery policy, WithRecovery. Under
+// the default budget of 0 the run fails with an error naming the rank,
+// and every blocked receive unwinds with the cancellation sentinel.
+// Under a non-zero budget (the registry's "elastic" entry) each rank
+// keeps a checkpoint — the log of messages delivered to its body, the
+// count of sends it performed, and the un-echoed suffix of frames written
+// down its connection (what the worker echoed is banked in the inbox) —
+// and a loss costs a re-execution: the attempt unwinds, a replacement
+// worker comes from the pool, a respawn on the control listener (open for
+// the world's life) or a spare WithWorkers address, the suffix is written
+// down its connection again, and the body re-runs. Logged receives
+// replay, the first sent sends are suppressed (not re-sent, not
+// re-metered), and the attempt goes live where its predecessor died:
+// results and meters are bit-identical to an uninterrupted run. Replay
+// requires what every registered app satisfies: deterministic rank bodies
+// whose writes to shared memory are idempotent.
+//
+// Fault injection (WithInjector) has one point, "dist.op", evaluated
+// after each completed rank operation with the operation's index in the
+// rank's current attempt as the epoch: Kill kills the rank's worker,
+// Drop closes its connection, Delay sleeps.
 package dist
 
 import (
@@ -66,6 +83,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -81,25 +99,49 @@ import (
 	"repro/internal/spmd"
 )
 
+// faultPoint is the fault-injection point, evaluated after each completed
+// rank operation.
+const faultPoint = "dist.op"
+
+// handshakeTimeout bounds world start, and each worker replacement: every
+// worker must hello and ready within it.
+const handshakeTimeout = 30 * time.Second
+
 // runner is the dist backend: a Transport factory whose configuration
-// (spawn command or attach addresses, handshake timeout) is fixed at
-// construction. The registered default self-spawns localhost workers.
+// (attach addresses, recovery budget, heartbeat) is fixed at
+// construction. The registered default self-spawns localhost workers and
+// fails fast.
 type runner struct {
 	// attach lists pre-started worker control addresses (cmd/archworker
 	// -listen); empty means self-spawn.
 	attach []string
-	// workerCmd overrides the spawned command (default: this binary,
-	// relying on MaybeWorker). The coordinator address and world secret
-	// travel in the environment either way.
-	workerCmd []string
-	// handshake bounds world start: every worker must hello and ready
-	// within it.
-	handshake time.Duration
 	// inj is the fault-injection seam (nil injects nothing).
 	inj *faultinject.Injector
 	// pool, when non-nil, keeps cleanly finished self-spawned workers
 	// (process + warm control connection) for the runner's next world.
 	pool *workerPool
+	// maxRestarts bounds re-executions per rank (0: fail fast); deadline
+	// bounds the world's time after its first restart.
+	maxRestarts int
+	deadline    time.Duration
+	// hbInterval and hbMiss: the ping cadence, and how many intervals a
+	// waiting rank hears nothing before its worker counts as lost.
+	hbInterval time.Duration
+	hbMiss     int
+	observer   func(Stats)
+}
+
+// Stats summarizes one run's recovery activity, reported through
+// WithObserver when the world finishes.
+type Stats struct {
+	// Workers counts the workers that joined the world: n at start plus
+	// every replacement.
+	Workers int
+	// DeclaredDead counts workers lost mid-run.
+	DeclaredDead int
+	// Restarts counts rank re-executions (a rank re-executed twice counts
+	// twice).
+	Restarts int
 }
 
 // Option configures a dist runner.
@@ -108,32 +150,21 @@ type Option func(*runner)
 // WithWorkers attaches to pre-started workers at the given control
 // addresses (see cmd/archworker) instead of self-spawning. A run of n
 // processes uses the first n addresses; fewer than n is a run error.
+// Under a recovery budget the addresses past the first n are spares: a
+// rank that lost its worker dials them in turn, or its own address again
+// when there are none (a listening worker serves any number of
+// connections).
 func WithWorkers(addrs ...string) Option {
 	return func(r *runner) { r.attach = append([]string(nil), addrs...) }
 }
 
-// WithWorkerCommand spawns workers by running the given command instead
-// of re-executing the current binary. The command must end up in
-// JoinWorld — the usual shape is a binary whose main calls MaybeWorker
-// (the coordinator address and world secret are passed in the
-// environment), wrapped in whatever launcher (container, numactl, ssh to
-// localhost) the deployment needs.
-func WithWorkerCommand(name string, args ...string) Option {
-	return func(r *runner) { r.workerCmd = append([]string{name}, args...) }
-}
-
-// WithHandshakeTimeout bounds how long NewTransport waits for all workers
-// to connect and ready (default 30s).
-func WithHandshakeTimeout(d time.Duration) Option {
-	return func(r *runner) { r.handshake = d }
-}
-
-// WithInjector installs a fault injector consulted before every control
-// I/O: hook points "dist.send" and "dist.recv", with the rank's operation
-// index as the epoch. Drop closes that rank's control connection (the run
-// then fails through the ordinary lost-worker path); Delay sleeps before
-// the operation. Tests and the chaos CI job use this to exercise failure
-// paths deterministically.
+// WithInjector installs a fault injector evaluated at "dist.op" after
+// every completed rank operation, with the operation's index in the
+// rank's current attempt as the epoch. Kill kills the rank's worker (an
+// attached one loses its connection) and unwinds the attempt at that
+// deterministic program point; Drop closes the rank's connection, for
+// the ordinary detection path to find; Delay sleeps. Tests and the chaos
+// CI job use this to exercise failure paths deterministically.
 func WithInjector(in *faultinject.Injector) Option {
 	return func(r *runner) { r.inj = in }
 }
@@ -152,12 +183,34 @@ func WithWorkerPool() Option {
 	return func(r *runner) { r.pool = &workerPool{} }
 }
 
+// WithRecovery sets the recovery budget: a rank whose worker is lost is
+// re-executed on a replacement at most maxRestarts times, and the world
+// has at most deadline of wall-clock time after its first restart (none
+// when deadline <= 0). Exceeding either fails the run with a clean error
+// instead of looping. The default budget, 0, fails the run on the first
+// lost worker and keeps no checkpoint.
+func WithRecovery(maxRestarts int, deadline time.Duration) Option {
+	return func(r *runner) { r.maxRestarts, r.deadline = maxRestarts, deadline }
+}
+
+// WithHeartbeat sets the ping interval and the number of intervals a
+// rank waiting for a frame may hear nothing before its worker counts as
+// lost (defaults 500ms and 4).
+func WithHeartbeat(interval time.Duration, misses int) Option {
+	return func(r *runner) { r.hbInterval, r.hbMiss = interval, misses }
+}
+
+// WithObserver reports the run's recovery stats when the world finishes.
+func WithObserver(f func(Stats)) Option {
+	return func(r *runner) { r.observer = f }
+}
+
 // New builds a dist backend runner. The zero configuration — what the
 // registry's "dist" entry uses — self-spawns one localhost worker process
 // per rank by re-executing the current binary, so any binary whose main
-// calls MaybeWorker supports it out of the box.
+// calls MaybeWorker supports it out of the box, and fails fast.
 func New(opts ...Option) backend.Runner {
-	r := &runner{handshake: 30 * time.Second}
+	r := &runner{hbInterval: 500 * time.Millisecond, hbMiss: 4}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -209,7 +262,8 @@ func (p *proc) kill() {
 // they authenticate with. Self-spawned worlds get a unix-domain socket in
 // a private temp dir — same-host crossings are what the socket carries,
 // and unix sockets shave scheduler latency off every one — falling back
-// to TCP loopback where unix sockets are unavailable. Ephemeral for a
+// to TCP loopback where unix sockets are unavailable. World-owned (open
+// for the world's life, so a lost worker can be respawned) for a
 // spawn-per-world runner, pool-owned (and pool-lived) for a pooled one.
 type controlPlane struct {
 	ln       net.Listener
@@ -217,8 +271,8 @@ type controlPlane struct {
 	token    string
 	dir      string // temp dir holding the unix socket; "" for TCP
 	// acceptMu serializes spawn+accept phases: concurrent worlds on one
-	// pooled runner share the listener, and interleaved accepts would
-	// steal each other's workers.
+	// pooled runner, and concurrent replacements in one world, share the
+	// listener, and interleaved accepts would steal each other's workers.
 	acceptMu sync.Mutex
 }
 
@@ -315,12 +369,12 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 		ctx:      ctx,
 		n:        n,
 		r:        r,
-		conns:    make([]*workerConn, 0, n),
+		keep:     r.maxRestarts > 0,
+		silence:  r.hbInterval * time.Duration(r.hbMiss),
 		counters: make([]shard, n),
 		sendBufs: make([][]byte, n),
 		recvBufs: make([][]byte, n),
-		ops:      make([]int, n),
-		inj:      r.inj,
+		ranks:    make([]rankState, n),
 		rec:      obs.RunRecorder(ctx, n, "dist"),
 	}
 	ok := false
@@ -330,113 +384,63 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 		}
 	}()
 
-	deadline := time.Now().Add(r.handshake)
-
+	var addrs []string
 	switch {
 	case len(r.attach) > 0:
 		if len(r.attach) < n {
 			return nil, fmt.Errorf("%d attached workers for a world of %d", len(r.attach), n)
 		}
-		for i := 0; i < n; i++ {
-			c, err := net.DialTimeout("tcp", r.attach[i], time.Until(deadline))
-			if err != nil {
-				return nil, fmt.Errorf("dialing worker %d: %w", i, err)
-			}
-			t.conns = append(t.conns, newWorkerConn(c))
-		}
-		for _, wc := range t.conns {
-			if err := wc.expectHello(deadline, ""); err != nil {
-				return nil, err
-			}
-		}
+		addrs = r.attach[:n]
 	case r.pool != nil:
 		cp, err := r.pool.ensure()
 		if err != nil {
 			return nil, err
 		}
-		// Warm workers first: their next-world hello is already in the
-		// connection buffer, so validation is a local read. A worker that
-		// went bad while parked is discarded, not fatal.
-		for len(t.conns) < n {
-			pw := r.pool.get()
-			if pw == nil {
-				break
-			}
-			wc := &workerConn{c: pw.c, br: pw.br, w: newWriter(pw.c), proc: pw.p}
-			if err := wc.expectHello(deadline, cp.token); err != nil {
-				wc.c.Close()
-				pw.p.kill()
-				continue
-			}
-			t.conns = append(t.conns, wc)
-			t.procs = append(t.procs, pw.p)
-		}
-		if err := r.spawnInto(t, cp, n, deadline); err != nil {
-			return nil, err
-		}
+		t.cp = cp
 	default:
 		cp, err := newControlPlane()
 		if err != nil {
 			return nil, err
 		}
-		defer cp.close()
-		if err := r.spawnInto(t, cp, n, deadline); err != nil {
-			return nil, err
-		}
+		t.cp, t.ownCP = cp, true
 	}
+	deadline := time.Now().Add(handshakeTimeout)
+	conns, err := t.acquire(n, addrs, deadline)
+	if err != nil {
+		return nil, err
+	}
+	t.conns = conns
 
 	// All n workers present: assign ranks in arrival order and wait for
 	// every ready — the world-start barrier.
 	for rank, wc := range t.conns {
-		if err := WriteFrame(wc.c, opAssign, assignBody(rank, n)); err != nil {
-			return nil, fmt.Errorf("assigning rank %d: %w", rank, err)
+		if err := wc.assign(rank, n); err != nil {
+			return nil, err
 		}
 	}
 	for rank, wc := range t.conns {
-		op, _, err := wc.read(deadline, maxHandshakeFrame)
-		if err != nil {
-			return nil, fmt.Errorf("awaiting ready from rank %d: %w", rank, err)
+		if err := wc.expectReady(rank, deadline); err != nil {
+			return nil, err
 		}
-		if op != opReady {
-			return nil, fmt.Errorf("rank %d sent op %d instead of ready", rank, op)
-		}
+		wc.w.keep = t.keep
 	}
 
 	// The data plane: a per-rank coordinator inbox banking the worker's
 	// eager opDeliver pushes. The rank's own goroutine reads its control
 	// connection inside Recv/RecvAny (so a delivery wakes the waiting
-	// rank directly from the socket — no relay or flusher goroutine on
-	// the critical path); buffered sends flush at every rank's next
-	// blocking point, and the rank-return hook (see RankReturned) is the
-	// backstop for a rank whose body ends with sends still buffered.
+	// rank directly from the socket — no relay goroutine on the critical
+	// path); buffered sends flush at every rank's next blocking point and
+	// when its body returns (see Drive).
 	t.inboxes = make([]*inQueue, n)
 	for i := range t.inboxes {
 		t.inboxes[i] = newInQueue(n)
 	}
-	for _, wc := range t.conns {
-		wc.c.SetReadDeadline(time.Time{}) //nolint:errcheck // clear the handshake deadline
-	}
-
-	// Monitors: a worker process dying mid-run fails the whole world
-	// instead of hanging ranks that wait for its messages. Each monitor
-	// parks on its process's death signal until the world ends.
-	t.worldDone = make(chan struct{})
+	t.stats.Workers = n
+	t.worldDone, t.pingDone = make(chan struct{}), make(chan struct{})
 	for rank, wc := range t.conns {
-		if wc.proc == nil {
-			continue
-		}
-		t.monWG.Add(1)
-		go func(rank int, p *proc) {
-			defer t.monWG.Done()
-			select {
-			case <-p.dead:
-				if !t.quiescent() {
-					t.fail(fmt.Errorf("dist: worker process for rank %d exited mid-run: %v", rank, p.waitErr))
-				}
-			case <-t.worldDone:
-			}
-		}(rank, wc.proc)
+		t.watch(rank, wc.proc)
 	}
+	go t.ping()
 	if ctx.Done() != nil {
 		t.stopCancel = context.AfterFunc(ctx, func() {
 			t.fail(ctx.Err())
@@ -447,57 +451,103 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 	return t, nil
 }
 
-// spawnInto launches workers until t holds n connections, accepting and
-// authenticating their hellos on cp's listener. Every spawned process is
-// recorded in t.procs immediately so teardown can reap it even when the
-// handshake fails halfway.
-func (r *runner) spawnInto(t *transport, cp *controlPlane, n int, deadline time.Time) error {
-	need := n - len(t.conns)
-	if need == 0 {
-		return nil
+// acquire brings up need workers, each past its hello: dialed at addrs
+// (attach mode), taken warm from the pool, or spawned on the control
+// plane. On error it closes what it had brought up; spawned processes
+// are on t.procs already, for teardown to reap.
+func (t *transport) acquire(need int, addrs []string, deadline time.Time) ([]*workerConn, error) {
+	var wcs []*workerConn
+	abandon := func(err error) ([]*workerConn, error) {
+		for _, wc := range wcs {
+			wc.c.Close()
+		}
+		return nil, err
 	}
+	if addrs != nil {
+		for _, addr := range addrs {
+			c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+			if err != nil {
+				return abandon(fmt.Errorf("dialing worker %s: %w", addr, err))
+			}
+			wc := newWorkerConn(c)
+			wcs = append(wcs, wc)
+			if err := wc.expectHello(deadline, ""); err != nil {
+				return abandon(err)
+			}
+		}
+		return wcs, nil
+	}
+	// Warm workers first: their next-world hello is already in the
+	// connection buffer, so validation is a local read. A worker that
+	// went bad while parked is discarded, not fatal.
+	for t.r.pool != nil && len(wcs) < need {
+		pw := t.r.pool.get()
+		if pw == nil {
+			break
+		}
+		wc := &workerConn{c: pw.c, br: pw.br, w: newWriter(pw.c), proc: pw.p}
+		if err := wc.expectHello(deadline, t.cp.token); err != nil {
+			wc.c.Close()
+			pw.p.kill()
+			continue
+		}
+		t.addProc(pw.p)
+		wcs = append(wcs, wc)
+	}
+	spawned, err := t.spawn(need-len(wcs), deadline)
+	wcs = append(wcs, spawned...)
+	if err != nil {
+		return abandon(err)
+	}
+	return wcs, nil
+}
+
+// spawn launches need workers and accepts and authenticates their hellos
+// on the control plane's listener. Every spawned process is recorded in
+// t.procs immediately so teardown can reap it even when the handshake
+// fails halfway.
+func (t *transport) spawn(need int, deadline time.Time) ([]*workerConn, error) {
+	if need == 0 {
+		return nil, nil
+	}
+	cp := t.cp
 	cp.acceptMu.Lock()
 	defer cp.acceptMu.Unlock()
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("locating own binary: %w", err)
+	}
 	env := append(os.Environ(),
 		envWorker+"="+cp.addrSpec,
 		envToken+"="+cp.token)
 	spawned := make(map[int]*proc, need)
 	for i := 0; i < need; i++ {
-		var cmd *exec.Cmd
-		if len(r.workerCmd) > 0 {
-			cmd = exec.Command(r.workerCmd[0], r.workerCmd[1:]...)
-		} else {
-			exe, err := os.Executable()
-			if err != nil {
-				return fmt.Errorf("locating own binary: %w", err)
-			}
-			cmd = exec.Command(exe)
-		}
+		cmd := exec.Command(exe)
 		cmd.Env = env
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("spawning worker: %w", err)
+			return nil, fmt.Errorf("spawning worker: %w", err)
 		}
 		p := newProc(cmd)
 		spawned[cmd.Process.Pid] = p
-		t.procs = append(t.procs, p)
+		t.addProc(p)
 	}
 	type deadliner interface{ SetDeadline(time.Time) error }
-	for matched := 0; matched < need; {
+	var wcs []*workerConn
+	for len(wcs) < need {
 		if d, ok := cp.ln.(deadliner); ok {
-			if err := d.SetDeadline(deadline); err != nil {
-				return err
-			}
+			d.SetDeadline(deadline) //nolint:errcheck // a failed deadline fails the Accept below
 		}
 		c, err := cp.ln.Accept()
 		if err != nil {
-			return fmt.Errorf("accepting workers (%d of %d connected; workers self-spawn by re-executing this binary — does its main call dist.MaybeWorker?): %w",
-				len(t.conns), n, err)
+			return wcs, fmt.Errorf("accepting workers (%d of %d connected; workers self-spawn by re-executing this binary — does its main call dist.MaybeWorker?): %w",
+				len(wcs), need, err)
 		}
 		wc := newWorkerConn(c)
 		if err := wc.expectHello(deadline, cp.token); err != nil {
-			// Not our worker (stray connection or stale world): drop it
-			// and keep listening until the deadline.
+			// Not our worker (stray connection, wrong token, stale world):
+			// drop it before it can host anything and keep listening until
+			// the deadline.
 			c.Close()
 			continue
 		}
@@ -510,20 +560,21 @@ func (r *runner) spawnInto(t *transport, cp *controlPlane, n int, deadline time.
 			continue
 		}
 		wc.proc = p
-		t.conns = append(t.conns, wc)
-		matched++
+		wcs = append(wcs, wc)
 	}
-	return nil
+	return wcs, nil
 }
 
 func init() { backend.Register(New()) }
 
-// workerConn is the coordinator's control connection to one worker.
-// After the world starts, writes go through the coalescing writer (any
-// rank may send toward this connection's worker; writer serializes them)
-// and reads belong to the connection's own rank's goroutine (inside
-// Recv/RecvAny) until the finish barrier takes them over — the rank
-// goroutines are gone by then. Close is safe concurrently (net.Conn
+// workerConn is the coordinator's control connection to one rank's
+// worker. After the world starts, writes go through the coalescing
+// writer (any rank may send toward this connection's worker; writer
+// serializes them) and reads belong to the connection's own rank's
+// goroutine (inside Recv/RecvAny) until the finish barrier takes them
+// over — the rank goroutines are gone by then. Only the rank's own
+// goroutine replaces c and proc, under the transport's mutex; other
+// goroutines read them under it. Close is safe concurrently (net.Conn
 // guarantees it), which is how fail unwinds everything, including a rank
 // blocked reading for a delivery.
 type workerConn struct {
@@ -564,7 +615,7 @@ func (wc *workerConn) expectHello(deadline time.Time, token string) error {
 	if op != opHello {
 		return fmt.Errorf("expected hello frame, got op %d", op)
 	}
-	got, pid, err := ParseHello(body)
+	got, pid, err := parseHello(body)
 	if err != nil {
 		return err
 	}
@@ -572,6 +623,26 @@ func (wc *workerConn) expectHello(deadline time.Time, token string) error {
 		return fmt.Errorf("hello with wrong world secret")
 	}
 	wc.pid = pid
+	return nil
+}
+
+// assign and expectReady are the two halves of a worker's admission as
+// rank: world start assigns every rank before awaiting any ready.
+func (wc *workerConn) assign(rank, n int) error {
+	if err := writeFrame(wc.c, opAssign, assignBody(rank, n)); err != nil {
+		return fmt.Errorf("assigning rank %d: %w", rank, err)
+	}
+	return nil
+}
+
+func (wc *workerConn) expectReady(rank int, deadline time.Time) error {
+	op, _, err := wc.read(deadline, maxHandshakeFrame)
+	if err != nil {
+		return fmt.Errorf("awaiting ready from rank %d: %w", rank, err)
+	}
+	if op != opReady {
+		return fmt.Errorf("rank %d sent op %d instead of ready", rank, op)
+	}
 	return nil
 }
 
@@ -585,17 +656,54 @@ type shard struct {
 	_     [112]byte
 }
 
+// rankState is what one rank's goroutine keeps across its attempts: the
+// fault-injection coordinate and, under a recovery budget, the
+// checkpoint a re-execution replays.
+type rankState struct {
+	// epoch counts the current attempt's completed operations.
+	epoch    int
+	restarts int
+	// log holds the messages delivered to the body, in program order;
+	// cursor is the replay position (len(log) once the attempt is live).
+	log    []inMsg
+	cursor int
+	// sent counts the sends performed across all attempts; sendIdx counts
+	// the current attempt's, which are suppressed while sendIdx < sent.
+	sent, sendIdx int
+}
+
+// lostWorker unwinds a rank's attempt when its worker is lost under a
+// recovery budget: Drive re-executes the rank on a replacement.
+type lostWorker struct {
+	rank  int
+	cause error
+}
+
+func (e *lostWorker) Error() string {
+	return fmt.Sprintf("dist: rank %d lost its worker: %v", e.rank, e.cause)
+}
+
 // transport is the coordinator side of one dist run.
 type transport struct {
 	ctx   context.Context
 	n     int
 	begin time.Time
 	r     *runner
+	// keep is the recovery policy: checkpoints are kept and lost workers
+	// replaced (a non-zero budget).
+	keep bool
+	// silence is how long a waiting rank hears nothing before its worker
+	// counts as lost.
+	silence time.Duration
+	// cp is the control plane spawned workers report to (nil in attach
+	// mode); ownCP marks one the world created and must close.
+	cp    *controlPlane
+	ownCP bool
 
 	conns []*workerConn
-	// procs holds every worker process this world owns (pool-acquired
-	// and freshly spawned); teardown kills whichever were not returned
-	// to the pool.
+	// procs holds every worker process this world owns (pool-acquired,
+	// spawned at start, and respawned); teardown kills whichever were not
+	// returned to the pool. Guarded by mu.
 	procs    []*proc
 	counters []shard
 	// sendBufs is per-source-rank scratch (rank-goroutine only) for
@@ -608,30 +716,102 @@ type transport struct {
 	// inboxes bank eagerly pushed deliveries per destination rank;
 	// Recv/RecvAny pop them locally.
 	inboxes []*inQueue
-	// ops counts each rank's transport operations (rank-goroutine only):
-	// the epoch coordinate for fault-injection rules.
-	ops []int
-	inj *faultinject.Injector
+	// ranks is per-rank state, each entry touched only by its rank's
+	// goroutine.
+	ranks []rankState
 	// rec is the run's flight recorder; nil (free) when tracing is off.
 	rec *obs.Recorder
 
 	mu        sync.Mutex
 	err       error
 	finishing bool
+	stats     Stats
+	spare     int         // next spare WithWorkers address
+	recovery  *time.Timer // the recovery deadline, armed at the first restart
 
-	// worldDone releases the per-process monitors at teardown.
+	// worldDone stops the pinger and releases the per-process monitors.
 	worldDone chan struct{}
+	pingDone  chan struct{}
 	doneOnce  sync.Once
 	monWG     sync.WaitGroup
 
 	stopCancel func() bool
 }
 
+func (t *transport) addProc(p *proc) {
+	t.mu.Lock()
+	t.procs = append(t.procs, p)
+	t.mu.Unlock()
+}
+
+// watch parks a monitor on rank's worker process until the world ends:
+// a worker dying mid-run is a lost worker even while its rank computes.
+func (t *transport) watch(rank int, p *proc) {
+	if p == nil {
+		return
+	}
+	t.monWG.Add(1)
+	go func() {
+		defer t.monWG.Done()
+		select {
+		case <-p.dead:
+		case <-t.worldDone:
+			return
+		}
+		t.mu.Lock()
+		wc := t.conns[rank]
+		if t.finishing || t.err != nil || wc.proc != p {
+			t.mu.Unlock()
+			return
+		}
+		if t.keep {
+			// The rank's own reader finds the loss and recovers.
+			wc.c.Close()
+			t.mu.Unlock()
+			return
+		}
+		t.mu.Unlock()
+		t.fail(fmt.Errorf("dist: worker process for rank %d exited mid-run: %v", rank, p.waitErr))
+	}()
+}
+
+// ping is the world's pinger: every heartbeat interval, an opPing down
+// each connection, whose pong the rank's own reader consumes. A write
+// error is the rank's reader's to find.
+func (t *transport) ping() {
+	defer close(t.pingDone)
+	tick := time.NewTicker(t.r.hbInterval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-t.worldDone:
+			return
+		case <-tick.C:
+		}
+		for _, wc := range t.conns {
+			if wc.w.Write(opPing, nil) == nil {
+				wc.w.Flush() //nolint:errcheck // see above
+			}
+		}
+	}
+}
+
+// quiesce stops the pinger and releases the monitors: from here on a
+// worker exit is expected, and only the finish barrier writes frames.
+func (t *transport) quiesce() {
+	if t.worldDone != nil {
+		t.doneOnce.Do(func() {
+			close(t.worldDone)
+			<-t.pingDone
+		})
+	}
+}
+
 // fail records the run's first fatal error and closes every control
 // connection, unwinding all blocked operations — a rank parked in a
 // connection read waiting for a dead worker's delivery gets a read error
 // and raises. (Closing the inboxes is defensive: the owning ranks only
-// try-pop them, but any future blocking consumer unwinds too.) After
+// take from them without waiting, but a waiting taker unwinds too.) After
 // Finish has begun it is a no-op (workers exiting at world end are not
 // failures).
 func (t *transport) fail(err error) {
@@ -641,21 +821,13 @@ func (t *transport) fail(err error) {
 		return
 	}
 	t.err = err
-	t.mu.Unlock()
 	for _, wc := range t.conns {
 		wc.c.Close()
 	}
+	t.mu.Unlock()
 	for _, q := range t.inboxes {
 		q.close()
 	}
-}
-
-// quiescent reports whether the run already failed or is finishing — the
-// states in which a worker exit is expected rather than fatal.
-func (t *transport) quiescent() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.finishing || t.err != nil
 }
 
 func (t *transport) runErr() error {
@@ -664,19 +836,30 @@ func (t *transport) runErr() error {
 	return t.err
 }
 
-// raise converts an I/O failure on a control connection into the
-// cancellation sentinel, preferring the run's root cause (recorded fail,
-// then context cancellation) over the local symptom.
-func (t *transport) raise(rank int, ioErr error) {
+// raise unwinds rank's operation after its worker was lost, preferring
+// the run's root cause (recorded fail, then context cancellation) over
+// the local symptom. Under a recovery budget the attempt unwinds to be
+// re-executed; otherwise the loss fails the run.
+func (t *transport) raise(rank int, cause error) {
 	if err := t.runErr(); err != nil {
 		panic(backend.Canceled(err))
 	}
 	if err := t.ctx.Err(); err != nil {
 		panic(backend.Canceled(err))
 	}
-	err := fmt.Errorf("dist: rank %d worker connection: %w", rank, ioErr)
+	if t.keep {
+		panic(backend.Canceled(&lostWorker{rank: rank, cause: cause}))
+	}
+	err := fmt.Errorf("dist: rank %d worker connection: %w", rank, cause)
 	t.fail(err)
 	panic(backend.Canceled(err))
+}
+
+// abort fails the run with err, which no re-execution could mend, and
+// unwinds the calling rank.
+func (t *transport) abort(err error) {
+	t.fail(err)
+	panic(backend.Canceled(t.runErr()))
 }
 
 // Charge discards modeled computation like the real backend: computation
@@ -693,24 +876,30 @@ func (t *transport) Recorder() *obs.Recorder { return t.rec }
 // Idle cannot advance a wall clock.
 func (t *transport) Idle(rank int, at float64) {}
 
-// inject consults the fault injector before rank's control I/O at the
-// given hook point. Drop severs the rank's control connection so the
-// world fails through the ordinary lost-worker path (the rank's worker
-// exits when its connection closes, which the process monitor reports,
-// and the rank's own next read errors immediately); Delay sleeps here.
-func (t *transport) inject(point string, rank int) {
-	if t.inj == nil {
+// opDone closes one rank operation: it advances the attempt's epoch and
+// gives the fault injector its shot at the completed operation's program
+// point.
+func (t *transport) opDone(rank int) {
+	rs := &t.ranks[rank]
+	epoch := rs.epoch
+	rs.epoch++
+	if t.r.inj == nil {
 		return
 	}
-	epoch := t.ops[rank]
-	t.ops[rank]++
-	act, d := t.inj.Eval(point, rank, epoch)
+	act, d := t.r.inj.Eval(faultPoint, rank, epoch)
 	if act != faultinject.None && t.rec != nil {
 		t.rec.Emit(rank, obs.Event{T: t.rec.Now(), Peer: -1, Tag: int32(act), Kind: obs.KindFault})
 	}
+	wc := t.conns[rank] // this goroutine is the only one that replaces its fields
 	switch act {
+	case faultinject.Kill:
+		wc.c.Close()
+		if wc.proc != nil {
+			wc.proc.kill()
+		}
+		t.raise(rank, errors.New("worker killed by fault injection"))
 	case faultinject.Drop:
-		t.conns[rank].c.Close()
+		wc.c.Close()
 	case faultinject.Delay:
 		time.Sleep(d)
 	}
@@ -718,16 +907,35 @@ func (t *transport) inject(point string, rank int) {
 
 // Send appends the message to the destination rank's connection, whose
 // worker pushes the body back up as the delivery. The frame only reaches
-// the wire at the sending rank's next flush point (its next receive, its
-// body returning, or the writer's size threshold), which is the
-// write-coalescing boundary: a burst of sends goes out as one opBatch
-// frame.
+// the wire at the next flush point (a receive, a body returning, a ping,
+// or the writer's size threshold), which is the write-coalescing
+// boundary: a burst of sends goes out as one opBatch frame. A
+// re-executed attempt's sends up to its checkpoint are suppressed.
 func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 	var start int64
 	if t.rec != nil {
 		start = t.rec.Now()
 	}
-	t.inject("dist.send", src)
+	kind := obs.KindSend
+	if rs := &t.ranks[src]; rs.sendIdx < rs.sent {
+		// This send happened in an earlier attempt: its message is banked,
+		// logged or un-echoed at dst, and its meter charge is on the books.
+		rs.sendIdx++
+		kind = obs.KindResendSuppressed
+	} else {
+		t.send(src, dst, tag, data, bytes)
+		if t.keep {
+			rs.sent++
+			rs.sendIdx++
+		}
+	}
+	if t.rec != nil {
+		t.rec.Emit(src, obs.Event{T: start, Dur: t.rec.Now() - start, Bytes: int64(bytes), Peer: int32(dst), Tag: int32(tag), Kind: kind})
+	}
+	t.opDone(src)
+}
+
+func (t *transport) send(src, dst, tag int, data any, bytes int) {
 	if src == dst {
 		// Self-send: codec-encode and bank in the local inbox directly,
 		// the cross-process analogue of the in-process mailbox's local
@@ -737,9 +945,6 @@ func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 			panic(fmt.Sprintf("dist: process %d: %v", src, err))
 		}
 		t.inboxes[src].push(inMsg{src: src, tag: tag, metered: bytes, payload: body})
-		if t.rec != nil {
-			t.rec.Emit(src, obs.Event{T: start, Dur: t.rec.Now() - start, Bytes: int64(bytes), Peer: int32(dst), Tag: int32(tag), Kind: obs.KindSend})
-		}
 		return
 	}
 	hdr := appendMsgHeader(t.sendBufs[src][:0], src, tag, bytes)
@@ -752,45 +957,42 @@ func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 	}
 	werr := t.conns[dst].w.Write(opSend, body)
 	t.sendBufs[src] = body[:0]
-	if werr != nil {
+	// Under a recovery budget the frame is on dst's un-echoed suffix
+	// whatever the write did: a dead worker at dst is dst's to replace.
+	if werr != nil && !t.keep {
 		t.raise(src, werr)
 	}
 	sh := &t.counters[src]
 	sh.msgs++
 	sh.bytes += int64(bytes)
-	if t.rec != nil {
-		t.rec.Emit(src, obs.Event{T: start, Dur: t.rec.Now() - start, Bytes: int64(bytes), Peer: int32(dst), Tag: int32(tag), Kind: obs.KindSend})
-	}
 }
 
-// flushConns puts every connection's buffered frames on the wire — the
-// coalescing boundary, hit whenever a rank is about to block (and when
-// its body returns). Flushing all connections rather than just the
-// rank's own is what lets Send stay fire-and-forget with no flusher
-// goroutine: whichever rank blocks first drives everyone's pending bytes
-// out, and an idle writer's Flush is a mutex acquisition, not a syscall.
-func (t *transport) flushConns(rank int) {
-	if t.rec == nil {
-		for _, wc := range t.conns {
-			if err := wc.w.Flush(); err != nil {
-				t.raise(rank, err)
-			}
-		}
-		return
+// flush puts every connection's buffered frames on the wire — the
+// coalescing boundary, hit whenever a rank is about to block and when its
+// body returns. Flushing all connections rather than just the rank's own
+// is what lets Send stay fire-and-forget with no flusher goroutine:
+// whichever rank blocks first drives everyone's pending bytes out, and an
+// idle writer's flush is a mutex acquisition, not a syscall. It returns
+// the first error that is rank's to handle: any, when failing fast; its
+// own connection's, under a recovery budget.
+func (t *transport) flush(rank int) error {
+	var start int64
+	if t.rec != nil {
+		start = t.rec.Now()
 	}
-	start := t.rec.Now()
+	var first error
 	frames, batched := 0, 0
-	for _, wc := range t.conns {
+	for i, wc := range t.conns {
 		n, err := wc.w.FlushN()
-		if err != nil {
-			t.raise(rank, err)
+		if err != nil && first == nil && (i == rank || !t.keep) {
+			first = err
 		}
 		frames += n
 		if n > 1 {
 			batched++
 		}
 	}
-	if frames > 0 {
+	if frames > 0 && t.rec != nil {
 		// Bytes carries the frame count for flush events, and the number
 		// of connections whose frames were coalesced for batch events.
 		t.rec.Emit(rank, obs.Event{T: start, Dur: t.rec.Now() - start, Bytes: int64(frames), Peer: -1, Kind: obs.KindFlush})
@@ -798,28 +1000,7 @@ func (t *transport) flushConns(rank int) {
 			t.rec.Emit(rank, obs.Event{T: start, Bytes: int64(batched), Peer: -1, Kind: obs.KindBatch})
 		}
 	}
-}
-
-// RankReturned implements backend.RankObserver: the rank's body is done,
-// so its buffered sends must reach the wire now — it will never hit
-// another flush point, and peers may be blocked on those messages.
-// Errors fail the world (no panic: this runs outside the rank body's
-// recover) unless it is already quiescent.
-func (t *transport) RankReturned(rank int) {
-	frames := 0
-	for _, wc := range t.conns {
-		n, err := wc.w.FlushN()
-		if err != nil {
-			if !t.quiescent() {
-				t.fail(fmt.Errorf("dist: rank %d final flush: %w", rank, err))
-			}
-			return
-		}
-		frames += n
-	}
-	if frames > 0 && t.rec != nil {
-		t.rec.Emit(rank, obs.Event{T: t.rec.Now(), Bytes: int64(frames), Peer: -1, Kind: obs.KindFlush})
-	}
+	return first
 }
 
 // popMsg is the receive engine, run entirely in the receiving rank's
@@ -830,7 +1011,8 @@ func (t *transport) RankReturned(rank int) {
 // delivery for later receives. Blocking happens only in the connection
 // read, so a delivery wakes the waiting rank straight from the socket —
 // no relay goroutine — and a failed world unwinds it by closing the
-// connection.
+// connection. A read that hears nothing, not even a pong, for the
+// silence window has lost the worker.
 //
 // The common case — the wanted message is the next delivery off the wire
 // — never touches the inbox: frames land in the rank's reused read
@@ -840,30 +1022,47 @@ func (t *transport) RankReturned(rank int) {
 // of the scratch and banked. A first-match direct consume is safe on
 // both FIFO orders: with an empty per-source queue the first frame from
 // src IS the oldest from src, and with an empty inbox the first frame of
-// the batch IS the oldest cross-source arrival.
+// the batch IS the oldest cross-source arrival. Under a recovery budget
+// each delivery's payload is instead the un-echoed copy it retires,
+// which the delivery log may keep.
 func (t *transport) popMsg(dst, src int) inMsg {
-	t.inject("dist.recv", dst)
-	t.flushConns(dst)
+	if err := t.flush(dst); err != nil {
+		t.raise(dst, err)
+	}
 	inbox := t.inboxes[dst]
 	wc := t.conns[dst]
 	for {
-		var m inMsg
-		var ok bool
-		if src >= 0 {
-			m, ok = inbox.tryPop(src)
-		} else {
-			m, ok = inbox.tryPopAny()
-		}
+		m, ok := inbox.take(src, false)
 		if ok {
 			return m
 		}
+		if !pendingFrame(wc.br) {
+			wc.c.SetReadDeadline(time.Now().Add(t.silence)) //nolint:errcheck // a closed connection fails the read
+		}
 		op, body, err := readFrameInto(wc.br, &t.recvBufs[dst])
 		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				err = fmt.Errorf("worker silent for %v (%d heartbeats missed)", t.silence, t.r.hbMiss)
+			}
 			t.raise(dst, err)
 		}
 		err = forEachFrame(op, body, func(op byte, b []byte) error {
-			if op != opDeliver {
+			switch op {
+			case opPong:
+				if t.rec != nil {
+					t.rec.Emit(dst, obs.Event{T: t.rec.Now(), Peer: -1, Kind: obs.KindHeartbeat})
+				}
+				return nil
+			case opDeliver:
+			default:
 				return fmt.Errorf("unexpected control op %d", op)
+			}
+			if t.keep {
+				// The worker echoes in write order: this is the oldest
+				// un-echoed frame.
+				if b = wc.w.echoed(len(b)); b == nil {
+					return errors.New("worker echoed a frame that was never sent")
+				}
 			}
 			from, tag, metered, payload, err := parseMsgHeader(b)
 			if err != nil {
@@ -880,10 +1079,13 @@ func (t *transport) popMsg(dst, src int) inMsg {
 				ok = true
 				return nil
 			}
-			// Not the wanted message (or one already matched): bank a copy
-			// — the scratch underneath payload is reused on the next read.
-			inbox.push(inMsg{src: from, tag: tag, metered: metered,
-				payload: append([]byte(nil), payload...)})
+			// Not the wanted message (or one already matched): bank it,
+			// copied unless owned — the scratch underneath is reused on
+			// the next read.
+			if !t.keep {
+				payload = append([]byte(nil), payload...)
+			}
+			inbox.push(inMsg{src: from, tag: tag, metered: metered, payload: payload})
 			return nil
 		})
 		if err != nil {
@@ -896,58 +1098,206 @@ func (t *transport) popMsg(dst, src int) inMsg {
 }
 
 func (t *transport) Recv(src, dst, tag int) any {
-	var start int64
-	if t.rec != nil {
-		start = t.rec.Now()
-	}
-	m := t.popMsg(dst, src)
-	if m.tag != tag {
-		panic(fmt.Sprintf("dist: process %d expected tag %d from %d, got %d", dst, tag, src, m.tag))
-	}
-	data, _, err := spmd.DecodePayload(m.payload)
-	if err != nil {
-		t.raise(dst, fmt.Errorf("decoding message from %d: %w", src, err))
-	}
-	if t.rec != nil {
-		t.rec.Emit(dst, obs.Event{T: start, Dur: t.rec.Now() - start, Bytes: int64(m.metered), Peer: int32(m.src), Tag: int32(tag), Kind: obs.KindRecv})
-	}
+	_, data := t.recv(dst, src, tag)
 	return data
 }
 
 func (t *transport) RecvAny(dst, tag int) (int, any) {
+	return t.recv(dst, -1, tag)
+}
+
+// recv delivers dst's next message from src (from any source, in arrival
+// order, when src < 0): replayed from the delivery log while a
+// re-executed attempt is behind its checkpoint, live after that.
+func (t *transport) recv(dst, src, tag int) (int, any) {
 	var start int64
 	if t.rec != nil {
 		start = t.rec.Now()
 	}
-	m := t.popMsg(dst, -1)
-	if m.tag != tag {
-		panic(fmt.Sprintf("dist: process %d expected tag %d from any source, got %d from %d",
-			dst, tag, m.tag, m.src))
+	rs := &t.ranks[dst]
+	var m inMsg
+	kind := obs.KindRecv
+	if rs.cursor < len(rs.log) {
+		m, kind = rs.log[rs.cursor], obs.KindReplay
+		if src >= 0 && m.src != src {
+			t.abort(fmt.Errorf("dist: rank %d replay diverged: log has a message from %d, program asked for %d (rank bodies must be deterministic)", dst, m.src, src))
+		}
+		rs.cursor++
+	} else {
+		m = t.popMsg(dst, src)
+		if t.keep {
+			rs.log = append(rs.log, m)
+			rs.cursor++
+		}
+		if src < 0 {
+			kind = obs.KindRecvAny
+		}
 	}
+	if m.tag != tag {
+		if src < 0 {
+			panic(fmt.Sprintf("dist: process %d expected tag %d from any source, got %d from %d", dst, tag, m.tag, m.src))
+		}
+		panic(fmt.Sprintf("dist: process %d expected tag %d from %d, got %d", dst, tag, src, m.tag))
+	}
+	// Decoded fresh every time: a replayed value never aliases memory an
+	// earlier attempt's body mutated.
 	data, _, err := spmd.DecodePayload(m.payload)
 	if err != nil {
-		t.raise(dst, fmt.Errorf("decoding message from %d: %w", m.src, err))
+		t.abort(fmt.Errorf("dist: rank %d decoding message from %d: %w", dst, m.src, err))
 	}
 	if t.rec != nil {
-		t.rec.Emit(dst, obs.Event{T: start, Dur: t.rec.Now() - start, Bytes: int64(m.metered), Peer: int32(m.src), Tag: int32(tag), Kind: obs.KindRecvAny})
+		t.rec.Emit(dst, obs.Event{T: start, Dur: t.rec.Now() - start, Bytes: int64(m.metered), Peer: int32(m.src), Tag: int32(tag), Kind: kind})
 	}
+	t.opDone(dst)
 	return m.src, data
+}
+
+// Drive implements backend.Driver: each rank's body runs on a goroutine
+// of its own, which flushes whatever sends the body left buffered when it
+// returns — the body will never reach another flush point, and its peers
+// may be blocked on those messages. Under a recovery budget that
+// goroutine also re-executes the body each time the rank's worker is
+// lost. Drive returns the lowest rank's error.
+func (t *transport) Drive(run func(rank int) error) error {
+	errs := make([]error, t.n)
+	var wg sync.WaitGroup
+	wg.Add(t.n)
+	for rank := range t.n {
+		go func() {
+			defer wg.Done()
+			errs[rank] = t.drive(rank, run)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *transport) drive(rank int, run func(rank int) error) error {
+	for {
+		err := run(rank)
+		if ferr := t.flush(rank); ferr != nil && !t.keep {
+			t.fail(fmt.Errorf("dist: rank %d final flush: %w", rank, ferr))
+		}
+		var lost *lostWorker
+		if errors.As(err, &lost) {
+			err = t.recover(rank, lost)
+			if err == nil {
+				continue
+			}
+		}
+		if err != nil {
+			// Peers blocked on this rank must not wait for it.
+			t.fail(err)
+		}
+		return err
+	}
+}
+
+// recover readies rank for re-execution after it lost its worker, within
+// the recovery budget: the lost worker is declared dead, a replacement
+// takes its place, and the attempt's view of the checkpoint rewinds.
+func (t *transport) recover(rank int, lost *lostWorker) error {
+	rs := &t.ranks[rank]
+	rs.restarts++
+	t.mu.Lock()
+	if t.err != nil {
+		t.mu.Unlock()
+		return t.err
+	}
+	t.stats.DeclaredDead++
+	t.stats.Restarts++
+	if d := t.r.deadline; t.recovery == nil && d > 0 {
+		// Armed at the first restart, the deadline bounds the whole
+		// recovery phase: a world that cannot stop restarting fails.
+		t.recovery = time.AfterFunc(d, func() {
+			t.fail(fmt.Errorf("dist: recovery deadline (%v) exceeded", d))
+		})
+	}
+	t.mu.Unlock()
+	if t.rec != nil {
+		t.rec.EmitSys(obs.Event{T: t.rec.Now(), Rank: int32(rank), Peer: -1, Kind: obs.KindDeclaredDead})
+	}
+	if rs.restarts > t.r.maxRestarts {
+		return fmt.Errorf("dist: rank %d exceeded its restart budget (%d restarts): %w", rank, t.r.maxRestarts, lost)
+	}
+	if err := t.replace(rank); err != nil {
+		return fmt.Errorf("dist: rank %d: replacing its worker: %w", rank, err)
+	}
+	rs.cursor, rs.sendIdx, rs.epoch = 0, 0, 0
+	return nil
+}
+
+// replace gives rank a new worker: the old connection is closed and its
+// process killed, a replacement is acquired and admitted as rank, and
+// the writer puts the old worker's un-echoed suffix on the new
+// connection. A replacement that dies at once is found by the rank's
+// next read, like any other loss.
+func (t *transport) replace(rank int) error {
+	wc := t.conns[rank]
+	var addrs []string
+	t.mu.Lock()
+	if a := t.r.attach; len(a) > 0 {
+		addrs = []string{a[rank]}
+		if spares := a[t.n:]; len(spares) > 0 {
+			addrs[0] = spares[t.spare%len(spares)]
+			t.spare++
+		}
+	}
+	t.mu.Unlock()
+	wc.c.Close()
+	if wc.proc != nil {
+		wc.proc.kill()
+	}
+	deadline := time.Now().Add(handshakeTimeout)
+	wcs, err := t.acquire(1, addrs, deadline)
+	if err != nil {
+		return err
+	}
+	nw := wcs[0]
+	if err = nw.assign(rank, t.n); err == nil {
+		err = nw.expectReady(rank, deadline)
+	}
+	t.mu.Lock()
+	if err == nil {
+		err = t.err
+	}
+	if err != nil {
+		t.mu.Unlock()
+		nw.c.Close()
+		return err
+	}
+	wc.c, wc.br, wc.proc = nw.c, nw.br, nw.proc
+	t.stats.Workers++
+	id := t.stats.Workers - 1
+	t.mu.Unlock()
+	t.watch(rank, nw.proc)
+	if t.rec != nil {
+		t.rec.EmitSys(obs.Event{T: t.rec.Now(), Rank: int32(rank), Peer: int32(id), Kind: obs.KindLease})
+	}
+	wc.w.retarget(nw.c) //nolint:errcheck // latched: the rank's next flush finds it
+	return nil
 }
 
 // Finish runs the world-finish barrier (finish/bye with every live
 // worker), tears the substrate down — parking cleanly finished workers
-// in the runner's pool when one is configured — and assembles the run
-// summary.
+// in the runner's pool when one is configured — reports the recovery
+// stats, and assembles the run summary.
 func (t *transport) Finish() backend.Result {
 	elapsed := time.Since(t.begin).Seconds()
 	t.mu.Lock()
 	t.finishing = true
-	failedErr := t.err
+	failedErr, stats := t.err, t.stats
 	t.mu.Unlock()
 	if t.stopCancel != nil {
 		t.stopCancel()
 		t.stopCancel = nil
 	}
+	t.quiesce()
 	if failedErr == nil && t.ctx.Err() == nil {
 		deadline := time.Now().Add(10 * time.Second)
 		for _, wc := range t.conns {
@@ -956,10 +1306,10 @@ func (t *transport) Finish() backend.Result {
 			wc.w.Write(opFinish, nil) //nolint:errcheck // teardown is best-effort
 			wc.w.Flush()              //nolint:errcheck
 		}
-		// The rank goroutines are gone (Run joined them), so the barrier
+		// The rank goroutines are gone (Drive joined them), so the barrier
 		// owns the reads now: drain each connection to its bye, skipping
-		// stale deliveries nobody will receive. A worker's bye proves it
-		// is between worlds — exactly the state the pool parks.
+		// stale deliveries nobody will receive and pongs. A worker's bye
+		// proves it is between worlds — exactly the state the pool parks.
 		for _, wc := range t.conns {
 			for {
 				op, body, err := wc.read(deadline, maxFrame)
@@ -981,6 +1331,9 @@ func (t *transport) Finish() backend.Result {
 		}
 	}
 	t.teardown()
+	if t.r.observer != nil {
+		t.r.observer(stats)
+	}
 	res := backend.Result{Makespan: elapsed, Clocks: make([]float64, t.n)}
 	for i := range res.Clocks {
 		res.Clocks[i] = elapsed
@@ -992,11 +1345,12 @@ func (t *transport) Finish() backend.Result {
 	return res
 }
 
-// teardown releases the substrate: monitors unparked, inboxes closed,
-// and every worker either returned to the runner's pool (spawned, bye
-// received, pool configured) or closed and killed. Workers exit on their
-// own once their control connection closes; the kill is the backstop
-// that bounds the reap.
+// teardown releases the substrate: pinger stopped, monitors unparked,
+// inboxes closed, the world's control plane closed, and every worker
+// either returned to the runner's pool (spawned, bye received, pool
+// configured) or closed and killed. Workers exit on their own once their
+// control connection closes; the kill is the backstop that bounds the
+// reap.
 func (t *transport) teardown() {
 	if t.stopCancel != nil {
 		t.stopCancel()
@@ -1004,13 +1358,14 @@ func (t *transport) teardown() {
 	}
 	t.mu.Lock()
 	t.finishing = true
-	t.mu.Unlock()
-	if t.worldDone != nil {
-		t.doneOnce.Do(func() { close(t.worldDone) })
+	if t.recovery != nil {
+		t.recovery.Stop()
 	}
+	t.mu.Unlock()
+	t.quiesce()
 	pooled := make(map[*proc]bool)
 	for _, wc := range t.conns {
-		if t.r != nil && t.r.pool != nil && wc.poolable && wc.proc != nil {
+		if t.r.pool != nil && wc.poolable && wc.proc != nil {
 			// The worker's next hello is already on its way up this
 			// connection; the next world's handshake picks it up.
 			wc.c.SetReadDeadline(time.Time{}) //nolint:errcheck // park with a clean slate
@@ -1022,6 +1377,9 @@ func (t *transport) teardown() {
 	}
 	for _, q := range t.inboxes {
 		q.close()
+	}
+	if t.ownCP {
+		t.cp.close()
 	}
 	for _, p := range t.procs {
 		if !pooled[p] {

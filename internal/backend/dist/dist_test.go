@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,10 +223,11 @@ func TestDistCancellationReapsWorkers(t *testing.T) {
 	}
 }
 
-// TestDistFaultInjection exercises the injector hooks on the dist
-// control plane: Delay perturbs timing without changing results, and
-// Drop severs a rank's control connection mid-run, which must surface
-// through the ordinary lost-worker path as a run error, not a hang.
+// TestDistFaultInjection exercises the injection point after each
+// completed rank operation: Delay perturbs timing without changing
+// results, and Drop severs a rank's control connection mid-run, which
+// must surface through the ordinary lost-worker path as a run error, not
+// a hang.
 func TestDistFaultInjection(t *testing.T) {
 	const n = 2
 	ring := func(p *spmd.Proc) {
@@ -237,18 +239,18 @@ func TestDistFaultInjection(t *testing.T) {
 	}
 
 	delay := faultinject.New(faultinject.Rule{
-		Point: "dist.send", Rank: faultinject.AnyRank, Epoch: faultinject.AnyEpoch,
+		Point: "dist.op", Rank: faultinject.AnyRank, Epoch: faultinject.AnyEpoch,
 		Count: 2, Action: faultinject.Delay, Delay: 5 * time.Millisecond,
 	})
 	if _, err := runOn(t, dist.New(dist.WithInjector(delay)), n, ring); err != nil {
 		t.Fatalf("run with injected delays: %v", err)
 	}
-	if got := delay.Fired("dist.send"); got != 2 {
+	if got := delay.Fired("dist.op"); got != 2 {
 		t.Errorf("delay rule fired %d times, want 2", got)
 	}
 
 	drop := faultinject.New(faultinject.Rule{
-		Point: "dist.send", Rank: 1, Epoch: 0, Action: faultinject.Drop,
+		Point: "dist.op", Rank: 1, Epoch: 0, Action: faultinject.Drop,
 	})
 	done := make(chan error, 1)
 	go func() {
@@ -268,7 +270,7 @@ func TestDistFaultInjection(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("run with a dropped control connection hung")
 	}
-	if got := drop.Fired("dist.send"); got != 1 {
+	if got := drop.Fired("dist.op"); got != 1 {
 		t.Errorf("drop rule fired %d times, want 1", got)
 	}
 }
@@ -340,15 +342,6 @@ func TestDistAttach(t *testing.T) {
 func TestDistStartFailures(t *testing.T) {
 	t.Run("too-few-attached-workers", func(t *testing.T) {
 		_, err := runOn(t, dist.New(dist.WithWorkers("127.0.0.1:1")), 2, func(p *spmd.Proc) {
-			p.Charge(0)
-		})
-		if err == nil || !strings.Contains(err.Error(), "world start") {
-			t.Fatalf("err = %v, want world start error", err)
-		}
-	})
-	t.Run("unspawnable-worker-command", func(t *testing.T) {
-		r := dist.New(dist.WithWorkerCommand("/nonexistent/archdist-worker"), dist.WithHandshakeTimeout(5*time.Second))
-		_, err := runOn(t, r, 2, func(p *spmd.Proc) {
 			p.Charge(0)
 		})
 		if err == nil || !strings.Contains(err.Error(), "world start") {
@@ -518,5 +511,121 @@ func TestDistSizedPayloads(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// listenWorkers starts k in-process workers (cmd/archworker's loop) on
+// loopback listeners, each handed through wrap, and returns their
+// addresses; the listeners close with the test.
+func listenWorkers(t *testing.T, k int, wrap func(net.Listener) net.Listener) []string {
+	t.Helper()
+	addrs := make([]string, k)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		addrs[i] = ln.Addr().String()
+		go dist.Serve(wrap(ln)) //nolint:errcheck // ends when the listener closes
+	}
+	return addrs
+}
+
+// silentListener hands its worker connections on which the worker's hello
+// and ready (one write each) reach the coordinator and nothing after them
+// does: the wedged-worker failure mode TCP cannot report, where the
+// connection stays open and the worker reads on, but no delivery or pong
+// ever comes back.
+type silentListener struct{ net.Listener }
+
+func (l silentListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &silentConn{Conn: c}, nil
+}
+
+type silentConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *silentConn) Write(p []byte) (int, error) {
+	if c.writes.Add(1) > 2 {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+// TestDistSilentWorkerFailsTheRun pins liveness under the fail-fast
+// policy: rank 0's worker handshakes and then never echoes, so rank 0
+// waits on a message that never comes back. Pings go unanswered too, and
+// the run must fail within interval × misses (plus slack) with an error
+// naming rank 0, instead of hanging.
+func TestDistSilentWorkerFailsTheRun(t *testing.T) {
+	const interval, misses = 50 * time.Millisecond, 3
+	silent := listenWorkers(t, 1, func(ln net.Listener) net.Listener { return silentListener{ln} })
+	live := listenWorkers(t, 1, func(ln net.Listener) net.Listener { return ln })
+	r := dist.New(dist.WithWorkers(silent[0], live[0]), dist.WithHeartbeat(interval, misses))
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		w, err := spmd.NewWorldOn(context.Background(), r, 2, machine.IBMSP())
+		if err == nil {
+			_, err = w.Run(func(p *spmd.Proc) {
+				peer := 1 - p.Rank()
+				spmd.SendT(p, peer, 1, p.Rank())
+				spmd.Recv[int](p, peer, 1)
+			})
+		}
+		done <- err
+	}()
+	limit := interval*misses + 5*time.Second
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "rank 0") {
+			t.Fatalf("err = %v, want a lost-worker error naming rank 0", err)
+		}
+		if took := time.Since(start); took > limit {
+			t.Errorf("silent worker detected after %v, want within %v", took, limit)
+		}
+	case <-time.After(2 * limit):
+		t.Fatal("run with a silent worker hung")
+	}
+}
+
+// TestRankEndsOnBufferedSend pins the flush Drive owes a finished rank:
+// a body whose last act is a send never reaches another flush point, so
+// the frame must go on the wire when the body returns. Rank 1 is already
+// blocked reading when rank 0 sends, and the heartbeat is an hour, so no
+// ping flushes the writer on the rank's behalf.
+func TestRankEndsOnBufferedSend(t *testing.T) {
+	r := dist.New(dist.WithHeartbeat(time.Hour, 1))
+	done := make(chan error, 1)
+	go func() {
+		w, err := spmd.NewWorldOn(context.Background(), r, 2, machine.IBMSP())
+		if err == nil {
+			_, err = w.Run(func(p *spmd.Proc) {
+				if p.Rank() == 0 {
+					time.Sleep(100 * time.Millisecond)
+					spmd.SendT(p, 1, 1, 42)
+					return
+				}
+				if v := spmd.Recv[int](p, 0, 1); v != 42 {
+					panic(fmt.Sprintf("payload %d", v))
+				}
+			})
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a send that ended its rank's body never reached the wire")
 	}
 }

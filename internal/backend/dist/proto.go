@@ -19,10 +19,12 @@ import (
 // and the worker's eager opDeliver stream up (every message that reaches
 // the worker's rank is pushed to the coordinator immediately, no request
 // needed; the coordinator banks deliveries in a per-rank inbox so Recv
-// and RecvAny are local pops). The opFinish/opBye finish barrier ends the
-// world, after which the same connection can host the next world's
-// handshake — worker processes and their control connections are
-// reusable (see the coordinator's worker pool).
+// and RecvAny are local pops). The liveness pair rides the same streams:
+// an opPing down, answered by an opPong up, which the rank's own reader
+// consumes. The opFinish/opBye finish barrier ends the world, after which
+// the same connection can host the next world's handshake — worker
+// processes and their control connections are reusable (see the
+// coordinator's worker pool).
 //
 // There is one route: the coordinator writes an opSend down the
 // *destination* rank's control connection, and that worker pushes the
@@ -46,6 +48,8 @@ const (
 	opFinish
 	opBye
 	opBatch
+	opPing
+	opPong
 )
 
 // maxFrame bounds a frame so a corrupt or hostile length prefix cannot
@@ -53,7 +57,7 @@ const (
 const maxFrame = 1 << 30
 
 // maxHandshakeFrame bounds the frames read before a connection has
-// proved anything (hello, assign, ready, and the elastic welcome): a
+// proved anything (hello, assign, ready): a
 // dialer's first four bytes must not buy a maxFrame allocation ahead of
 // the token check. The largest legitimate handshake body is a token and
 // a pid, three orders of magnitude below this.
@@ -64,46 +68,35 @@ const maxHandshakeFrame = 64 << 10
 // container.
 const writerFlushBytes = 32 << 10
 
-// AppendFrame appends a complete frame to buf (a reusable scratch
-// buffer) so the caller can issue it as one Write. The frame primitives
-// are exported because the elastic backend's control plane speaks the
-// same length-prefixed format (with its own op space).
-func AppendFrame(buf []byte, op byte, body []byte) []byte {
+// appendFrame appends a complete frame to buf (a reusable scratch
+// buffer) so the caller can issue it as one Write.
+func appendFrame(buf []byte, op byte, body []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(body)))
 	buf = append(buf, op)
 	return append(buf, body...)
 }
 
-// frameScratch recycles WriteFrame's assembly buffers: handshake paths
-// here and the elastic control plane write frames often enough that a
-// per-frame make shows up in profiles.
+// frameScratch recycles writeFrame's assembly buffers: handshakes write
+// frames often enough that a per-frame make shows up in profiles.
 var frameScratch = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// WriteFrame sends one frame in a single Write call, assembling it in a
+// writeFrame sends one frame in a single Write call, assembling it in a
 // pooled scratch buffer. High-rate paths coalesce consecutive frames
 // instead (writer, upstream).
-func WriteFrame(w io.Writer, op byte, body []byte) error {
+func writeFrame(w io.Writer, op byte, body []byte) error {
 	bp := frameScratch.Get().(*[]byte)
-	buf := AppendFrame((*bp)[:0], op, body)
+	buf := appendFrame((*bp)[:0], op, body)
 	_, err := w.Write(buf)
 	*bp = buf[:0]
 	frameScratch.Put(bp)
 	return err
 }
 
-// ReadFrame reads one frame. The returned body is freshly allocated and
-// owned by the caller.
-func ReadFrame(br *bufio.Reader) (op byte, body []byte, err error) {
-	return readFrame(br, maxFrame)
-}
-
-// ReadHandshakeFrame is ReadFrame for the frames exchanged before a
-// connection is authenticated: a length prefix above maxHandshakeFrame
-// is rejected before anything is allocated.
-func ReadHandshakeFrame(br *bufio.Reader) (op byte, body []byte, err error) {
-	return readFrame(br, maxHandshakeFrame)
-}
-
+// readFrame reads one frame of at most limit bytes: maxHandshakeFrame
+// for the frames exchanged before a connection is authenticated (a
+// length prefix above it is rejected before anything is allocated),
+// maxFrame after. The returned body is freshly allocated and owned by
+// the caller.
 func readFrame(br *bufio.Reader, limit uint32) (op byte, body []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -120,7 +113,7 @@ func readFrame(br *bufio.Reader, limit uint32) (op byte, body []byte, err error)
 	return hdr[4], body, nil
 }
 
-// readFrameInto is ReadFrame for single-reader hot loops: the body lands
+// readFrameInto is readFrame for single-reader hot loops: the body lands
 // in *scratch (grown as needed and retained across calls), so a loop
 // that consumes or copies each frame before the next read allocates
 // nothing in steady state. The returned body aliases *scratch and is
@@ -219,7 +212,7 @@ type frameBuf struct {
 func newFrameBuf() frameBuf { return frameBuf{buf: make([]byte, 5, 4096)} }
 
 func (b *frameBuf) add(op byte, body []byte) {
-	b.buf = AppendFrame(b.buf, op, body)
+	b.buf = appendFrame(b.buf, op, body)
 	b.frames++
 }
 
@@ -259,11 +252,20 @@ func (b *frameBuf) reset() {
 // pending data and batch frames stay bounded. The blocking Write is safe
 // here because a worker never stops reading its down stream (see
 // upstream).
+//
+// Under a recovery budget the writer also keeps the connection's
+// un-echoed suffix: a copy of every opSend body it took, in wire order,
+// until the connection's reader retires it on reading the worker's echo
+// (echoed). retarget writes that suffix down a replacement connection.
 type writer struct {
 	mu      sync.Mutex
 	dst     io.Writer
 	pending frameBuf
 	err     error
+
+	keep     bool
+	unechoed [][]byte // live from head
+	head     int
 }
 
 // newWriter returns a coalescing frame writer over dst (an unbuffered
@@ -277,6 +279,11 @@ func newWriter(dst io.Writer) *writer {
 func (w *writer) Write(op byte, body []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.keep && op == opSend {
+		// Recorded even past a latched error: the frame is owed to
+		// whichever worker replaces the dead one.
+		w.unechoed = append(w.unechoed, append([]byte(nil), body...))
+	}
 	if w.err != nil {
 		return w.err
 	}
@@ -285,6 +292,41 @@ func (w *writer) Write(op byte, body []byte) error {
 		return w.flushLocked()
 	}
 	return nil
+}
+
+// echoed retires the oldest un-echoed frame, whose n-byte echo the
+// connection's reader just read, and hands over its copy, which outlives
+// the reader's scratch; nil when the echo matches no frame sent.
+func (w *writer) echoed(n int) []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.head == len(w.unechoed) || len(w.unechoed[w.head]) != n {
+		return nil
+	}
+	b := w.unechoed[w.head]
+	w.unechoed[w.head] = nil
+	w.head++
+	if w.head > 64 && 2*w.head > len(w.unechoed) || w.head == len(w.unechoed) {
+		k := copy(w.unechoed, w.unechoed[w.head:])
+		clear(w.unechoed[k:])
+		w.unechoed, w.head = w.unechoed[:k], 0
+	}
+	return b
+}
+
+// retarget points the writer at a replacement connection and puts the
+// un-echoed suffix on it, in order and ahead of anything written later;
+// whatever was pending for the old connection is in that suffix or was a
+// ping.
+func (w *writer) retarget(dst io.Writer) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.dst, w.err = dst, nil
+	w.pending.reset()
+	for _, b := range w.unechoed[w.head:] {
+		w.pending.add(opSend, b)
+	}
+	return w.flushLocked()
 }
 
 // Flush issues all pending frames in one Write call; a no-op when
@@ -328,80 +370,78 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// Cursor reads the fixed-width and length-prefixed fields of a frame
-// body; Err latches the first truncation so call sites check once. It is
-// exported for the elastic control plane's bodies.
-type Cursor struct {
-	B   []byte
+// cursor reads the fixed-width and length-prefixed fields of a frame
+// body; err latches the first truncation so call sites check once.
+type cursor struct {
+	b   []byte
 	off int
-	Err error
+	err error
 }
 
-func (c *Cursor) fail() {
-	if c.Err == nil {
-		c.Err = fmt.Errorf("dist: truncated frame body at offset %d", c.off)
+func (c *cursor) fail() {
+	if c.err == nil {
+		c.err = fmt.Errorf("dist: truncated frame body at offset %d", c.off)
 	}
 }
 
-func (c *Cursor) U32() uint32 {
-	if c.Err != nil || c.off+4 > len(c.B) {
+func (c *cursor) u32() uint32 {
+	if c.err != nil || c.off+4 > len(c.b) {
 		c.fail()
 		return 0
 	}
-	v := binary.BigEndian.Uint32(c.B[c.off:])
+	v := binary.BigEndian.Uint32(c.b[c.off:])
 	c.off += 4
 	return v
 }
 
-func (c *Cursor) U64() uint64 {
-	if c.Err != nil || c.off+8 > len(c.B) {
+func (c *cursor) u64() uint64 {
+	if c.err != nil || c.off+8 > len(c.b) {
 		c.fail()
 		return 0
 	}
-	v := binary.BigEndian.Uint64(c.B[c.off:])
+	v := binary.BigEndian.Uint64(c.b[c.off:])
 	c.off += 8
 	return v
 }
 
-func (c *Cursor) Str() string {
-	if c.Err != nil {
+func (c *cursor) str() string {
+	if c.err != nil {
 		return ""
 	}
-	n, w := binary.Uvarint(c.B[c.off:])
+	n, w := binary.Uvarint(c.b[c.off:])
 	// Compare in uint64 space: a corrupt huge length must fail cleanly,
 	// not overflow the int conversion into a passing bounds check (the
 	// coordinator parses hello frames from arbitrary connections).
-	if w <= 0 || n > uint64(len(c.B)-c.off-w) {
+	if w <= 0 || n > uint64(len(c.b)-c.off-w) {
 		c.fail()
 		return ""
 	}
-	s := string(c.B[c.off+w : c.off+w+int(n)])
+	s := string(c.b[c.off+w : c.off+w+int(n)])
 	c.off += w + int(n)
 	return s
 }
 
-// Rest returns the unread remainder of the body (aliasing it).
-func (c *Cursor) Rest() []byte {
-	if c.Err != nil {
+// rest returns the unread remainder of the body (aliasing it).
+func (c *cursor) rest() []byte {
+	if c.err != nil {
 		return nil
 	}
-	return c.B[c.off:]
+	return c.b[c.off:]
 }
 
-// HelloBody is the hello frame's body (worker → coordinator):
-// authenticate and identify the process. The elastic control plane's
-// hello has the same body under its own op, so the pair is exported.
-func HelloBody(token string, pid int) []byte {
+// helloBody is the hello frame's body (worker → coordinator):
+// authenticate and identify the process.
+func helloBody(token string, pid int) []byte {
 	buf := appendString(nil, token)
 	return binary.BigEndian.AppendUint64(buf, uint64(pid))
 }
 
-// ParseHello undoes HelloBody.
-func ParseHello(b []byte) (token string, pid int, err error) {
-	c := &Cursor{B: b}
-	token = c.Str()
-	pid = int(c.U64())
-	return token, pid, c.Err
+// parseHello undoes helloBody.
+func parseHello(b []byte) (token string, pid int, err error) {
+	c := &cursor{b: b}
+	token = c.str()
+	pid = int(c.u64())
+	return token, pid, c.err
 }
 
 // assign (coordinator → worker): rank and world size. Sent only after
@@ -412,12 +452,12 @@ func assignBody(rank, n int) []byte {
 }
 
 func parseAssign(b []byte) (rank, n int, err error) {
-	c := &Cursor{B: b}
-	rank, n = int(c.U32()), int(c.U32())
-	if c.Err == nil && (rank < 0 || rank >= n) {
+	c := &cursor{b: b}
+	rank, n = int(c.u32()), int(c.u32())
+	if c.err == nil && (rank < 0 || rank >= n) {
 		return 0, 0, fmt.Errorf("dist: assigned rank %d outside world of %d", rank, n)
 	}
-	return rank, n, c.Err
+	return rank, n, c.err
 }
 
 // send (coordinator → worker) and deliver (worker → coordinator) share
@@ -433,9 +473,9 @@ func appendMsgHeader(buf []byte, src, tag, metered int) []byte {
 }
 
 func parseMsgHeader(b []byte) (src, tag, metered int, payload []byte, err error) {
-	c := &Cursor{B: b}
-	src = int(c.U32())
-	tag = int(int64(c.U64()))
-	metered = int(int64(c.U64()))
-	return src, tag, metered, c.Rest(), c.Err
+	c := &cursor{b: b}
+	src = int(c.u32())
+	tag = int(int64(c.u64()))
+	metered = int(int64(c.u64()))
+	return src, tag, metered, c.rest(), c.err
 }

@@ -12,7 +12,7 @@ import (
 // TestProtoRoundTrip pins the frame-body encodings the control plane
 // speaks.
 func TestProtoRoundTrip(t *testing.T) {
-	token, pid, err := ParseHello(HelloBody("tok", 42))
+	token, pid, err := parseHello(helloBody("tok", 42))
 	if err != nil || token != "tok" || pid != 42 {
 		t.Fatalf("hello round trip = %q %d %v", token, pid, err)
 	}
@@ -41,7 +41,7 @@ func TestWriterCoalescing(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if want := AppendFrame(nil, opSend, []byte("solo")); !bytes.Equal(sink.Bytes(), want) {
+	if want := appendFrame(nil, opSend, []byte("solo")); !bytes.Equal(sink.Bytes(), want) {
 		t.Fatalf("single frame = %v, want %v", sink.Bytes(), want)
 	}
 
@@ -62,7 +62,7 @@ func TestWriterCoalescing(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	op, body, err := ReadFrame(bufio.NewReader(bytes.NewReader(sink.Bytes())))
+	op, body, err := readFrame(bufio.NewReader(bytes.NewReader(sink.Bytes())), maxFrame)
 	if err != nil || op != opBatch {
 		t.Fatalf("burst frame op = %d (err %v), want opBatch", op, err)
 	}
@@ -107,7 +107,7 @@ func TestWriterSelfFlush(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(sink.Bytes()))
 	seen := 0
 	for {
-		op, body, err := ReadFrame(br)
+		op, body, err := readFrame(br, maxFrame)
 		if err != nil {
 			break
 		}
@@ -153,11 +153,11 @@ func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("wire down
 // drops.
 func TestForEachFrameRejectsMalformedBatch(t *testing.T) {
 	nop := func(byte, []byte) error { return nil }
-	inner := AppendFrame(nil, opBatch, AppendFrame(nil, opDeliver, []byte("x")))
+	inner := appendFrame(nil, opBatch, appendFrame(nil, opDeliver, []byte("x")))
 	if err := forEachFrame(opBatch, inner, nop); err == nil {
 		t.Error("nested batch accepted")
 	}
-	truncated := AppendFrame(nil, opDeliver, []byte("payload"))
+	truncated := appendFrame(nil, opDeliver, []byte("payload"))
 	if err := forEachFrame(opBatch, truncated[:len(truncated)-3], nop); err == nil {
 		t.Error("truncated batch accepted")
 	}
@@ -169,7 +169,7 @@ func TestForEachFrameRejectsMalformedBatch(t *testing.T) {
 // TestPendingFrame pins the flush-on-idle predicate: true exactly when a
 // complete frame is already buffered.
 func TestPendingFrame(t *testing.T) {
-	full := AppendFrame(nil, opDeliver, []byte("hello"))
+	full := appendFrame(nil, opDeliver, []byte("hello"))
 	br := bufio.NewReader(bytes.NewReader(append(full, full[:7]...)))
 	if pendingFrame(br) {
 		t.Error("pendingFrame true before any buffered read")
@@ -180,7 +180,7 @@ func TestPendingFrame(t *testing.T) {
 	if !pendingFrame(br) {
 		t.Error("pendingFrame false with a complete frame buffered")
 	}
-	if _, _, err := ReadFrame(br); err != nil {
+	if _, _, err := readFrame(br, maxFrame); err != nil {
 		t.Fatal(err)
 	}
 	if pendingFrame(br) {
@@ -195,8 +195,8 @@ func TestProtoMalformedFrames(t *testing.T) {
 	// A string whose uvarint length is astronomically larger than the
 	// body: the overflow-bait case.
 	huge := binary.AppendUvarint(nil, 1<<62)
-	if _, _, err := ParseHello(huge); err == nil {
-		t.Error("ParseHello(huge length): want error")
+	if _, _, err := parseHello(huge); err == nil {
+		t.Error("parseHello(huge length): want error")
 	}
 	// A rank outside its world (which covers an empty world) is refused.
 	for _, rn := range [][2]int{{2, 2}, {0, 0}} {
@@ -205,8 +205,8 @@ func TestProtoMalformedFrames(t *testing.T) {
 		}
 	}
 	for _, b := range [][]byte{nil, {1}, {1, 2, 3}} {
-		if _, _, err := ParseHello(b); err == nil {
-			t.Errorf("ParseHello(%v): want error", b)
+		if _, _, err := parseHello(b); err == nil {
+			t.Errorf("parseHello(%v): want error", b)
 		}
 		if _, _, err := parseAssign(b); err == nil {
 			t.Errorf("parseAssign(%v): want error", b)
@@ -220,8 +220,8 @@ func TestProtoMalformedFrames(t *testing.T) {
 		{0, 0, 0, 0, 0},
 		{0xFF, 0xFF, 0xFF, 0xFF, 0},
 	} {
-		if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hdr))); err == nil {
-			t.Errorf("ReadFrame(length %v): want error", hdr[:4])
+		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr)), maxFrame); err == nil {
+			t.Errorf("readFrame(length %v): want error", hdr[:4])
 		}
 	}
 }
@@ -229,31 +229,31 @@ func TestProtoMalformedFrames(t *testing.T) {
 // TestHandshakeFrameBound pins that a connection which has proved
 // nothing cannot make its reader allocate: the coordinator reads hello
 // frames from arbitrary dialers before checking the token, and a 4-byte
-// prefix naming a ~1 GiB frame (legal for ReadFrame) must be refused by
-// ReadHandshakeFrame on the length alone.
+// prefix naming a ~1 GiB frame (legal for readFrame) must be refused by
+// the handshake read on the length alone.
 func TestHandshakeFrameBound(t *testing.T) {
 	hostile := []byte{0x3f, 0xff, 0xff, 0xff, opHello}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := ReadHandshakeFrame(bufio.NewReaderSize(bytes.NewReader(hostile), 16))
+	_, _, err := readFrame(bufio.NewReaderSize(bytes.NewReader(hostile), 16), maxHandshakeFrame)
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Fatal("ReadHandshakeFrame accepted a 0x3fffffff length prefix")
+		t.Fatal("the handshake read accepted a 0x3fffffff length prefix")
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 		t.Fatalf("rejecting the prefix allocated %d bytes", grew)
 	}
 	// The bound itself: the largest handshake frame passes, one byte more
 	// does not, and a real hello is far inside it.
-	atBound := AppendFrame(nil, opHello, make([]byte, maxHandshakeFrame-1))
-	if _, body, err := ReadHandshakeFrame(bufio.NewReader(bytes.NewReader(atBound))); err != nil || len(body) != maxHandshakeFrame-1 {
+	atBound := appendFrame(nil, opHello, make([]byte, maxHandshakeFrame-1))
+	if _, body, err := readFrame(bufio.NewReader(bytes.NewReader(atBound)), maxHandshakeFrame); err != nil || len(body) != maxHandshakeFrame-1 {
 		t.Fatalf("frame at the bound: %d bytes, %v", len(body), err)
 	}
-	over := AppendFrame(nil, opHello, make([]byte, maxHandshakeFrame))
-	if _, _, err := ReadHandshakeFrame(bufio.NewReader(bytes.NewReader(over))); err == nil {
+	over := appendFrame(nil, opHello, make([]byte, maxHandshakeFrame))
+	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(over)), maxHandshakeFrame); err == nil {
 		t.Fatal("frame one byte over the bound accepted")
 	}
-	if n := len(HelloBody("0123456789abcdef0123456789abcdef", 1<<22)); n*1000 > maxHandshakeFrame {
+	if n := len(helloBody("0123456789abcdef0123456789abcdef", 1<<22)); n*1000 > maxHandshakeFrame {
 		t.Fatalf("hello body is %d bytes: the bound is no longer 1000x the largest handshake frame", n)
 	}
 }

@@ -14,13 +14,13 @@ type inMsg struct {
 // inQueue is the coordinator's per-rank inbox for eagerly pushed
 // deliveries: per-source FIFO queues plus an arrival-order token list, a
 // deliberately small cousin of the in-process mailbox (same semantics —
-// per-pair FIFO always, cross-source arrival order for popAny — without
+// per-pair FIFO always, cross-source arrival order for any-source takes — without
 // the pooling and cache-padding machinery the host-speed fabric needs; an
 // inbox's depth is bounded by messages in flight toward one rank). The
 // owning rank's goroutine banks deliveries it reads off its control
-// connection and consumes them with the non-blocking tryPop/tryPopAny (it
-// blocks on the connection read, never on the inbox); the blocking
-// pop/popAny plus close serve callers with concurrent producers.
+// connection and consumes them with a non-blocking take (it blocks on the
+// connection read, never on the inbox); a waiting take plus close serve
+// callers with concurrent producers.
 type inQueue struct {
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -89,10 +89,10 @@ func (q *inQueue) compactOrder() {
 }
 
 // noteStale records that src's oldest token lost its message to a
-// targeted pop and rewrites the live token region once stale tokens
+// targeted take and rewrites the live token region once stale tokens
 // outnumber live ones (live tokens == pending), bounding order memory by
 // outstanding messages even when the inbox is only ever drained by
-// targeted pops — mirroring the in-process mailbox's compaction.
+// targeted takes — mirroring the in-process mailbox's compaction.
 func (q *inQueue) noteStale(src int) {
 	q.stale[src]++
 	q.nstale++
@@ -110,36 +110,26 @@ func (q *inQueue) noteStale(src int) {
 	}
 }
 
-// pop blocks until a message from src is available, returning ok=false
-// when the queue is closed instead.
-func (q *inQueue) pop(src int) (inMsg, bool) {
+// take returns the oldest message from src, or for src < 0 the oldest by
+// cross-source arrival order. With wait it blocks until one is banked;
+// ok=false means the queue is closed or, without wait, that none is.
+func (q *inQueue) take(src int, wait bool) (inMsg, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.qs[src].len() == 0 {
-		if q.closed {
+	for src >= 0 && q.qs[src].len() == 0 || src < 0 && q.pending == 0 {
+		if !wait || q.closed {
 			return inMsg{}, false
 		}
 		q.cond.Wait()
 	}
-	m := q.qs[src].pop()
-	q.pending--
-	// The popped message's token (the oldest of its source) is now
-	// orphaned; popAny skips it via the stale count, and noteStale
-	// compacts once orphans dominate.
-	q.noteStale(src)
-	return m, true
-}
-
-// popAny blocks until any message is available and returns the oldest by
-// cross-source arrival order; ok=false when the queue is closed.
-func (q *inQueue) popAny() (inMsg, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.pending == 0 {
-		if q.closed {
-			return inMsg{}, false
-		}
-		q.cond.Wait()
+	if src >= 0 {
+		m := q.qs[src].pop()
+		q.pending--
+		// The popped message's token (the oldest of its source) is now
+		// orphaned; an any-source take skips it via the stale count, and
+		// noteStale compacts once orphans dominate.
+		q.noteStale(src)
+		return m, true
 	}
 	for {
 		src := int(q.order[q.ohead])
@@ -150,43 +140,7 @@ func (q *inQueue) popAny() (inMsg, bool) {
 			q.pending--
 			return m, true
 		}
-		// Token orphaned by a targeted pop: settle and keep scanning.
-		q.stale[src]--
-		q.nstale--
-	}
-}
-
-// tryPop is pop without the blocking: the oldest message from src, or
-// ok=false immediately when none is banked.
-func (q *inQueue) tryPop(src int) (inMsg, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.qs[src].len() == 0 {
-		return inMsg{}, false
-	}
-	m := q.qs[src].pop()
-	q.pending--
-	q.noteStale(src)
-	return m, true
-}
-
-// tryPopAny is popAny without the blocking: the oldest banked message by
-// cross-source arrival order, or ok=false immediately when none is.
-func (q *inQueue) tryPopAny() (inMsg, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.pending == 0 {
-		return inMsg{}, false
-	}
-	for {
-		src := int(q.order[q.ohead])
-		q.ohead++
-		q.compactOrder()
-		if q.qs[src].len() > 0 {
-			m := q.qs[src].pop()
-			q.pending--
-			return m, true
-		}
+		// Token orphaned by a targeted take: settle and keep scanning.
 		q.stale[src]--
 		q.nstale--
 	}

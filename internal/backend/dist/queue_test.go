@@ -11,7 +11,7 @@ func TestInQueueOrderBounded(t *testing.T) {
 	const rounds = 100000
 	for i := 0; i < rounds; i++ {
 		q.push(inMsg{src: 1, tag: i})
-		m, ok := q.pop(1)
+		m, ok := q.take(1, true)
 		if !ok || m.tag != i {
 			t.Fatalf("round %d: pop = %+v, %v", i, m, ok)
 		}
@@ -31,17 +31,17 @@ func TestInQueueMixedConsumption(t *testing.T) {
 	q.push(inMsg{src: 1, tag: 10})
 	q.push(inMsg{src: 2, tag: 20})
 	q.push(inMsg{src: 1, tag: 11})
-	if m, ok := q.pop(1); !ok || m.tag != 10 {
+	if m, ok := q.take(1, true); !ok || m.tag != 10 {
 		t.Fatalf("pop(1) = %+v, %v, want tag 10", m, ok)
 	}
 	// Mixed consumption matches the in-process mailbox's documented
 	// approximation: src 1's orphaned head token stands in for its newer
 	// message, so popAny yields src 1's second message first; per-pair
 	// FIFO holds throughout (tag 11 only ever after tag 10).
-	if m, ok := q.popAny(); !ok || m.src != 1 || m.tag != 11 {
+	if m, ok := q.take(-1, true); !ok || m.src != 1 || m.tag != 11 {
 		t.Fatalf("popAny = %+v, %v, want src 1 tag 11", m, ok)
 	}
-	if m, ok := q.popAny(); !ok || m.src != 2 || m.tag != 20 {
+	if m, ok := q.take(-1, true); !ok || m.src != 2 || m.tag != 20 {
 		t.Fatalf("popAny = %+v, %v, want src 2 tag 20", m, ok)
 	}
 	if q.pending != 0 {
@@ -55,14 +55,14 @@ func TestInQueueCloseUnblocks(t *testing.T) {
 	q := newInQueue(1)
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := q.popAny()
+		_, ok := q.take(-1, true)
 		done <- ok
 	}()
 	q.close()
 	if ok := <-done; ok {
 		t.Error("popAny on closed queue returned ok=true")
 	}
-	if _, ok := q.pop(0); ok {
+	if _, ok := q.take(0, true); ok {
 		t.Error("pop on closed queue returned ok=true")
 	}
 }

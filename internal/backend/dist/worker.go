@@ -150,7 +150,7 @@ func serveConn(conn net.Conn, token string) error {
 // echo of its own rank's inbox: an opSend frame arriving here was routed
 // by the coordinator down the *destination's* connection — this worker's
 // rank is the addressee — so its body goes straight back up as an
-// opDeliver, untouched. The up stream follows the flush-on-idle
+// opDeliver, untouched; an opPing goes back up as an opPong. The up stream follows the flush-on-idle
 // discipline: frames accumulate while more input is already buffered and
 // go out as one (possibly multi-message) frame the moment the loop would
 // block. The loop blocks only on reading the connection — never on
@@ -158,13 +158,13 @@ func serveConn(conn net.Conn, token string) error {
 // failing the read, and a coordinator mid-write toward this worker
 // always completes.
 func serveWorld(conn net.Conn, br *bufio.Reader, up *upstream, token string, first bool) error {
-	if err := WriteFrame(conn, opHello, HelloBody(token, os.Getpid())); err != nil {
+	if err := writeFrame(conn, opHello, helloBody(token, os.Getpid())); err != nil {
 		if first {
 			return fmt.Errorf("dist: worker hello: %w", err)
 		}
 		return errConnDone
 	}
-	op, body, err := ReadHandshakeFrame(br)
+	op, body, err := readFrame(br, maxHandshakeFrame)
 	if err != nil {
 		if first {
 			return fmt.Errorf("dist: worker awaiting assignment: %w", err)
@@ -179,7 +179,7 @@ func serveWorld(conn net.Conn, br *bufio.Reader, up *upstream, token string, fir
 		return err
 	}
 	crash := os.Getenv(envCrashRank) == strconv.Itoa(rank)
-	if err := WriteFrame(conn, opReady, nil); err != nil {
+	if err := writeFrame(conn, opReady, nil); err != nil {
 		return fmt.Errorf("dist: worker ready: %w", err)
 	}
 
@@ -206,6 +206,8 @@ func serveWorld(conn net.Conn, br *bufio.Reader, up *upstream, token string, fir
 					os.Exit(3)
 				}
 				return up.write(opDeliver, b)
+			case opPing:
+				return up.write(opPong, nil)
 			case opFinish:
 				// Finish barrier: acknowledge, then end the world.
 				finished = true

@@ -176,7 +176,7 @@ func TestUpstreamNeverBlocksTheLoop(t *testing.T) {
 				br := bufio.NewReader(far)
 				var next uint64
 				for {
-					op, b, err := ReadFrame(br)
+					op, b, err := readFrame(br, maxFrame)
 					if err != nil {
 						atEnd <- seen{next, err}
 						return

@@ -4,8 +4,9 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/backend/dist"
-	"repro/internal/elastic"
+	_ "repro/internal/elastic"
 )
 
 // TestMain lets this test binary self-spawn as dist workers: the parity
@@ -14,6 +15,13 @@ import (
 // the worker loop.
 func TestMain(m *testing.M) {
 	dist.MaybeWorker()
-	elastic.MaybeWorker()
 	os.Exit(m.Run())
+}
+
+// allBackends is the full backend matrix the parity and flight-recorder
+// contracts are pinned over: one virtual-time substrate, one in-process
+// wall-clock one, and the remote backend under both of its policies.
+func allBackends() []backend.Runner {
+	elastic, _ := backend.ByName("elastic")
+	return []backend.Runner{backend.Sim(), backend.Real(), dist.New(), elastic}
 }

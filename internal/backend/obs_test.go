@@ -5,31 +5,15 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/backend/dist"
 	"repro/internal/core"
-	"repro/internal/elastic"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/spmd"
 )
-
-// obsBackends is the full backend matrix the flight-recorder contracts
-// are pinned over: one virtual-time and three wall-clock substrates.
-func obsBackends() []backend.Runner {
-	return []backend.Runner{
-		backend.Sim(),
-		backend.Real(),
-		dist.New(),
-		elastic.New(elastic.WithLocalWorkers(true)),
-	}
-}
 
 // TestTraceParity pins the recorder's logical view of a run: the same
 // deterministic program must yield the same multiset of communication
@@ -81,7 +65,7 @@ func TestTraceParity(t *testing.T) {
 		return out
 	}
 
-	backends := obsBackends()
+	backends := allBackends()
 	want := logical(backends[0])
 	if len(want) == 0 {
 		t.Fatal("sim recorded no communication events")
@@ -118,7 +102,7 @@ func TestParksReachSummary(t *testing.T) {
 			p.Send(peer, 301, int32(2))
 		}
 	}
-	for _, b := range obsBackends() {
+	for _, b := range allBackends() {
 		mailboxed := b.Name() == "sim" || b.Name() == "real"
 		attempts := 1
 		if mailboxed {
@@ -145,139 +129,12 @@ func TestParksReachSummary(t *testing.T) {
 	}
 }
 
-// gid parses the current goroutine's id out of runtime.Stack — the only
-// portable handle on goroutine identity, and exactly what the
-// RankObserver contract ("on the rank's own goroutine") is about.
-func gid() uint64 {
-	buf := make([]byte, 64)
-	buf = buf[:runtime.Stack(buf, false)]
-	// "goroutine 123 [running]:"
-	f := strings.Fields(string(buf))
-	id, err := strconv.ParseUint(f[1], 10, 64)
-	if err != nil {
-		panic("cannot parse goroutine id from " + string(buf))
-	}
-	return id
-}
-
-// rankCalls records RankReturned invocations: which goroutine, how many
-// times, per rank.
-type rankCalls struct {
-	mu   sync.Mutex
-	gids map[int][]uint64
-}
-
-func (c *rankCalls) record(rank int) {
-	id := gid()
-	c.mu.Lock()
-	c.gids[rank] = append(c.gids[rank], id)
-	c.mu.Unlock()
-}
-
-// observedRunner wraps a backend so every transport it creates reports
-// RankReturned calls into the test's log, forwarding the inner
-// transport's own capabilities (dist's final flush, elastic's Drive).
-type observedRunner struct {
-	backend.Runner
-	calls *rankCalls
-}
-
-func (o observedRunner) NewTransport(ctx context.Context, n int, m *machine.Model) (backend.Transport, error) {
-	inner, err := o.Runner.NewTransport(ctx, n, m)
-	if err != nil {
-		return nil, err
-	}
-	ot := &observedTransport{Transport: inner, calls: o.calls}
-	if d, ok := inner.(backend.Driver); ok {
-		return &observedDriverTransport{observedTransport: ot, d: d}, nil
-	}
-	return ot, nil
-}
-
-type observedTransport struct {
-	backend.Transport
-	calls *rankCalls
-}
-
-func (t *observedTransport) RankReturned(rank int) {
-	t.calls.record(rank)
-	if ro, ok := t.Transport.(backend.RankObserver); ok {
-		ro.RankReturned(rank)
-	}
-}
-
-type observedDriverTransport struct {
-	*observedTransport
-	d backend.Driver
-}
-
-func (t *observedDriverTransport) Drive(run func(rank int) error) error { return t.d.Drive(run) }
-
-// TestRankReturnedOncePerRank pins the RankObserver contract against
-// spmd.World.Run on every backend: RankReturned fires exactly once per
-// rank, on the same goroutine that ran the rank's body, after the body
-// returned — on the goroutine-per-rank path (sim, real, dist) and the
-// transport-driven path (elastic) alike.
-func TestRankReturnedOncePerRank(t *testing.T) {
-	const np = 4
-	model := machine.IBMSP()
-	for _, inner := range obsBackends() {
-		t.Run(inner.Name(), func(t *testing.T) {
-			calls := &rankCalls{gids: map[int][]uint64{}}
-			bodyGids := make([]uint64, np)
-			bodyDone := make([]bool, np)
-			prog, wantRing := ringObsProg(np, bodyGids, bodyDone)
-			_, err := core.Run(context.Background(), observedRunner{Runner: inner, calls: calls}, np, model, prog)
-			if err != nil {
-				t.Fatalf("%s: %v", inner.Name(), err)
-			}
-			wantRing(t)
-			calls.mu.Lock()
-			defer calls.mu.Unlock()
-			for rank := 0; rank < np; rank++ {
-				got := calls.gids[rank]
-				if len(got) != 1 {
-					t.Fatalf("rank %d: RankReturned called %d times, want exactly 1", rank, len(got))
-				}
-				if !bodyDone[rank] {
-					t.Fatalf("rank %d: RankReturned fired but the body never finished", rank)
-				}
-				if got[0] != bodyGids[rank] {
-					t.Fatalf("rank %d: RankReturned on goroutine %d, body ran on %d", rank, got[0], bodyGids[rank])
-				}
-			}
-		})
-	}
-}
-
-// ringObsProg is a small deterministic ring exchange whose body records
-// its goroutine id and completion as its last acts, so the RankObserver
-// assertions can compare against them.
-func ringObsProg(np int, bodyGids []uint64, bodyDone []bool) (core.Program, func(*testing.T)) {
-	sums := make([]int, np)
-	return func(p *spmd.Proc) {
-			r, n := p.Rank(), p.N()
-			p.Send((r+1)%n, 7, r+1)
-			sums[r] = r + 1 + p.Recv((r+n-1)%n, 7).(int)
-			bodyGids[r] = gid()
-			bodyDone[r] = true
-		}, func(t *testing.T) {
-			t.Helper()
-			for r := 0; r < np; r++ {
-				prev := (r+np-1)%np + 1
-				if sums[r] != r+1+prev {
-					t.Fatalf("rank %d computed %d, want %d", r, sums[r], r+1+prev)
-				}
-			}
-		}
-}
-
 // TestDisabledRecorderIsNil pins the zero-cost-off contract at the seam:
 // a run whose context carries no collector must hand every transport a
 // nil recorder, and a nil recorder must swallow everything without
 // allocating.
 func TestDisabledRecorderIsNil(t *testing.T) {
-	for _, b := range obsBackends() {
+	for _, b := range allBackends() {
 		tr, err := b.NewTransport(context.Background(), 2, machine.IBMSP())
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)

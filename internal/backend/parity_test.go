@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/backend/dist"
 	"repro/internal/core"
-	"repro/internal/elastic"
 	"repro/internal/machine"
 	"repro/internal/meshspectral"
 	"repro/internal/onedeep"
@@ -26,9 +24,9 @@ import (
 // TestBackendParity is the reproduction's cross-backend contract: the
 // same deterministic archetype program, run on the virtual-time
 // simulator, on the real shared-memory backend, on the distributed
-// backend (self-spawned localhost worker processes over TCP), and on the
-// elastic fault-tolerant backend (ranks as leased tasks over loopback
-// TCP), must produce bit-identical computational results and identical
+// backend (self-spawned localhost worker processes), and on its elastic
+// policy (the same, keeping checkpoints to recover lost workers), must
+// produce bit-identical computational results and identical
 // message/byte counts at every process count. Only the meaning of time —
 // and, for dist and elastic, the address space the messages cross —
 // differs between backends.
@@ -194,10 +192,7 @@ func TestBackendParity(t *testing.T) {
 		}
 	}
 
-	// Elastic runs its workers as in-process goroutines here (the kill
-	// recovery suite covers the process-spawn path) so the table stays
-	// fast; the parity it proves is identical either way.
-	backends := []backend.Runner{backend.Sim(), backend.Real(), dist.New(), elastic.New(elastic.WithLocalWorkers(true))}
+	backends := allBackends()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, np := range []int{1, 2, 4} {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net"
 	"os"
 	"reflect"
 	"strings"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/backend/dist"
 	"repro/internal/core"
-	"repro/internal/elastic"
+	_ "repro/internal/elastic"
 	"repro/internal/faultinject"
 	"repro/internal/fft"
 	"repro/internal/machine"
@@ -25,12 +26,36 @@ import (
 	"repro/internal/spmd"
 )
 
-// TestMain lets this binary serve as its own worker for both self-spawn
-// backends (the spawn-mode smoke test re-executes it).
+// TestMain lets this binary serve as its own worker: the elastic policy
+// self-spawns dist workers by re-executing it.
 func TestMain(m *testing.M) {
 	dist.MaybeWorker()
-	elastic.MaybeWorker()
 	os.Exit(m.Run())
+}
+
+// recovering builds the elastic policy's runner — dist under a recovery
+// budget of 3 restarts and 2 minutes, as the registry entry — with opts
+// added.
+func recovering(opts ...dist.Option) backend.Runner {
+	return dist.New(append([]dist.Option{dist.WithRecovery(3, 2*time.Minute)}, opts...)...)
+}
+
+// serveWorkers starts k in-process workers (cmd/archworker's loop) on
+// loopback listeners and returns their addresses for dist.WithWorkers;
+// the listeners close with the test.
+func serveWorkers(t *testing.T, k int) []string {
+	t.Helper()
+	addrs := make([]string, k)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		addrs[i] = ln.Addr().String()
+		go dist.Serve(ln) //nolint:errcheck // ends when the listener closes
+	}
+	return addrs
 }
 
 func TestRegistered(t *testing.T) {
@@ -108,7 +133,7 @@ func parityCases() []parityCase {
 }
 
 // TestKillRecoveryParity is the acceptance contract of the elastic
-// backend: a world that loses a worker mid-run — killed by the fault
+// policy: a world that loses a worker mid-run — killed by the fault
 // injector at a deterministic rank operation — completes with results and
 // message/byte meters bit-identical to an uninterrupted run. Two distinct
 // kill epochs per app, hitting different ranks, exercise recovery at
@@ -133,24 +158,22 @@ func TestKillRecoveryParity(t *testing.T) {
 			}
 			want := simSnap()
 
-			runOnce := func(inj *faultinject.Injector) (any, *spmd.Result, elastic.Stats) {
+			runOnce := func(inj *faultinject.Injector) (any, *spmd.Result, dist.Stats) {
 				t.Helper()
-				var stats elastic.Stats
-				opts := []elastic.Option{
-					elastic.WithLocalWorkers(false),
-					elastic.WithWorkerCount(2),
+				var stats dist.Stats
+				opts := []dist.Option{
 					// Generous heartbeat: injected kills declare death
 					// immediately, so detection latency is irrelevant here,
 					// and a tight cadence could mis-declare a worker slow
 					// under the race detector.
-					elastic.WithHeartbeat(200*time.Millisecond, 5),
-					elastic.WithObserver(func(s elastic.Stats) { stats = s }),
+					dist.WithHeartbeat(200*time.Millisecond, 5),
+					dist.WithObserver(func(s dist.Stats) { stats = s }),
 				}
 				if inj != nil {
-					opts = append(opts, elastic.WithInjector(inj))
+					opts = append(opts, dist.WithInjector(inj))
 				}
 				prog, snap := tc.prog(np)
-				res, err := core.Run(context.Background(), elastic.New(opts...), np, model, prog)
+				res, err := core.Run(context.Background(), recovering(opts...), np, model, prog)
 				if err != nil {
 					t.Fatalf("elastic: %v", err)
 				}
@@ -171,13 +194,13 @@ func TestKillRecoveryParity(t *testing.T) {
 
 			for _, k := range kills {
 				inj := faultinject.New(faultinject.Rule{
-					Point:  "elastic.rank.op",
+					Point:  "dist.op",
 					Rank:   k.rank,
 					Epoch:  k.epoch,
 					Action: faultinject.Kill,
 				})
 				got, res, stats := runOnce(inj)
-				if n := inj.Fired("elastic.rank.op"); n != 1 {
+				if n := inj.Fired("dist.op"); n != 1 {
 					t.Fatalf("kill rank=%d epoch=%d: injector fired %d times, want 1", k.rank, k.epoch, n)
 				}
 				if stats.DeclaredDead < 1 || stats.Restarts < 1 {
@@ -221,30 +244,24 @@ func wantRing(np int) []int {
 	return want
 }
 
-// TestJoinMidRunPicksUpRescheduledRanks kills the world's only worker
-// mid-run, leaving every rank queued with zero live workers; the starve
-// hook then brings up a fresh worker via Join — exactly a worker joining
-// mid-run — which must pull the queued rank tasks so the world completes.
+// TestJoinMidRunPicksUpRescheduledRanks kills rank 0's worker mid-run;
+// the spare listening worker past the world's first n addresses then
+// joins mid-run as its replacement, and must pick up the re-executed rank
+// so the world completes.
 func TestJoinMidRunPicksUpRescheduledRanks(t *testing.T) {
 	const np = 4
 	inj := faultinject.New(faultinject.Rule{
-		Point:  "elastic.rank.op",
+		Point:  "dist.op",
 		Rank:   0,
 		Epoch:  1,
 		Action: faultinject.Kill,
 	})
-	var stats elastic.Stats
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r := elastic.New(
-		elastic.WithLocalWorkers(false),
-		elastic.WithWorkerCount(1),
-		elastic.WithHeartbeat(50*time.Millisecond, 3),
-		elastic.WithInjector(inj),
-		elastic.WithStarveHook(func(addr, token string) {
-			go elastic.Join(ctx, addr, token) //nolint:errcheck // the world's completion is the assertion
-		}),
-		elastic.WithObserver(func(s elastic.Stats) { stats = s }),
+	var stats dist.Stats
+	r := recovering(
+		dist.WithWorkers(serveWorkers(t, np+1)...),
+		dist.WithHeartbeat(50*time.Millisecond, 3),
+		dist.WithInjector(inj),
+		dist.WithObserver(func(s dist.Stats) { stats = s }),
 	)
 	prog, snap := ringProg(np)
 	res, err := core.Run(context.Background(), r, np, machine.IBMSP(), prog)
@@ -257,14 +274,11 @@ func TestJoinMidRunPicksUpRescheduledRanks(t *testing.T) {
 	if res.Msgs != int64(2*np) {
 		t.Errorf("meters = %d msgs, want %d (replayed sends must not re-meter)", res.Msgs, 2*np)
 	}
-	if inj.Fired("elastic.rank.op") != 1 {
-		t.Fatalf("kill never fired (%d)", inj.Fired("elastic.rank.op"))
+	if inj.Fired("dist.op") != 1 {
+		t.Fatalf("kill never fired (%d)", inj.Fired("dist.op"))
 	}
 	if stats.Restarts < 1 {
 		t.Errorf("stats.Restarts = %d, want >= 1", stats.Restarts)
-	}
-	if stats.JoinPickups < 1 {
-		t.Errorf("stats.JoinPickups = %d, want >= 1: the joining worker never picked up a rescheduled rank task", stats.JoinPickups)
 	}
 	if stats.Workers < 2 {
 		t.Errorf("stats.Workers = %d, want >= 2 (starting pool + mid-run joiner)", stats.Workers)
@@ -272,25 +286,26 @@ func TestJoinMidRunPicksUpRescheduledRanks(t *testing.T) {
 }
 
 // TestRestartBudgetExhausted points the injector at every operation of
-// every rank: each attempt's host dies at its first completed operation,
-// so recovery can never converge. The per-rank restart budget must turn
-// that livelock into a clean error. The reconnecting local worker is what
-// keeps the kills coming — each rejoin is a fresh lease to kill — so this
-// test also proves worker reconnect with backoff works.
+// every rank: each attempt's worker dies at its first completed
+// operation, so recovery can never converge. The per-rank restart budget
+// must turn that livelock into a clean error. The listening worker is
+// what keeps the kills coming — with no spare address, each lost rank
+// redials it for a fresh worker to kill — so this test also proves
+// redialing a listening worker works.
 func TestRestartBudgetExhausted(t *testing.T) {
 	inj := faultinject.New(faultinject.Rule{
-		Point:  "elastic.rank.op",
+		Point:  "dist.op",
 		Rank:   faultinject.AnyRank,
 		Epoch:  faultinject.AnyEpoch,
 		Count:  1000,
 		Action: faultinject.Kill,
 	})
-	r := elastic.New(
-		elastic.WithLocalWorkers(true),
-		elastic.WithWorkerCount(1),
-		elastic.WithHeartbeat(50*time.Millisecond, 3),
-		elastic.WithRecoveryBudget(2, 30*time.Second),
-		elastic.WithInjector(inj),
+	addr := serveWorkers(t, 1)[0]
+	r := dist.New(
+		dist.WithWorkers(addr, addr),
+		dist.WithHeartbeat(50*time.Millisecond, 3),
+		dist.WithRecovery(2, 30*time.Second),
+		dist.WithInjector(inj),
 	)
 	prog, _ := ringProg(2)
 	_, err := core.Run(context.Background(), r, 2, machine.IBMSP(), prog)
@@ -300,20 +315,17 @@ func TestRestartBudgetExhausted(t *testing.T) {
 	if !strings.Contains(err.Error(), "restart budget") {
 		t.Fatalf("error = %v, want restart-budget exhaustion", err)
 	}
-	if inj.Fired("elastic.rank.op") < 3 {
-		t.Errorf("injector fired %d times, want >= 3 (budget is 2 restarts)", inj.Fired("elastic.rank.op"))
+	if inj.Fired("dist.op") < 3 {
+		t.Errorf("injector fired %d times, want >= 3 (budget is 2 restarts)", inj.Fired("dist.op"))
 	}
 }
 
 // TestCancellationMidRun cancels a world whose rank 0 is blocked in a
 // receive that can never be satisfied: Run must return ctx.Err() promptly
-// and tear the worker pool down (Run does not return until teardown —
-// including reaping local workers — completes).
+// and tear the workers down (Run does not return until teardown
+// completes).
 func TestCancellationMidRun(t *testing.T) {
-	r := elastic.New(
-		elastic.WithLocalWorkers(true),
-		elastic.WithWorkerCount(2),
-	)
+	r := recovering(dist.WithWorkers(serveWorkers(t, 2)...))
 	prog := func(p *spmd.Proc) {
 		if p.Rank() == 0 {
 			p.Recv(1, 1) // rank 1 never sends
@@ -334,16 +346,17 @@ func TestCancellationMidRun(t *testing.T) {
 	}
 }
 
-// TestSpawnMode runs the registry-default configuration: the coordinator
+// TestSpawnMode runs the registry's configuration: the coordinator
 // re-executes this test binary as worker processes (TestMain calls
-// elastic.MaybeWorker), the same path archdemo and archbench users get.
+// dist.MaybeWorker), the same path archdemo and archbench users get.
 func TestSpawnMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
 	const np = 2
+	r, _ := backend.ByName("elastic")
 	prog, snap := ringProg(np)
-	res, err := core.Run(context.Background(), elastic.New(), np, machine.IBMSP(), prog)
+	res, err := core.Run(context.Background(), r, np, machine.IBMSP(), prog)
 	if err != nil {
 		t.Fatalf("spawn-mode elastic run: %v", err)
 	}
@@ -357,8 +370,8 @@ func TestSpawnMode(t *testing.T) {
 
 // TestKillRecoveryTrace pins the flight recorder's view of a recovery:
 // an injected kill must leave a causally ordered event chain — the fault
-// fires, the host worker is declared dead, the orphaned rank is
-// re-leased, and the new attempt replays its logged receives — and the
+// fires, the rank's worker is declared dead, a replacement is leased to
+// the rank, and the new attempt replays its logged receives — and the
 // replayed attempt's re-executed sends must surface as resend-suppressed
 // events (the wire-level proof that recovery does not re-meter).
 func TestKillRecoveryTrace(t *testing.T) {
@@ -369,7 +382,7 @@ func TestKillRecoveryTrace(t *testing.T) {
 	// replay) and receives (replayed from the log).
 	tc := parityCases()[2]
 	inj := faultinject.New(faultinject.Rule{
-		Point:  "elastic.rank.op",
+		Point:  "dist.op",
 		Rank:   0,
 		Epoch:  4,
 		Action: faultinject.Kill,
@@ -381,20 +394,18 @@ func TestKillRecoveryTrace(t *testing.T) {
 	col.RingSize = 1 << 18
 	ctx := obs.NewContext(context.Background(), col)
 	prog, _ := tc.prog(np)
-	_, err := core.Run(ctx, elastic.New(
-		elastic.WithLocalWorkers(false),
-		elastic.WithWorkerCount(2),
-		elastic.WithHeartbeat(200*time.Millisecond, 5),
-		elastic.WithInjector(inj),
+	_, err := core.Run(ctx, recovering(
+		dist.WithHeartbeat(200*time.Millisecond, 5),
+		dist.WithInjector(inj),
 	), np, model, prog)
 	if err != nil {
 		t.Fatalf("elastic: %v", err)
 	}
-	if n := inj.Fired("elastic.rank.op"); n != 1 {
+	if n := inj.Fired("dist.op"); n != 1 {
 		t.Fatalf("injector fired %d times, want 1", n)
 	}
-	if s := inj.Stats(); s.Total != 1 || s.ByPoint["elastic.rank.op"] != 1 {
-		t.Fatalf("injector stats = %+v, want one elastic.rank.op firing", s)
+	if s := inj.Stats(); s.Total != 1 || s.ByPoint["dist.op"] != 1 {
+		t.Fatalf("injector stats = %+v, want one dist.op firing", s)
 	}
 
 	rec := col.Last()
@@ -442,5 +453,80 @@ func TestKillRecoveryTrace(t *testing.T) {
 	if !(tFault <= tDead && tDead <= tRelease && tRelease <= tReplay) {
 		t.Fatalf("events out of causal order: fault=%d declared-dead=%d re-lease=%d replay=%d",
 			tFault, tDead, tRelease, tReplay)
+	}
+}
+
+// TestKillRecoveryBurst kills rank 1's worker at its first completed
+// operation while every rank has three 1 MiB blocks in flight toward it
+// (the burst row of the backend parity table): frames written down rank
+// 1's connection that its worker never echoed back must reach the
+// replacement, or rank 1 waits forever for them. Results and meters must
+// equal sim's.
+func TestKillRecoveryBurst(t *testing.T) {
+	const np, blocks, words = 4, 3, 1 << 17
+	prog := func() (core.Program, func() [][]float64) {
+		got := make([][]float64, np)
+		return func(p *spmd.Proc) {
+			r, n := p.Rank(), p.N()
+			for d := 1; d < n; d++ {
+				for k := 0; k < blocks; k++ {
+					b := make([]float64, words)
+					for i := range b {
+						b[i] = float64(r*1000+k) + float64(i)/words
+					}
+					spmd.SendT(p, (r+d)%n, 3, b)
+				}
+			}
+			for d := 1; d < n; d++ {
+				for k := 0; k < blocks; k++ {
+					b := spmd.Recv[[]float64](p, (r+n-d)%n, 3)
+					sum := 0.0
+					for _, v := range b {
+						sum += v
+					}
+					got[r] = append(got[r], b[0], b[len(b)-1], sum)
+				}
+			}
+		}, func() [][]float64 { return got }
+	}
+	model := machine.IBMSP()
+	simProg, simSnap := prog()
+	simRes, err := core.Run(context.Background(), backend.Sim(), np, model, simProg)
+	if err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	inj := faultinject.New(faultinject.Rule{Point: "dist.op", Rank: 1, Epoch: 0, Action: faultinject.Kill})
+	var stats dist.Stats
+	runProg, snap := prog()
+	type outcome struct {
+		res *spmd.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := core.Run(context.Background(), recovering(
+			dist.WithInjector(inj),
+			dist.WithObserver(func(s dist.Stats) { stats = s }),
+		), np, model, runProg)
+		done <- outcome{res, err}
+	}()
+	var res *spmd.Result
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("elastic: %v", o.err)
+		}
+		res = o.res
+	case <-time.After(60 * time.Second):
+		t.Fatal("no result after 60s: the replacement never received the frames its predecessor had not echoed")
+	}
+	if inj.Fired("dist.op") != 1 || stats.Restarts != 1 {
+		t.Fatalf("kill fired %d times with %d restarts, want 1 and 1", inj.Fired("dist.op"), stats.Restarts)
+	}
+	if !reflect.DeepEqual(simSnap(), snap()) {
+		t.Fatal("recovered burst results differ from sim")
+	}
+	if res.Msgs != simRes.Msgs || res.Bytes != simRes.Bytes {
+		t.Fatalf("meters %d msgs/%d bytes, sim %d/%d", res.Msgs, res.Bytes, simRes.Msgs, simRes.Bytes)
 	}
 }

@@ -1,64 +1,72 @@
-package elastic
+package elastic_test
 
-// White-box liveness tests: these speak the worker protocol by hand to
-// stage failure modes a well-behaved worker cannot produce.
+// Liveness and admission: failure modes a well-behaved worker cannot
+// produce, staged around real workers.
 
 import (
-	"bufio"
 	"context"
 	"net"
-	"os"
+	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/backend/dist"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/spmd"
 )
 
-// silentWorker attaches with a valid handshake and then never answers
-// anything again — the wedged-process failure mode TCP cannot report: the
-// connection stays open, reads succeed, but no pong (or pop response)
-// ever comes back.
-func silentWorker(addr, token string) {
-	conn, err := net.Dial("tcp", addr)
+// silentListener hands its worker connections on which the worker's hello
+// and ready (one write each) reach the coordinator and nothing after them
+// does: the wedged-process failure mode TCP cannot report — the
+// connection stays open and the worker reads on, but no pong (or
+// delivery) ever comes back.
+type silentListener struct{ net.Listener }
+
+func (l silentListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
 	if err != nil {
-		return
+		return nil, err
 	}
-	defer conn.Close()
-	if err := dist.WriteFrame(conn, opHello, dist.HelloBody(token, os.Getpid())); err != nil {
-		return
-	}
-	br := bufio.NewReader(conn)
-	for {
-		if _, _, err := dist.ReadFrame(br); err != nil {
-			return
-		}
-	}
+	return &silentConn{Conn: c}, nil
 }
 
-// TestHeartbeatDeclaresSilentWorkerDead gives the world a single wedged
-// worker: heartbeats must declare it dead after the configured misses,
-// and the starve hook's replacement worker must then carry the world to
+type silentConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *silentConn) Write(p []byte) (int, error) {
+	if c.writes.Add(1) > 2 {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+// TestHeartbeatDeclaresSilentWorkerDead gives both ranks a wedged worker:
+// unanswered heartbeats must declare them dead after the configured
+// misses, and the spare listening worker must then carry the world to
 // completion. The rank bodies idle past the detection window before
-// their first operation so the declaration can only come from the
-// heartbeat path, never from a data-plane I/O error.
+// their first operation, and a silent worker never fails a write, so the
+// declaration can only come from the heartbeat path, never from a
+// data-plane I/O error.
 func TestHeartbeatDeclaresSilentWorkerDead(t *testing.T) {
 	const np = 2
-	var stats Stats
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r := New(
-		WithWorkerCount(1),
-		WithExternalWorkers(),
-		WithAttachHook(func(addr, token string) { go silentWorker(addr, token) }),
-		WithHeartbeat(25*time.Millisecond, 3),
-		WithStarveHook(func(addr, token string) {
-			go Join(ctx, addr, token) //nolint:errcheck // completion is the assertion
-		}),
-		WithObserver(func(s Stats) { stats = s }),
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go dist.Serve(silentListener{ln}) //nolint:errcheck // ends when the listener closes
+	silent := ln.Addr().String()
+	var stats dist.Stats
+	r := recovering(
+		dist.WithWorkers(silent, silent, serveWorkers(t, 1)[0]),
+		dist.WithHeartbeat(25*time.Millisecond, 3),
+		dist.WithObserver(func(s dist.Stats) { stats = s }),
 	)
 	outs := make([]int, np)
 	prog := func(p *spmd.Proc) {
@@ -83,48 +91,51 @@ func TestHeartbeatDeclaresSilentWorkerDead(t *testing.T) {
 		t.Errorf("stats.DeclaredDead = %d, want >= 1: heartbeats never declared the silent worker dead", stats.DeclaredDead)
 	}
 	if stats.Restarts < 1 {
-		t.Errorf("stats.Restarts = %d, want >= 1: the silent worker's leases were never rescheduled", stats.Restarts)
+		t.Errorf("stats.Restarts = %d, want >= 1: the silent worker's ranks were never re-executed", stats.Restarts)
 	}
 	if stats.Workers < 2 {
 		t.Errorf("stats.Workers = %d, want >= 2", stats.Workers)
 	}
 }
 
-// TestAttachRejectsBadToken proves the world token gates admission: a
-// dialer with the wrong token must be dropped before it can host
-// anything, without disturbing the real pool.
+// TestAttachRejectsBadToken proves the world token gates admission on
+// the control listener, which stays open for respawns: a dialer with the
+// wrong token must be dropped before it can host anything, without
+// disturbing the real workers. The impostor queues on the listener just
+// before rank 1's worker is killed, so the respawn's accept meets it
+// first.
 func TestAttachRejectsBadToken(t *testing.T) {
 	const np = 2
-	var gotAddr, gotToken string
-	r := New(
-		WithLocalWorkers(false),
-		WithWorkerCount(1),
-		WithAttachHook(func(addr, token string) { gotAddr, gotToken = addr, token }),
-	)
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // the control socket is created under it
+	inj := faultinject.New(faultinject.Rule{Point: "dist.op", Rank: 1, Epoch: 0, Action: faultinject.Kill})
+	impostor := make(chan error, 1)
 	prog := func(p *spmd.Proc) {
 		if p.Rank() == 0 {
+			socks, _ := filepath.Glob(filepath.Join(tmp, "archdist-*", "ctl.sock"))
+			if len(socks) != 1 {
+				panic("no control socket")
+			}
+			// An impostor with a garbage token must be rejected: its
+			// connection closes without an assignment.
+			go func() { impostor <- dist.JoinWorld("unix:"+socks[0], "not-the-world-token") }()
+			time.Sleep(50 * time.Millisecond)
 			p.Send(1, 1, 42)
 		} else {
 			if v := p.Recv(0, 1).(int); v != 42 {
 				panic("bad payload")
 			}
 		}
-		if p.Rank() == 1 {
-			// By now the listener is up: an impostor with a garbage token
-			// must be rejected (its conn closes without a welcome).
-			conn, err := net.Dial("tcp", gotAddr)
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			dist.WriteFrame(conn, opHello, dist.HelloBody("not-"+gotToken, 1)) //nolint:errcheck // rejection path
-			conn.SetReadDeadline(time.Now().Add(2 * time.Second))              //nolint:errcheck // enforced by the read
-			if _, _, err := dist.ReadFrame(bufio.NewReader(conn)); err == nil {
-				panic("impostor with a bad token was welcomed")
-			}
-		}
 	}
-	if _, err := core.Run(context.Background(), r, np, machine.IBMSP(), prog); err != nil {
+	if _, err := core.Run(context.Background(), recovering(dist.WithInjector(inj)), np, machine.IBMSP(), prog); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+	select {
+	case err := <-impostor:
+		if err == nil {
+			t.Fatal("impostor with a bad token was welcomed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("impostor neither welcomed nor rejected")
 	}
 }

@@ -1,21 +1,19 @@
 // Package faultinject is the deterministic fault-injection seam for the
-// distributed backends: tests (and the chaos CI job) declare faults as
-// data — "kill rank 2's host worker at epoch 7", "drop the connection on
-// rank 0's third send" — and the dist and elastic substrates consult the
-// injector at their hook points instead of being killed by hand.
+// remote backend: tests (and the chaos CI job) declare faults as data —
+// "kill rank 2's worker at epoch 7", "drop rank 0's connection after its
+// third operation" — and the backend consults the injector at its hook
+// point instead of being killed by hand.
 //
 // Hook points are named by the package that owns them:
 //
-//   - elastic.rank.op — evaluated by the elastic coordinator after every
-//     completed rank operation (send or receive); epoch is the rank's
-//     logical operation index, so Kill at a given epoch deterministically
-//     kills the rank's host worker at the same program point on every
-//     run, including replays. Rules default to firing once (Count 1), so
-//     a replayed rank passing the same epoch again does not re-fire.
-//   - dist.send / dist.recv — evaluated by the dist coordinator before
-//     the rank's control-connection I/O; epoch counts that rank's
-//     operations. Drop closes the connection (the run fails through the
-//     existing lost-worker path), Delay sleeps before the I/O.
+//   - dist.op — evaluated by the dist coordinator after every completed
+//     rank operation (send or receive); epoch is the operation's index in
+//     the rank's current attempt, so Kill at a given epoch
+//     deterministically kills the rank's worker at the same program point
+//     on every run, including re-executions. Rules default to firing once
+//     (Count 1), so a re-executed rank passing the same epoch again does
+//     not re-fire. Drop closes the rank's connection (the ordinary
+//     lost-worker path finds it), Delay sleeps.
 //
 // A nil *Injector is valid everywhere and injects nothing, so production
 // paths carry no fault logic beyond one nil check.
@@ -32,12 +30,12 @@ type Action int
 const (
 	// None: no fault (the zero value).
 	None Action = iota
-	// Kill terminates the target: the host worker of the rank whose
-	// operation matched (elastic).
+	// Kill terminates the target: the worker of the rank whose operation
+	// matched.
 	Kill
 	// Drop closes the matched connection, simulating a link loss.
 	Drop
-	// Delay sleeps the rule's Delay before the matched operation.
+	// Delay sleeps the rule's Delay at the matched point.
 	Delay
 )
 
@@ -58,7 +56,7 @@ func (a Action) String() string {
 // unset via AnyRank) matches every rank, Epoch -1 every epoch. Count
 // bounds how many times the rule fires; 0 means once.
 type Rule struct {
-	// Point names the hook ("elastic.rank.op", "dist.send", "dist.recv").
+	// Point names the hook ("dist.op").
 	Point string
 	// Rank matches the operating rank; -1 matches all.
 	Rank int

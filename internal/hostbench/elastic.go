@@ -3,7 +3,8 @@ package hostbench
 // The elastic family measures what fault tolerance costs: the
 // recovery-latency table behind EXPERIMENTS.md's "elastic" section. Each
 // scenario runs the same deterministic one-deep mergesort world on the
-// elastic backend, once uninterrupted and once per injected kill, and
+// dist backend under the elastic registry entry's recovery budget, once
+// uninterrupted and once per injected kill, and
 // records wall-clock seconds plus the recovery activity — so the
 // overhead column is re-execution + re-lease cost, isolated from the
 // workload itself. Scenarios also re-assert the parity invariant
@@ -14,11 +15,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"runtime"
 	"time"
 
+	"repro/internal/backend/dist"
 	"repro/internal/core"
-	"repro/internal/elastic"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/onedeep"
@@ -50,18 +52,29 @@ type elasticKill struct {
 // in the report so one scheduler hiccup cannot skew the table.
 const elasticRounds = 3
 
-// CollectElastic measures the elastic backend's recovery latency: the
+// CollectElastic measures the elastic policy's recovery latency: the
 // committed BENCH_elastic.json baseline and the chaos CI job's artifact.
-// Workers run as in-process goroutines over loopback TCP so the kill
-// cost measured is the substrate's (detection + re-lease + replay), not
-// process-spawn noise.
+// Workers are in-process listeners (dist.Serve on loopback TCP), one per
+// rank plus a spare for the replacement, so the kill cost measured is the
+// substrate's (detection + replacement + replay), not process-spawn
+// noise.
 func CollectElastic(ctx context.Context, log io.Writer) (*Report, error) {
 	if log == nil {
 		log = io.Discard
 	}
 	rep := &Report{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	const np = 4
-	base, err := runElasticScenario(ctx, np, nil)
+	addrs := make([]string, np+1)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("hostbench: elastic worker listener: %w", err)
+		}
+		defer ln.Close()
+		go dist.Serve(ln) //nolint:errcheck // ends when the listener closes
+		addrs[i] = ln.Addr().String()
+	}
+	base, err := runElasticScenario(ctx, addrs, np, nil)
 	if err != nil {
 		return nil, fmt.Errorf("hostbench: elastic uninterrupted: %w", err)
 	}
@@ -73,7 +86,7 @@ func CollectElastic(ctx context.Context, log io.Writer) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := runElasticScenario(ctx, np, &k)
+		r, err := runElasticScenario(ctx, addrs, np, &k)
 		if err != nil {
 			return nil, fmt.Errorf("hostbench: elastic kill rank %d epoch %d: %w", k.rank, k.epoch, err)
 		}
@@ -93,11 +106,11 @@ func logRecovery(log io.Writer, r RecoveryResult) {
 }
 
 // runElasticScenario runs the recovery workload elasticRounds times on a
-// fresh elastic world (with the given kill injected, or none) and
-// reports the median wall-clock time. Every round re-checks the parity
-// invariant: killed runs must move exactly as many messages and bytes as
-// the uninterrupted ones.
-func runElasticScenario(ctx context.Context, np int, kill *elasticKill) (RecoveryResult, error) {
+// fresh world attached to the workers at addrs (with the given kill
+// injected, or none) and reports the median wall-clock time. Every round
+// re-checks the parity invariant: killed runs must move exactly as many
+// messages and bytes as the uninterrupted ones.
+func runElasticScenario(ctx context.Context, addrs []string, np int, kill *elasticKill) (RecoveryResult, error) {
 	data := sortapp.RandomInts(1<<15, 7)
 	spec := sortapp.OneDeepMergesort(onedeep.Centralized)
 	blocks := sortapp.BlockDistribute(data, np)
@@ -119,21 +132,21 @@ func runElasticScenario(ctx context.Context, np int, kill *elasticKill) (Recover
 			return RecoveryResult{}, err
 		}
 		var inj *faultinject.Injector
-		opts := []elastic.Option{
-			elastic.WithLocalWorkers(false),
-			elastic.WithWorkerCount(2),
+		var stats dist.Stats
+		opts := []dist.Option{
+			dist.WithWorkers(addrs...),
+			dist.WithRecovery(3, 2*time.Minute),
+			dist.WithObserver(func(s dist.Stats) { stats = s }),
 		}
-		var stats elastic.Stats
-		opts = append(opts, elastic.WithObserver(func(s elastic.Stats) { stats = s }))
 		if kill != nil {
 			inj = faultinject.New(faultinject.Rule{
-				Point: "elastic.rank.op", Rank: kill.rank, Epoch: kill.epoch,
+				Point: "dist.op", Rank: kill.rank, Epoch: kill.epoch,
 				Action: faultinject.Kill,
 			})
-			opts = append(opts, elastic.WithInjector(inj))
+			opts = append(opts, dist.WithInjector(inj))
 		}
 		start := time.Now()
-		res, err := core.Run(ctx, elastic.New(opts...), np, model, func(p *spmd.Proc) {
+		res, err := core.Run(ctx, dist.New(opts...), np, model, func(p *spmd.Proc) {
 			onedeep.RunSPMD(p, spec, blocks[p.Rank()])
 		})
 		if err != nil {
@@ -144,7 +157,7 @@ func runElasticScenario(ctx context.Context, np int, kill *elasticKill) (Recover
 				res.Msgs, res.Bytes, wantMsgs, wantBytes)
 		}
 		if kill != nil {
-			if fired := inj.Fired("elastic.rank.op"); fired != 1 {
+			if fired := inj.Fired("dist.op"); fired != 1 {
 				return RecoveryResult{}, fmt.Errorf("kill fired %d times, want 1", fired)
 			}
 			if stats.Restarts < 1 {

@@ -1,8 +1,8 @@
 // Package obs is the flight recorder: a low-overhead, per-rank event
 // trace of everything the runtime does on behalf of a program — sends,
-// receives (with blocked time), dist flushes/batches/delivers, elastic
-// recovery events (lease, heartbeat, declared-dead, replay,
-// resend-suppressed), world start/barrier/finish, scheduler
+// receives (with blocked time), dist flushes/batches/delivers/heartbeats,
+// recovery events (declared-dead, lease, replay, resend-suppressed),
+// world start/barrier/finish, scheduler
 // enqueue/execute/cache-hit, and injected faults.
 //
 // The design center is the disabled case: every hot-path instrumentation
@@ -59,20 +59,20 @@ const (
 	// KindDeliver records a dist deliver frame arriving in a rank's
 	// coordinator inbox: Rank=dst, Peer=src, Tag, Bytes.
 	KindDeliver
-	// KindLease records an elastic rank being leased to a worker:
-	// Rank = leased rank, Peer = worker id. System ring.
+	// KindLease records a replacement worker taking over a rank under
+	// a recovery budget: Rank = the rank, Peer = worker id. System ring.
 	KindLease
-	// KindHeartbeat records a completed elastic heartbeat round trip:
-	// Peer = worker id, Dur = round-trip time. System ring.
+	// KindHeartbeat records a remote worker's pong reaching its rank's
+	// reader (rank ring).
 	KindHeartbeat
-	// KindDeclaredDead records an elastic worker declared dead:
-	// Peer = worker id. System ring.
+	// KindDeclaredDead records a rank's remote worker declared lost:
+	// Rank = the rank. System ring.
 	KindDeclaredDead
 	// KindReplay records a logged receive replayed into a re-executed
-	// elastic rank: Rank=dst, Peer=src, Tag, Bytes.
+	// rank: Rank=dst, Peer=src, Tag, Bytes.
 	KindReplay
-	// KindResendSuppressed records an already-delivered send suppressed
-	// during elastic re-execution: Rank=src, Peer=dst, Tag, Bytes.
+	// KindResendSuppressed records an already-performed send suppressed
+	// during a rank's re-execution: Rank=src, Peer=dst, Tag, Bytes.
 	KindResendSuppressed
 	// KindStart marks the world starting (system ring, T=0 on sim).
 	KindStart

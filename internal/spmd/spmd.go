@@ -15,7 +15,7 @@
 //   - backend.Real runs the processes at hardware speed over native
 //     channels and meters the run with the wall clock.
 //   - backend/dist routes the same operations across worker OS processes
-//     over TCP (payloads travel through this package's wire codec,
+//     over sockets (payloads travel through this package's wire codec,
 //     AppendPayload/DecodePayload).
 //
 // Programs written against Proc are ordinary Go: they really compute their
@@ -196,37 +196,19 @@ func (w *World) Run(body func(p *Proc)) (*Result, error) {
 
 	var errs []error
 	if d, ok := w.t.(backend.Driver); ok {
-		// The transport owns rank scheduling (elastic backends): it decides
-		// when and how often each rank body executes, and may re-execute a
-		// rank after its host worker dies. The Finish-on-every-exit-path
-		// contract is unchanged. A driving transport that also observes
-		// rank returns gets the same final-flush callback as the
-		// goroutine-per-rank path below — once per executed attempt, on
-		// the attempt's goroutine.
-		run := runRank
-		if ro, ok := w.t.(backend.RankObserver); ok {
-			run = func(rank int) error {
-				err := runRank(rank)
-				ro.RankReturned(rank)
-				return err
-			}
-		}
-		errs = []error{d.Drive(run)}
+		// The transport owns rank scheduling (the remote backend): it
+		// decides when and how often each rank body executes, and may
+		// re-execute a rank after its worker dies. The
+		// Finish-on-every-exit-path contract is unchanged.
+		errs = []error{d.Drive(runRank)}
 	} else {
 		errs = make([]error, w.n)
-		ro, _ := w.t.(backend.RankObserver)
 		var wg sync.WaitGroup
 		wg.Add(w.n)
 		for rank := 0; rank < w.n; rank++ {
-			rank := rank
 			go func() {
 				defer wg.Done()
 				errs[rank] = runRank(rank)
-				if ro != nil {
-					// The rank's last word to the transport: flush whatever
-					// its body left buffered while its peers still run.
-					ro.RankReturned(rank)
-				}
 			}()
 		}
 		wg.Wait()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/backend/dist"
-	"repro/internal/elastic"
 )
 
 // TestMain lets this test binary self-spawn as dist workers: the stream
@@ -14,6 +13,5 @@ import (
 // those processes into the worker loop.
 func TestMain(m *testing.M) {
 	dist.MaybeWorker()
-	elastic.MaybeWorker()
 	os.Exit(m.Run())
 }

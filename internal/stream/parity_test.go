@@ -10,7 +10,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/backend/dist"
 	"repro/internal/core"
-	"repro/internal/elastic"
 	"repro/internal/spmd"
 	"repro/internal/stream"
 )
@@ -100,7 +99,11 @@ func TestStreamParity(t *testing.T) {
 		},
 	}
 
-	backends := []backend.Runner{backend.Sim(), backend.Real(), dist.New(), elastic.New(elastic.WithLocalWorkers(true))}
+	elastic, ok := backend.ByName("elastic")
+	if !ok {
+		t.Fatal(`backend "elastic" not registered`)
+	}
+	backends := []backend.Runner{backend.Sim(), backend.Real(), dist.New(), elastic}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []float64
