@@ -20,9 +20,10 @@
 //	GET  /metrics           Prometheus metrics
 //	GET  /healthz           liveness (uptime, build info, job gauges)
 //
-// Identical submissions coalesce while in flight and hit the persistent
-// cache once finished — across restarts too, since the cache key is the
-// SHA-256 of the canonical run spec, not anything process-local.
+// Identical submissions map to one job while the process knows it and
+// hit the persistent cache once finished — across restarts too, since
+// the cache key is the SHA-256 of the canonical run spec, not anything
+// process-local.
 // Submissions naming a streaming app (kind "stream") become long-lived
 // jobs instead: bounded by -streams, never cached, with per-window
 // throughput on the SSE feed and -keepalive comments between events. On

@@ -37,15 +37,15 @@
 // declare dead workers, reconnects back off with jitter, and workers
 // joining mid-run pull queued rank tasks. Computational results and
 // message/byte meters are identical on all four (including elastic runs
-// that survived a kill). Experiment matrices (program × machine model
-// × process count × backend) are swept concurrently by a worker-pool
-// scheduler; sweeps and runs are cancellable mid-flight through their
+// that survived a kill). The figures sweep each program over process
+// counts concurrently through a bounded worker pool (sched.Points and
+// Map); sweeps and runs are cancellable mid-flight through their
 // context.
 //
 // The registry can also be served: cmd/archserve is a long-lived HTTP
 // daemon (package internal/serve) accepting serialized run specs
-// (arch.Spec), with bounded admission over the sched worker pool,
-// singleflight coalescing of identical in-flight requests, and a
+// (arch.Spec), with bounded admission over the sched worker pool, a job
+// table that answers identical requests with the one job, and a
 // content-addressed persistent result cache (internal/rescache, keyed
 // by SHA-256 of the canonical spec) that makes repeated requests
 // near-free across process restarts. archdemo -remote is the matching
@@ -79,7 +79,7 @@
 //	                      application registry, machine/backend resolvers
 //	arch/apps             blank-import package registering every application
 //	internal/core         the archetype method: ParFor (version-1 programs),
-//	                      SPMD experiments, speedup curves, cost metering
+//	                      SPMD runs, speedup curves, cost metering
 //	internal/machine      LogGP-style machine models (Delta, SP, paging)
 //	internal/backend      pluggable execution backends: the Transport/Runner
 //	                      seam, the virtual-time simulator, and the real
@@ -95,9 +95,8 @@
 //	internal/obs          flight recorder: per-rank event rings behind a
 //	                      context-carried collector seam (nil = free),
 //	                      Chrome trace export, Prometheus text registry
-//	internal/sched        concurrent sweep scheduler: bounded worker pool,
-//	                      deduplicating result cache (LRU-bounded), string-
-//	                      keyed Flight singleflight, streamed curves
+//	internal/sched        concurrent sweep scheduler: a bounded worker pool
+//	                      (Map) and the process-count sweep on it (Points)
 //	internal/serve        the archetype service: HTTP/JSON submissions, SSE
 //	                      progress, admission control, result deduplication
 //	internal/rescache     content-addressed persistent result cache

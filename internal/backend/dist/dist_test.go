@@ -180,6 +180,24 @@ func liveChildren() (pids []string, ok bool) {
 	return pids, true
 }
 
+// childrenSince returns the live child PIDs that are not in before: the
+// workers a test spawned, apart from pooled ones that earlier tests (or
+// earlier -count iterations) left running for the life of the binary.
+func childrenSince(before []string) []string {
+	now, _ := liveChildren()
+	old := make(map[string]bool, len(before))
+	for _, pid := range before {
+		old[pid] = true
+	}
+	var fresh []string
+	for _, pid := range now {
+		if !old[pid] {
+			fresh = append(fresh, pid)
+		}
+	}
+	return fresh
+}
+
 // TestDistCancellationReapsWorkers pins the teardown half of the
 // cancellation contract: when a mid-run cancellation unwinds the world,
 // Run must not return until the spawned worker processes are killed and
@@ -188,6 +206,7 @@ func liveChildren() (pids []string, ok bool) {
 // up as the goroutine count never settling.
 func TestDistCancellationReapsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
+	children, _ := liveChildren()
 	ctx, cancel := context.WithCancel(context.Background())
 	w, err := spmd.NewWorldOn(ctx, dist.New(), 4, machine.IBMSP())
 	if err != nil {
@@ -208,7 +227,7 @@ func TestDistCancellationReapsWorkers(t *testing.T) {
 	// Workers reaped: Run's return implies teardown killed and waited the
 	// spawned processes, so none may survive as children (zombies included
 	// — a reaped child leaves the kernel's children listing).
-	if pids, ok := liveChildren(); ok && len(pids) > 0 {
+	if pids := childrenSince(children); len(pids) > 0 {
 		t.Errorf("worker processes survived cancellation: pids %v", pids)
 	}
 	// No goroutine leak: everything the run started winds down (the
@@ -461,7 +480,8 @@ func TestDistCrashMidPush(t *testing.T) {
 // WithWorkerPool, a second world on the same runner reuses the first
 // world's worker processes instead of spawning fresh ones.
 func TestDistWorkerPoolReuse(t *testing.T) {
-	if _, ok := liveChildren(); !ok {
+	children, ok := liveChildren()
+	if !ok {
 		t.Skip("kernel does not expose the children listing")
 	}
 	r := dist.New(dist.WithWorkerPool())
@@ -475,12 +495,12 @@ func TestDistWorkerPoolReuse(t *testing.T) {
 		}
 	}
 	run()
-	first, _ := liveChildren()
+	first := childrenSince(children)
 	if len(first) != 2 {
 		t.Fatalf("after first pooled world: %d live workers, want 2 pooled", len(first))
 	}
 	run()
-	second, _ := liveChildren()
+	second := childrenSince(children)
 	if fmt.Sprint(first) != fmt.Sprint(second) {
 		t.Errorf("second world changed the worker set: %v -> %v, want reuse", first, second)
 	}

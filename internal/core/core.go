@@ -11,17 +11,17 @@
 //  3. Transform version 1 into an SPMD program (version 2) for a
 //     distributed-memory message-passing machine, with communication
 //     encapsulated in the archetype's library (package collective).
-//  4. Measure: the Experiment type runs the SPMD program over a sweep of
-//     process counts and reports speedup curves in the form of the
-//     paper's figures.
+//  4. Measure: run the SPMD program over a sweep of process counts and
+//     report speedup curves (Curve) in the form of the paper's figures.
+//     The figures sweep through package sched's Scheduler.Points and Map,
+//     which run the cells concurrently on a bounded worker pool.
 //
 // Step 4 runs on a pluggable execution backend (package backend): the
 // virtual-time simulator (backend.Sim, the default, deterministic
 // makespans from a machine.Model) or the real shared-memory backend
 // (backend.Real, goroutines over native channels metered by the wall
-// clock). An Experiment selects its backend via the Backend field; Run
-// and Simulate are the one-shot entry points. Sweeping a whole matrix of
-// experiments concurrently is package sched's job.
+// clock). Run takes the backend explicitly; Simulate is Run on the
+// simulator.
 //
 // The two archetypes the paper develops — one-deep divide and conquer and
 // mesh-spectral — live in packages onedeep and meshspectral and build on
@@ -128,58 +128,6 @@ func Simulate(n int, m *machine.Model, prog Program) (*spmd.Result, error) {
 	return Run(context.Background(), backend.Default(), n, m, prog)
 }
 
-// Experiment pairs a sequential baseline with an SPMD program so speedup
-// curves can be produced the way the paper's figures define them:
-// speedup(P) = T(sequential program) / T(SPMD program on P processes).
-type Experiment struct {
-	Name  string
-	Model *machine.Model
-	// Backend is the execution backend runs go to; nil means the
-	// virtual-time simulator.
-	Backend backend.Runner
-	// Seq is the sequential algorithm, run on a 1-process world (no
-	// communication is priced except self-copies). If nil, the baseline
-	// is Par run with one process.
-	Seq Program
-	// Par is the SPMD program; it discovers the process count via
-	// p.N().
-	Par Program
-}
-
-// Runner returns the experiment's execution backend, defaulting to the
-// virtual-time simulator.
-func (e *Experiment) Runner() backend.Runner {
-	if e.Backend != nil {
-		return e.Backend
-	}
-	return backend.Default()
-}
-
-// Baseline runs the experiment's sequential baseline — Seq, or Par with
-// one process — and returns its result.
-func (e *Experiment) Baseline(ctx context.Context) (*spmd.Result, error) {
-	seqProg := e.Seq
-	if seqProg == nil {
-		seqProg = e.Par
-	}
-	res, err := Run(ctx, e.Runner(), 1, e.Model, seqProg)
-	if err != nil {
-		return nil, fmt.Errorf("experiment %q: sequential baseline: %w", e.Name, err)
-	}
-	return res, nil
-}
-
-// Point runs the experiment's SPMD program on n processes and returns the
-// raw run result: one cell of the sweep matrix. Package sched dispatches
-// Point calls concurrently.
-func (e *Experiment) Point(ctx context.Context, n int) (*spmd.Result, error) {
-	res, err := Run(ctx, e.Runner(), n, e.Model, e.Par)
-	if err != nil {
-		return nil, fmt.Errorf("experiment %q: %d processes: %w", e.Name, n, err)
-	}
-	return res, nil
-}
-
 // Point is one measurement of a speedup curve.
 type Point struct {
 	Procs   int
@@ -194,38 +142,6 @@ type Curve struct {
 	Name    string
 	SeqTime float64
 	Points  []Point
-}
-
-// Run produces the experiment's speedup curve over the given process
-// counts, one cell at a time on the calling goroutine. Package sched runs
-// the same cells concurrently with bounded parallelism; prefer it for
-// multi-experiment sweeps.
-func (e *Experiment) Run(ctx context.Context, procs []int) (*Curve, error) {
-	seqRes, err := e.Baseline(ctx)
-	if err != nil {
-		return nil, err
-	}
-	c := &Curve{Name: e.Name, SeqTime: seqRes.Makespan}
-	for _, n := range procs {
-		res, err := e.Point(ctx, n)
-		if err != nil {
-			return nil, err
-		}
-		c.Points = append(c.Points, Point{
-			Procs:   n,
-			Time:    res.Makespan,
-			Speedup: seqRes.Makespan / res.Makespan,
-			Msgs:    res.Msgs,
-			Bytes:   res.Bytes,
-		})
-	}
-	return c, nil
-}
-
-// Efficiency returns speedup divided by process count for the i-th point.
-func (c *Curve) Efficiency(i int) float64 {
-	pt := c.Points[i]
-	return pt.Speedup / float64(pt.Procs)
 }
 
 // SpeedupAt returns the speedup measured at exactly n processes, or 0 if

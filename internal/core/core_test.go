@@ -2,14 +2,12 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/machine"
-	"repro/internal/spmd"
 )
 
 func TestParForSequentialOrder(t *testing.T) {
@@ -116,54 +114,6 @@ func TestNopMeterDiscards(t *testing.T) {
 	Nop.Cmps(1e9)
 	Nop.MemWords(1e9)
 	Nop.Charge(1e9) // must not panic or affect anything
-}
-
-func TestExperimentSpeedups(t *testing.T) {
-	// A perfectly parallel program: each process does work/n flops.
-	const work = 1e6
-	exp := &Experiment{
-		Name:  "embarrassing",
-		Model: machine.IBMSP(),
-		Par: func(p *spmd.Proc) {
-			p.Flops(work / float64(p.N()))
-		},
-	}
-	curve, err := exp.Run(context.Background(), []int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pt := range curve.Points {
-		if diff := pt.Speedup - float64(pt.Procs); diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("point %d: speedup %g, want %d", i, pt.Speedup, pt.Procs)
-		}
-	}
-	if sp := curve.SpeedupAt(4); sp < 3.99 || sp > 4.01 {
-		t.Errorf("SpeedupAt(4) = %g, want ~4", sp)
-	}
-	if curve.SpeedupAt(3) != 0 {
-		t.Error("SpeedupAt missing point should be 0")
-	}
-	if eff := curve.Efficiency(3); eff < 0.99 || eff > 1.01 {
-		t.Errorf("efficiency = %g, want ~1", eff)
-	}
-}
-
-func TestExperimentExplicitSeqBaseline(t *testing.T) {
-	exp := &Experiment{
-		Name:  "with-serial-fraction",
-		Model: machine.IBMSP(),
-		Seq:   func(p *spmd.Proc) { p.Flops(1e6) },
-		Par: func(p *spmd.Proc) {
-			p.Flops(2e6 / float64(p.N())) // parallel algorithm does 2x work
-		},
-	}
-	curve, err := exp.Run(context.Background(), []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp := curve.Points[0].Speedup; sp < 0.99 || sp > 1.01 {
-		t.Errorf("speedup = %g, want ~1 (2x work on 2 procs)", sp)
-	}
 }
 
 func TestWriteTable(t *testing.T) {

@@ -16,7 +16,7 @@ const maxRuns = 256
 // traced archserve job). All recorders share the collector's epoch so
 // their wall-clock events land on a single timeline, and the collector
 // carries its own system ring for events that belong to no single run
-// (scheduler enqueue/execute/cache-hit).
+// (scheduler enqueue/execute).
 //
 // A nil *Collector is valid and inert.
 type Collector struct {

@@ -2,8 +2,8 @@
 // trace of everything the runtime does on behalf of a program — sends,
 // receives (with blocked time), dist flushes/batches/delivers/heartbeats,
 // recovery events (declared-dead, lease, replay, resend-suppressed),
-// world start/barrier/finish, scheduler
-// enqueue/execute/cache-hit, and injected faults.
+// world start/barrier/finish, scheduler enqueue/execute, and injected
+// faults.
 //
 // The design center is the disabled case: every hot-path instrumentation
 // site guards on a nil *Recorder, so a run without tracing costs one
@@ -87,8 +87,6 @@ const (
 	// KindExecute records a sched cell starting execution; Dur is the
 	// time it waited in the queue.
 	KindExecute
-	// KindCacheHit records a sched cell answered from the cell cache.
-	KindCacheHit
 	// KindFault records a faultinject rule firing; Tag carries the
 	// faultinject.Action code.
 	KindFault
@@ -111,7 +109,6 @@ var kindNames = [...]string{
 	KindFinish:           "finish",
 	KindEnqueue:          "enqueue",
 	KindExecute:          "execute",
-	KindCacheHit:         "cache-hit",
 	KindFault:            "fault",
 }
 

@@ -8,35 +8,32 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/spmd"
 )
 
-// blockingExperiment returns an experiment whose multi-process cells
-// block in communication until release is set, plus the release flag.
-// While the flag is zero, rank 0 waits for a message that never comes —
-// only context cancellation can unwind it.
-func blockingExperiment(name string) (*core.Experiment, *atomic.Bool) {
-	var release atomic.Bool
-	e := &core.Experiment{
-		Name:  name,
-		Model: machine.IBMSP(),
-		Par: func(p *spmd.Proc) {
+// blockingCell returns a sweep cell whose multi-process worlds block in
+// communication until release is set. While the flag is false, rank 0
+// waits for a message that never comes — only cancelling ctx can unwind
+// it.
+func blockingCell(ctx context.Context, release *atomic.Bool) func(np int) (*spmd.Result, error) {
+	return func(np int) (*spmd.Result, error) {
+		return core.Run(ctx, backend.Default(), np, machine.IBMSP(), func(p *spmd.Proc) {
 			if p.N() > 1 && p.Rank() == 0 && !release.Load() {
 				p.Recv(1, 99) // rank 1 never sends tag 99
 			}
 			p.Flops(10)
-		},
+		})
 	}
-	return e, &release
 }
 
-// TestSweepCancellation: cancelling a sweep's context mid-flight returns
-// ctx.Err() promptly, leaks no goroutines, and does not poison the cache
-// — the same experiment re-runs successfully under a live context.
+// TestSweepCancellation: cancelling a sweep's context while its worlds
+// are blocked in communication returns ctx.Err() promptly and leaks no
+// goroutines, and the pool sweeps cleanly again under a live context.
 func TestSweepCancellation(t *testing.T) {
-	e, release := blockingExperiment("cancellable")
+	var release atomic.Bool
 	s := &Scheduler{Workers: 2}
 	before := runtime.NumGoroutine()
 
@@ -46,7 +43,7 @@ func TestSweepCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := s.Sweep(ctx, []*core.Experiment{e}, []int{1, 2, 4})
+	_, err := s.Points(ctx, "cancellable", 1, []int{1, 2, 4}, blockingCell(ctx, &release))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep = %v, want context.Canceled", err)
 	}
@@ -62,58 +59,13 @@ func TestSweepCancellation(t *testing.T) {
 		t.Errorf("goroutines leaked after cancelled sweep: %d before, %d after", before, n)
 	}
 
-	// Cancellation must not be memoized: with the block released, the
-	// same experiment sweeps cleanly under a fresh context.
 	release.Store(true)
-	curves, err := s.Sweep(context.Background(), []*core.Experiment{e}, []int{1, 2, 4})
+	c, err := s.Points(context.Background(), "cancellable", 1, []int{1, 2, 4}, blockingCell(context.Background(), &release))
 	if err != nil {
 		t.Fatalf("re-sweep after cancellation: %v", err)
 	}
-	if len(curves) != 1 || len(curves[0].Points) != 3 {
-		t.Fatalf("re-sweep produced %v", curves)
-	}
-}
-
-// TestCancellationDoesNotPoisonWaiters: when two sweeps with different
-// contexts share a cell singleflight-style and the runner's context is
-// cancelled, a waiter whose own context is alive must re-run the cell
-// instead of inheriting the foreign cancellation.
-func TestCancellationDoesNotPoisonWaiters(t *testing.T) {
-	e, release := blockingExperiment("shared-cell")
-	s := &Scheduler{Workers: 4}
-
-	ctxA, cancelA := context.WithCancel(context.Background())
-	defer cancelA()
-
-	// Sweep A claims the cells and blocks in communication.
-	aDone := make(chan error, 1)
-	go func() {
-		_, err := s.Sweep(ctxA, []*core.Experiment{e}, []int{2})
-		aDone <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let A claim the cell and block
-
-	// Sweep B, with a live context, waits on A's cells. Release the
-	// block just before cancelling A so B's re-run completes.
-	bDone := make(chan error, 1)
-	go func() {
-		_, err := s.Sweep(context.Background(), []*core.Experiment{e}, []int{2})
-		bDone <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let B join the singleflight wait
-	release.Store(true)
-	cancelA()
-
-	if err := <-aDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("sweep A = %v, want context.Canceled", err)
-	}
-	select {
-	case err := <-bDone:
-		if err != nil {
-			t.Fatalf("sweep B with live context = %v, want success (re-run, not inherited cancellation)", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("sweep B hung after A's cancellation")
+	if len(c.Points) != 3 {
+		t.Fatalf("re-sweep produced %d points, want 3", len(c.Points))
 	}
 }
 

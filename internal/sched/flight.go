@@ -8,22 +8,17 @@ import (
 
 // Flight is a string-keyed singleflight group riding a Scheduler's
 // worker pool: concurrent Do calls with the same key run the work once
-// — under one pool slot — and every caller gets the one result. It is
-// the coalescing seam the archetype service puts in front of run
-// execution: the key is a content address (see internal/rescache), so
-// identical in-flight requests collapse no matter how many clients
-// submitted them.
+// — under one pool slot — and every caller gets the one result. No
+// program path uses it; bench/ still times it (sched.flight_us).
 //
-// Unlike the Scheduler's cell cache, a Flight memoizes nothing: entries
-// exist only while the work is in flight and are dropped when it
-// completes. Completed-result reuse is the persistent cache's job;
-// keeping the in-memory side flight-only means a long-lived server's
-// coalescing state is bounded by its concurrency, not its history.
+// A Flight memoizes nothing: entries exist only while the work is in
+// flight and are dropped when it completes, so its state is bounded by
+// its concurrency, not its history.
 //
-// Cancellation follows the cell discipline: a waiter whose own context
-// dies stops waiting with its ctx.Err(); if the runner was cancelled,
-// waiters with live contexts re-enter and run the work themselves
-// rather than inheriting a foreign cancellation.
+// Cancellation: a waiter whose own context dies stops waiting with its
+// ctx.Err(); if the runner was cancelled, waiters with live contexts
+// re-enter and run the work themselves rather than inheriting a foreign
+// cancellation.
 type Flight[V any] struct {
 	// Sched provides the bounded worker pool; nil means Shared().
 	Sched *Scheduler
@@ -59,10 +54,9 @@ func (f *Flight[V]) Pending() int {
 
 // Do runs fn under key, coalescing with any in-flight call for the same
 // key. It returns fn's result, plus shared=true when this caller got a
-// result computed by (or also handed to) another caller — the signal
-// the service surfaces as "coalesced". The work runs under one of the
-// scheduler's worker slots, so a Flight shares its admission bound with
-// every other user of the pool. A panicking fn is reported as an error
+// result computed by (or also handed to) another caller. The work runs
+// under one of the scheduler's worker slots, so a Flight shares its
+// admission bound with every other user of the pool. A panicking fn is reported as an error
 // to every waiter, not a crash.
 func (f *Flight[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, shared bool, err error) {
 	var zero V

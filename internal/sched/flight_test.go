@@ -3,15 +3,10 @@ package sched
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/spmd"
 )
 
 // TestFlightCoalesces: N concurrent Do calls with one key run the work
@@ -156,141 +151,4 @@ func TestFlightWaiterCancellation(t *testing.T) {
 		t.Errorf("cancelled waiter err = %v, want Canceled", err)
 	}
 	close(release)
-}
-
-// lruExperiments builds n distinct experiments for cache-bound tests.
-func lruExperiments(n int) []*core.Experiment {
-	exps := make([]*core.Experiment, n)
-	for i := range exps {
-		exps[i] = &core.Experiment{
-			Name:  fmt.Sprintf("lru-%d", i),
-			Model: machine.IBMSP(),
-			Par: func(p *spmd.Proc) {
-				if p.N() > 1 {
-					if p.Rank() == 0 {
-						p.Send(1, 0, int32(1))
-					} else if p.Rank() == 1 {
-						p.Recv(0, 0)
-					}
-				}
-			},
-		}
-	}
-	return exps
-}
-
-// TestCellCacheLRUBound: a MaxCells scheduler retains at most MaxCells
-// completed cells, evicting least-recently-used; re-running an evicted
-// cell recomputes it, re-running a retained one is a cache hit.
-func TestCellCacheLRUBound(t *testing.T) {
-	s := &Scheduler{Workers: 2, MaxCells: 3}
-	exps := lruExperiments(5)
-	ctx := context.Background()
-	run := func(e *core.Experiment) *spmd.Result {
-		res, err := s.run(ctx, pointKey(e, 2), func() (*spmd.Result, error) {
-			return e.Point(ctx, 2)
-		})
-		if err != nil {
-			t.Fatalf("run %s: %v", e.Name, err)
-		}
-		return res
-	}
-	for _, e := range exps {
-		run(e)
-	}
-	s.mu.Lock()
-	n, lruLen := len(s.cache), s.lru.Len()
-	s.mu.Unlock()
-	if n != 3 || lruLen != 3 {
-		t.Fatalf("cache holds %d cells (lru %d), want 3", n, lruLen)
-	}
-	// exps[2..4] survived; exps[4] is MRU. Touch exps[2] (LRU) so
-	// exps[3] becomes the eviction victim for the next insertion.
-	r2a := run(exps[2])
-	r2b := run(exps[2])
-	if r2a != r2b {
-		t.Error("retained cell recomputed, want pointer-identical cached result")
-	}
-	run(exps[0]) // re-insert: must evict exps[3], not exps[2]
-	s.mu.Lock()
-	_, have2 := s.cache[pointKey(exps[2], 2)]
-	_, have3 := s.cache[pointKey(exps[3], 2)]
-	s.mu.Unlock()
-	if !have2 || have3 {
-		t.Errorf("LRU order wrong after touch: have2=%v have3=%v, want true/false", have2, have3)
-	}
-}
-
-// TestCellCacheLRUNeverEvictsInFlight: filling the cache past MaxCells
-// while another cell is still running never evicts the in-flight cell —
-// its waiters still coalesce onto the single execution.
-func TestCellCacheLRUNeverEvictsInFlight(t *testing.T) {
-	s := &Scheduler{Workers: 4, MaxCells: 1}
-	ctx := context.Background()
-	slowKey := cellKey{backend: "test", procs: 99}
-	inWork := make(chan struct{})
-	release := make(chan struct{})
-	var runs atomic.Int32
-	done := make(chan *spmd.Result, 2)
-	claim := func() {
-		res, err := s.run(ctx, slowKey, func() (*spmd.Result, error) {
-			runs.Add(1)
-			close(inWork)
-			<-release
-			return &spmd.Result{Makespan: 1}, nil
-		})
-		if err != nil {
-			t.Errorf("slow cell: %v", err)
-		}
-		done <- res
-	}
-	go claim()
-	<-inWork
-	// Complete enough other cells to trigger eviction pressure.
-	for i := 0; i < 4; i++ {
-		k := cellKey{backend: "test", procs: i}
-		if _, err := s.run(ctx, k, func() (*spmd.Result, error) {
-			return &spmd.Result{}, nil
-		}); err != nil {
-			t.Fatalf("filler cell %d: %v", i, err)
-		}
-	}
-	s.mu.Lock()
-	_, inCache := s.cache[slowKey]
-	s.mu.Unlock()
-	if !inCache {
-		t.Fatal("in-flight cell evicted by LRU pressure")
-	}
-	// A second claimant must coalesce, not re-run.
-	go claim()
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-	r1, r2 := <-done, <-done
-	if runs.Load() != 1 {
-		t.Errorf("in-flight cell ran %d times, want 1", runs.Load())
-	}
-	if r1 != r2 {
-		t.Error("claimants got different results, want coalesced")
-	}
-}
-
-// TestCellCacheUnboundedByDefault: MaxCells zero keeps every completed
-// cell (the historical sweep behavior).
-func TestCellCacheUnboundedByDefault(t *testing.T) {
-	s := &Scheduler{Workers: 2}
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		k := cellKey{backend: "test", procs: i}
-		if _, err := s.run(ctx, k, func() (*spmd.Result, error) {
-			return &spmd.Result{}, nil
-		}); err != nil {
-			t.Fatalf("cell %d: %v", i, err)
-		}
-	}
-	s.mu.Lock()
-	n := len(s.cache)
-	s.mu.Unlock()
-	if n != 10 {
-		t.Errorf("cache holds %d cells, want all 10", n)
-	}
 }

@@ -1,22 +1,18 @@
-// Package sched is the concurrent sweep scheduler: it runs matrices of
-// archetype experiments (program × machine model × process count ×
-// backend) through a bounded worker pool.
+// Package sched is the concurrent sweep scheduler: it runs the cells of a
+// process-count sweep through a bounded worker pool. It is step 4 of the
+// archetype method ("measure"): the figures sweep their SPMD programs
+// over process counts through Scheduler.Points and Map.
 //
 // Every cell of a sweep — one program on one backend at one process count
 // — is an independent world, so simulator cells can run concurrently on
 // the host without changing their results: they are deterministic in
 // virtual time no matter how the host schedules them. The scheduler
 // exploits that: it dispatches cells to a worker pool bounded by Workers
-// (default GOMAXPROCS), deduplicates identical cells singleflight-style
-// through a result cache (the same experiment swept twice, or a baseline
-// that coincides with the 1-process cell, runs once), and streams
-// finished core.Curve values as they complete.
+// (default GOMAXPROCS) and hands the results back in index order.
 //
 // Every entry point takes a context.Context and is cancellable mid-flight:
 // cells not yet started are skipped, running cells unwind through the
 // transport's cancellation path, and the sweep returns ctx.Err().
-// Cancellation results are never cached, so a later sweep with a live
-// context re-runs the affected cells.
 //
 // Real-backend cells are wall-clock measurements: co-scheduling them
 // would let cells contend for cores and inflate each other's makespans.
@@ -24,12 +20,11 @@
 // still pipelines the sweep machinery but runs one cell at a time.
 //
 // The state-access discipline follows the embarrassingly-parallel worker
-// pool pattern: workers share nothing but the cache, cells own their
-// worlds outright, and results flow through channels.
+// pool pattern: workers share nothing but the pool, cells own their
+// worlds outright, and results land in per-index slots.
 package sched
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -42,52 +37,16 @@ import (
 	"repro/internal/spmd"
 )
 
-// Scheduler runs sweep cells through a bounded worker pool with a
-// deduplicating result cache. The zero value is ready to use; one
-// Scheduler may serve many sweeps concurrently and its cache spans them.
+// Scheduler runs sweep cells through a bounded worker pool. The zero
+// value is ready to use; one Scheduler may serve many sweeps concurrently
+// and they share its bound.
 type Scheduler struct {
 	// Workers bounds the number of cells running at once. Zero means
 	// runtime.GOMAXPROCS(0).
 	Workers int
 
-	// MaxCells bounds how many completed cell results the in-memory
-	// cache retains, evicted least-recently-used. Zero means unbounded
-	// (the historical behavior, fine for one-shot sweeps; long-lived
-	// servers should set it). Only completed cells are counted and
-	// evicted — in-flight singleflight entries always stay so concurrent
-	// claimants keep coalescing.
-	MaxCells int
-
 	initOnce sync.Once
 	slots    chan struct{}
-
-	mu    sync.Mutex
-	cache map[cellKey]*cell
-	// lru orders completed cellKeys most-recently-used first; in-flight
-	// cells are not in it (their elem is nil until completion).
-	lru *list.List
-}
-
-// cellKey identifies one cell of the experiment matrix. Experiments are
-// identified by pointer: two sweeps naming the same *Experiment share
-// results, distinct experiments never collide.
-type cellKey struct {
-	exp      *core.Experiment
-	backend  string
-	procs    int
-	baseline bool
-}
-
-// cell is a singleflight entry: the first claimant runs the cell, later
-// claimants wait for done.
-type cell struct {
-	done chan struct{}
-	// elem is the cell's LRU node, set (under the scheduler's mu) when
-	// the cell completes and enters the bounded cache; nil while the
-	// cell is in flight.
-	elem *list.Element
-	res  *spmd.Result
-	err  error
 }
 
 func (s *Scheduler) init() {
@@ -97,218 +56,26 @@ func (s *Scheduler) init() {
 			n = runtime.GOMAXPROCS(0)
 		}
 		s.slots = make(chan struct{}, n)
-		s.cache = make(map[cellKey]*cell)
-		s.lru = list.New()
 	})
 }
 
-// acquire takes a worker slot; release returns it. Cells hold a slot only
-// while running, never while waiting on another cell's result, so the
-// pool cannot deadlock on itself.
+// acquire takes a worker slot; release returns it.
 func (s *Scheduler) acquire() { s.slots <- struct{}{} }
 func (s *Scheduler) release() { <-s.slots }
 
-// run executes one cached matrix cell: the first caller for a key runs it
-// under a worker slot, every later caller gets the memoized result. A
-// cell that fails with the context's cancellation error is evicted from
-// the cache so a later sweep under a live context re-runs it.
-func (s *Scheduler) run(ctx context.Context, key cellKey, f func() (*spmd.Result, error)) (*spmd.Result, error) {
-	s.init()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	col := obs.FromContext(ctx)
-	s.mu.Lock()
-	c, hit := s.cache[key]
-	if !hit {
-		c = &cell{done: make(chan struct{})}
-		s.cache[key] = c
-	} else if c.elem != nil {
-		s.lru.MoveToFront(c.elem)
-	}
-	s.mu.Unlock()
-	if hit {
-		select {
-		case <-c.done:
-			// The runner's context may have been cancelled while ours is
-			// alive: the runner evicted the key (below), so re-enter and
-			// run the cell ourselves rather than inheriting a foreign
-			// cancellation.
-			if c.err != nil && isCancellation(c.err) && ctx.Err() == nil {
-				return s.run(ctx, key, f)
-			}
-			col.Emit(obs.Event{Rank: -1, Peer: int32(key.procs), Kind: obs.KindCacheHit})
-			return c.res, c.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	col.Emit(obs.Event{Rank: -1, Peer: int32(key.procs), Kind: obs.KindEnqueue})
-	s.acquire()
-	start := col.Now()
-	func() {
-		defer s.release()
-		defer close(c.done)
-		defer func() {
-			if r := recover(); r != nil {
-				c.err = fmt.Errorf("sched: cell panicked: %v", r)
-			}
-			s.mu.Lock()
-			if c.err != nil && ctx.Err() != nil {
-				// Cancelled, not failed: forget the cell so a live
-				// context can run it later.
-				c.err = ctx.Err()
-				delete(s.cache, key)
-			} else if s.cache[key] == c {
-				// Completed (result or real failure): enter the LRU and
-				// enforce the cap. Eviction targets only completed cells
-				// — anything in the lru — so in-flight claimants are
-				// never orphaned. A cell orphaned by a concurrent Reset
-				// (the map no longer holds it) stays out of the new LRU.
-				c.elem = s.lru.PushFront(key)
-				if s.MaxCells > 0 {
-					for s.lru.Len() > s.MaxCells {
-						last := s.lru.Back()
-						s.lru.Remove(last)
-						delete(s.cache, last.Value.(cellKey))
-					}
-				}
-			}
-			s.mu.Unlock()
-		}()
-		c.res, c.err = f()
-		col.Emit(obs.Event{T: start, Dur: col.Now() - start, Rank: -1, Peer: int32(key.procs), Kind: obs.KindExecute})
-	}()
-	return c.res, c.err
-}
-
-// isCancellation reports whether err is a context cancellation (possibly
-// wrapped by Experiment error annotations).
+// isCancellation reports whether err is a context cancellation, possibly
+// wrapped.
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// cellKeys returns the baseline and point keys for an experiment. When
-// the experiment has no explicit sequential program, its baseline is
-// exactly the 1-process cell, so the two share a key and the cache runs
-// them once.
-func baselineKey(e *core.Experiment) cellKey {
-	k := cellKey{exp: e, backend: e.Runner().Name(), procs: 1, baseline: true}
-	if e.Seq == nil {
-		k.baseline = false
-	}
-	return k
-}
-
-func pointKey(e *core.Experiment, procs int) cellKey {
-	return cellKey{exp: e, backend: e.Runner().Name(), procs: procs}
-}
-
-// Outcome is one experiment's finished curve, or its failure.
-type Outcome struct {
-	Experiment *core.Experiment
-	Curve      *core.Curve
-	Err        error
-}
-
-// Stream runs every experiment of the matrix over the process sweep and
-// delivers each finished curve on the returned channel in completion
-// order. The channel closes when the whole sweep is done. Cells of all
-// experiments run concurrently, interleaved across experiments, bounded
-// by the worker pool. Cancelling ctx drains the sweep promptly with
-// ctx.Err() outcomes.
-func (s *Scheduler) Stream(ctx context.Context, exps []*core.Experiment, procs []int) <-chan Outcome {
-	s.init()
-	// Buffered to len(exps) so producers never block: a consumer that
-	// stops reading early (Sweep returning on the first error) must not
-	// leak the remaining per-experiment goroutines.
-	out := make(chan Outcome, len(exps))
-	var wg sync.WaitGroup
-	wg.Add(len(exps))
-	for _, e := range exps {
-		go func() {
-			defer wg.Done()
-			curve, err := s.Curve(ctx, e, procs)
-			out <- Outcome{Experiment: e, Curve: curve, Err: err}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
-}
-
-// Sweep runs every experiment over the process sweep and returns the
-// curves in input order, failing on the first error. It is Stream for
-// callers that want the whole matrix at once.
-func (s *Scheduler) Sweep(ctx context.Context, exps []*core.Experiment, procs []int) ([]*core.Curve, error) {
-	byExp := make(map[*core.Experiment]*core.Curve, len(exps))
-	for o := range s.Stream(ctx, exps, procs) {
-		if o.Err != nil {
-			return nil, o.Err
-		}
-		byExp[o.Experiment] = o.Curve
-	}
-	curves := make([]*core.Curve, len(exps))
-	for i, e := range exps {
-		curves[i] = byExp[e]
-	}
-	return curves, nil
-}
-
-// Curve runs one experiment's baseline and sweep cells concurrently and
-// assembles its speedup curve.
-func (s *Scheduler) Curve(ctx context.Context, e *core.Experiment, procs []int) (*core.Curve, error) {
-	s.init()
-	results := make([]*spmd.Result, len(procs))
-	errs := make([]error, len(procs)+1)
-	var seqRes *spmd.Result
-	var wg sync.WaitGroup
-	wg.Add(len(procs) + 1)
-	go func() {
-		defer wg.Done()
-		seqRes, errs[len(procs)] = s.run(ctx, baselineKey(e), func() (*spmd.Result, error) {
-			return e.Baseline(ctx)
-		})
-	}()
-	for i, np := range procs {
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = s.run(ctx, pointKey(e, np), func() (*spmd.Result, error) {
-				return e.Point(ctx, np)
-			})
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	c := &core.Curve{Name: e.Name, SeqTime: seqRes.Makespan}
-	for i, res := range results {
-		c.Points = append(c.Points, core.Point{
-			Procs:   procs[i],
-			Time:    res.Makespan,
-			Speedup: seqRes.Makespan / res.Makespan,
-			Msgs:    res.Msgs,
-			Bytes:   res.Bytes,
-		})
-	}
-	return c, nil
-}
-
 // Map runs f(i) for every i in [0, n) through the scheduler's worker pool
 // and returns the results in index order, failing on the first error. It
-// is the pool's generic primitive: sweeps whose cells aren't Experiment
-// matrix entries (per-np block distributions, (procs, layout) grids,
-// strategy ablations) dispatch through it. Cells run uncached: closures
-// have no identity to key a cache on. Cells not yet started when ctx is
-// cancelled are skipped, and Map returns ctx.Err().
+// is the pool's generic primitive: sweeps whose cells are not one curve
+// point each (per-np block distributions, (procs, layout) grids, strategy
+// ablations) dispatch through it. Cells not yet started when ctx is
+// cancelled are skipped, and Map returns ctx.Err(). A panicking cell is
+// reported as an error, not a crash.
 //
 // Map spawns min(n, pool size) worker goroutines that pull cell indices
 // from a shared counter rather than one goroutine per cell: a 256-cell
@@ -371,10 +138,9 @@ func Map[T any](ctx context.Context, s *Scheduler, n int, f func(i int) (T, erro
 
 // Points runs one sweep cell per process count through the worker pool —
 // run(np) builds and executes the cell — and assembles a curve named name
-// against the given sequential-baseline time. It is the entry point for
-// sweeps whose per-cell setup depends on the process count (block
-// distributions, per-np decompositions), which an Experiment's fixed
-// program cannot express.
+// against the given sequential-baseline time. It is the figures' sweep:
+// per-cell setup may depend on the process count (block distributions,
+// per-np decompositions).
 func (s *Scheduler) Points(ctx context.Context, name string, seqTime float64, procs []int, run func(np int) (*spmd.Result, error)) (*core.Curve, error) {
 	results, err := Map(ctx, s, len(procs), func(i int) (*spmd.Result, error) {
 		res, err := run(procs[i])
@@ -399,19 +165,8 @@ func (s *Scheduler) Points(ctx context.Context, name string, seqTime float64, pr
 	return c, nil
 }
 
-// Reset discards every cached cell result. Call it after mutating an
-// experiment in place (the cache keys on experiment identity, not
-// content) or to release the memory a long-lived scheduler has pinned.
-func (s *Scheduler) Reset() {
-	s.init()
-	s.mu.Lock()
-	s.cache = make(map[cellKey]*cell)
-	s.lru.Init()
-	s.mu.Unlock()
-}
-
-// shared is the process-wide scheduler the package-level helpers use: one
-// pool, one cache, shared by every figure and command in the process.
+// shared is the process-wide scheduler: one pool shared by every figure
+// and command in the process.
 var shared = &Scheduler{}
 
 // Shared returns the process-wide scheduler.
@@ -425,18 +180,3 @@ var serialShared = &Scheduler{Workers: 1}
 // one worker slot, for cells whose measurements would contaminate each
 // other if co-scheduled (real-backend wall-clock runs).
 func SerialShared() *Scheduler { return serialShared }
-
-// Sweep runs the experiment matrix on the shared scheduler.
-func Sweep(ctx context.Context, exps []*core.Experiment, procs []int) ([]*core.Curve, error) {
-	return shared.Sweep(ctx, exps, procs)
-}
-
-// Stream streams the experiment matrix on the shared scheduler.
-func Stream(ctx context.Context, exps []*core.Experiment, procs []int) <-chan Outcome {
-	return shared.Stream(ctx, exps, procs)
-}
-
-// Points runs a process-count sweep on the shared scheduler.
-func Points(ctx context.Context, name string, seqTime float64, procs []int, run func(np int) (*spmd.Result, error)) (*core.Curve, error) {
-	return shared.Points(ctx, name, seqTime, procs, run)
-}

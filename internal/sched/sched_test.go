@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,142 +12,70 @@ import (
 	"repro/internal/spmd"
 )
 
-// flopsExperiment builds a perfectly parallel experiment: work flops
-// split evenly over the processes, with a ring exchange so communication
-// is priced too.
-func flopsExperiment(name string, work float64) *core.Experiment {
-	return &core.Experiment{
-		Name:  name,
-		Model: machine.IBMSP(),
-		Par: func(p *spmd.Proc) {
+// ringCell returns a sweep cell for a perfectly parallel program: work
+// flops split evenly over the processes, with a ring exchange so
+// communication is priced too.
+func ringCell(work float64) func(np int) (*spmd.Result, error) {
+	return func(np int) (*spmd.Result, error) {
+		return core.Simulate(np, machine.IBMSP(), func(p *spmd.Proc) {
 			p.Flops(work / float64(p.N()))
 			if p.N() > 1 {
 				next, prev := (p.Rank()+1)%p.N(), (p.Rank()-1+p.N())%p.N()
 				p.Send(next, 1, p.Rank())
 				spmd.Recv[int](p, prev, 1)
 			}
-		},
+		})
 	}
 }
 
-// TestSweepMatchesSerialRun is the scheduler's correctness contract: the
-// concurrent sweep produces bit-identical curves to Experiment.Run's
-// serial loop, because every cell is an independent deterministic world.
+// TestSweepMatchesSerialRun is the pool's correctness contract: a
+// concurrent sweep produces bit-identical curves to a serial loop over
+// the same cells, because every cell is an independent deterministic
+// world.
 func TestSweepMatchesSerialRun(t *testing.T) {
-	exps := []*core.Experiment{
-		flopsExperiment("a", 1e6),
-		flopsExperiment("b", 2e6),
-		flopsExperiment("c", 4e6),
-	}
 	procs := []int{1, 2, 4, 8}
-
-	want := make([]*core.Curve, len(exps))
-	for i, e := range exps {
-		c, err := e.Run(context.Background(), procs)
+	s := &Scheduler{Workers: 4}
+	for _, work := range []float64{1e6, 2e6, 4e6} {
+		run := ringCell(work)
+		seq, err := run(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = c
-	}
-
-	s := &Scheduler{Workers: 4}
-	got, err := s.Sweep(context.Background(), exps, procs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range exps {
-		if got[i].Name != want[i].Name || got[i].SeqTime != want[i].SeqTime {
-			t.Fatalf("curve %d header: got %q/%g, want %q/%g",
-				i, got[i].Name, got[i].SeqTime, want[i].Name, want[i].SeqTime)
+		got, err := s.Points(context.Background(), "ring", seq.Makespan, procs, run)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range want[i].Points {
-			if got[i].Points[j] != want[i].Points[j] {
-				t.Fatalf("curve %q point %d: got %+v, want %+v",
-					got[i].Name, j, got[i].Points[j], want[i].Points[j])
+		for i, np := range procs {
+			res, err := run(np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := core.Point{Procs: np, Time: res.Makespan, Speedup: seq.Makespan / res.Makespan, Msgs: res.Msgs, Bytes: res.Bytes}
+			if got.Points[i] != want {
+				t.Fatalf("work %g point %d: got %+v, want %+v", work, i, got.Points[i], want)
 			}
 		}
 	}
 }
 
-// TestCacheDeduplicatesCells asserts the singleflight cache: sweeping the
-// same experiment again — and a baseline that coincides with the
-// 1-process cell — must not re-run anything.
-func TestCacheDeduplicatesCells(t *testing.T) {
-	var runs int64
-	e := &core.Experiment{
-		Name:  "counted",
-		Model: machine.IBMSP(),
-		Par: func(p *spmd.Proc) {
-			if p.Rank() == 0 {
-				atomic.AddInt64(&runs, 1)
-			}
-			p.Flops(1000)
-		},
-	}
-	procs := []int{1, 2, 4}
-	s := &Scheduler{Workers: 2}
-	if _, err := s.Sweep(context.Background(), []*core.Experiment{e, e}, procs); err != nil {
-		t.Fatal(err)
-	}
-	// Seq is nil, so the baseline IS the 1-process cell: 3 distinct cells
-	// total, listed twice, cached once each.
-	if got := atomic.LoadInt64(&runs); got != 3 {
-		t.Fatalf("matrix ran %d cells, want 3 (baseline shared with P=1, duplicate experiment cached)", got)
-	}
-	if _, err := s.Curve(context.Background(), e, procs); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt64(&runs); got != 3 {
-		t.Fatalf("re-sweep ran %d cells, want still 3 (cache spans sweeps)", got)
-	}
-}
-
-// TestStreamDeliversEveryExperiment checks completion-order streaming.
-func TestStreamDeliversEveryExperiment(t *testing.T) {
-	exps := []*core.Experiment{
-		flopsExperiment("s1", 1e5),
-		flopsExperiment("s2", 1e5),
-		flopsExperiment("s3", 1e5),
-	}
-	s := &Scheduler{Workers: 2}
-	seen := map[string]bool{}
-	for o := range s.Stream(context.Background(), exps, []int{1, 2}) {
-		if o.Err != nil {
-			t.Fatal(o.Err)
-		}
-		seen[o.Curve.Name] = true
-	}
-	if len(seen) != len(exps) {
-		t.Fatalf("stream delivered %d curves, want %d: %v", len(seen), len(exps), seen)
-	}
-}
-
-// TestErrorPropagates: a panicking cell must surface as an error outcome,
-// not hang the pool or poison later sweeps.
+// TestErrorPropagates: a panicking cell must surface as an error naming
+// the panic, not hang the pool, leak its workers or poison later sweeps.
 func TestErrorPropagates(t *testing.T) {
-	bad := &core.Experiment{
-		Name:  "bad",
-		Model: machine.IBMSP(),
-		Par: func(p *spmd.Proc) {
-			if p.N() == 4 {
-				panic("cell failure")
-			}
-			p.Flops(10)
-		},
-	}
 	s := &Scheduler{Workers: 2}
 	before := runtime.NumGoroutine()
-	exps := []*core.Experiment{bad, flopsExperiment("ok1", 1e4), flopsExperiment("ok2", 1e4)}
-	_, err := s.Sweep(context.Background(), exps, []int{1, 2, 4})
+	_, err := Map(context.Background(), s, 6, func(i int) (int, error) {
+		if i == 3 {
+			panic("cell failure")
+		}
+		return i, nil
+	})
 	if err == nil || !strings.Contains(err.Error(), "cell failure") {
 		t.Fatalf("want cell failure error, got %v", err)
 	}
 	// The pool must still work afterwards.
-	if _, err := s.Sweep(context.Background(), []*core.Experiment{flopsExperiment("after", 1e4)}, []int{1, 2}); err != nil {
+	if _, err := s.Points(context.Background(), "after", 1, []int{1, 2}, ringCell(1e4)); err != nil {
 		t.Fatal(err)
 	}
-	// Sweep's early return must not strand the other experiments'
-	// producer goroutines (Stream's channel is buffered for this).
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+1 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -182,32 +109,32 @@ func TestPointsAssemblesCurve(t *testing.T) {
 			t.Fatalf("point %d speedup %g, want %d", i, pt.Speedup, pt.Procs)
 		}
 	}
+	if sp := c.SpeedupAt(4); sp < 3.99 || sp > 4.01 {
+		t.Errorf("SpeedupAt(4) = %g, want ~4", sp)
+	}
+	if c.SpeedupAt(3) != 0 {
+		t.Error("SpeedupAt of an unswept process count should be 0")
+	}
 }
 
-// TestSweepRunsConcurrently demonstrates the wall-clock win the scheduler
-// exists for: a matrix of cells that each block 10ms completes far faster
+// TestSweepRunsConcurrently demonstrates the wall-clock win the pool
+// exists for: a sweep of cells that each block 10ms completes far faster
 // than the serial sum. Sleep-bound cells make the timing robust to host
 // load and GOMAXPROCS.
 func TestSweepRunsConcurrently(t *testing.T) {
 	const cellDelay = 10 * time.Millisecond
-	mk := func(name string) *core.Experiment {
-		return &core.Experiment{
-			Name:  name,
-			Model: machine.IBMSP(),
-			Par: func(p *spmd.Proc) {
-				if p.Rank() == 0 {
-					time.Sleep(cellDelay)
-				}
-				p.Flops(10)
-			},
-		}
+	run := func(np int) (*spmd.Result, error) {
+		return core.Simulate(np, machine.IBMSP(), func(p *spmd.Proc) {
+			if p.Rank() == 0 {
+				time.Sleep(cellDelay)
+			}
+			p.Flops(10)
+		})
 	}
-	exps := []*core.Experiment{mk("w"), mk("x"), mk("y"), mk("z")}
-	procs := []int{1, 2}
-	// 4 experiments × 2 cells (baseline = P=1 cell) = 8 distinct cells.
+	procs := []int{1, 2, 1, 2, 1, 2, 1, 2}
 	serialStart := time.Now()
-	for _, e := range exps {
-		if _, err := e.Run(context.Background(), procs); err != nil {
+	for _, np := range procs {
+		if _, err := run(np); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,61 +142,13 @@ func TestSweepRunsConcurrently(t *testing.T) {
 
 	s := &Scheduler{Workers: 8}
 	concStart := time.Now()
-	if _, err := s.Sweep(context.Background(), exps, procs); err != nil {
+	if _, err := s.Points(context.Background(), "sleep", 1, procs, run); err != nil {
 		t.Fatal(err)
 	}
 	concurrent := time.Since(concStart)
 
-	t.Logf("serial sweep %v, scheduled sweep %v (%d cells × %v)", serial, concurrent, 8, cellDelay)
+	t.Logf("serial sweep %v, scheduled sweep %v (%d cells × %v)", serial, concurrent, len(procs), cellDelay)
 	if concurrent >= serial {
 		t.Errorf("scheduled sweep (%v) not faster than serial (%v)", concurrent, serial)
-	}
-}
-
-// busyExperiment burns real CPU per cell so the benchmark measures
-// compute-bound scheduling, not sleeps.
-func busyExperiment(name string, n int) *core.Experiment {
-	return &core.Experiment{
-		Name:  name,
-		Model: machine.IBMSP(),
-		Par: func(p *spmd.Proc) {
-			x := 1.0
-			for i := 0; i < n; i++ {
-				x = x*1.0000001 + 1e-9
-			}
-			p.Charge(x * 0) // keep x live, charge nothing
-			p.Flops(float64(n) / float64(p.N()))
-		},
-	}
-}
-
-// BenchmarkSweepSerial is the baseline: the same matrix the scheduler
-// benchmark runs, executed cell after cell.
-func BenchmarkSweepSerial(b *testing.B) {
-	procs := []int{1, 2, 4}
-	for i := 0; i < b.N; i++ {
-		for _, e := range []*core.Experiment{
-			busyExperiment("a", 1<<20), busyExperiment("b", 1<<20),
-			busyExperiment("c", 1<<20), busyExperiment("d", 1<<20),
-		} {
-			if _, err := e.Run(context.Background(), procs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkSweepScheduler runs the matrix through the worker pool; fresh
-// experiments each iteration keep the cache out of the measurement.
-func BenchmarkSweepScheduler(b *testing.B) {
-	procs := []int{1, 2, 4}
-	for i := 0; i < b.N; i++ {
-		s := &Scheduler{}
-		if _, err := s.Sweep(context.Background(), []*core.Experiment{
-			busyExperiment("a", 1<<20), busyExperiment("b", 1<<20),
-			busyExperiment("c", 1<<20), busyExperiment("d", 1<<20),
-		}, procs); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

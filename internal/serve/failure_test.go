@@ -17,8 +17,8 @@ func TestClassifyFailure(t *testing.T) {
 		{fmt.Errorf("running app: %w", context.DeadlineExceeded), ReasonCanceled, true},
 		{errors.New(`unknown backend "quantum" (have: dist, elastic, real, sim)`), ReasonSpec, false},
 		{errors.New(`app "fft" does not support backend "real" (have: dist, sim)`), ReasonSpec, false},
-		{errors.New("elastic: world start: 0 of 2 workers attached within 30s"), ReasonBackend, true},
-		{errors.New("elastic: rank 1 exceeded its restart budget (3 restarts): lost host"), ReasonBackend, true},
+		{errors.New("dist: world start: 0 of 2 workers attached within 30s"), ReasonBackend, true},
+		{errors.New("dist: rank 1 exceeded its restart budget (3 restarts): lost host"), ReasonBackend, true},
 		{errors.New("dist: worker for process 2 disconnected"), ReasonBackend, true},
 		{errors.New("servetest: induced failure"), ReasonInternal, false},
 	}

@@ -15,8 +15,7 @@ import (
 const (
 	// StateQueued: admitted, waiting for a worker slot.
 	StateQueued = "queued"
-	// StateRunning: executing (or coalesced onto an identical in-flight
-	// execution).
+	// StateRunning: executing.
 	StateRunning = "running"
 	// StateDone: finished with a result.
 	StateDone = "done"
@@ -65,8 +64,7 @@ func classifyFailure(err error) *FailureInfo {
 		return &FailureInfo{Reason: ReasonCanceled, Retryable: true}
 	case strings.Contains(err.Error(), "(have:") || strings.Contains(err.Error(), "does not support"):
 		return &FailureInfo{Reason: ReasonSpec, Retryable: false}
-	case strings.HasPrefix(err.Error(), "dist:") || strings.HasPrefix(err.Error(), "elastic:") ||
-		strings.Contains(err.Error(), "worker"):
+	case strings.HasPrefix(err.Error(), "dist:") || strings.Contains(err.Error(), "worker"):
 		return &FailureInfo{Reason: ReasonBackend, Retryable: true}
 	default:
 		return &FailureInfo{Reason: ReasonInternal, Retryable: false}
@@ -97,9 +95,6 @@ type JobStatus struct {
 	// Cached reports that the result came from the persistent result
 	// cache rather than an execution in this process.
 	Cached bool `json:"cached"`
-	// Coalesced reports that this job shared an identical in-flight
-	// execution instead of running its own.
-	Coalesced bool `json:"coalesced,omitempty"`
 	// Elapsed is seconds from submission to completion (or to now for
 	// live jobs).
 	Elapsed float64 `json:"elapsed"`
@@ -134,17 +129,16 @@ type job struct {
 	spec    arch.Spec // canonical
 	created time.Time
 
-	mu        sync.Mutex
-	state     string
-	summary   string
-	report    arch.Report
-	errMsg    string
-	failure   *FailureInfo
-	cached    bool
-	coalesced bool
-	stream    *StreamProgress
-	trace     []byte
-	finished  time.Time
+	mu       sync.Mutex
+	state    string
+	summary  string
+	report   arch.Report
+	errMsg   string
+	failure  *FailureInfo
+	cached   bool
+	stream   *StreamProgress
+	trace    []byte
+	finished time.Time
 	// changed is closed and replaced on every state transition; watch
 	// hands it to SSE streams so they wake exactly when the status
 	// moves.
@@ -180,11 +174,10 @@ func (j *job) setRunning() {
 	})
 }
 
-// finish resolves the job from a flight outcome.
-func (j *job) finish(out runOutcome, coalesced bool, err error) {
+// finish resolves the job from a run outcome.
+func (j *job) finish(out runOutcome, err error) {
 	j.transition(func() {
 		j.finished = time.Now()
-		j.coalesced = coalesced
 		if err != nil {
 			j.state = StateFailed
 			j.errMsg = err.Error()
@@ -239,15 +232,14 @@ func (j *job) watch() (JobStatus, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:        j.id,
-		State:     j.state,
-		Spec:      j.spec,
-		Summary:   j.summary,
-		Error:     j.errMsg,
-		Failure:   j.failure,
-		Cached:    j.cached,
-		Coalesced: j.coalesced,
-		Kind:      j.spec.Kind,
+		ID:      j.id,
+		State:   j.state,
+		Spec:    j.spec,
+		Summary: j.summary,
+		Error:   j.errMsg,
+		Failure: j.failure,
+		Cached:  j.cached,
+		Kind:    j.spec.Kind,
 	}
 	if j.stream != nil {
 		p := *j.stream

@@ -20,8 +20,10 @@ type metrics struct {
 	jobs *obs.CounterVec
 	// failed refines the failed count by the structured failure reason.
 	failed *obs.CounterVec
-	// cacheHits / cacheMisses count persistent result-cache lookups on
-	// the batch submission path.
+	// jobtableHits counts batch submissions answered by the job table.
+	jobtableHits *obs.Counter
+	// cacheHits / cacheMisses count persistent result-cache lookups,
+	// made only when the job table does not know the job.
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 	// runDur observes executed (not cache-served) batch run durations.
@@ -38,6 +40,7 @@ func newMetrics() *metrics {
 		reg:           reg,
 		jobs:          reg.CounterVec("archserve_jobs_total", "Jobs reaching a terminal state.", "state"),
 		failed:        reg.CounterVec("archserve_jobs_failed_total", "Failed jobs by structured failure reason.", "reason"),
+		jobtableHits:  reg.Counter("archserve_jobtable_hits_total", "Batch submissions answered by the job table."),
 		cacheHits:     reg.Counter("archserve_cache_hits_total", "Persistent result-cache hits."),
 		cacheMisses:   reg.Counter("archserve_cache_misses_total", "Persistent result-cache misses."),
 		runDur:        reg.Histogram("archserve_run_duration_seconds", "Executed batch run durations.", obs.DurationBuckets),

@@ -30,16 +30,16 @@ func get(t *testing.T, c *serve.Client, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestMetricsEndpoint pins the Prometheus surface: job outcomes, cache
-// hits/misses, and the run-duration histogram must appear in valid text
+// TestMetricsEndpoint pins the Prometheus surface: job outcomes, hits per
+// dedup layer, and the run-duration histogram must appear in valid text
 // exposition after the service has done some work.
 func TestMetricsEndpoint(t *testing.T) {
 	cache := openCache(t, t.TempDir())
 	_, c := newService(t, serve.Config{Cache: cache})
 	ctx := context.Background()
 
-	// One executed run (a cache miss), one warm resubmission (a hit),
-	// one induced failure.
+	// One executed run (a cache miss), one warm resubmission (a job-table
+	// hit, which reads no file), one induced failure (a cache miss).
 	if st, err := c.Run(ctx, arch.Spec{App: "servetest", Procs: 2}); err != nil || st.State != serve.StateDone {
 		t.Fatalf("first run: %v (state %v)", err, st.State)
 	}
@@ -58,7 +58,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`archserve_jobs_total{state="done"}`,
 		`archserve_jobs_total{state="failed"} 1`,
 		`archserve_jobs_failed_total{reason="internal"} 1`,
-		"archserve_cache_hits_total 1",
+		"archserve_jobtable_hits_total 1",
+		"archserve_cache_hits_total 0",
 		"archserve_cache_misses_total 2",
 		`archserve_run_duration_seconds_bucket{le="+Inf"}`,
 		"archserve_run_duration_seconds_sum",
@@ -71,6 +72,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics is missing %q\n%s", want, body)
+		}
+	}
+
+	// A restarted server's job table is empty: the same resubmission is a
+	// disk hit there.
+	_, c2 := newService(t, serve.Config{Cache: cache})
+	if st, err := c2.Submit(ctx, arch.Spec{App: "servetest", Procs: 2}); err != nil || !st.Cached {
+		t.Fatalf("post-restart resubmission: %v (cached %v)", err, st.Cached)
+	}
+	_, body = get(t, c2, "/metrics")
+	for _, want := range []string{
+		"archserve_jobtable_hits_total 0",
+		"archserve_cache_hits_total 1",
+		"archserve_cache_misses_total 0",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("restarted /metrics is missing %q", want)
 		}
 	}
 }

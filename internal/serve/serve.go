@@ -17,17 +17,19 @@
 // A submission is canonicalized (arch.Spec.Canonical) and addressed by
 // content: the job ID is the SHA-256 of the canonical spec
 // (rescache.Key), so "the same experiment" is a protocol-level notion,
-// not a server-side heuristic. That one decision buys the three layers
-// of deduplication the service is built around:
+// not a server-side heuristic. That one decision buys the two layers of
+// deduplication the service is built around, consulted in this order:
 //
 //   - Identical requests while a job exists map to the same job — a
-//     resubmission is a status read.
-//   - Identical requests in flight coalesce through a sched.Flight
-//     singleflight keyed by the same address, so the work runs once on
-//     the bounded worker pool no matter how many clients asked.
+//     resubmission is a status read, and two identical submissions in
+//     flight share one execution.
 //   - Finished results persist in the content-addressed rescache; a
-//     warm request — even in a freshly restarted process — is a file
-//     read, never a recomputation.
+//     warm request in a freshly restarted process is a file read, never
+//     a recomputation.
+//
+// A job that misses both re-checks the cache when it starts, in case
+// another process sharing the cache directory has finished the same
+// experiment since admission.
 //
 // Admission control is two bounds: the sched worker pool caps how many
 // runs execute concurrently, and QueueDepth caps how many admitted jobs
@@ -104,8 +106,7 @@ const (
 	defaultKeepAlive = 15 * time.Second
 )
 
-// runOutcome is what one executed (or cache-served) run hands back
-// through the singleflight.
+// runOutcome is what one executed (or cache-served) run hands back.
 type runOutcome struct {
 	summary string
 	report  arch.Report
@@ -121,7 +122,6 @@ type Server struct {
 	cfg     Config
 	logger  *log.Logger
 	pool    *sched.Scheduler
-	flight  sched.Flight[runOutcome]
 	mux     *http.ServeMux
 	met     *metrics
 	started time.Time
@@ -158,7 +158,6 @@ func New(cfg Config) *Server {
 		stopRuns: stopRuns,
 		jobs:     make(map[string]*job),
 	}
-	s.flight.Sched = s.pool
 	s.registerGauges()
 	s.mux.HandleFunc("GET /apps", s.handleApps)
 	s.mux.HandleFunc("POST /runs", s.handleSubmit)
@@ -233,8 +232,8 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSubmit admits one run submission: canonicalize, address, dedup
-// against live jobs and the persistent cache, then admit under the
-// queue bound.
+// against the job table and then the persistent cache, then admit under
+// the queue bound.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sp arch.Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
@@ -258,39 +257,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Warm path: a persisted result answers immediately, no admission
-	// needed. (Checked before the job table so a restarted server's
-	// first resubmission short-circuits too.) Traced jobs never consult
-	// the cache: the cached entry has no trace, and the point of the
-	// submission is the trace.
-	var warm *rescache.Entry
-	if s.cfg.Cache != nil && !spec.Trace {
-		if warm, _ = s.cfg.Cache.Get(key); warm != nil {
-			s.met.cacheHits.Inc()
-		} else {
-			s.met.cacheMisses.Inc()
-		}
-	}
-
-	s.mu.Lock()
-	if j, ok := s.jobs[key]; ok {
-		// A live or successful job answers the resubmission. A failed
-		// one does not pin its failure: fall through and re-admit, so
-		// transient errors are retryable by resubmitting.
-		if st := j.snapshot(); !st.Terminal() || st.State != StateFailed {
-			s.mu.Unlock()
+	// Traced jobs never consult the cache: the cached entry has no trace,
+	// and the point of the submission is the trace.
+	if j, revived := s.lookupJob(key, !spec.Trace); j != nil {
+		if st, ok := answers(j); ok {
+			if !revived {
+				s.met.jobtableHits.Inc()
+			}
 			writeJSON(w, http.StatusOK, st)
 			return
 		}
 	}
-	if warm != nil {
-		j := newJob(key, spec)
-		j.completeCached(warm)
-		s.jobs[key] = j
-		s.mu.Unlock()
-		s.recordOutcome(nil, 0)
-		writeJSON(w, http.StatusOK, j.snapshot())
-		return
+
+	s.mu.Lock()
+	// An identical submission may have been admitted since the lookup.
+	if j, ok := s.jobs[key]; ok {
+		if st, ok := answers(j); ok {
+			s.mu.Unlock()
+			s.met.jobtableHits.Inc()
+			writeJSON(w, http.StatusOK, st)
+			return
+		}
 	}
 	if s.draining {
 		s.mu.Unlock()
@@ -314,14 +301,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
+// answers returns j's status and whether it answers a resubmission of
+// its spec. A live or successful job does. A failed one does not pin its
+// failure, so transient errors are retryable by resubmitting.
+func answers(j *job) (JobStatus, bool) {
+	st := j.snapshot()
+	return st, st.State != StateFailed
+}
+
 // submitStream admits one stream-job submission. Stream jobs bypass the
-// batch path's three deduplication layers on purpose: no warm lookup
-// and no persistence (a long-lived run is not a cacheable result — only
-// non-terminal progress exists while it matters), and no singleflight
-// (re-running a stream is the point of resubmitting one). A live stream
-// job still answers resubmissions with its status; a terminal one is
+// batch path's persistent cache on purpose: no warm lookup and no
+// persistence (a long-lived run is not a cacheable result — only
+// non-terminal progress exists while it matters). A live stream job
+// still answers resubmissions with its status; a terminal one is
 // re-admitted, replacing the finished job under the same content
-// address.
+// address (re-running a stream is the point of resubmitting one).
 func (s *Server) submitStream(w http.ResponseWriter, key string, spec arch.Spec) {
 	s.mu.Lock()
 	if j, ok := s.jobs[key]; ok {
@@ -376,93 +370,103 @@ func (s *Server) runStreamJob(j *job) {
 		j.progress(w)
 	}
 	summary, rep, err := arch.RunSpecStream(s.runCtx, j.spec, progress)
-	j.finish(runOutcome{summary: summary, report: rep}, false, err)
+	j.finish(runOutcome{summary: summary, report: rep}, err)
 	s.recordOutcome(err, time.Since(start).Seconds())
 }
 
-// runJob executes one admitted job through the singleflight and the
-// worker pool, persists the result, and resolves the job.
+// runJob executes one admitted job on the worker pool, persists the
+// result, and resolves the job. The counters and the queue gauge move
+// before the job turns terminal, so a client that sees the terminal
+// status sees them too.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		s.active--
-		s.mu.Unlock()
-	}()
 	j.setRunning()
 	start := time.Now()
-	out, shared, err := s.flight.Do(s.runCtx, j.id, func() (runOutcome, error) {
-		// Traced jobs bypass the persistent cache in both directions: a
-		// cached entry has no trace to serve, and an entry persisted
-		// from a traced run would claim coverage it doesn't have.
-		if j.spec.Trace {
-			col := obs.NewCollector()
-			summary, rep, err := arch.RunSpec(obs.NewContext(s.runCtx, col), j.spec)
-			if err != nil {
-				return runOutcome{}, err
-			}
-			blob, err := col.ChromeJSON()
-			if err != nil {
-				return runOutcome{}, fmt.Errorf("serve: encoding trace: %w", err)
-			}
-			return runOutcome{summary: summary, report: rep, trace: blob}, nil
-		}
-		// Re-check the persistent cache inside the flight: another
-		// process sharing the cache directory may have finished this
-		// exact experiment since admission.
-		if s.cfg.Cache != nil {
-			if e, ok := s.cfg.Cache.Get(j.id); ok {
-				s.met.cacheHits.Inc()
-				return runOutcome{summary: e.Summary, report: e.Report, cached: true}, nil
-			}
-		}
-		summary, rep, err := arch.RunSpec(s.runCtx, j.spec)
+	outs, err := sched.Map(s.runCtx, s.pool, 1, func(int) (runOutcome, error) {
+		return s.execute(j)
+	})
+	s.recordOutcome(err, time.Since(start).Seconds())
+	s.mu.Lock()
+	s.active--
+	s.mu.Unlock()
+	var out runOutcome
+	if err == nil {
+		out = outs[0]
+	}
+	j.finish(out, err)
+}
+
+// execute runs one batch job's spec, or serves it from the persistent
+// cache when another process has finished it since admission.
+func (s *Server) execute(j *job) (runOutcome, error) {
+	// Traced jobs bypass the persistent cache in both directions: a
+	// cached entry has no trace to serve, and an entry persisted from a
+	// traced run would claim coverage it doesn't have.
+	if j.spec.Trace {
+		col := obs.NewCollector()
+		summary, rep, err := arch.RunSpec(obs.NewContext(s.runCtx, col), j.spec)
 		if err != nil {
 			return runOutcome{}, err
 		}
-		if s.cfg.Cache != nil {
-			e := &rescache.Entry{Spec: j.spec, Summary: summary, Report: rep, Created: time.Now().UTC()}
-			if err := s.cfg.Cache.Put(j.id, e); err != nil {
-				s.logger.Printf("serve: persist %s: %v", j.id[:12], err)
-			}
+		blob, err := col.ChromeJSON()
+		if err != nil {
+			return runOutcome{}, fmt.Errorf("serve: encoding trace: %w", err)
 		}
-		return runOutcome{summary: summary, report: rep}, nil
-	})
-	j.finish(out, shared, err)
-	s.recordOutcome(err, time.Since(start).Seconds())
+		return runOutcome{summary: summary, report: rep, trace: blob}, nil
+	}
+	if s.cfg.Cache != nil {
+		if e, ok := s.cfg.Cache.Get(j.id); ok {
+			s.met.cacheHits.Inc()
+			return runOutcome{summary: e.Summary, report: e.Report, cached: true}, nil
+		}
+	}
+	summary, rep, err := arch.RunSpec(s.runCtx, j.spec)
+	if err != nil {
+		return runOutcome{}, err
+	}
+	if s.cfg.Cache != nil {
+		e := &rescache.Entry{Spec: j.spec, Summary: summary, Report: rep, Created: time.Now().UTC()}
+		if err := s.cfg.Cache.Put(j.id, e); err != nil {
+			s.logger.Printf("serve: persist %s: %v", j.id[:12], err)
+		}
+	}
+	return runOutcome{summary: summary, report: rep}, nil
 }
 
-// lookupJob finds the job for id, reviving it from the persistent cache
-// if the server has never seen it but a prior process finished it.
-func (s *Server) lookupJob(id string) (*job, bool) {
+// lookupJob finds the job for id in the job table or, failing that and
+// when disk is set, revives it from the persistent cache if a prior
+// process finished it; revived reports the latter. It returns nil when
+// neither layer knows id.
+func (s *Server) lookupJob(id string, disk bool) (j *job, revived bool) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j = s.jobs[id]
 	s.mu.Unlock()
-	if ok {
-		return j, true
-	}
-	if s.cfg.Cache == nil {
-		return nil, false
+	if j != nil || !disk || s.cfg.Cache == nil {
+		return j, false
 	}
 	e, ok := s.cfg.Cache.Get(id)
 	if !ok {
+		s.met.cacheMisses.Inc()
 		return nil, false
 	}
+	s.met.cacheHits.Inc()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok { // lost a revival race; use the winner
-		return j, true
+	if j := s.jobs[id]; j != nil { // lost a revival race; use the winner
+		s.mu.Unlock()
+		return j, false
 	}
 	j = newJob(id, e.Spec)
 	j.completeCached(e)
 	s.jobs[id] = j
+	s.mu.Unlock()
+	s.recordOutcome(nil, 0)
 	return j, true
 }
 
 // handleStatus serves one job's current status.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupJob(r.PathValue("id"))
-	if !ok {
+	j, _ := s.lookupJob(r.PathValue("id"), true)
+	if j == nil {
 		writeError(w, http.StatusNotFound, "no such run")
 		return
 	}
@@ -473,8 +477,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // job (one submitted with {"trace": true}). Load it in ui.perfetto.dev
 // or chrome://tracing.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupJob(r.PathValue("id"))
-	if !ok {
+	j, _ := s.lookupJob(r.PathValue("id"), true)
+	if j == nil {
 		writeError(w, http.StatusNotFound, "no such run")
 		return
 	}
@@ -500,8 +504,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // events ("status" events carrying the JobStatus JSON), ending after
 // the terminal event.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupJob(r.PathValue("id"))
-	if !ok {
+	j, _ := s.lookupJob(r.PathValue("id"), true)
+	if j == nil {
 		writeError(w, http.StatusNotFound, "no such run")
 		return
 	}
