@@ -84,9 +84,10 @@ type Transport interface {
 	// carry the given tag: tags are order checks over the per-pair FIFO,
 	// and a mismatch panics because the program's protocol is broken.
 	Recv(src, dst, tag int) any
-	// RecvAny returns the next message carrying tag from any source,
-	// along with the sender's rank. The choice among concurrently
-	// available messages depends on host scheduling.
+	// RecvAny returns the earliest-arrived message queued at dst, along
+	// with the sender's rank; it must carry tag. Which messages have
+	// arrived by then still depends on host scheduling, on every backend
+	// (virtual-time ones included).
 	RecvAny(dst, tag int) (int, any)
 	// Recorder returns the run's flight recorder — present when the
 	// transport was created under a context carrying an obs.Collector

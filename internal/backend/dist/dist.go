@@ -371,7 +371,7 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 		r:        r,
 		keep:     r.maxRestarts > 0,
 		silence:  r.hbInterval * time.Duration(r.hbMiss),
-		counters: make([]shard, n),
+		counters: make([]backend.CounterShard, n),
 		sendBufs: make([][]byte, n),
 		recvBufs: make([][]byte, n),
 		ranks:    make([]rankState, n),
@@ -431,9 +431,9 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 	// rank directly from the socket — no relay goroutine on the critical
 	// path); buffered sends flush at every rank's next blocking point and
 	// when its body returns (see Drive).
-	t.inboxes = make([]*inQueue, n)
+	t.inboxes = make([]*backend.Inbox[inMsg], n)
 	for i := range t.inboxes {
-		t.inboxes[i] = newInQueue(n)
+		t.inboxes[i] = backend.NewInbox[inMsg](n)
 	}
 	t.stats.Workers = n
 	t.worldDone, t.pingDone = make(chan struct{}), make(chan struct{})
@@ -646,14 +646,13 @@ func (wc *workerConn) expectReady(rank int, deadline time.Time) error {
 	return nil
 }
 
-// shard is one rank's message/byte tally, written only by that rank's
-// goroutine and summed in Finish (after every process returned, so the
-// world's WaitGroup provides the happens-before edge), mirroring the
-// in-process mailbox's sharded meters.
-type shard struct {
-	msgs  int64
-	bytes int64
-	_     [112]byte
+// inMsg is one banked message: the delivery header plus the opaque
+// payload bytes the coordinator will decode.
+type inMsg struct {
+	src     int
+	tag     int
+	metered int
+	payload []byte
 }
 
 // rankState is what one rank's goroutine keeps across its attempts: the
@@ -704,8 +703,10 @@ type transport struct {
 	// procs holds every worker process this world owns (pool-acquired,
 	// spawned at start, and respawned); teardown kills whichever were not
 	// returned to the pool. Guarded by mu.
-	procs    []*proc
-	counters []shard
+	procs []*proc
+	// counters meter messages and bytes per sending rank, exactly as the
+	// in-process mailbox does.
+	counters []backend.CounterShard
 	// sendBufs is per-source-rank scratch (rank-goroutine only) for
 	// assembling send bodies without per-send allocation.
 	sendBufs [][]byte
@@ -714,8 +715,11 @@ type transport struct {
 	// fast path hands the payload to the decoder straight out of it.
 	recvBufs [][]byte
 	// inboxes bank eagerly pushed deliveries per destination rank;
-	// Recv/RecvAny pop them locally.
-	inboxes []*inQueue
+	// Recv/RecvAny pop them locally. Only the rank's own goroutine pushes
+	// to or takes from its inbox (the self-send in send, the banking and
+	// the take in popMsg), and no rank ever waits on one, so they take no
+	// lock.
+	inboxes []*backend.Inbox[inMsg]
 	// ranks is per-rank state, each entry touched only by its rank's
 	// goroutine.
 	ranks []rankState
@@ -810,10 +814,8 @@ func (t *transport) quiesce() {
 // fail records the run's first fatal error and closes every control
 // connection, unwinding all blocked operations — a rank parked in a
 // connection read waiting for a dead worker's delivery gets a read error
-// and raises. (Closing the inboxes is defensive: the owning ranks only
-// take from them without waiting, but a waiting taker unwinds too.) After
-// Finish has begun it is a no-op (workers exiting at world end are not
-// failures).
+// and raises. After Finish has begun it is a no-op (workers exiting at
+// world end are not failures).
 func (t *transport) fail(err error) {
 	t.mu.Lock()
 	if t.finishing || t.err != nil {
@@ -825,9 +827,6 @@ func (t *transport) fail(err error) {
 		wc.c.Close()
 	}
 	t.mu.Unlock()
-	for _, q := range t.inboxes {
-		q.close()
-	}
 }
 
 func (t *transport) runErr() error {
@@ -944,7 +943,7 @@ func (t *transport) send(src, dst, tag int, data any, bytes int) {
 		if err != nil {
 			panic(fmt.Sprintf("dist: process %d: %v", src, err))
 		}
-		t.inboxes[src].push(inMsg{src: src, tag: tag, metered: bytes, payload: body})
+		t.inboxes[src].Push(src, inMsg{src: src, tag: tag, metered: bytes, payload: body})
 		return
 	}
 	hdr := appendMsgHeader(t.sendBufs[src][:0], src, tag, bytes)
@@ -962,9 +961,7 @@ func (t *transport) send(src, dst, tag int, data any, bytes int) {
 	if werr != nil && !t.keep {
 		t.raise(src, werr)
 	}
-	sh := &t.counters[src]
-	sh.msgs++
-	sh.bytes += int64(bytes)
+	t.counters[src].Count(bytes)
 }
 
 // flush puts every connection's buffered frames on the wire — the
@@ -1032,7 +1029,13 @@ func (t *transport) popMsg(dst, src int) inMsg {
 	inbox := t.inboxes[dst]
 	wc := t.conns[dst]
 	for {
-		m, ok := inbox.take(src, false)
+		var m inMsg
+		var ok bool
+		if src >= 0 {
+			m, ok = inbox.Pop(src)
+		} else {
+			_, m, ok = inbox.PopAny()
+		}
 		if ok {
 			return m
 		}
@@ -1085,7 +1088,7 @@ func (t *transport) popMsg(dst, src int) inMsg {
 			if !t.keep {
 				payload = append([]byte(nil), payload...)
 			}
-			inbox.push(inMsg{src: from, tag: tag, metered: metered, payload: payload})
+			inbox.Push(from, inMsg{src: from, tag: tag, metered: metered, payload: payload})
 			return nil
 		})
 		if err != nil {
@@ -1338,15 +1341,12 @@ func (t *transport) Finish() backend.Result {
 	for i := range res.Clocks {
 		res.Clocks[i] = elapsed
 	}
-	for i := range t.counters {
-		res.Msgs += t.counters[i].msgs
-		res.Bytes += t.counters[i].bytes
-	}
+	res.Msgs, res.Bytes = backend.SumCounters(t.counters)
 	return res
 }
 
 // teardown releases the substrate: pinger stopped, monitors unparked,
-// inboxes closed, the world's control plane closed, and every worker
+// the world's control plane closed, and every worker
 // either returned to the runner's pool (spawned, bye received, pool
 // configured) or closed and killed. Workers exit on their own once their
 // control connection closes; the kill is the backstop that bounds the
@@ -1374,9 +1374,6 @@ func (t *transport) teardown() {
 			continue
 		}
 		wc.c.Close()
-	}
-	for _, q := range t.inboxes {
-		q.close()
 	}
 	if t.ownCP {
 		t.cp.close()

@@ -22,143 +22,53 @@ type message struct {
 	avail float64
 }
 
-// pairQueue is the FIFO from one source rank to one destination: a
-// power-of-two ring buffer grown on demand. Queues start empty and
-// unallocated, so a P-process world costs O(P²) queue headers but only
-// pairs that actually communicate ever allocate storage — worlds are no
-// longer dominated by up-front channel construction.
-type pairQueue struct {
-	buf  []message // power-of-two ring; nil until first push
-	head int
-	n    int
-}
-
-func (q *pairQueue) push(m message) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = m
-	q.n++
-}
-
-func (q *pairQueue) grow() {
-	nbuf := make([]message, max(8, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
-		nbuf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf = nbuf
-	q.head = 0
-}
-
-func (q *pairQueue) pop() message {
-	m := q.buf[q.head]
-	q.buf[q.head] = message{} // drop the payload reference for the GC
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return m
-}
-
-// inbox is one destination rank's mailbox: per-source FIFO queues plus an
-// arrival-order ring of source tokens. Exactly one goroutine (the rank's
-// own) consumes from an inbox, while any rank may push into it, so a
-// single mutex+cond per destination serializes only that destination's
-// traffic — there is no global lock anywhere on the message path.
+// inbox is one destination rank's mailbox: an Inbox of messages behind a
+// mutex+cond. Exactly one goroutine (the rank's own) consumes from an
+// inbox, while any rank may push into it, so a single mutex+cond per
+// destination serializes only that destination's traffic — there is no
+// global lock anywhere on the message path. The Inbox's arrival counter,
+// bumped under mu on every push, is also what a consumer in the
+// yield-spin phase of wait watches instead of holding the lock.
 type inbox struct {
 	mu   sync.Mutex
 	cond sync.Cond
-	// arrivals counts the pushes into this inbox in a world that spins
-	// (mailbox.spin > 0; other worlds have no reader and skip the atomic).
-	// It is bumped under mu and read without it by a consumer in the
-	// yield-spin phase of wait, which watches for a change instead of
-	// holding the lock.
-	arrivals atomic.Uint64
+	Inbox[message]
 	// parks counts the receives that fell through to cond.Wait: the ones
 	// that paid a goroutine park and a sender's wake-up.
 	parks int64
-	// q[src] is the FIFO from src to this rank.
-	q []pairQueue
-	// pending counts queued messages across all sources.
-	pending int
 	// waiting is true while the consumer sits in cond.Wait, so senders
 	// skip the Signal entirely in the common nobody-is-blocked case.
 	waiting bool
-	// order is a ring of source tokens in arrival order: popAny serves
-	// first-come-first-served across sources, which is both O(1) and
-	// fair, as long as the inbox is consumed by popAny alone. pop(src)
-	// consumes messages without consuming tokens; stale[src] counts the
-	// orphaned tokens (always the oldest of their source, since pop takes
-	// the oldest message), and the ring is compacted once stale tokens
-	// outnumber live ones, so token memory is bounded by outstanding
-	// messages — not by the run's total traffic — even for inboxes only
-	// ever drained by targeted pops. The invariant stale[src] ==
-	// tokens(src) − queued(src) means a token for a non-empty queue
-	// always exists while pending > 0, and a token found with an empty
-	// queue is always accounted stale. After a targeted pop, an excess
-	// token can stand in for a newer message from its source, so mixed
-	// pop/popAny consumption keeps per-pair FIFO but only approximates
-	// cross-source arrival order.
-	order      []int32
-	ohead      int
-	olen       int
-	stale      []int32 // lazily allocated on the first targeted pop
-	staleTotal int
+	// Pads the inbox to two whole cache lines, so one rank's inbox never
+	// shares a line with its neighbour's in the fabric's array.
+	_ [8]byte
 }
 
-// noteStale records that src's oldest token lost its message to a
-// targeted pop, compacting the ring when stale tokens outnumber live
-// ones (live tokens == pending, so the ring stays within 2× the
-// outstanding message count, amortized O(1) per pop).
-func (ib *inbox) noteStale(src int) {
-	if ib.stale == nil {
-		ib.stale = make([]int32, len(ib.q))
-	}
-	ib.stale[src]++
-	ib.staleTotal++
-	if 2*ib.staleTotal > ib.olen {
-		w := 0
-		for i := 0; i < ib.olen; i++ {
-			s := ib.order[(ib.ohead+i)&(len(ib.order)-1)]
-			if ib.stale[s] > 0 {
-				ib.stale[s]--
-				continue
-			}
-			ib.order[(ib.ohead+w)&(len(ib.order)-1)] = s
-			w++
-		}
-		ib.olen = w
-		ib.staleTotal = 0
-	}
-}
-
-func (ib *inbox) pushOrder(src int) {
-	if ib.olen == len(ib.order) {
-		norder := make([]int32, max(8, 2*len(ib.order)))
-		for i := 0; i < ib.olen; i++ {
-			norder[i] = ib.order[(ib.ohead+i)&(len(ib.order)-1)]
-		}
-		ib.order = norder
-		ib.ohead = 0
-	}
-	ib.order[(ib.ohead+ib.olen)&(len(ib.order)-1)] = int32(src)
-	ib.olen++
-}
-
-func (ib *inbox) popOrder() int {
-	src := ib.order[ib.ohead]
-	ib.ohead = (ib.ohead + 1) & (len(ib.order) - 1)
-	ib.olen--
-	return int(src)
-}
-
-// counterShard is one rank's message/byte tally, padded to its own cache
+// CounterShard is one rank's message/byte tally, padded to its own cache
 // line pair so concurrent senders never false-share. Each shard is written
-// only by the goroutine running that rank and read in Finish, which runs
-// after every process has returned — the world's WaitGroup provides the
-// happens-before edge, so no atomics are needed.
-type counterShard struct {
-	msgs  int64
-	bytes int64
+// only by the goroutine running that rank and read after every process
+// has returned — the world's WaitGroup provides the happens-before edge,
+// so no atomics are needed. Every transport meters with it.
+type CounterShard struct {
+	Msgs  int64
+	Bytes int64
 	_     [112]byte
+}
+
+// Count records one cross-process message of the given size.
+func (c *CounterShard) Count(bytes int) {
+	c.Msgs++
+	c.Bytes += int64(bytes)
+}
+
+// SumCounters aggregates per-rank shards. Valid only after every process
+// has returned.
+func SumCounters(cs []CounterShard) (msgs, bytes int64) {
+	for i := range cs {
+		msgs += cs[i].Msgs
+		bytes += cs[i].Bytes
+	}
+	return msgs, bytes
 }
 
 // fabric is the allocated substance of a mailbox: inboxes, queue headers,
@@ -168,21 +78,20 @@ type counterShard struct {
 type fabric struct {
 	n        int
 	inboxes  []inbox
-	counters []counterShard
-	queues   []pairQueue // backing store: inboxes[d].q = queues[d*n:(d+1)*n]
+	counters []CounterShard
 }
 
 func newFabric(n int) *fabric {
 	f := &fabric{
 		n:        n,
 		inboxes:  make([]inbox, n),
-		counters: make([]counterShard, n),
-		queues:   make([]pairQueue, n*n),
+		counters: make([]CounterShard, n),
 	}
+	queues := make([]ring[message], n*n) // one allocation for every inbox's rings
 	for d := range f.inboxes {
 		ib := &f.inboxes[d]
 		ib.cond.L = &ib.mu
-		ib.q = f.queues[d*n : (d+1)*n : (d+1)*n]
+		ib.q = queues[d*n : (d+1)*n : (d+1)*n]
 	}
 	return f
 }
@@ -193,25 +102,12 @@ func newFabric(n int) *fabric {
 func (f *fabric) reset() {
 	for d := range f.inboxes {
 		ib := &f.inboxes[d]
-		for s := range ib.q {
-			q := &ib.q[s]
-			for q.n > 0 {
-				q.pop()
-			}
-			q.head = 0
-		}
-		ib.pending = 0
+		ib.Inbox.reset()
 		ib.waiting = false
-		ib.arrivals.Store(0)
 		ib.parks = 0
-		ib.ohead, ib.olen = 0, 0
-		for s := range ib.stale {
-			ib.stale[s] = 0
-		}
-		ib.staleTotal = 0
 	}
 	for i := range f.counters {
-		f.counters[i] = counterShard{}
+		f.counters[i] = CounterShard{}
 	}
 }
 
@@ -316,22 +212,11 @@ func newMailbox(ctx context.Context, n int, wallClock bool) *mailbox {
 // count records one cross-process message of the given size on the
 // sender's shard. Only src's goroutine touches shard src, so this is a
 // plain unsynchronized increment.
-func (mb *mailbox) count(src, bytes int) {
-	sh := &mb.f.counters[src]
-	sh.msgs++
-	sh.bytes += int64(bytes)
-}
+func (mb *mailbox) count(src, bytes int) { mb.f.counters[src].Count(bytes) }
 
 // totals aggregates the per-sender shards. Valid only after every process
 // has returned (Finish time).
-func (mb *mailbox) totals() (msgs, bytes int64) {
-	for i := range mb.f.counters {
-		sh := &mb.f.counters[i]
-		msgs += sh.msgs
-		bytes += sh.bytes
-	}
-	return msgs, bytes
-}
+func (mb *mailbox) totals() (msgs, bytes int64) { return SumCounters(mb.f.counters) }
 
 // release deregisters the cancellation watcher and returns the fabric to
 // the pool. The mailbox must not be used afterwards; transports call it
@@ -361,12 +246,7 @@ func (mb *mailbox) push(src, dst int, m message) {
 	}
 	ib := &mb.f.inboxes[dst]
 	ib.mu.Lock()
-	ib.q[src].push(m)
-	ib.pushOrder(src)
-	ib.pending++
-	if mb.spin > 0 {
-		ib.arrivals.Add(1)
-	}
+	ib.Push(src, m)
 	wake := ib.waiting
 	ib.mu.Unlock()
 	if wake {
@@ -425,13 +305,11 @@ func (mb *mailbox) reportParks(rec *obs.Recorder) {
 func (mb *mailbox) pop(src, dst, tag int) message {
 	ib := &mb.f.inboxes[dst]
 	ib.mu.Lock()
-	q := &ib.q[src]
-	for q.n == 0 {
+	msg, ok := ib.Pop(src)
+	for !ok {
 		mb.wait(ib)
+		msg, ok = ib.Pop(src)
 	}
-	msg := q.pop()
-	ib.pending--
-	ib.noteStale(src)
 	ib.mu.Unlock()
 	if msg.tag != tag {
 		panic(fmt.Sprintf("backend: process %d expected tag %d from %d, got %d", dst, tag, src, msg.tag))
@@ -439,30 +317,17 @@ func (mb *mailbox) pop(src, dst, tag int) message {
 	return msg
 }
 
-// popAny dequeues the next message for dst from any source, returning
-// the sender's rank: in cross-source arrival order when popAny is the
-// inbox's only consumer (see the order field for the mixed-consumption
-// caveat), always FIFO per source. The only panics it can raise are the
+// popAny dequeues dst's earliest-arrived message from any source,
+// returning the sender's rank. The only panics it can raise are the
 // protocol tag check and the cancellation sentinel.
 func (mb *mailbox) popAny(dst, tag int) (int, message) {
 	ib := &mb.f.inboxes[dst]
 	ib.mu.Lock()
-	for ib.pending == 0 {
+	src, msg, ok := ib.PopAny()
+	for !ok {
 		mb.wait(ib)
+		src, msg, ok = ib.PopAny()
 	}
-	var src int
-	for {
-		src = ib.popOrder()
-		if ib.q[src].n > 0 {
-			break
-		}
-		// Excess token: its message was taken by a targeted pop (so it
-		// is accounted in stale — settle the books as it leaves).
-		ib.stale[src]--
-		ib.staleTotal--
-	}
-	msg := ib.q[src].pop()
-	ib.pending--
 	ib.mu.Unlock()
 	if msg.tag != tag {
 		panic(fmt.Sprintf("backend: process %d expected tag %d from any source, got %d from %d",

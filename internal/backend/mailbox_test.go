@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -33,26 +34,26 @@ func TestPopAnyArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestPopAnySkipsStaleTokens: a targeted pop consumes a message but not
-// its arrival token; popAny must skip the leftover token rather than
-// deliver a phantom or double-deliver.
-func TestPopAnySkipsStaleTokens(t *testing.T) {
+// TestPopAnyExactAfterTargetedPop: any-source pops serve exact arrival
+// order across sources even after a targeted pop has taken the earliest
+// message.
+func TestPopAnyExactAfterTargetedPop(t *testing.T) {
 	mb := newMailbox(context.Background(), 3, true)
-	mb.push(1, 0, message{tag: 1, data: "a1"}) // token for 1
-	mb.push(2, 0, message{tag: 1, data: "b1"}) // token for 2
-	mb.push(1, 0, message{tag: 1, data: "a2"}) // token for 1
+	mb.push(1, 0, message{tag: 1, data: "a1"})
+	mb.push(2, 0, message{tag: 1, data: "b1"})
+	mb.push(1, 0, message{tag: 1, data: "a2"})
 	if got := mb.pop(1, 0, 1); got.data != "a1" {
 		t.Fatalf("pop(1) = %v, want a1", got.data)
 	}
-	// Token order is now [1 (stale for a1), 2, 1]; the first token's
-	// queue still has a2 queued, so arrival order delivers a2 then b1.
-	src, msg := mb.popAny(0, 1)
-	if src != 1 || msg.data != "a2" {
-		t.Fatalf("popAny = (src %d, %v), want (1, a2)", src, msg.data)
-	}
-	src, msg = mb.popAny(0, 1)
-	if src != 2 || msg.data != "b1" {
-		t.Fatalf("popAny = (src %d, %v), want (2, b1)", src, msg.data)
+	// b1 arrived before a2, so it is next, whatever pop(1) took.
+	for _, want := range []struct {
+		src  int
+		data string
+	}{{2, "b1"}, {1, "a2"}} {
+		src, msg := mb.popAny(0, 1)
+		if src != want.src || msg.data != want.data {
+			t.Fatalf("popAny = (src %d, %v), want (%d, %s)", src, msg.data, want.src, want.data)
+		}
 	}
 }
 
@@ -68,24 +69,6 @@ func TestPairFIFOThroughRingGrowth(t *testing.T) {
 		if got := mb.pop(1, 0, 3); got.data.(int) != i {
 			t.Fatalf("pop %d = %v, want %d", i, got.data, i)
 		}
-	}
-}
-
-// TestTokenRingBoundedByOutstanding: an inbox drained only by targeted
-// pops must not accumulate arrival tokens proportional to total traffic
-// — stale tokens are compacted away, so the ring tracks the outstanding
-// message count (here, 1) no matter how many messages flow.
-func TestTokenRingBoundedByOutstanding(t *testing.T) {
-	mb := newMailbox(context.Background(), 2, true)
-	for i := 0; i < 10000; i++ {
-		mb.push(1, 0, message{tag: 3, data: i})
-		if got := mb.pop(1, 0, 3); got.data.(int) != i {
-			t.Fatalf("pop %d = %v", i, got.data)
-		}
-	}
-	ib := &mb.f.inboxes[0]
-	if len(ib.order) > 8 {
-		t.Fatalf("token ring grew to %d entries for a Recv-only workload with 1 outstanding message", len(ib.order))
 	}
 }
 
@@ -150,7 +133,7 @@ func TestShardedCountsAggregate(t *testing.T) {
 }
 
 // TestFabricResetClearsState: a pooled fabric carries no messages,
-// counters, or tokens from its previous run, and drops payload
+// counters, or arrival stamps from its previous run, and drops payload
 // references so the pool cannot pin application data.
 func TestFabricResetClearsState(t *testing.T) {
 	f := newFabric(2)
@@ -162,16 +145,16 @@ func TestFabricResetClearsState(t *testing.T) {
 	f.reset()
 	for d := range f.inboxes {
 		ib := &f.inboxes[d]
-		if ib.pending != 0 || ib.olen != 0 || ib.arrivals.Load() != 0 {
-			t.Fatalf("inbox %d not reset: pending %d, tokens %d, arrivals %d", d, ib.pending, ib.olen, ib.arrivals.Load())
+		if ib.pending != 0 || ib.arrivals.Load() != 0 {
+			t.Fatalf("inbox %d not reset: pending %d, arrivals %d", d, ib.pending, ib.arrivals.Load())
 		}
 		for s := range ib.q {
 			if ib.q[s].n != 0 {
 				t.Fatalf("queue %d->%d not reset", s, d)
 			}
 			for i := range ib.q[s].buf {
-				if ib.q[s].buf[i].data != nil {
-					t.Fatalf("queue %d->%d ring still references payload %v", s, d, ib.q[s].buf[i].data)
+				if ib.q[s].buf[i].m.data != nil {
+					t.Fatalf("queue %d->%d ring still references payload %v", s, d, ib.q[s].buf[i].m.data)
 				}
 			}
 		}
@@ -435,5 +418,35 @@ func TestCancellationWhileSpinning(t *testing.T) {
 					anySrc, d, ib.arrivals.Load(), ib.parks, ib.pending, ib.waiting)
 			}
 		}
+	}
+}
+
+// BenchmarkRecvAny is the any-source pop from an inbox with P−1 non-empty
+// sources: each pop's source queues a message again at once, as if P−1
+// producers each kept one queued for the consumer. An op is one pop plus
+// that refill push.
+func BenchmarkRecvAny(b *testing.B) {
+	for _, p := range []int{4, 64, 256} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			mb := newMailbox(context.Background(), p, false)
+			defer mb.release()
+			for src := 1; src < p; src++ {
+				mb.push(src, 0, message{tag: 1, data: src})
+			}
+			b.ResetTimer()
+			for range b.N {
+				src, m := mb.popAny(0, 1)
+				mb.push(src, 0, m)
+			}
+		})
+	}
+}
+
+// TestInboxFillsCacheLines: an inbox is a whole number of cache lines, so
+// neighbouring ranks' inboxes in the fabric's array never share one (two
+// ranks would otherwise contend on a line at every message).
+func TestInboxFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(inbox{}); size%64 != 0 {
+		t.Fatalf("inbox is %d bytes, not a multiple of a 64-byte cache line", size)
 	}
 }

@@ -33,11 +33,15 @@ import (
 func TestBackendParity(t *testing.T) {
 	model := machine.IBMSP()
 	// Each case returns a comparable snapshot of the computation's output;
-	// the program must be deterministic (no RecvAny, no clock-dependent
-	// control flow).
+	// the program must be deterministic: no clock-dependent control flow,
+	// and RecvAny only where the program orders the arrivals it chooses
+	// among.
 	cases := []struct {
 		name string
 		prog func(np int) (core.Program, func() any)
+		// want, when set, is the snapshot every backend, sim included,
+		// must produce.
+		want func(np int) any
 		// wantErr, when set, makes the row a failure-parity row: every
 		// backend must fail the run, within a second, with an error that
 		// contains it.
@@ -135,6 +139,52 @@ func TestBackendParity(t *testing.T) {
 			},
 		},
 		{
+			// RecvAny returns the earliest-arrived queued message, even
+			// after a targeted Recv has taken one from the front of the
+			// arrival order. Relays order a1 (from 1), b1 (from 2) and a2
+			// (from 1) into rank 0, and rank 3's marker follows them, so
+			// rank 0 has all three queued before it reads any. It takes a1
+			// with Recv(1); b1 then precedes a2.
+			name: "recvany/after-targeted-recv",
+			prog: func(np int) (core.Program, func() any) {
+				var got []int // (source, value) pairs in receive order
+				return func(p *spmd.Proc) {
+					p.MemWords(8) // keeps the P=1 makespan positive
+					if np != 4 {
+						return
+					}
+					switch p.Rank() {
+					case 0:
+						spmd.Recv[int](p, 3, 9)
+						got = append(got, 1, spmd.Recv[int](p, 1, 7))
+						for range 2 {
+							src, v := p.RecvAny(7)
+							got = append(got, src, v.(int))
+						}
+					case 1:
+						spmd.SendT(p, 0, 7, 101) // a1
+						spmd.SendT(p, 2, 8, 0)
+						spmd.Recv[int](p, 2, 8)
+						spmd.SendT(p, 0, 7, 102) // a2
+						spmd.SendT(p, 3, 8, 0)
+					case 2:
+						spmd.Recv[int](p, 1, 8)
+						spmd.SendT(p, 0, 7, 201) // b1
+						spmd.SendT(p, 1, 8, 0)
+					case 3:
+						spmd.Recv[int](p, 1, 8)
+						spmd.SendT(p, 0, 9, 0)
+					}
+				}, func() any { return got }
+			},
+			want: func(np int) any {
+				if np != 4 {
+					return []int(nil)
+				}
+				return []int{1, 101, 2, 201, 1, 102}
+			},
+		},
+		{
 			// A rank that panics while its peers are blocked on it fails
 			// the run with its own panic on every backend: the peers are
 			// unwound, not left waiting (they used to hang Run forever).
@@ -219,13 +269,23 @@ func TestBackendParity(t *testing.T) {
 					t.Fatalf("P=%d: sim makespan %g, want positive virtual time", np, simRes.Makespan)
 				}
 				want := simSnap()
+				if tc.want != nil {
+					if exp := tc.want(np); !reflect.DeepEqual(want, exp) {
+						t.Errorf("P=%d: sim results %v, want %v", np, want, exp)
+						want = exp
+					}
+				}
 				for _, b := range backends[1:] {
 					prog, snap := tc.prog(np)
 					res, err := run(t, b, np, prog)
 					if err != nil {
 						t.Fatalf("P=%d %s: %v", np, b.Name(), err)
 					}
-					if !reflect.DeepEqual(want, snap()) {
+					if got := snap(); !reflect.DeepEqual(want, got) {
+						if tc.want != nil {
+							t.Errorf("P=%d: %s results %v, want %v", np, b.Name(), got, want)
+							continue
+						}
 						t.Fatalf("P=%d: %s results differ from sim", np, b.Name())
 					}
 					if simRes.Msgs != res.Msgs || simRes.Bytes != res.Bytes {
