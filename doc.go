@@ -19,9 +19,10 @@
 // registry every app package self-registers into (populate it with
 // `import _ "repro/arch/apps"`). Messaging is typed and self-metering:
 // payload sizes are priced through spmd.BytesOf, from the one table that
-// also encodes them for the wire (internal/spmd/payload.go; a type it
-// does not list implements spmd.Sized, and nothing is priced by default),
-// rather than hand-counted at call sites.
+// also encodes them for the wire (internal/spmd/payload.go; application
+// types register there from their own packages, generic wrappers send an
+// spmd.Wrapped, and nothing is priced by default), rather than
+// hand-counted at call sites.
 //
 // Programs run on pluggable execution backends: the virtual-time
 // simulator prices every run on a machine model's clocks (deterministic,

@@ -506,26 +506,18 @@ func TestDistWorkerPoolReuse(t *testing.T) {
 	}
 }
 
-// block is an app-style Sized wrapper type: header fields and an inner
-// payload, priced through BytesOf.
-type block struct {
-	X0, X1 int
-	Data   []float64
-}
-
-func (b block) VBytes() int { return 16 + spmd.BytesOf(b.Data) }
-
-// TestDistSizedPayloads sends an app-style Sized wrapper type through the
-// reflection fallback of the wire codec, across real process boundaries.
+// TestDistSizedPayloads sends an app-style wrapper, header words and a
+// nested payload, through the wire codec's Wrapped kind across real
+// process boundaries.
 func TestDistSizedPayloads(t *testing.T) {
 	const n = 2
 	_, err := runOn(t, dist.New(), n, func(p *spmd.Proc) {
 		if p.Rank() == 0 {
-			spmd.SendT(p, 1, 11, block{X0: 2, X1: 5, Data: []float64{1.5, 2.5, 3.5}})
+			spmd.SendT(p, 1, 11, spmd.Wrapped{K: 2, Head: [4]int64{2, 5}, Body: []float64{1.5, 2.5, 3.5}})
 			return
 		}
-		b := spmd.Recv[block](p, 0, 11)
-		if b.X0 != 2 || b.X1 != 5 || len(b.Data) != 3 || b.Data[2] != 3.5 {
+		b := spmd.Recv[spmd.Wrapped](p, 0, 11)
+		if data := b.Body.([]float64); b.K != 2 || b.Head != [4]int64{2, 5} || len(data) != 3 || data[2] != 3.5 {
 			panic(fmt.Sprintf("corrupted block %+v", b))
 		}
 	})

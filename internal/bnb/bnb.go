@@ -27,6 +27,7 @@ package bnb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/collective"
@@ -168,8 +169,12 @@ type incumbent struct {
 	Found bool
 }
 
-// VBytes implements spmd.Sized: a float64 and a flag.
-func (incumbent) VBytes() int { return 9 }
+// An incumbent is priced as a float64 and a flag, 9 bytes, and travels as
+// two words: no narrower on the wire than in memory.
+func init() {
+	spmd.Register(9, spmd.Words(2, func(x incumbent) [8]uint64 { return [8]uint64{math.Float64bits(x.V), spmd.Bit(x.Found)} },
+		func(w [8]uint64) incumbent { return incumbent{math.Float64frombits(w[0]), w[1] != 0} }), incumbent{2.5, true})
+}
 
 // SolveSync runs the deterministic bulk-synchronous parallel branch and
 // bound as process p's body. Every process returns the identical Result
@@ -277,8 +282,20 @@ type asyncMsg[N any] struct {
 	Expanded int64
 }
 
-// VBytes implements spmd.Sized: estimate one word per node plus header.
-func (m asyncMsg[N]) VBytes() int { return 32 + 8*len(m.Nodes) }
+// asyncNodes is an asyncMsg's nodes on the wire, priced at an estimate of
+// one word per node; the message's other fields are four header words.
+// Only KnapNode's is registered: SolveAsync runs on no other node type.
+type asyncNodes[N any] []N
+
+func (m asyncMsg[N]) wire() spmd.Wrapped {
+	return spmd.Wrapped{K: 4, Head: [4]int64{int64(m.Kind), int64(math.Float64bits(m.Best)), int64(spmd.Bit(m.Found)), m.Expanded},
+		Body: asyncNodes[N](m.Nodes)}
+}
+
+func msgOf[N any](w spmd.Wrapped) asyncMsg[N] {
+	return asyncMsg[N]{Kind: int(w.Head[0]), Nodes: w.Body.(asyncNodes[N]), Best: math.Float64frombits(uint64(w.Head[1])),
+		Found: w.Head[2] != 0, Expanded: w.Head[3]}
+}
 
 // SolveAsync runs the nondeterministic manager/worker branch and bound on
 // a world of at least two processes: rank 0 manages the queue and the
@@ -311,7 +328,7 @@ func runManager[N any](p *spmd.Proc, spec *Spec[N]) Result {
 
 	finish := func() Result {
 		for w := 1; w < p.N(); w++ {
-			spmd.SendT(p, w, tagWork, asyncMsg[N]{Kind: 2, Best: res.Best, Found: res.Found, Expanded: res.Expanded})
+			spmd.SendT(p, w, tagWork, asyncMsg[N]{Kind: 2, Best: res.Best, Found: res.Found, Expanded: res.Expanded}.wire())
 		}
 		return res
 	}
@@ -326,7 +343,7 @@ func runManager[N any](p *spmd.Proc, spec *Spec[N]) Result {
 			w := idle[len(idle)-1]
 			idle = idle[:len(idle)-1]
 			msg := asyncMsg[N]{Kind: 1, Nodes: []N{nd.n}, Best: res.Best, Found: res.Found}
-			spmd.SendT(p, w, tagWork, msg)
+			spmd.SendT(p, w, tagWork, msg.wire())
 			outstanding[w] = true
 		}
 		if pq.Len() == 0 && len(outstanding) == 0 {
@@ -334,7 +351,7 @@ func runManager[N any](p *spmd.Proc, spec *Spec[N]) Result {
 		}
 
 		src, raw := p.RecvAny(tagToManager)
-		msg := raw.(asyncMsg[N])
+		msg := msgOf[N](raw.(spmd.Wrapped))
 		delete(outstanding, src)
 		idle = append(idle, src)
 		res.Expanded += msg.Expanded
@@ -349,9 +366,9 @@ func runManager[N any](p *spmd.Proc, spec *Spec[N]) Result {
 
 func runWorker[N any](p *spmd.Proc, spec *Spec[N], budget int) Result {
 	// Announce availability.
-	spmd.SendT(p, 0, tagToManager, asyncMsg[N]{Kind: 0, Best: negInf})
+	spmd.SendT(p, 0, tagToManager, asyncMsg[N]{Kind: 0, Best: negInf}.wire())
 	for {
-		msg := spmd.Recv[asyncMsg[N]](p, 0, tagWork)
+		msg := msgOf[N](spmd.Recv[spmd.Wrapped](p, 0, tagWork))
 		if msg.Kind == 2 {
 			return Result{Best: msg.Best, Found: msg.Found, Expanded: msg.Expanded}
 		}
@@ -383,6 +400,6 @@ func runWorker[N any](p *spmd.Proc, spec *Spec[N], budget int) Result {
 			frontier = append(frontier, nd.n)
 		}
 		reply := asyncMsg[N]{Kind: 0, Nodes: frontier, Best: local.Best, Found: local.Found, Expanded: expanded}
-		spmd.SendT(p, 0, tagToManager, reply)
+		spmd.SendT(p, 0, tagToManager, reply.wire())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/spmd"
 )
 
 // Item is a 0/1-knapsack item.
@@ -18,8 +19,16 @@ type KnapNode struct {
 	Idx, Weight, Value int
 }
 
-// VBytes implements spmd.Sized: the solvers ship frontier nodes.
-func (KnapNode) VBytes() int { return 24 }
+// knapNode is a KnapNode's wire form: its three words.
+var knapNode = spmd.Words(3, func(n KnapNode) [8]uint64 { return [8]uint64{uint64(n.Idx), uint64(n.Weight), uint64(n.Value)} },
+	func(w [8]uint64) KnapNode { return KnapNode{int(w[0]), int(w[1]), int(w[2])} })
+
+// The solvers ship frontier nodes: SolveSync's all-to-all as []KnapNode,
+// SolveAsync's manager and workers inside an asyncMsg.
+func init() {
+	spmd.Register(24, knapNode, KnapNode{1, -2, 3})
+	spmd.RegisterSlice(8, knapNode, asyncNodes[KnapNode]{{1, 2, 3}})
+}
 
 // Knapsack returns the branch-and-bound spec for the 0/1 knapsack with
 // the given items and capacity, maximizing total value. Items are

@@ -28,11 +28,8 @@ type Pt struct {
 	X, Y float64
 }
 
-// Pts is a point list payload with known wire size.
+// Pts is a point list: a payload type, registered below.
 type Pts []Pt
-
-// VBytes implements spmd.Sized.
-func (p Pts) VBytes() int { return 16 * len(p) }
 
 // Pair is a candidate closest pair; Dist2 is the squared distance.
 // The zero pair is "no pair found" (infinite distance).
@@ -42,8 +39,20 @@ type Pair struct {
 	Valid bool
 }
 
-// VBytes implements spmd.Sized.
-func (Pair) VBytes() int { return 5 * 8 }
+// A point list travels as its points' two float64s each.
+func init() {
+	spmd.RegisterSlice(16, spmd.Words(2, func(p Pt) [8]uint64 { return [8]uint64{math.Float64bits(p.X), math.Float64bits(p.Y)} },
+		func(w [8]uint64) Pt { return Pt{math.Float64frombits(w[0]), math.Float64frombits(w[1])} }), Pts{{1, 2}, {-3, 4.5}})
+	// A Pair is priced at five words and travels as six: no narrower on
+	// the wire than in memory.
+	f := math.Float64bits
+	spmd.Register(40, spmd.Words(6, func(p Pair) [8]uint64 {
+		return [8]uint64{f(p.A.X), f(p.A.Y), f(p.B.X), f(p.B.Y), f(p.Dist2), spmd.Bit(p.Valid)}
+	}, func(w [8]uint64) Pair {
+		g := math.Float64frombits
+		return Pair{Pt{g(w[0]), g(w[1])}, Pt{g(w[2]), g(w[3])}, g(w[4]), w[5] != 0}
+	}), Pair{Pt{1, 2}, Pt{3, 4}, 8, true})
+}
 
 func dist2(a, b Pt) float64 {
 	dx, dy := a.X-b.X, a.Y-b.Y

@@ -11,12 +11,14 @@
 //
 // Every process in the world must call the same collective in the same
 // order — the usual SPMD contract. Payload sizes for cost accounting come
-// from spmd.BytesOf; payload types outside spmd's payload table implement
-// spmd.Sized (a slice of priced values, what AllGather broadcasts, is the
-// sum of its elements), and a payload with no price fails the run.
+// from spmd.BytesOf, which reads spmd's payload table: a value the
+// collectives pass on must be of a type listed or registered there, and a
+// payload with no price fails the run.
 package collective
 
 import (
+	"math"
+
 	"repro/internal/obs"
 	"repro/internal/spmd"
 )
@@ -195,23 +197,33 @@ func Reduce[T any](p spmd.Comm, root int, v T, op func(a, b T) T) T {
 
 // partial is a recursive-doubling partial: a reduction value tagged with
 // the minimum original rank it covers, so combination order is fixed by
-// rank. Its wire size is the payload's plus the rank word, matching the
-// cost the manual accounting charged.
+// rank.
 type partial[T any] struct {
 	MinRank int
 	V       T
 }
 
-// VBytes implements spmd.Sized. It runs once per send, and BytesOf's
-// parameter escapes, so pricing x.V there boxes it on the heap. The word
-// scalars that loop-control reductions carry are recognized first, by a
-// type switch whose box stays on the stack, at their table price of 8.
-func (x partial[T]) VBytes() int {
-	switch any(x.V).(type) {
-	case float64, int, int64:
-		return 8 + 8
+// wire is a partial's form on the wire, priced as its value plus 8, the
+// cost the manual accounting charged: the rank is a header word, and so is
+// a float64 value (what loop-control reductions carry), which then needs
+// no box of its own beside the message's; any other value is the body.
+func (x partial[T]) wire() spmd.Wrapped {
+	if v, ok := any(x.V).(float64); ok {
+		return spmd.Wrapped{K: 2, Head: [4]int64{int64(x.MinRank), int64(math.Float64bits(v))}}
 	}
-	return spmd.BytesOf(x.V) + 8
+	return spmd.Wrapped{K: 1, Head: [4]int64{int64(x.MinRank)}, Body: x.V}
+}
+
+// recvPartial receives a partial sent as its wire form.
+func recvPartial[T any](p spmd.Comm, src, tag int) partial[T] {
+	w := spmd.Recv[spmd.Wrapped](p, src, tag)
+	x := partial[T]{MinRank: int(w.Head[0])}
+	if v, ok := any(&x.V).(*float64); ok {
+		*v = math.Float64frombits(uint64(w.Head[1]))
+	} else {
+		x.V = w.Body.(T)
+	}
+	return x
 }
 
 // AllReduce combines every process's value with op and returns the result
@@ -245,9 +257,9 @@ func AllReduce[T any](p spmd.Comm, v T, op func(a, b T) T) T {
 	newRank := -1
 	switch {
 	case rank < 2*rem && rank%2 == 0:
-		spmd.SendT(p, rank+1, tagRDBase, acc)
+		spmd.SendT(p, rank+1, tagRDBase, acc.wire())
 	case rank < 2*rem: // odd
-		rv := spmd.Recv[partial[T]](p, rank-1, tagRDBase)
+		rv := recvPartial[T](p, rank-1, tagRDBase)
 		acc = combine(rv, acc)
 		newRank = rank / 2
 	default:
@@ -264,8 +276,8 @@ func AllReduce[T any](p spmd.Comm, v T, op func(a, b T) T) T {
 		round := 1
 		for mask := 1; mask < pof2; mask <<= 1 {
 			partner := realRank(newRank ^ mask)
-			spmd.SendT(p, partner, tagRDBase+round, acc)
-			rv := spmd.Recv[partial[T]](p, partner, tagRDBase+round)
+			spmd.SendT(p, partner, tagRDBase+round, acc.wire())
+			rv := recvPartial[T](p, partner, tagRDBase+round)
 			acc = combine(acc, rv)
 			round++
 		}

@@ -349,7 +349,7 @@ func TestNonPowerOfTwoMessageCounts(t *testing.T) {
 
 // TestAllReduceBytesNonPowerOfTwo checks the metered byte volume at
 // P = 3, 5, 7: every recursive-doubling partial carries its payload plus
-// the 8-byte origin-rank word, priced automatically via spmd.Sized.
+// the 8-byte origin-rank word, priced automatically as an spmd.Wrapped.
 func TestAllReduceBytesNonPowerOfTwo(t *testing.T) {
 	for _, n := range []int{3, 5, 7} {
 		res := runAll(t, n, func(p *spmd.Proc) {
@@ -398,27 +398,25 @@ func TestAllReducePropertyRandomSizes(t *testing.T) {
 	}
 }
 
-// TestPartialPrice: a recursive-doubling partial costs its payload's table
-// price plus the rank word, for the scalars VBytes recognizes without
-// asking BytesOf as for everything that falls through to it; pricing one
-// allocates only on the fallback.
+// TestPartialPrice: a recursive-doubling partial's wire form costs its
+// payload's table price plus the rank word, and pricing the boxed wire
+// form of a partial[float64] allocates nothing.
 func TestPartialPrice(t *testing.T) {
-	check := func(name string, got int, v any) {
+	check := func(name string, w spmd.Wrapped, v any) {
 		t.Helper()
-		if want := spmd.BytesOf(v) + 8; got != want {
-			t.Errorf("partial[%s].VBytes() = %d, want %d", name, got, want)
+		if got, want := spmd.BytesOf(w), spmd.BytesOf(v)+8; got != want {
+			t.Errorf("BytesOf(partial[%s].wire()) = %d, want %d", name, got, want)
 		}
 	}
-	check("float64", partial[float64]{V: 1.5}.VBytes(), 1.5)
-	check("int", partial[int]{V: 7}.VBytes(), 7)
-	check("int64", partial[int64]{V: 7}.VBytes(), int64(7))
-	check("float32", partial[float32]{V: 1.5}.VBytes(), float32(1.5))
-	check("[2]int64", partial[[2]int64]{V: [2]int64{1, 2}}.VBytes(), [2]int64{1, 2})
-	check("[]float64", partial[[]float64]{V: []float64{1, 2, 3}}.VBytes(), []float64{1, 2, 3})
+	check("float64", partial[float64]{V: 1.5}.wire(), 1.5)
+	check("int", partial[int]{V: 7}.wire(), 7)
+	check("int64", partial[int64]{V: 7}.wire(), int64(7))
+	check("float32", partial[float32]{V: 1.5}.wire(), float32(1.5))
+	check("[2]int64", partial[[2]int64]{V: [2]int64{1, 2}}.wire(), [2]int64{1, 2})
+	check("[]float64", partial[[]float64]{V: []float64{1, 2, 3}}.wire(), []float64{1, 2, 3})
 
-	x := partial[float64]{MinRank: 1, V: math.Pi}
-	var s spmd.Sized = x // the one box a send pays
-	if n := testing.AllocsPerRun(100, func() { _ = s.VBytes() }); n != 0 {
-		t.Errorf("pricing a partial[float64] allocates %.0f objects, want 0", n)
+	var s any = partial[float64]{MinRank: 1, V: math.Pi}.wire() // the boxes a send pays
+	if n := testing.AllocsPerRun(100, func() { _ = spmd.BytesOf(s) }); n != 0 {
+		t.Errorf("pricing a partial[float64]'s wire form allocates %.0f objects, want 0", n)
 	}
 }

@@ -25,11 +25,14 @@ type Pt struct {
 	X, Y float64
 }
 
-// Pts is a point list payload with known wire size.
+// Pts is a point list: a payload type, registered below.
 type Pts []Pt
 
-// VBytes implements spmd.Sized.
-func (p Pts) VBytes() int { return 16 * len(p) }
+// A point list travels as its points' two float64s each.
+func init() {
+	spmd.RegisterSlice(16, spmd.Words(2, func(p Pt) [8]uint64 { return [8]uint64{math.Float64bits(p.X), math.Float64bits(p.Y)} },
+		func(w [8]uint64) Pt { return Pt{math.Float64frombits(w[0]), math.Float64frombits(w[1])} }), Pts{{1, 2}, {-3, 4.5}})
+}
 
 // cross returns the z-component of (a-o)×(b-o): positive for a left turn.
 func cross(o, a, b Pt) float64 {

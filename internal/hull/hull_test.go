@@ -153,8 +153,13 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestVBytes(t *testing.T) {
-	if (Pts{{1, 2}, {3, 4}}).VBytes() != 32 {
-		t.Error("Pts.VBytes wrong")
+// TestPtsPrice: a point list costs 16 bytes a point, and a list of them
+// the sum (what AllGather broadcasts).
+func TestPtsPrice(t *testing.T) {
+	if n := spmd.BytesOf(Pts{{1, 2}, {3, 4}}); n != 32 {
+		t.Errorf("BytesOf(Pts) = %d, want 32", n)
+	}
+	if n := spmd.BytesOf([]Pts{{{1, 2}, {3, 4}}, nil, {{5, 6}}}); n != 48 {
+		t.Errorf("BytesOf([]Pts) = %d, want 48", n)
 	}
 }

@@ -181,15 +181,6 @@ func (g *Grid3D[T]) recvHalo(dir, from, tag, l0 int) {
 	g.p.MemWords(float64(len(buf)) * g.words)
 }
 
-// slab3 is a contiguous range of i-planes in transit during gather.
-type slab3[T any] struct {
-	X0, X1 int
-	Data   []T
-}
-
-// VBytes implements spmd.Sized.
-func (s slab3[T]) VBytes() int { return 16 + spmd.BytesOf(s.Data) }
-
 // GatherGrid3 collects the slabs into a full dense array at root (nil
 // elsewhere).
 func GatherGrid3[T any](g *Grid3D[T], root int) *array.Dense3D[T] {
@@ -199,14 +190,15 @@ func GatherGrid3[T any](g *Grid3D[T], root int) *array.Dense3D[T] {
 		mine = append(mine, g.loc.Plane(gi-g.ix0+g.H)...)
 	}
 	p.MemWords(float64(len(mine)) * g.words)
-	blocks := collective.Gather(p, root, slab3[T]{g.ix0, g.ix1, mine})
+	// A slab travels as its range of i-planes and their data.
+	slabs := collective.Gather(p, root, spmd.Wrapped{K: 2, Head: [4]int64{int64(g.ix0), int64(g.ix1)}, Body: mine})
 	if p.Rank() != root {
 		return nil
 	}
 	full := array.New3D[T](g.NX, g.NY, g.NZ)
 	plane := g.NY * g.NZ
-	for _, b := range blocks {
-		copy(full.Data[b.X0*plane:b.X1*plane], b.Data)
+	for _, s := range slabs {
+		copy(full.Data[int(s.Head[0])*plane:int(s.Head[1])*plane], s.Body.([]T))
 	}
 	return full
 }

@@ -20,12 +20,13 @@ func GatherGrid[T any](g *Grid2D[T], root int) *array.Dense2D[T] {
 	p := g.p
 	mine := g.extract(g.ix0, g.ix1, g.iy0, g.iy1)
 	p.MemWords(float64(len(mine.Data)) * g.words)
-	blocks := collective.Gather(p, root, mine)
+	blocks := collective.Gather(p, root, mine.wire())
 	if p.Rank() != root {
 		return nil
 	}
 	full := array.New2D[T](g.NX, g.NY)
-	for _, b := range blocks {
+	for _, w := range blocks {
+		b := blockOf[T](w)
 		w := b.Y1 - b.Y0
 		k := 0
 		for gi := b.X0; gi < b.X1; gi++ {
@@ -47,9 +48,9 @@ func ScatterGrid[T any](p spmd.Comm, full *array.Dense2D[T], root int, l Layout,
 	dims = collective.Broadcast(p, root, dims)
 	nx, ny := int(dims[0]), int(dims[1])
 	g := New2D[T](p, nx, ny, l, halo)
-	var parts []subBlock[T]
+	var parts []spmd.Wrapped
 	if p.Rank() == root {
-		parts = make([]subBlock[T], p.N())
+		parts = make([]spmd.Wrapped, p.N())
 		for r := 0; r < p.N(); r++ {
 			rx, ry := l.Coords(r)
 			x0, x1 := blockRange(nx, l.PX, rx)
@@ -58,10 +59,10 @@ func ScatterGrid[T any](p spmd.Comm, full *array.Dense2D[T], root int, l Layout,
 			for gi := x0; gi < x1; gi++ {
 				data = append(data, full.Row(gi)[y0:y1]...)
 			}
-			parts[r] = subBlock[T]{X0: x0, X1: x1, Y0: y0, Y1: y1, Data: data}
+			parts[r] = subBlock[T]{X0: x0, X1: x1, Y0: y0, Y1: y1, Data: data}.wire()
 		}
 	}
-	mine := collective.Scatter(p, root, parts)
+	mine := blockOf[T](collective.Scatter(p, root, parts))
 	g.insert(mine)
 	p.MemWords(float64(len(mine.Data)) * g.words)
 	return g

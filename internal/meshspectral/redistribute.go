@@ -11,8 +11,16 @@ type subBlock[T any] struct {
 	Data           []T
 }
 
-// VBytes implements spmd.Sized: four header ints plus the payload.
-func (b subBlock[T]) VBytes() int { return 32 + spmd.BytesOf(b.Data) }
+// wire is a block's form on the wire: its four bounds are the header
+// words, so it prices as its data plus 32.
+func (b subBlock[T]) wire() spmd.Wrapped {
+	return spmd.Wrapped{K: 4, Head: [4]int64{int64(b.X0), int64(b.X1), int64(b.Y0), int64(b.Y1)}, Body: b.Data}
+}
+
+// blockOf undoes wire.
+func blockOf[T any](w spmd.Wrapped) subBlock[T] {
+	return subBlock[T]{int(w.Head[0]), int(w.Head[1]), int(w.Head[2]), int(w.Head[3]), w.Body.([]T)}
+}
 
 // extract packs the intersection of this grid's owned block with the
 // rectangle [x0,x1)×[y0,y1); it returns an empty block when disjoint.
@@ -86,7 +94,7 @@ func (g *Grid2D[T]) Redistribute(newL Layout) *Grid2D[T] {
 			out.insert(b)
 			continue
 		}
-		spmd.SendT(p, dst, tagRedist, b)
+		spmd.SendT(p, dst, tagRedist, b.wire())
 	}
 
 	// Receive from every source whose old block intersects my new block,
@@ -101,7 +109,7 @@ func (g *Grid2D[T]) Redistribute(newL Layout) *Grid2D[T] {
 		if !rectsIntersect(x0, x1, y0, y1, out.ix0, out.ix1, out.iy0, out.iy1) {
 			continue
 		}
-		b := spmd.Recv[subBlock[T]](p, src, tagRedist)
+		b := blockOf[T](spmd.Recv[spmd.Wrapped](p, src, tagRedist))
 		out.insert(b)
 		p.MemWords(float64(len(b.Data)) * g.words)
 	}

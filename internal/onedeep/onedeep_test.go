@@ -255,22 +255,22 @@ func TestRecursiveValidation(t *testing.T) {
 func TestRecursiveMergeOrderIsTreeOrder(t *testing.T) {
 	// With a non-commutative merge (string concat), the SPMD tree must
 	// produce the same left-to-right order as sequential recursion.
-	rec := &Recursive[[]string, string]{
+	rec := &Recursive[[]byte, string]{
 		Name:      "concat",
 		Threshold: 1,
-		Size:      func(d []string) int { return len(d) },
-		Split: func(m core.Meter, d []string) ([]string, []string) {
+		Size:      func(d []byte) int { return len(d) },
+		Split: func(m core.Meter, d []byte) ([]byte, []byte) {
 			return d[:len(d)/2], d[len(d)/2:]
 		},
-		Base: func(m core.Meter, d []string) string {
+		Base: func(m core.Meter, d []byte) string {
 			if len(d) == 0 {
 				return ""
 			}
-			return d[0]
+			return string(d[:1])
 		},
 		Merge: func(m core.Meter, a, b string) string { return a + b },
 	}
-	data := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	data := []byte("abcdefgh")
 	want := rec.SolveSeq(core.Nop, data)
 	if want != "abcdefgh" {
 		t.Fatalf("SolveSeq = %q", want)

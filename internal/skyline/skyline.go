@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/onedeep"
+	"repro/internal/spmd"
 )
 
 // Building is an axis-aligned rectangle sitting on the x-axis.
@@ -37,8 +38,11 @@ type Point struct {
 // A complete (un-clipped) skyline ends with a point of height 0.
 type Skyline []Point
 
-// VBytes implements spmd.Sized for communication cost accounting.
-func (s Skyline) VBytes() int { return 16 * len(s) }
+// A skyline travels as its points' two float64s each.
+func init() {
+	spmd.RegisterSlice(16, spmd.Words(2, func(p Point) [8]uint64 { return [8]uint64{math.Float64bits(p.X), math.Float64bits(p.H)} },
+		func(w [8]uint64) Point { return Point{math.Float64frombits(w[0]), math.Float64frombits(w[1])} }), Skyline{{1, 2}, {-3, 4.5}})
+}
 
 // FromBuilding returns the skyline of a single building — the base case of
 // the divide and conquer.

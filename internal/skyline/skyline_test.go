@@ -214,11 +214,8 @@ func TestSkylineInvariants(t *testing.T) {
 	}
 }
 
-func TestVBytes(t *testing.T) {
+func TestSkylinePrice(t *testing.T) {
 	s := Skyline{{1, 2}, {3, 0}}
-	if s.VBytes() != 32 {
-		t.Errorf("VBytes = %d, want 32", s.VBytes())
-	}
 	if spmd.BytesOf(s) != 32 {
 		t.Errorf("BytesOf(Skyline) = %d, want 32", spmd.BytesOf(s))
 	}

@@ -12,8 +12,8 @@ type Comm interface {
 	N() int
 	Rank() int
 	// Send and Recv address ranks within this communicator. Payload
-	// sizes for cost accounting are computed by BytesOf; payload types
-	// outside the payload table implement Sized.
+	// sizes for cost accounting are computed by BytesOf, from the payload
+	// table.
 	Send(dst, tag int, data any)
 	Recv(src, tag int) any
 

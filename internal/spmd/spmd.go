@@ -23,9 +23,10 @@
 // or wall — is bookkeeping layered on top.
 //
 // Messaging is typed and self-metering: Send prices every payload through
-// BytesOf, which reads the payload table (payload.go; payload types it
-// does not list implement Sized), so call sites never hand-count bytes;
-// SendT adds static payload typing on top, pairing with the typed Recv.
+// BytesOf, which reads the payload table (payload.go; application types
+// register there, generic wrappers send a Wrapped), so call sites never
+// hand-count bytes; SendT adds static payload typing on top, pairing with
+// the typed Recv.
 package spmd
 
 import (
@@ -331,10 +332,9 @@ func (p *Proc) MemWords(n float64) { p.Charge(n * p.world.model.MemTime) }
 func (p *Proc) Idle(t float64) { p.world.t.Idle(p.rank, t) }
 
 // Send transmits data to process dst. The payload's wire size for cost
-// accounting is computed by BytesOf — payload types outside the payload
-// table implement Sized, and a payload with no price panics, which fails
-// the run. tag is a protocol check: the matching Recv must ask for the
-// same tag. Send to self is a memory copy: it costs copy time but no
+// accounting is computed by BytesOf from the payload table, and a payload
+// the table does not describe panics, which fails the run. tag is a
+// protocol check: the matching Recv must ask for the same tag. Send to self is a memory copy: it costs copy time but no
 // latency, and is delivered through the same FIFO so program structure is
 // uniform.
 func (p *Proc) Send(dst, tag int, data any) {

@@ -8,28 +8,26 @@ import (
 	"testing"
 )
 
-// FuzzDecodePayload feeds DecodePayload — which the dist and elastic
-// coordinators run on bytes that crossed a socket — arbitrary input. It
-// must never panic, and never allocate more than the payload table
-// guarantees: a slice length is believed only up to the elements the
-// remaining bytes can hold, so a fixed-width kind ([]T, [][4]float64, a
-// string) decodes into no more memory than its input occupied (1x), and
-// the worst case left in the table is [][]T, where a row that costs one
-// byte on the wire (an empty row's header) costs a 24-byte slice header in
-// memory (24x). The reflection fallback's slices still believe one element
-// per remaining byte, so they are held to the same 24x: the seeds'
-// fallback types have no slice element larger than that. Whatever it does
+// FuzzDecodePayload feeds DecodePayload — which the dist coordinator runs
+// on bytes that crossed a socket — arbitrary input. It must never panic,
+// and never allocate more than the payload table guarantees: a slice
+// length is believed only up to the elements the remaining bytes can hold,
+// so a fixed-width kind ([]T, [][4]float64, a string) decodes into no more
+// memory than its input occupied (1x), and the worst case left in the
+// table is [][]T, where a row that costs one byte on the wire (an empty
+// row's header) costs a 24-byte slice header in memory (24x). That holds a
+// kind whose body can be a [][]T, a Wrapped, to 24x too. Whatever it does
 // accept must be a fixed point of the codec: re-encoding the decoded value
 // and decoding that again reproduces the same bytes, which is DeepEqual
 // identity in a form that survives NaNs and keeps nil apart from empty
 // (they encode differently).
 //
 // The seeds are read off the payload table: the round-trip corpus's
-// encodings (every registration, nil and empty of every slice type, the
-// reflect fallback) and their truncations, a forged huge length for
-// every length-prefixed kind, and for every slice kind a count that its
-// input's bytes — but not that many elements — could back; `go test`
-// runs them all.
+// encodings (every registration, nil and empty of every slice type,
+// Wrapped around every shape of body) and their truncations, a forged huge
+// length for every length-prefixed kind, and for every slice kind a count
+// that its input's bytes — but not that many elements — could back;
+// `go test` runs them all.
 func FuzzDecodePayload(f *testing.F) {
 	for _, v := range wirePayloads() {
 		buf, err := AppendPayload(nil, v)
@@ -52,7 +50,7 @@ func FuzzDecodePayload(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		per := 1
-		if len(in) > 0 && (int(in[0]) == len(table) || int(in[0]) < len(table) && isRows(table[in[0]].sample)) {
+		if len(in) > 0 && int(in[0]) < len(table) && holdsRows(table[in[0]].sample) {
 			per = 24
 		}
 		var before, after runtime.MemStats
@@ -84,8 +82,12 @@ func FuzzDecodePayload(f *testing.F) {
 	})
 }
 
-// isRows reports a [][]T sample.
-func isRows(sample any) bool {
+// holdsRows reports the sample of a kind whose body can hold a [][]T: a
+// [][]T, or a Wrapped, whose body can be one.
+func holdsRows(sample any) bool {
+	if _, ok := sample.(Wrapped); ok {
+		return true
+	}
 	t := reflect.TypeOf(sample)
 	return t != nil && t.Kind() == reflect.Slice && t.Elem().Kind() == reflect.Slice
 }

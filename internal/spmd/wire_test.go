@@ -2,42 +2,19 @@ package spmd
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
-
-// sizedVec mimics the apps' Sized wrapper payloads (collective's
-// partial[T], meshspectral's subBlock[T]): a generic struct of exported
-// header fields plus an inner payload, priced via BytesOf.
-type sizedVec[T any] struct {
-	MinRank int
-	Data    []T
-}
-
-func (s sizedVec[T]) VBytes() int { return 8 + BytesOf(s.Data) }
-
-type unexportedField struct {
-	A int
-	b int //nolint:unused // exists to be rejected by the codec
-}
-
-func (unexportedField) VBytes() int { return 16 }
-
-// sizedRows is a Sized slice of structs: a fallback payload whose slice
-// the table does not know, so it is walked element by element.
-type sizedRows []struct {
-	X   float64
-	Tag string
-}
-
-func (s sizedRows) VBytes() int { return 16 * len(s) }
 
 // wirePayloads is the round-trip corpus and the fuzzer's seed corpus. It
 // is read off the payload table — every registration's sample, and for a
 // slice type its nil and its empty value beside it — so a type cannot be
 // registered without being round-tripped and fuzz-seeded. Beside the
-// table: a few more values of table types, and reflect-fallback structs.
+// table: a few more values of table types, among them Wrapped around
+// every shape of body.
 func wirePayloads() []any {
 	var out []any
 	for _, d := range table {
@@ -48,10 +25,11 @@ func wirePayloads() []any {
 	}
 	return append(out,
 		false, "", float64(math.Pi), math.Inf(-1), int(42),
-		sizedVec[float64]{MinRank: 3, Data: []float64{1.5, -2.5}},
-		sizedVec[int32]{MinRank: 1, Data: nil},
-		sizedVec[string]{MinRank: 2, Data: []string{"a", ""}},
-		sizedRows{{1, "a"}, {math.NaN(), ""}},
+		Wrapped{K: 1, Head: [4]int64{3}, Body: math.Pi},
+		Wrapped{K: 4, Head: [4]int64{0, 2, -1, 3}, Body: []complex128(nil)},
+		Wrapped{K: 2, Head: [4]int64{1, 5}, Body: [][3]float64{}},
+		Wrapped{Body: nil},
+		Wrapped{K: 1, Head: [4]int64{-7}, Body: [][]float64{{1}, nil, {}}},
 	)
 }
 
@@ -134,6 +112,9 @@ func sameBits(a, b reflect.Value) bool {
 			}
 		}
 		return true
+	case reflect.Interface: // a Wrapped's body
+		x, y := a.Elem(), b.Elem()
+		return !x.IsValid() && !y.IsValid() || x.IsValid() && y.IsValid() && x.Type() == y.Type() && sameBits(x, y)
 	default:
 		return a.Interface() == b.Interface()
 	}
@@ -147,7 +128,11 @@ func TestWireRejectsUnencodable(t *testing.T) {
 		make(chan int),
 		func() {},
 		&struct{ A int }{1},
-		unexportedField{A: 1},
+		struct{ A int }{1},
+		Wrapped{K: 5, Body: 1.5},
+		Wrapped{K: -1, Body: 1.5},
+		Wrapped{Body: Wrapped{}},
+		Wrapped{Body: struct{ A int }{1}},
 	} {
 		if _, err := AppendPayload(nil, v); err == nil {
 			t.Errorf("AppendPayload(%T): want error, got nil", v)
@@ -156,11 +141,13 @@ func TestWireRejectsUnencodable(t *testing.T) {
 }
 
 // forgedLengths is one input per length-prefixed kind (every table type
-// whose sample is a slice or a string, and the fallback's type
-// identifier) claiming a huge length, plus a kind byte past the table.
+// whose sample is a slice or a string) claiming a huge length, plus two
+// kind bytes past the table, one of them followed by a huge length, and a
+// Wrapped claiming five header words or nesting another.
 func forgedLengths() [][]byte {
 	huge := binary.AppendUvarint(nil, 1<<62)
-	out := [][]byte{append([]byte{byte(len(table))}, huge...), {byte(len(table)) + 1}}
+	out := [][]byte{append([]byte{byte(len(table))}, huge...), {byte(len(table)) + 1},
+		{dWrapped.kind, 5}, {dWrapped.kind, 0, dWrapped.kind, 0, dNil.kind}}
 	for _, d := range table {
 		switch reflect.ValueOf(d.sample).Kind() {
 		case reflect.Slice, reflect.String:
@@ -194,24 +181,74 @@ func TestWireTruncated(t *testing.T) {
 	}
 }
 
-// TestWireSizedTypesDecodeInProcess documents the fallback's scope: the
-// decoder resolves type identifiers from the process-local registry, so
-// a value encoded here decodes here (the dist coordinator's shape).
-func TestWireSizedTypesDecodeInProcess(t *testing.T) {
-	v := sizedVec[complex128]{MinRank: 2, Data: []complex128{complex(1, -1)}}
-	buf, err := AppendPayload(nil, v)
-	if err != nil {
-		t.Fatal(err)
+// TestWrappedPrice pins the header-plus-nested kind's price, 8 per header
+// word plus the body's, and that a body with no price is named as such.
+func TestWrappedPrice(t *testing.T) {
+	for _, tc := range []struct {
+		in   Wrapped
+		want int
+	}{
+		{Wrapped{K: 1, Body: 1.5}, 16},
+		{Wrapped{K: 1, Body: [2]int64{1, 2}}, 24},
+		{Wrapped{K: 4, Body: []complex128{1, 2}}, 64},
+		{Wrapped{K: 2, Body: [][3]float64{{1, 2, 3}}}, 40},
+		{Wrapped{Body: nil}, 0},
+	} {
+		if got := BytesOf(tc.in); got != tc.want {
+			t.Errorf("BytesOf(%+v) = %d, want %d", tc.in, got, tc.want)
+		}
 	}
-	got, _, err := DecodePayload(buf)
-	if err != nil {
-		t.Fatal(err)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "payload type struct { X int } has no price") {
+			t.Errorf("pricing a Wrapped of an unpriced body panicked with %q", msg)
+		}
+	}()
+	BytesOf(Wrapped{K: 1, Body: struct{ X int }{1}})
+}
+
+// wrappedForms are the two shapes a reduction partial of a scalar takes
+// on the wire: collective sends a float64 value as a second header word
+// (allreduce), any other scalar as the body (body, here a float64 too).
+var wrappedForms = []struct {
+	name string
+	v    any
+}{
+	{"allreduce", Wrapped{K: 2, Head: [4]int64{1, int64(math.Float64bits(math.Pi))}}},
+	{"body", Wrapped{K: 1, Head: [4]int64{1}, Body: math.Pi}},
+}
+
+// TestWrappedCodecAllocs: pricing, encoding and decoding either form
+// costs at most two allocations, the boxes of the decoded Wrapped and of
+// its decoded body; pricing alone costs none.
+func TestWrappedCodecAllocs(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	for _, f := range wrappedForms {
+		if n := testing.AllocsPerRun(1000, func() { BytesOf(f.v) }); n != 0 {
+			t.Errorf("%s: BytesOf allocated %v times, want 0", f.name, n)
+		}
+		if n := testing.AllocsPerRun(1000, func() { codecRoundTrip(f.v, buf) }); n > 2 {
+			t.Errorf("%s: price + encode + decode allocated %v times, want at most 2", f.name, n)
+		}
 	}
-	if !reflect.DeepEqual(got, v) {
-		t.Errorf("got %#v, want %#v", got, v)
-	}
-	if got.(sizedVec[complex128]).Data[0] != complex(1, -1) {
-		t.Error("typed access after decode failed")
+}
+
+func codecRoundTrip(v any, buf []byte) {
+	_ = BytesOf(v)
+	buf, _ = AppendPayload(buf[:0], v)
+	codecSink, _, _ = DecodePayload(buf)
+}
+
+// BenchmarkCodecWrapped is price + encode + decode of a reduction
+// partial's wire forms: the per-message codec cost of an AllReduce step.
+func BenchmarkCodecWrapped(b *testing.B) {
+	buf := make([]byte, 0, 64)
+	for _, f := range wrappedForms {
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				codecRoundTrip(f.v, buf)
+			}
+		})
 	}
 }
 
