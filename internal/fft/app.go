@@ -25,9 +25,7 @@ func init() {
 func Program() arch.Program[int, float64] {
 	return arch.SPMDRoot(func(p *arch.Proc, n int) float64 {
 		g := meshspectral.New2D[complex128](p, n, n, meshspectral.Rows(p.N()), 0)
-		g.Fill(func(i, j int) complex128 {
-			return complex(math.Sin(float64(i)*0.11)+math.Cos(float64(j)*0.23), 0)
-		})
+		fill(g)
 		orig := g.LocalDense()
 		f := TwoDSPMD(p, g, false)
 		inv := TwoDSPMD(p, f, true)
@@ -39,6 +37,22 @@ func Program() arch.Program[int, float64] {
 		}
 		return collective.AllReduce(p, local, math.Max)
 	})
+}
+
+// fill sets point (i, j) of g to sin(0.11·i) + cos(0.23·j). One sine per
+// owned row and one cosine per owned column, summed per point, are the
+// same bits as both evaluated at every point.
+func fill(g *meshspectral.Grid2D[complex128]) {
+	x0, x1 := g.OwnedX()
+	y0, y1 := g.OwnedY()
+	sin, cos := make([]float64, x1-x0), make([]float64, y1-y0)
+	for i := range sin {
+		sin[i] = math.Sin(float64(x0+i) * 0.11)
+	}
+	for j := range cos {
+		cos[j] = math.Cos(float64(y0+j) * 0.23)
+	}
+	g.Fill(func(i, j int) complex128 { return complex(sin[i-x0]+cos[j-y0], 0) })
 }
 
 func runApp(ctx context.Context, s arch.Settings) (string, arch.Report, error) {

@@ -267,3 +267,31 @@ func TestStepTables(t *testing.T) {
 		}
 	}
 }
+
+// TestFillMatchesPerPointFormula pins the app's input field to the formula
+// evaluated at every point, bit for bit, on row and column layouts and on
+// ranks that own nothing.
+func TestFillMatchesPerPointFormula(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		l meshspectral.Layout
+	}{{1, meshspectral.Rows(1)}, {3, meshspectral.Rows(3)}, {2, meshspectral.Cols(2)}, {8, meshspectral.Rows(8)}} {
+		_, err := spmd.MustWorld(tc.n, machine.IBMSP()).Run(func(p *spmd.Proc) {
+			g := meshspectral.New2D[complex128](p, 6, 20, tc.l, 0)
+			fill(g)
+			x0, x1 := g.OwnedX()
+			y0, y1 := g.OwnedY()
+			for i := x0; i < x1; i++ {
+				for j := y0; j < y1; j++ {
+					want := complex(math.Sin(float64(i)*0.11)+math.Cos(float64(j)*0.23), 0)
+					if got := g.At(i, j); got != want {
+						t.Errorf("%v rank %d: point (%d,%d) = %v, want %v", tc.l, p.Rank(), i, j, got, want)
+					}
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -129,6 +129,26 @@ func (g *Grid2D[T]) RowSpan(gi, y0, y1 int) []T {
 	return g.loc.Data[base+l0 : base+l1 : base+l1]
 }
 
+// View returns the local storage behind the global rectangle
+// [x0,x1)×[y0,y1) for a sweep that takes the whole block at once: data
+// runs from the rectangle's one-point ring's first point to its last, row
+// by row, and point (gi, gj) of the rectangle or its ring is
+// data[off+(gi-x0)*stride+(gj-y0)]. Writes through data are writes to the
+// grid. The rectangle and its ring are checked once, here, so a five-point
+// stencil over the rectangle needs no further check than the slicing of
+// data; the ring may reach into the ghost boundary.
+func (g *Grid2D[T]) View(x0, x1, y0, y1 int) (data []T, stride, off int) {
+	l0, l1 := x0-g.ix0+g.H-1, x1-g.ix0+g.H+1
+	c0, c1 := y0-g.iy0+g.H-1, y1-g.iy0+g.H+1
+	if x0 > x1 || y0 > y1 || l0 < 0 || l1 > g.loc.NX || c0 < 0 || c1 > g.loc.NY {
+		panic(fmt.Sprintf("meshspectral: view [%d,%d)x[%d,%d) with its ring outside local section [%d,%d)x[%d,%d) with halo %d",
+			x0, x1, y0, y1, g.ix0, g.ix1, g.iy0, g.iy1, g.H))
+	}
+	stride = g.loc.NY
+	lo, hi := l0*stride+c0, (l1-1)*stride+c1
+	return g.loc.Data[lo:hi:hi], stride, stride + 1
+}
+
 // Fill sets every owned point to f(gi, gj) without communication or
 // compute charges (initialization).
 func (g *Grid2D[T]) Fill(f func(gi, gj int) T) {
@@ -169,12 +189,11 @@ func (g *Grid2D[T]) AssignRegion(x0, x1, y0, y1 int, flopsPerPoint float64, f fu
 	g.p.Flops(flopsPerPoint * float64((x1-x0)*(y1-y0)))
 }
 
-// CopyFrom copies the owned block of src (which must share layout and
-// dimensions) into this grid, charging data-movement cost — the
-// "copy new values to old values" step of the Poisson solver (Figure 14).
-func (g *Grid2D[T]) CopyFrom(src *Grid2D[T]) {
+// copyFrom copies the owned block of src (which must share layout and
+// dimensions) into this grid, charging data-movement cost.
+func (g *Grid2D[T]) copyFrom(src *Grid2D[T]) {
 	if src.NX != g.NX || src.NY != g.NY || src.L != g.L {
-		panic("meshspectral: CopyFrom requires identical shape and layout")
+		panic("meshspectral: copyFrom requires identical shape and layout")
 	}
 	for gi := g.ix0; gi < g.ix1; gi++ {
 		dst := g.loc.Row(gi - g.ix0 + g.H)

@@ -412,13 +412,13 @@ func TestCopyFrom(t *testing.T) {
 		a := New2D[float64](p, 8, 8, Blocks(2, 2), 1)
 		a.Fill(func(i, j int) float64 { return float64(i * j) })
 		b := New2D[float64](p, 8, 8, Blocks(2, 2), 1)
-		b.CopyFrom(a)
+		b.copyFrom(a)
 		x0, x1 := b.OwnedX()
 		y0, y1 := b.OwnedY()
 		for gi := x0; gi < x1; gi++ {
 			for gj := y0; gj < y1; gj++ {
 				if b.At(gi, gj) != a.At(gi, gj) {
-					t.Errorf("CopyFrom mismatch at (%d,%d)", gi, gj)
+					t.Errorf("copyFrom mismatch at (%d,%d)", gi, gj)
 				}
 			}
 		}

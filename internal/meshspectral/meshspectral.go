@@ -24,8 +24,11 @@
 // and Grid3D.Pencil hand out contiguous slices of the local section —
 // ghosts included, aliasing storage, range-checked once per span — and
 // Assign / AssignRegion call their function once per owned row (pencil)
-// with the span to fill. At and Set remain for the cold paths:
-// physical-boundary ghost fills, assembly and tests.
+// with the span to fill. A sweep whose kernel is a few flops per point
+// takes the whole block instead: Grid2D.View hands out the local storage
+// behind a rectangle and its one-point ring, checked once. At and Set
+// remain for the cold paths: physical-boundary ghost fills, assembly and
+// tests.
 package meshspectral
 
 import (

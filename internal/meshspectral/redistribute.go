@@ -75,7 +75,7 @@ func (g *Grid2D[T]) Redistribute(newL Layout) *Grid2D[T] {
 	out := New2D[T](p, g.NX, g.NY, newL, g.H)
 	out.perX, out.perY = g.perX, g.perY
 	if newL == g.L {
-		out.CopyFrom(g)
+		out.copyFrom(g)
 		return out
 	}
 

@@ -242,6 +242,57 @@ func TestRowSpanReachAliasAndPanics(t *testing.T) {
 	})
 }
 
+func TestViewReachAliasAndPanics(t *testing.T) {
+	run(t, 2, func(p *spmd.Proc) {
+		// Rank r owns rows [4r, 4r+4) of all 6 columns; halo 1.
+		g := New2D[float64](p, 8, 6, Rows(2), 1)
+		x0, x1 := g.OwnedX()
+		for gi := x0 - 1; gi <= x1; gi++ {
+			for gj := -1; gj <= 6; gj++ {
+				g.Set(gi, gj, float64(100*gi+gj))
+			}
+		}
+
+		// Every point of a rectangle and its ring, ghosts included, is at
+		// off + (gi-x0)*stride + (gj-y0); the view holds the ring's rows
+		// from its first point to its last and no more.
+		for _, r := range [][4]int{{x0, x1, 0, 6}, {x0 + 1, x0 + 3, 2, 4}, {x0, x0, 1, 3}} {
+			data, stride, off := g.View(r[0], r[1], r[2], r[3])
+			for gi := r[0] - 1; gi <= r[1]; gi++ {
+				for gj := r[2] - 1; gj <= r[3]; gj++ {
+					if got, want := data[off+(gi-r[0])*stride+(gj-r[2])], g.At(gi, gj); got != want {
+						t.Errorf("rank %d, view %v: point (%d,%d) = %g, want %g", p.Rank(), r, gi, gj, got, want)
+					}
+				}
+			}
+			if first, last := off-stride-1, off+(r[1]-r[0])*stride+(r[3]-r[2]); first != 0 || last != len(data)-1 || cap(data) != len(data) {
+				t.Errorf("rank %d, view %v: ring at [%d,%d] of len %d cap %d", p.Rank(), r, first, last, len(data), cap(data))
+			}
+		}
+		data, stride, off := g.View(x0, x1, 0, 6)
+		data[off+stride+2] = 42
+		if g.At(x0+1, 2) != 42 {
+			t.Errorf("write through view not seen by At: %g", g.At(x0+1, 2))
+		}
+
+		section := fmt.Sprintf("local section [%d,%d)x[0,6) with halo 1", x0, x1)
+		for _, bad := range [][4]int{
+			{x0 - 1, x1, 0, 6}, // ring row before the ghost rows
+			{x0, x1 + 1, 0, 6}, // ring row past the ghost rows
+			{x0, x1, -1, 6},    // ring column before the ghost columns
+			{x0, x1, 0, 7},     // ring column past the ghost columns
+			{x0 + 2, x0 + 1, 0, 6},
+			{x0, x1, 4, 3},
+		} {
+			msg := panicText(func() { g.View(bad[0], bad[1], bad[2], bad[3]) })
+			view := fmt.Sprintf("view [%d,%d)x[%d,%d)", bad[0], bad[1], bad[2], bad[3])
+			if !strings.Contains(msg, view) || !strings.Contains(msg, section) {
+				t.Errorf("rank %d: panic %q, want it to name %q and %q", p.Rank(), msg, view, section)
+			}
+		}
+	})
+}
+
 func TestPencilReachAliasAndPanics(t *testing.T) {
 	run(t, 2, func(p *spmd.Proc) {
 		g := New3D[float64](p, 8, 3, 5, 1)

@@ -8,6 +8,8 @@
 // by a boundary exchange), a max-reduction computing the global variable
 // diffmax used for loop control (kept copy-consistent via the reduction's
 // postcondition), and a copy of new values onto old (Figures 13 and 14).
+// Every version makes that copy by swapping uk and ukp, which leaves uk
+// with the same values; SolveSPMD still charges it as the paper's copy.
 //
 // Three versions are provided per the paper's method: SolveSeq (the
 // original sequential program), SolveV1 (Figure 13 — the forall form),
@@ -147,9 +149,10 @@ func SolveV1(mode core.Mode, pr *Problem) (*array.Dense2D[float64], Result) {
 // body, over the given block layout. Each iteration performs a boundary
 // exchange, the grid operation on the intersection of the local section
 // with the interior, a recursive-doubling max-reduction establishing the
-// copy-consistent global diffmax, and the new-to-old copy. It returns the
-// distributed solution and convergence information (identical on every
-// process).
+// copy-consistent global diffmax, and the new-to-old copy. The grid
+// operation sweeps one View per grid; the copy is a swap, charged as the
+// copy (one word per owned point). It returns the distributed solution
+// and convergence information (identical on every process).
 func SolveSPMD(p spmd.Comm, pr *Problem, l meshspectral.Layout) (*meshspectral.Grid2D[float64], Result) {
 	h2 := pr.Hx() * pr.Hy()
 	uk := meshspectral.New2D[float64](p, pr.NX, pr.NY, l, 1)
@@ -171,6 +174,9 @@ func SolveSPMD(p spmd.Comm, pr *Problem, l meshspectral.Layout) (*meshspectral.G
 
 	ix0, ix1 := uk.InteriorX()
 	iy0, iy1 := uk.InteriorY()
+	ox0, ox1 := uk.OwnedX()
+	oy0, oy1 := uk.OwnedY()
+	owned := float64((ox1 - ox0) * (oy1 - oy0)) // words to copy: a float64 is one
 	diffmax := meshspectral.NewGlobal(p, math.Inf(1))
 
 	res := Result{DiffMax: math.Inf(1)}
@@ -179,16 +185,19 @@ func SolveSPMD(p spmd.Comm, pr *Problem, l meshspectral.Layout) (*meshspectral.G
 		// The |ukp−uk| scan is fused into the update row, where both values
 		// are in registers; each row's max is merged into local once.
 		local := 0.0
-		ukp.AssignRegion(ix0, ix1, iy0, iy1, flopsPerPoint, func(gi, y0, y1 int, out []float64) {
-			local = max(local, jacobiRow(out,
-				uk.RowSpan(gi-1, y0, y1), uk.RowSpan(gi, y0-1, y1+1), uk.RowSpan(gi+1, y0, y1),
-				f.RowSpan(gi, y0, y1), h2))
-		})
-		if ix1 > ix0 && iy1 > iy0 {
-			p.Flops(float64(2 * (ix1 - ix0) * (iy1 - iy0)))
+		if n := iy1 - iy0; ix1 > ix0 && n > 0 {
+			cur, s, off := uk.View(ix0, ix1, iy0, iy1)
+			next, _, _ := ukp.View(ix0, ix1, iy0, iy1)
+			fv, _, _ := f.View(ix0, ix1, iy0, iy1)
+			for r := off; r < off+(ix1-ix0)*s; r += s {
+				local = max(local, jacobiRow(next[r:r+n], cur[r-s:], cur[r-1:], cur[r+s:], fv[r:], h2))
+			}
+			p.Flops(flopsPerPoint * float64((ix1-ix0)*n))
+			p.Flops(float64(2 * (ix1 - ix0) * n))
 		}
 		res.DiffMax = diffmax.SetReduced(local, math.Max)
-		uk.CopyFrom(ukp)
+		uk, ukp = ukp, uk
+		p.MemWords(owned)
 		res.Iterations++
 	}
 	return uk, res

@@ -143,9 +143,9 @@ func TestNaNSurfacesAsDiffMax(t *testing.T) {
 	}
 }
 
-// BenchmarkJacobiSweep is the dev-loop view of the bench's batch-comm part
-// A: poisson@41 at P=1 on the real backend, in ns per grid point per
-// iteration (the bench's poisson.ns_per_point).
+// BenchmarkJacobiSweep is the dev-loop view of the bench's batch-comm:
+// poisson@41 on the real backend at P=1 (part A) and P=2 (part B), in ns
+// per grid point per iteration (at P=1 the bench's poisson.ns_per_point).
 func BenchmarkJacobiSweep(b *testing.B) {
 	const n = 41
 	real, err := arch.ResolveBackend("real")
@@ -153,14 +153,17 @@ func BenchmarkJacobiSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	pr := Manufactured(n, n, 1e-7, 20000)
-	points := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _, err := arch.Run(context.Background(), Program(), pr, arch.WithBackend(real), arch.WithProcs(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		points += out.Iters * n * n
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
+			points := 0
+			for i := 0; i < b.N; i++ {
+				out, _, err := arch.Run(context.Background(), Program(), pr, arch.WithBackend(real), arch.WithProcs(procs))
+				if err != nil {
+					b.Fatal(err)
+				}
+				points += out.Iters * n * n
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
 }

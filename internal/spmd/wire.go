@@ -80,7 +80,17 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) string() string { return string(d.take(int(d.uvarint()))) }
+// string undoes appendString. The length is compared with the remaining
+// bytes in uint64 space, as in sliceLen: on a 32-bit host a forged 2^62
+// would convert to a passing int.
+func (d *decoder) string() string {
+	n := d.uvarint()
+	if n > uint64(len(d.b)-d.off) {
+		d.fail()
+		return ""
+	}
+	return string(d.take(int(n)))
+}
 
 // sliceLen undoes appendSliceLen for a slice whose elements take at
 // least w bytes each on the wire: (length, isNil). A forged length must
