@@ -10,16 +10,19 @@ import (
 	_ "repro/arch/apps"
 )
 
-// goldenCharges pins what the six mesh apps charge and send on the
-// simulator: the makespan as exact float64 bits (every Flops / MemWords
-// call and every message feeds it), the message and byte meters, and the
-// one-line result summary. The rows of the five grid-operation apps were
-// captured at commit 3f78bfc, before they moved from per-point to row-span
-// grid operations; the fft rows at commit e2845b9, before its row and
-// column operations moved from per-row / per-column callbacks to whole
-// blocks. A kernel change that keeps its arithmetic and its charges leaves
-// them untouched, and one that does not fails here rather than in a figure
-// table.
+// goldenCharges pins what the six mesh apps and one-deep mergesort charge
+// and send on the simulator: the makespan as exact float64 bits (every
+// Flops / MemWords / Cmps call and every message feeds it), the message
+// and byte meters, and the one-line result summary. The rows of the five
+// grid-operation apps were captured at commit 3f78bfc, before they moved
+// from per-point to row-span grid operations; the fft rows at commit
+// e2845b9, before its row and column operations moved from per-row /
+// per-column callbacks to whole blocks; the mergesort rows at commit
+// 0bde52b, before MergeSort's first four passes became one merge network
+// per 16 elements (their local blocks of 1000, 500, 250, 1366 and 1367
+// elements all end in a partial block of 16). A kernel change that keeps
+// its arithmetic and its charges leaves them untouched, and one that does
+// not fails here rather than in a figure table.
 var goldenCharges = []struct {
 	app         string
 	size, procs int
@@ -45,6 +48,10 @@ var goldenCharges = []struct {
 	{"fft", 32, 1, 0x3f66504e770671c0, 0, 0, "2D FFT 32x32 forward+inverse (roundtrip error 1.4e-15)"},
 	{"fft", 32, 2, 0x3f61f9f764c49f9a, 10, 33056, "2D FFT 32x32 forward+inverse (roundtrip error 1.4e-15)"},
 	{"fft", 32, 4, 0x3f56d6b12729e589, 56, 50816, "2D FFT 32x32 forward+inverse (roundtrip error 1.4e-15)"},
+	{"mergesort", 1000, 1, 0x3f2e5b34d9fc6039, 0, 0, "one-deep mergesort of 1000 int32 (verified sorted)"},
+	{"mergesort", 1000, 2, 0x3f379e36241da7d4, 4, 2108, "one-deep mergesort of 1000 int32 (verified sorted)"},
+	{"mergesort", 1000, 4, 0x3f3be3a9981b52cf, 18, 3360, "one-deep mergesort of 1000 int32 (verified sorted)"},
+	{"mergesort", 4099, 3, 0x3f478f565e282f81, 10, 11232, "one-deep mergesort of 4099 int32 (verified sorted)"},
 }
 
 func TestMeshAppChargesGolden(t *testing.T) {

@@ -102,68 +102,47 @@ func Pressure(gamma float64, c Cell) float64 {
 	return (gamma - 1) * (e - 0.5*(mx*mx+my*my)/rho)
 }
 
-// fluxX returns the x-direction flux vector of c.
-func fluxX(gamma float64, c Cell) Cell {
-	mx, my, e := c[1], c[2], c[3]
-	u := mx / c[0]
-	p := Pressure(gamma, c)
-	return Cell{mx, mx*u + p, my * u, (e + p) * u}
-}
-
-// fluxY returns the y-direction flux vector of c.
-func fluxY(gamma float64, c Cell) Cell {
-	mx, my, e := c[1], c[2], c[3]
-	v := my / c[0]
-	p := Pressure(gamma, c)
-	return Cell{my, mx * v, my*v + p, (e + p) * v}
-}
-
-// waveSpeed returns (|u|+c)/dx + (|v|+c)/dy for the CFL condition.
-func waveSpeed(gamma, dx, dy float64, c Cell) float64 {
-	rho, mx, my := c[0], c[1], c[2]
-	u, v := mx/rho, my/rho
-	p := Pressure(gamma, c)
-	if p < 1e-12 {
-		p = 1e-12
-	}
-	snd := math.Sqrt(gamma * p / rho)
-	return (math.Abs(u)+snd)/dx + (math.Abs(v)+snd)/dy
-}
-
-// waveRow returns the largest wave speed along one row of cells. The
-// builtin max propagates NaN as math.Max does, so a blown-up state still
-// poisons dt instead of being skipped.
-func waveRow(row []Cell, gamma, dx, dy float64) float64 {
+// fluxRow is the first half of both program versions' step: for each cell
+// of row it stores the x-direction flux in fx and the y-direction flux in
+// fy, and it returns the largest wave speed (|u|+c)/dx + (|v|+c)/dy among
+// the cells, the CFL condition's. Each cell's velocities and pressure are
+// computed once for all three. The builtin max propagates NaN as math.Max
+// does, so a blown-up state still poisons dt instead of being skipped.
+func fluxRow(fx, fy, row []Cell, gamma, dx, dy float64) float64 {
+	fx, fy = fx[:len(row)], fy[:len(row)]
 	m := 0.0
-	for _, c := range row {
-		m = max(m, waveSpeed(gamma, dx, dy, c))
+	for j, c := range row {
+		rho, mx, my, e := c[0], c[1], c[2], c[3]
+		u, v := mx/rho, my/rho
+		p := Pressure(gamma, c)
+		fx[j] = Cell{mx, mx*u + p, my * u, (e + p) * u}
+		fy[j] = Cell{my, mx * v, my*v + p, (e + p) * v}
+		if p < 1e-12 {
+			p = 1e-12
+		}
+		snd := math.Sqrt(gamma * p / rho)
+		m = max(m, (math.Abs(u)+snd)/dx+(math.Abs(v)+snd)/dy)
 	}
 	return m
 }
 
-// lf computes the Lax–Friedrichs update from the four neighbours.
-func lf(gamma, dtdx, dtdy float64, xm, xp, ym, yp Cell) Cell {
-	fxm, fxp := fluxX(gamma, xm), fluxX(gamma, xp)
-	gym, gyp := fluxY(gamma, ym), fluxY(gamma, yp)
-	var out Cell
-	for k := 0; k < 4; k++ {
-		out[k] = 0.25*(xm[k]+xp[k]+ym[k]+yp[k]) -
-			0.5*dtdx*(fxp[k]-fxm[k]) -
-			0.5*dtdy*(gyp[k]-gym[k])
-	}
-	return out
-}
-
-// lfRow is the arithmetic of both program versions: the Lax–Friedrichs
-// update of one row. With n = len(out), xm and xp hold the n cells of the
-// rows before and after, and mid the n+2 cells of this row from one left
-// of the span to one right of it, so out[j] updates mid[j+1].
-func lfRow(out, xm, mid, xp []Cell, gamma, dtdx, dtdy float64) {
+// updateRow is the second half: the Lax–Friedrichs update of one row from
+// the stored fluxes. With n = len(out), xm and xp hold the n cells of the
+// rows before and after and fxm and fxp their x-fluxes, and mid the n+2
+// cells of this row from one left of the span to one right of it and gmid
+// their y-fluxes, so out[j] updates mid[j+1].
+func updateRow(out, xm, mid, xp, fxm, gmid, fxp []Cell, dtdx, dtdy float64) {
 	n := len(out)
-	xm, xp = xm[:n], xp[:n]
-	ym, yp := mid[:n], mid[2:n+2]
+	xm, xp, fxm, fxp = xm[:n], xp[:n], fxm[:n], fxp[:n]
+	ym, yp, gym, gyp := mid[:n], mid[2:n+2], gmid[:n], gmid[2:n+2]
 	for j := range out {
-		out[j] = lf(gamma, dtdx, dtdy, xm[j], xp[j], ym[j], yp[j])
+		var c Cell
+		for k := 0; k < 4; k++ {
+			c[k] = 0.25*(xm[j][k]+xp[j][k]+ym[j][k]+yp[j][k]) -
+				0.5*dtdx*(fxp[j][k]-fxm[j][k]) -
+				0.5*dtdy*(gyp[j][k]-gym[j][k])
+		}
+		out[j] = c
 	}
 }
 
@@ -172,6 +151,7 @@ type Sim struct {
 	Pm     Params
 	U      *meshspectral.Grid2D[Cell]
 	unew   *meshspectral.Grid2D[Cell]
+	fx, fy []Cell // fluxes of U's owned block and ring, laid out as its View
 	dtGlob *meshspectral.Global[float64]
 	dx, dy float64
 }
@@ -185,6 +165,10 @@ func NewSPMD(p spmd.Comm, pm Params, l meshspectral.Layout) *Sim {
 	s.unew = meshspectral.New2D[Cell](p, pm.NX, pm.NY, l, 1)
 	s.unew.SetPeriodic(false, true)
 	s.dtGlob = meshspectral.NewGlobal(p, 0.0)
+	x0, x1 := s.U.OwnedX()
+	y0, y1 := s.U.OwnedY()
+	v, _, _ := s.U.View(x0, x1, y0, y1)
+	s.fx, s.fy = make([]Cell, len(v)), make([]Cell, len(v))
 	s.U.Fill(func(gi, gj int) Cell {
 		return pm.InitCell((float64(gi)+0.5)*s.dx, (float64(gj)+0.5)*s.dy)
 	})
@@ -209,8 +193,12 @@ func (s *Sim) fillOpenX() {
 }
 
 // Step advances one time step and returns dt. The sequence is the mesh
-// archetype's: boundary exchange, physical-boundary fill, wave-speed
-// reduction (global variable), grid operation, swap.
+// archetype's: boundary exchange, physical-boundary fill, one pass over the
+// owned block and its ring storing every cell's fluxes and taking the
+// owned cells' wave speeds, the wave-speed reduction (global variable), a
+// grid operation reading the stored fluxes, swap. The ring's rows need
+// only their x-fluxes and its columns only their y-fluxes; its corners are
+// not read.
 func (s *Sim) Step() float64 {
 	p := s.U.Proc()
 	s.U.ExchangeBoundary()
@@ -218,18 +206,27 @@ func (s *Sim) Step() float64 {
 
 	x0, x1 := s.U.OwnedX()
 	y0, y1 := s.U.OwnedY()
-	gamma := s.Pm.Gamma
+	gamma, n := s.Pm.Gamma, y1-y0
+	u, st, off := s.U.View(x0, x1, y0, y1)
+	flux := func(r, k int) float64 {
+		return fluxRow(s.fx[r:r+k], s.fy[r:r+k], u[r:r+k], gamma, s.dx, s.dy)
+	}
+	end := off + (x1-x0)*st
+	flux(off-st, n) // the ring's rows
+	flux(end, n)
 	localMax := 0.0
-	for gi := x0; gi < x1; gi++ {
-		localMax = max(localMax, waveRow(s.U.RowSpan(gi, y0, y1), gamma, s.dx, s.dy))
+	for r := off; r < end; r += st {
+		flux(r-1, 1) // the ring's columns
+		flux(r+n, 1)
+		localMax = max(localMax, flux(r, n))
 	}
 	p.Flops(waveFlops * float64((x1-x0)*(y1-y0)))
 	dt := s.Pm.CFL / s.dtGlob.SetReduced(localMax, math.Max)
 
 	dtdx, dtdy := dt/s.dx, dt/s.dy
-	s.unew.Assign(flopsPerPoint, func(gi, y0, y1 int, out []Cell) {
-		lfRow(out, s.U.RowSpan(gi-1, y0, y1), s.U.RowSpan(gi, y0-1, y1+1), s.U.RowSpan(gi+1, y0, y1),
-			gamma, dtdx, dtdy)
+	s.unew.Assign(flopsPerPoint, func(gi, _, _ int, out []Cell) {
+		r := off + (gi-x0)*st
+		updateRow(out, u[r-st:], u[r-1:], u[r+st:], s.fx[r-st:], s.fy[r-1:], s.fx[r+st:], dtdx, dtdy)
 	})
 	s.U, s.unew = s.unew, s.U
 	return dt
@@ -245,14 +242,15 @@ func (s *Sim) Run(n int) float64 {
 }
 
 // SeqSim is the sequential simulation, bit-identical to the SPMD version
-// step for step (the max-reduction is exact and both call waveRow and
-// lfRow).
+// step for step (the max-reduction is exact and both call fluxRow and
+// updateRow).
 type SeqSim struct {
-	Pm     Params
-	U      *array.Dense2D[Cell]
-	unew   *array.Dense2D[Cell]
-	mid    []Cell // one row plus its two periodic ghosts
-	dx, dy float64
+	Pm        Params
+	U         *array.Dense2D[Cell]
+	unew      *array.Dense2D[Cell]
+	fx, fy    *array.Dense2D[Cell] // every cell's fluxes
+	mid, gmid []Cell               // one row and its y-fluxes plus their two periodic ghosts
+	dx, dy    float64
 }
 
 // NewSeq builds the sequential simulation.
@@ -260,11 +258,20 @@ func NewSeq(pm Params) *SeqSim {
 	s := &SeqSim{Pm: pm, dx: 1 / float64(pm.NX), dy: 1 / float64(pm.NY)}
 	s.U = array.New2D[Cell](pm.NX, pm.NY)
 	s.unew = array.New2D[Cell](pm.NX, pm.NY)
-	s.mid = make([]Cell, pm.NY+2)
+	s.fx, s.fy = array.New2D[Cell](pm.NX, pm.NY), array.New2D[Cell](pm.NX, pm.NY)
+	s.mid, s.gmid = make([]Cell, pm.NY+2), make([]Cell, pm.NY+2)
 	s.U.Fill(func(i, j int) Cell {
 		return pm.InitCell((float64(i)+0.5)*s.dx, (float64(j)+0.5)*s.dy)
 	})
 	return s
+}
+
+// wrap copies row into pad between its two periodic ghosts.
+func wrap(pad, row []Cell) []Cell {
+	n := len(row)
+	pad[0], pad[n+1] = row[n-1], row[0]
+	copy(pad[1:], row)
+	return pad
 }
 
 // Step advances one time step sequentially, charging m, and returns dt.
@@ -275,15 +282,14 @@ func (s *SeqSim) Step(m core.Meter) float64 {
 	nx, ny, gamma := s.Pm.NX, s.Pm.NY, s.Pm.Gamma
 	localMax := 0.0
 	for i := 0; i < nx; i++ {
-		localMax = max(localMax, waveRow(s.U.Row(i), gamma, s.dx, s.dy))
+		localMax = max(localMax, fluxRow(s.fx.Row(i), s.fy.Row(i), s.U.Row(i), gamma, s.dx, s.dy))
 	}
 	dt := s.Pm.CFL / localMax
 	dtdx, dtdy := dt/s.dx, dt/s.dy
 	for i := 0; i < nx; i++ {
-		row := s.U.Row(i)
-		s.mid[0], s.mid[ny+1] = row[ny-1], row[0]
-		copy(s.mid[1:], row)
-		lfRow(s.unew.Row(i), s.U.Row(max(i-1, 0)), s.mid, s.U.Row(min(i+1, nx-1)), gamma, dtdx, dtdy)
+		im, ip := max(i-1, 0), min(i+1, nx-1)
+		updateRow(s.unew.Row(i), s.U.Row(im), wrap(s.mid, s.U.Row(i)), s.U.Row(ip),
+			s.fx.Row(im), wrap(s.gmid, s.fy.Row(i)), s.fx.Row(ip), dtdx, dtdy)
 	}
 	m.Flops(float64(nx*ny) * (flopsPerPoint + waveFlops))
 	s.U, s.unew = s.unew, s.U

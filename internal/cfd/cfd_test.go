@@ -40,11 +40,18 @@ func TestPrimConsRoundtrip(t *testing.T) {
 	}
 }
 
+// fluxes returns c's x- and y-flux as fluxRow stores them.
+func fluxes(gamma float64, c Cell) (f, g Cell) {
+	var fx, fy [1]Cell
+	fluxRow(fx[:], fy[:], []Cell{c}, gamma, 1, 1)
+	return fx[0], fy[0]
+}
+
 func TestFluxesConsistency(t *testing.T) {
 	// For a state with velocity u and no v, the mass flux is ρu and the
 	// y-flux's mass component is 0.
 	c := prim2cons(1.4, 2, 0.7, 0, 1)
-	f, g := fluxX(1.4, c), fluxY(1.4, c)
+	f, g := fluxes(1.4, c)
 	if math.Abs(f[0]-1.4) > 1e-12 {
 		t.Errorf("mass flux = %g, want 1.4", f[0])
 	}
@@ -59,9 +66,9 @@ func TestFluxesConsistency(t *testing.T) {
 	// is the x-flux of the state with its momenta swapped, with the two
 	// momentum components swapped back.
 	c = prim2cons(1.4, 1.3, 0.7, -0.4, 2.1)
-	sw := fluxX(1.4, Cell{c[0], c[2], c[1], c[3]})
-	if got, want := fluxY(1.4, c), (Cell{sw[0], sw[2], sw[1], sw[3]}); got != want {
-		t.Errorf("fluxY = %v, want fluxX mirrored = %v", got, want)
+	sw, _ := fluxes(1.4, Cell{c[0], c[2], c[1], c[3]})
+	if _, got := fluxes(1.4, c); got != (Cell{sw[0], sw[2], sw[1], sw[3]}) {
+		t.Errorf("y-flux = %v, want the x-flux mirrored = %v", got, Cell{sw[0], sw[2], sw[1], sw[3]})
 	}
 }
 
@@ -145,41 +152,82 @@ func TestPositivity(t *testing.T) {
 	}
 }
 
+// layouts are the SPMD decompositions held bit-identical to SeqSim.
+var layouts = []struct {
+	n int
+	l meshspectral.Layout
+}{
+	{1, meshspectral.Rows(1)},
+	{3, meshspectral.Rows(3)},
+	{4, meshspectral.Blocks(2, 2)},
+	{6, meshspectral.Blocks(3, 2)},
+}
+
+// runSPMD runs the SPMD simulation for steps over layout l, first applying
+// edit to every rank's state, and returns the gathered field and the
+// simulated time.
+func runSPMD(t *testing.T, pm Params, n int, l meshspectral.Layout, steps int, edit func(*Sim)) (*array.Dense2D[Cell], float64) {
+	t.Helper()
+	var got *array.Dense2D[Cell]
+	var simT float64
+	_, err := spmd.MustWorld(n, machine.IntelDelta()).Run(func(p *spmd.Proc) {
+		s := NewSPMD(p, pm, l)
+		edit(s)
+		dt := s.Run(steps)
+		full := meshspectral.GatherGrid(s.U, 0)
+		if p.Rank() == 0 {
+			got, simT = full, dt
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, simT
+}
+
 func TestSPMDMatchesSeqBitIdentical(t *testing.T) {
 	pm := DefaultParams(32, 16)
 	const steps = 15
 	seq := NewSeq(pm)
-	seq.Run(core.Nop, steps)
+	wantT := seq.Run(core.Nop, steps)
 	want := seq.U
 
-	for _, tc := range []struct {
-		n int
-		l meshspectral.Layout
-	}{
-		{1, meshspectral.Rows(1)},
-		{3, meshspectral.Rows(3)},
-		{4, meshspectral.Blocks(2, 2)},
-		{6, meshspectral.Blocks(3, 2)},
-	} {
-		var got *array.Dense2D[Cell]
-		var dtSum float64
-		_, err := spmd.MustWorld(tc.n, machine.IntelDelta()).Run(func(p *spmd.Proc) {
-			s := NewSPMD(p, pm, tc.l)
-			dt := s.Run(steps)
-			full := meshspectral.GatherGrid(s.U, 0)
-			if p.Rank() == 0 {
-				got = full
-				dtSum = dt
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = dtSum
+	for _, tc := range layouts {
+		got, gotT := runSPMD(t, pm, tc.n, tc.l, steps, func(*Sim) {})
 		for k := range want.Data {
 			if got.Data[k] != want.Data[k] {
 				t.Fatalf("n=%d %v: field differs at %d (not bit-identical)", tc.n, tc.l, k)
 			}
+		}
+		if math.Float64bits(gotT) != math.Float64bits(wantT) {
+			t.Errorf("n=%d %v: simulated time %v, sequential %v (not bit-identical)", tc.n, tc.l, gotT, wantT)
+		}
+	}
+}
+
+// TestNaNDensityPoisonsDt puts a NaN density in one cell: the wave-speed
+// fold must carry it into dt on both versions, for every layout, rather
+// than skip the cell.
+func TestNaNDensityPoisonsDt(t *testing.T) {
+	pm := DefaultParams(32, 16)
+	const gi, gj = 20, 11
+	seq := NewSeq(pm)
+	seq.U.Row(gi)[gj][0] = math.NaN()
+	if dt := seq.Step(core.Nop); !math.IsNaN(dt) {
+		t.Errorf("sequential dt = %v, want NaN", dt)
+	}
+	for _, tc := range layouts {
+		_, dt := runSPMD(t, pm, tc.n, tc.l, 1, func(s *Sim) {
+			x0, x1 := s.U.OwnedX()
+			y0, y1 := s.U.OwnedY()
+			if gi >= x0 && gi < x1 && gj >= y0 && gj < y1 {
+				c := s.U.At(gi, gj)
+				c[0] = math.NaN()
+				s.U.Set(gi, gj, c)
+			}
+		})
+		if !math.IsNaN(dt) {
+			t.Errorf("n=%d %v: dt = %v, want NaN", tc.n, tc.l, dt)
 		}
 	}
 }

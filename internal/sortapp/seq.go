@@ -5,12 +5,16 @@
 // as the baseline.
 //
 // The sequential algorithms here really sort; their virtual cost is the
-// count of comparison-exchange steps actually performed, charged to a
-// core.Meter, so the simulated times respond to real algorithmic behaviour
-// (e.g. presorted inputs are cheaper).
+// count of comparisons and element moves the algorithm performs on the
+// given input, charged to a core.Meter, so the simulated times respond to
+// real algorithmic behaviour (e.g. presorted inputs are cheaper). For
+// MergeSort that is the textbook bottom-up formulation's count, although
+// the host sorts blocks of 16 with a merge network that performs other
+// comparisons.
 package sortapp
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -39,13 +43,17 @@ func putScratch(s []int32) {
 
 // MergeSort sorts a into a new slice using bottom-up mergesort — the
 // paper's sequential mergesort — charging the comparisons and element
-// moves performed to m. The input is not modified.
+// moves of the textbook formulation to m. The input is not modified.
 //
-// The charged costs are exactly those of the textbook formulation (one
-// comparison per element emitted while both runs are live, one move per
-// element per pass); only the host-side constant factor is tuned. The
-// width-1 pass reads the input directly (saving the up-front copy) and
-// compare-swaps pairs in place of the general merge.
+// The charged costs are exactly the textbook's: one comparison per element
+// emitted while both runs of a merge are live, and one move per element
+// per pass, for the passes of width 1, 2, 4, … below len(a). Only the host
+// algorithm differs, below width 16: each aligned block of 16 elements is
+// sorted by sort16, a merge network that yields the same sorted runs and
+// counts the textbook's comparisons without performing its merges. A
+// partial last block (all of a when it is shorter than 16) takes the
+// textbook's narrow passes, and the passes from width 16 up are the
+// textbook's.
 func MergeSort(m core.Meter, a []int32) []int32 {
 	n := len(a)
 	out := make([]int32, n)
@@ -55,54 +63,114 @@ func MergeSort(m core.Meter, a []int32) []int32 {
 	}
 	buf := getScratch(n)
 	defer putScratch(buf)
-	var cmps, moves int64
-	// Width-1 pass, straight off the input: each pair costs exactly the
-	// one comparison mergeInto would charge for it; an odd tail element
-	// is carried over comparison-free.
-	for lo := 0; lo+1 < n; lo += 2 {
-		x, y := a[lo], a[lo+1]
-		if y < x {
-			x, y = y, x
-		}
-		buf[lo], buf[lo+1] = x, y
+	passes := bits.Len(uint(n - 1)) // widths 1, 2, 4, … below n
+	// The narrow stage writes where the passes from width 16 up must start
+	// for the last of them to write out.
+	src, dst := out, buf
+	if passes > 4 && passes%2 == 1 {
+		src, dst = buf, out
 	}
-	if n%2 == 1 {
-		buf[n-1] = a[n-1]
+	full := n &^ 15
+	var cmps int64
+	for lo := 0; lo < full; lo += 16 {
+		cmps += sort16((*[16]int32)(src[lo:lo+16]), (*[16]int32)(a[lo:lo+16]))
 	}
-	cmps += int64(n / 2)
-	moves += int64(n)
-	src, dst := buf, out
-	for width := 2; width < n; width *= 2 {
-		step := 2 * width
-		// Adjacent merges within a pass are independent, so running two
-		// at once overlaps their serial compare→advance→load chains —
-		// the comparisons performed (and charged) are exactly those of
-		// merging each pair alone.
-		lo := 0
-		for ; lo+step < n; lo += 2 * step {
-			hi1 := lo + step
-			lo2 := lo + step
-			mid2 := min(lo2+width, n)
-			hi2 := min(lo2+step, n)
-			cmps += mergePairInto(
-				dst[lo:hi1], src[lo:lo+width], src[lo+width:hi1],
-				dst[lo2:hi2], src[lo2:mid2], src[mid2:hi2])
-		}
-		for ; lo < n; lo += step {
-			mid := min(lo+width, n)
-			hi := min(lo+step, n)
-			cmps += mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
-		}
-		moves += int64(n)
+	// The partial block's narrow passes alternate between its two ranges,
+	// the first one chosen so that the last writes into src.
+	x, y := src[full:], dst[full:]
+	if min(passes, 4)%2 == 0 {
+		x, y = y, x
+	}
+	cmps += mergePass(x, a[full:], 1)
+	for width := 2; width < min(16, n); width *= 2 {
+		cmps += mergePass(y, x, width)
+		x, y = y, x
+	}
+	for width := 16; width < n; width *= 2 {
+		cmps += mergePass(dst, src, width)
 		src, dst = dst, src
 	}
 	m.Cmps(float64(cmps))
-	m.MemWords(float64(moves) / 2) // int32: two elements per word
-	if &src[0] != &out[0] {
-		copy(out, src)
-	}
+	m.MemWords(float64(int64(n)*int64(passes)) / 2) // int32: two elements per word
 	return out
 }
+
+// mergePass is one textbook pass: it merges each pair of adjacent runs of
+// the given width in src into dst (len(dst) == len(src)) and returns the
+// comparisons performed. Adjacent merges within a pass are independent, so
+// running two at once overlaps their serial compare→advance→load chains —
+// the comparisons performed (and charged) are exactly those of merging
+// each pair alone.
+func mergePass(dst, src []int32, width int) int64 {
+	n := len(src)
+	step := 2 * width
+	var cmps int64
+	lo := 0
+	for ; lo+step < n; lo += 2 * step {
+		hi1 := lo + step
+		lo2 := lo + step
+		mid2 := min(lo2+width, n)
+		hi2 := min(lo2+step, n)
+		cmps += mergePairInto(
+			dst[lo:hi1], src[lo:lo+width], src[lo+width:hi1],
+			dst[lo2:hi2], src[lo2:mid2], src[mid2:hi2])
+	}
+	for ; lo < n; lo += step {
+		mid := min(lo+width, n)
+		hi := min(lo+step, n)
+		cmps += mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+	}
+	return cmps
+}
+
+// sort16 sorts src into dst with Batcher's odd–even merge sort network,
+// unrolled and branch-free, and returns the comparisons the textbook's
+// width-1, 2, 4 and 8 passes perform on those 16 elements. The network is
+// itself a merge sort: its stages leave sorted runs of 2, 4, 8 and 16, the
+// textbook's runs. A textbook merge of sorted runs A and B compares until
+// one run is used up, |A|+|B| − tail times, where the tail is what is left
+// of the other run: the b ≥ max A if max A ≤ max B, else the a > max B.
+// Both counts are zero in the other case, and max A and max B always
+// count once between them, so before each stage the tail of every merge
+// is 1 plus the ge and gt terms of the other elements.
+func sort16(dst, src *[16]int32) int64 {
+	v0, v1, v2, v3, v4, v5, v6, v7 := src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7]
+	v8, v9, v10, v11, v12, v13, v14, v15 := src[8], src[9], src[10], src[11], src[12], src[13], src[14], src[15]
+	// Width 1: each pair costs one comparison.
+	v0, v1, v2, v3, v4, v5, v6, v7 = min(v0, v1), max(v0, v1), min(v2, v3), max(v2, v3), min(v4, v5), max(v4, v5), min(v6, v7), max(v6, v7)
+	v8, v9, v10, v11, v12, v13, v14, v15 = min(v8, v9), max(v8, v9), min(v10, v11), max(v10, v11), min(v12, v13), max(v12, v13), min(v14, v15), max(v14, v15)
+	// Width 2: four merges of 2 + 2.
+	tail := ge(v2, v1) + gt(v0, v3) + ge(v6, v5) + gt(v4, v7) + ge(v10, v9) + gt(v8, v11) + ge(v14, v13) + gt(v12, v15)
+	v0, v2, v1, v3, v4, v6, v5, v7 = min(v0, v2), max(v0, v2), min(v1, v3), max(v1, v3), min(v4, v6), max(v4, v6), min(v5, v7), max(v5, v7)
+	v8, v10, v9, v11, v12, v14, v13, v15 = min(v8, v10), max(v8, v10), min(v9, v11), max(v9, v11), min(v12, v14), max(v12, v14), min(v13, v15), max(v13, v15)
+	v1, v2, v5, v6, v9, v10, v13, v14 = min(v1, v2), max(v1, v2), min(v5, v6), max(v5, v6), min(v9, v10), max(v9, v10), min(v13, v14), max(v13, v14)
+	// Width 4: two merges of 4 + 4.
+	tail += ge(v4, v3) + ge(v5, v3) + ge(v6, v3) + gt(v0, v7) + gt(v1, v7) + gt(v2, v7) +
+		ge(v12, v11) + ge(v13, v11) + ge(v14, v11) + gt(v8, v15) + gt(v9, v15) + gt(v10, v15)
+	v0, v4, v1, v5, v2, v6, v3, v7 = min(v0, v4), max(v0, v4), min(v1, v5), max(v1, v5), min(v2, v6), max(v2, v6), min(v3, v7), max(v3, v7)
+	v8, v12, v9, v13, v10, v14, v11, v15 = min(v8, v12), max(v8, v12), min(v9, v13), max(v9, v13), min(v10, v14), max(v10, v14), min(v11, v15), max(v11, v15)
+	v2, v4, v3, v5, v10, v12, v11, v13 = min(v2, v4), max(v2, v4), min(v3, v5), max(v3, v5), min(v10, v12), max(v10, v12), min(v11, v13), max(v11, v13)
+	v1, v2, v3, v4, v5, v6, v9, v10 = min(v1, v2), max(v1, v2), min(v3, v4), max(v3, v4), min(v5, v6), max(v5, v6), min(v9, v10), max(v9, v10)
+	v11, v12, v13, v14 = min(v11, v12), max(v11, v12), min(v13, v14), max(v13, v14)
+	// Width 8: one merge of 8 + 8.
+	tail += ge(v8, v7) + ge(v9, v7) + ge(v10, v7) + ge(v11, v7) + ge(v12, v7) + ge(v13, v7) + ge(v14, v7) +
+		gt(v0, v15) + gt(v1, v15) + gt(v2, v15) + gt(v3, v15) + gt(v4, v15) + gt(v5, v15) + gt(v6, v15)
+	v0, v8, v1, v9, v2, v10, v3, v11 = min(v0, v8), max(v0, v8), min(v1, v9), max(v1, v9), min(v2, v10), max(v2, v10), min(v3, v11), max(v3, v11)
+	v4, v12, v5, v13, v6, v14, v7, v15 = min(v4, v12), max(v4, v12), min(v5, v13), max(v5, v13), min(v6, v14), max(v6, v14), min(v7, v15), max(v7, v15)
+	v4, v8, v5, v9, v6, v10, v7, v11 = min(v4, v8), max(v4, v8), min(v5, v9), max(v5, v9), min(v6, v10), max(v6, v10), min(v7, v11), max(v7, v11)
+	v2, v4, v3, v5, v6, v8, v7, v9 = min(v2, v4), max(v2, v4), min(v3, v5), max(v3, v5), min(v6, v8), max(v6, v8), min(v7, v9), max(v7, v9)
+	v10, v12, v11, v13 = min(v10, v12), max(v10, v12), min(v11, v13), max(v11, v13)
+	v1, v2, v3, v4, v5, v6, v7, v8 = min(v1, v2), max(v1, v2), min(v3, v4), max(v3, v4), min(v5, v6), max(v5, v6), min(v7, v8), max(v7, v8)
+	v9, v10, v11, v12, v13, v14 = min(v9, v10), max(v9, v10), min(v11, v12), max(v11, v12), min(v13, v14), max(v13, v14)
+	*dst = [16]int32{v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15}
+	// 8 pair comparisons, then 16 per stage less its tails (4 + 2 + 1 ones).
+	return 8 + 3*16 - 7 - tail
+}
+
+// ge and gt are b ≥ m and a > m as 0 or 1, computed without a branch;
+// the int64 difference cannot overflow for any int32 operands.
+func ge(b, m int32) int64 { return 1 + (int64(b)-int64(m))>>63 }
+func gt(a, m int32) int64 { return int64(uint64(int64(m)-int64(a)) >> 63) }
 
 // mergeInto merges sorted runs a and b into dst (len(dst) == len(a)+len(b))
 // and returns the number of comparisons performed.

@@ -1,8 +1,10 @@
 package sortapp
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -258,4 +260,139 @@ func TestPlanSplittersSortedAndBounded(t *testing.T) {
 	if !IsSorted(sp) {
 		t.Errorf("splitters not sorted: %v", sp)
 	}
+}
+
+// charge is one Meter call, in order.
+type charge struct {
+	kind string
+	n    float64
+}
+
+// chargeLog records every Meter call, so two sorts can be held to the same
+// calls with the same totals in the same order.
+type chargeLog []charge
+
+func (l *chargeLog) Charge(sec float64) { *l = append(*l, charge{"charge", sec}) }
+func (l *chargeLog) Flops(n float64)    { *l = append(*l, charge{"flops", n}) }
+func (l *chargeLog) Cmps(n float64)     { *l = append(*l, charge{"cmps", n}) }
+func (l *chargeLog) MemWords(n float64) { *l = append(*l, charge{"memwords", n}) }
+
+// TestMergeSortMatchesTextbook holds MergeSort to the textbook's output and
+// exact charges on every size up to 300, around every power of two up to
+// 2^17 (so every partial-block length and both pass parities), and on
+// inputs whose runs tie, are presorted or reversed, or hold the int32
+// extremes that an overflowing tail count would miscount.
+func TestMergeSortMatchesTextbook(t *testing.T) {
+	var sizes []int
+	for n := 0; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for k := 9; k <= 17; k++ {
+		sizes = append(sizes, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	extremes := []int32{math.MinInt32, math.MaxInt32, math.MinInt32 + 1, math.MaxInt32 - 1, 0, -1}
+	inputs := []struct {
+		name string
+		gen  func(n int) []int32
+	}{
+		{"random", func(n int) []int32 { return RandomInts(n, int64(n)) }},
+		{"all-equal", func(n int) []int32 { return make([]int32, n) }},
+		{"mod-7", func(n int) []int32 {
+			a := RandomInts(n, int64(n))
+			for i := range a {
+				a[i] %= 7
+			}
+			return a
+		}},
+		{"presorted", func(n int) []int32 { return sortedCopy(RandomInts(n, int64(n))) }},
+		{"reversed", func(n int) []int32 {
+			a := sortedCopy(RandomInts(n, int64(n)))
+			slices.Reverse(a)
+			return a
+		}},
+		{"extremes", func(n int) []int32 {
+			rng := rand.New(rand.NewSource(int64(n)))
+			a := make([]int32, n)
+			for i := range a {
+				a[i] = extremes[rng.Intn(len(extremes))]
+			}
+			return a
+		}},
+	}
+	for _, in := range inputs {
+		for _, n := range sizes {
+			a := in.gen(n)
+			var got, want chargeLog
+			gotOut := MergeSort(&got, a)
+			wantOut := textbookMergeSort(&want, a)
+			if !slices.Equal(gotOut, wantOut) {
+				t.Fatalf("%s n=%d: output differs from the textbook's", in.name, n)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d: charges %v, textbook %v", in.name, n, got, want)
+			}
+		}
+	}
+}
+
+// textbookMergeSort is MergeSort as it stood before the merge network:
+// the textbook's bottom-up passes from width 1, each merge charging the
+// comparisons it performs. It is the oracle for MergeSort's output and
+// charges.
+func textbookMergeSort(m core.Meter, a []int32) []int32 {
+	n := len(a)
+	out := make([]int32, n)
+	if n < 2 {
+		copy(out, a)
+		return out
+	}
+	buf := getScratch(n)
+	defer putScratch(buf)
+	var cmps, moves int64
+	// Width-1 pass, straight off the input: each pair costs exactly the
+	// one comparison mergeInto would charge for it; an odd tail element
+	// is carried over comparison-free.
+	for lo := 0; lo+1 < n; lo += 2 {
+		x, y := a[lo], a[lo+1]
+		if y < x {
+			x, y = y, x
+		}
+		buf[lo], buf[lo+1] = x, y
+	}
+	if n%2 == 1 {
+		buf[n-1] = a[n-1]
+	}
+	cmps += int64(n / 2)
+	moves += int64(n)
+	src, dst := buf, out
+	for width := 2; width < n; width *= 2 {
+		step := 2 * width
+		// Adjacent merges within a pass are independent, so running two
+		// at once overlaps their serial compare→advance→load chains —
+		// the comparisons performed (and charged) are exactly those of
+		// merging each pair alone.
+		lo := 0
+		for ; lo+step < n; lo += 2 * step {
+			hi1 := lo + step
+			lo2 := lo + step
+			mid2 := min(lo2+width, n)
+			hi2 := min(lo2+step, n)
+			cmps += mergePairInto(
+				dst[lo:hi1], src[lo:lo+width], src[lo+width:hi1],
+				dst[lo2:hi2], src[lo2:mid2], src[mid2:hi2])
+		}
+		for ; lo < n; lo += step {
+			mid := min(lo+width, n)
+			hi := min(lo+step, n)
+			cmps += mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+		}
+		moves += int64(n)
+		src, dst = dst, src
+	}
+	m.Cmps(float64(cmps))
+	m.MemWords(float64(moves) / 2) // int32: two elements per word
+	if &src[0] != &out[0] {
+		copy(out, src)
+	}
+	return out
 }
