@@ -36,9 +36,11 @@ func Transform(m core.Meter, a []complex128, inverse bool) {
 const rowsChunk = 1024
 
 // TransformRows transforms in place each of the nx rows of the row-major
-// nx×ny array a, level by level over blocks of whole rows, with a
-// row-by-row Transform's butterflies, twiddles and so output bits, and
-// its Flops charges: one per row, in row order.
+// nx×ny array a, with a row-by-row Transform's butterflies, twiddles, so
+// output bits, and Flops charges (one per row, in order). Blocks of whole
+// rows go through two levels per sweep (one plain level last if log2 ny is
+// odd), k-major: for each twiddle index, every block of every row, after
+// each row's bit-reversal swaps.
 func TransformRows(m core.Meter, a []complex128, nx, ny int, inverse bool) {
 	p, tw, logn := planFor("TransformRows", a, nx, ny, ny, inverse)
 	if p == nil {
@@ -53,13 +55,21 @@ func TransformRows(m core.Meter, a []complex128, nx, ny int, inverse bool) {
 				r[s[0]], r[s[1]] = r[s[1]], r[s[0]]
 			}
 		}
-		for half := 1; half < ny; half <<= 1 {
-			size := 2 * half
-			for k, w := range tw[half:size] {
-				for s := k; s < len(b); s += size {
-					u, v := b[s], b[s+half]*w
-					b[s], b[s+half] = u+v, u-v
+		half := 1
+		for ; 4*half <= ny; half <<= 2 {
+			for k := range half {
+				w1, w2, w3 := tw[half+k], tw[2*half+k], tw[3*half+k]
+				x0 := b[k : len(b)-3*half]
+				x1, x2, x3 := b[k+half:][:len(x0)], b[k+2*half:][:len(x0)], b[k+3*half:][:len(x0)]
+				for s := 0; s < len(x0); s += 4 * half {
+					x0[s], x1[s], x2[s], x3[s] = radix4(x0[s], x1[s], x2[s], x3[s], w1, w2, w3)
 				}
+			}
+		}
+		for k, w := range tw[half:ny] { // the plain level, if log2 ny is odd
+			for s := k; s < len(b); s += ny {
+				u, v := b[s], b[s+half]*w
+				b[s], b[s+half] = u+v, u-v
 			}
 		}
 		scale(b, ny, inverse)
@@ -67,10 +77,26 @@ func TransformRows(m core.Meter, a []complex128, nx, ny int, inverse bool) {
 	charge(m, nx, ny, logn)
 }
 
+// radix4 is the butterflies of levels half and 2·half at twiddle index k
+// on four values half apart: (x0, x1) and (x2, x3) with w1 = tw[half+k],
+// then (x0, x2) with w2 = tw[2·half+k] and (x1, x3) with w3 = tw[3·half+k].
+func radix4(x0, x1, x2, x3, w1, w2, w3 complex128) (complex128, complex128, complex128, complex128) {
+	v := x1 * w1
+	x0, x1 = x0+v, x0-v
+	v = x3 * w1
+	x2, x3 = x2+v, x2-v
+	v = x2 * w2
+	x0, x2 = x0+v, x0-v
+	v = x3 * w3
+	x1, x3 = x1+v, x1-v
+	return x0, x1, x2, x3
+}
+
 // TransformCols transforms in place each of the ny columns of the
 // row-major nx×ny array a, bit for bit and charge for charge as Transform
 // of each column copied out and back would, but copying nothing: the bit
-// reversal swaps whole rows, each butterfly spans a pair of rows.
+// reversal swaps whole rows, and each sweep of two levels (and one plain
+// level last when log2 nx is odd) spans four or two whole rows.
 func TransformCols(m core.Meter, a []complex128, nx, ny int, inverse bool) {
 	p, tw, logn := planFor("TransformCols", a, nx, ny, nx, inverse)
 	if p == nil {
@@ -82,15 +108,24 @@ func TransformCols(m core.Meter, a []complex128, nx, ny int, inverse bool) {
 			x[c], y[c] = y[c], x[c]
 		}
 	}
-	for half := 1; half < nx; half <<= 1 {
-		for start := 0; start < nx; start += 2 * half {
-			for k, w := range tw[half : 2*half] {
-				x, y := a[(start+k)*ny:][:ny], a[(start+k+half)*ny:][:ny]
-				for c := range x {
-					u, v := x[c], y[c]*w
-					x[c], y[c] = u+v, u-v
+	half := 1
+	for ; 4*half <= nx; half <<= 2 {
+		for start := 0; start < nx; start += 4 * half {
+			for k := range half {
+				w1, w2, w3 := tw[half+k], tw[2*half+k], tw[3*half+k]
+				x0 := a[(start+k)*ny:][:ny]
+				x1, x2, x3 := a[(start+k+half)*ny:][:len(x0)], a[(start+k+2*half)*ny:][:len(x0)], a[(start+k+3*half)*ny:][:len(x0)]
+				for c := range x0 {
+					x0[c], x1[c], x2[c], x3[c] = radix4(x0[c], x1[c], x2[c], x3[c], w1, w2, w3)
 				}
 			}
+		}
+	}
+	for k, w := range tw[half:nx] { // the plain level, if log2 nx is odd
+		x, y := a[k*ny:][:ny], a[(k+half)*ny:][:ny]
+		for c := range x {
+			u, v := x[c], y[c]*w
+			x[c], y[c] = u+v, u-v
 		}
 	}
 	scale(a, nx, inverse)

@@ -149,6 +149,10 @@ func TestKernelsMatchParentBits(t *testing.T) {
 		shapes = append(shapes, shape{0, n}, shape{n, 0}, shape{1, n}, shape{n, 1})
 	}
 	shapes = append(shapes, shape{3, 8}, shape{32, 32}, shape{7, 64}, shape{512, 512})
+	// Blocks of several rows, with an odd and an even log2 (a plain level
+	// last or not), rows too short for a two-level sweep (2 points), and
+	// blocks whose last rowsChunk is partial (33×32, 9×128, 5×256, 5×512).
+	shapes = append(shapes, shape{7, 2}, shape{33, 32}, shape{9, 128}, shape{5, 256}, shape{5, 512})
 	kernels := []struct {
 		name      string
 		got, want func(core.Meter, []complex128, int, int, bool)
@@ -311,34 +315,76 @@ func TestLongPlanNotCached(t *testing.T) {
 }
 
 // TestFreshPlanConcurrent: goroutines that all transform a size whose plan
-// is not built yet agree bit for bit with the parent (run under -race).
+// is not built yet, through Transform, TransformRows and TransformCols at
+// once, agree bit for bit with the parent (run under -race), at a length
+// whose rows share a rowsChunk block (2^8) and at one whose rows do not.
 func TestFreshPlanConcurrent(t *testing.T) {
-	const logn, workers = 14, 8
-	plans[logn].Store(nil)
-	in := testInputs(1<<logn, 14)[0]
-	want := slices.Clone(in)
-	refTransform(core.Nop, want, false)
-	outs := make([][]complex128, workers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := range outs {
-		outs[g] = slices.Clone(in)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			Transform(core.Nop, outs[g], false)
-		}()
+	const workers = 9
+	kernels := []struct {
+		got, want func(core.Meter, []complex128, int, int, bool)
+		cols      bool // the transforms run down columns: the array is n×3, not 3×n
+	}{
+		{func(m core.Meter, a []complex128, _, ny int, inv bool) { Transform(m, a[:ny], inv) },
+			func(m core.Meter, a []complex128, _, ny int, inv bool) { refTransform(m, a[:ny], inv) }, false},
+		{TransformRows, refRows, false},
+		{TransformCols, refCols, true},
 	}
-	close(start)
-	wg.Wait()
-	for g, out := range outs {
-		if err := sameBits(out, want); err != nil {
-			t.Errorf("goroutine %d: %v", g, err)
+	for _, logn := range []int{8, 14} {
+		n := 1 << logn
+		dims := func(cols bool) (int, int) {
+			if cols {
+				return n, 3
+			}
+			return 3, n
+		}
+		plans[logn].Store(nil)
+		in := testInputs(3*n, int64(logn))[0]
+		outs := make([][]complex128, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range outs {
+			outs[g] = slices.Clone(in)
+			k := kernels[g%len(kernels)]
+			nx, ny := dims(k.cols)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				k.got(core.Nop, outs[g], nx, ny, false)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, out := range outs {
+			k := kernels[g%len(kernels)]
+			nx, ny := dims(k.cols)
+			want := slices.Clone(in)
+			k.want(core.Nop, want, nx, ny, false)
+			if err := sameBits(out, want); err != nil {
+				t.Errorf("2^%d goroutine %d: %v", logn, g, err)
+			}
+		}
+		if plans[logn].Load() == nil {
+			t.Errorf("plans[%d] not cached", logn)
 		}
 	}
-	if plans[logn].Load() == nil {
-		t.Errorf("plans[%d] not cached", logn)
+}
+
+// TestKernelsDoNotAllocate: neither kernel allocates, in either
+// direction, on streamfft's rowfft batch (128×32), one frame (32×32) and
+// batch-compute's grid (512×512).
+func TestKernelsDoNotAllocate(t *testing.T) {
+	for _, s := range [][2]int{{128, 32}, {32, 32}, {512, 512}} {
+		a := randComplex(s[0]*s[1], 1)
+		for _, inverse := range []bool{false, true} {
+			for name, kernel := range map[string]func(core.Meter, []complex128, int, int, bool){
+				"TransformRows": TransformRows, "TransformCols": TransformCols,
+			} {
+				if n := testing.AllocsPerRun(5, func() { kernel(core.Nop, a, s[0], s[1], inverse) }); n != 0 {
+					t.Errorf("%s %d×%d inverse=%v: %v allocations per run", name, s[0], s[1], inverse, n)
+				}
+			}
+		}
 	}
 }
 
@@ -370,6 +416,27 @@ func BenchmarkTwoDSeq(b *testing.B) {
 				TwoDSeq(core.Nop, a, false)
 			}
 			sink = a.Data
+		})
+	}
+}
+
+// BenchmarkTransformRows and BenchmarkTransformCols are each kernel on
+// its own, forward: on 128×32, a batch of four streamfft frames as the
+// rowfft stage takes it (colfft takes one 32×32 frame at a time), and on
+// the 512² grid of batch-compute's fft@512.
+func BenchmarkTransformRows(b *testing.B) { benchKernel(b, TransformRows) }
+
+func BenchmarkTransformCols(b *testing.B) { benchKernel(b, TransformCols) }
+
+func benchKernel(b *testing.B, kernel func(core.Meter, []complex128, int, int, bool)) {
+	for _, s := range [][2]int{{128, 32}, {512, 512}} {
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			a := randComplex(s[0]*s[1], 1)
+			b.ReportAllocs()
+			for b.Loop() {
+				kernel(core.Nop, a, s[0], s[1], false)
+			}
+			sink = a
 		})
 	}
 }
