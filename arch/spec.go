@@ -74,8 +74,10 @@ func ResolveMode(name string) (Mode, error) {
 // experiment canonicalize to the same value, which is what makes the
 // canonical form safe to hash as a content address (see
 // internal/rescache). It rejects unknown apps, machines, backends and
-// modes, non-positive procs/size, and app/backend combinations the app
-// does not support, with the same errors a direct RunApp would produce.
+// modes, non-positive procs/size, procs above MaxProcessProcs on the
+// backends that start a process per rank, and app/backend combinations
+// the app does not support, with the same errors a direct RunApp would
+// produce.
 func (sp Spec) Canonical() (Spec, error) {
 	a, err := ResolveApp(sp.App)
 	if err != nil {
@@ -109,6 +111,10 @@ func (sp Spec) Canonical() (Spec, error) {
 		return Spec{}, fmt.Errorf("app %q does not support backend %q (have: %s)",
 			sp.App, sp.Backend, strings.Join(a.BackendNames(), ", "))
 	}
+	if (sp.Backend == "dist" || sp.Backend == "elastic") && sp.Procs > MaxProcessProcs {
+		return Spec{}, fmt.Errorf("spec: backend %q starts one OS process per rank; procs %d exceeds its cap of %d",
+			sp.Backend, sp.Procs, MaxProcessProcs)
+	}
 	if sp.Mode == "" {
 		sp.Mode = "concurrent"
 	}
@@ -131,6 +137,12 @@ func (sp Spec) Canonical() (Spec, error) {
 	}
 	return sp, nil
 }
+
+// MaxProcessProcs caps procs on the backends that start one OS process
+// per rank ("dist" and "elastic"), so a spec cannot ask a host for
+// unbounded processes. It is at or above the largest process count any
+// test, figure or CI smoke runs on them (figure 16 sweeps to 100).
+const MaxProcessProcs = 128
 
 // defaultProcs is NewSettings' process-count default, shared so Spec
 // canonicalization and option-based runs agree on what "unspecified"

@@ -69,11 +69,26 @@ func TestSpecCanonicalRejects(t *testing.T) {
 		{"negative size", arch.Spec{App: "mergesort", Size: -5}, "problem size"},
 		{"unknown kind", arch.Spec{App: "mergesort", Kind: "firehose"}, "unknown kind"},
 		{"kind mismatch", arch.Spec{App: "mergesort", Kind: "stream"}, "is a batch app"},
+		{"procs over the process cap", arch.Spec{App: "poisson", Size: 1 << 20, Procs: 1 << 20, Backend: "dist"}, "cap of 128"},
+		{"procs over the process cap, elastic", arch.Spec{App: "mergesort", Procs: arch.MaxProcessProcs + 1, Backend: "elastic"}, "cap of 128"},
 	}
 	for _, tc := range cases {
 		_, err := tc.sp.Canonical()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Canonical() err = %v, want containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSpecProcessCap: the process cap binds only the backends that
+// start a process per rank, and a spec at the cap is accepted.
+func TestSpecProcessCap(t *testing.T) {
+	for _, sp := range []arch.Spec{
+		{App: "mergesort", Procs: arch.MaxProcessProcs, Backend: "dist"},
+		{App: "mergesort", Procs: arch.MaxProcessProcs + 1, Backend: "real"},
+	} {
+		if _, err := sp.Canonical(); err != nil {
+			t.Errorf("%+v: Canonical() = %v, want accepted", sp, err)
 		}
 	}
 }

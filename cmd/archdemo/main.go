@@ -15,9 +15,9 @@
 //
 // -backend selects the execution substrate: "sim" prices the run on the
 // machine model's virtual clock; "real" runs the processes as goroutines
-// over native channels and reports wall-clock time; "dist" self-spawns
-// one worker OS process per rank (re-executing archdemo itself) and
-// routes every message over loopback TCP. The computational result (and
+// over native channels and reports wall-clock time; "dist" runs each
+// rank on a worker OS process (self-spawned by re-executing archdemo
+// itself) and routes every message over a local socket. The computational result (and
 // its verification) is identical on all of them. Interrupting the
 // process (Ctrl-C) cancels the run's context and aborts it mid-flight.
 //

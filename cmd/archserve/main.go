@@ -33,6 +33,8 @@
 //
 // archserve can run "dist"-backend jobs: like archdemo, it self-spawns
 // worker processes by re-executing its own binary (dist.MaybeWorker).
+// Workers stay parked between jobs, a bounded number of them, and exit
+// with the daemon.
 package main
 
 import (

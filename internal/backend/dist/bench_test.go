@@ -17,7 +17,7 @@ import (
 //	go test ./internal/backend/dist/ -bench PingPong -cpuprofile cpu.out
 func BenchmarkPingPong(b *testing.B) {
 	model := machine.IBMSP()
-	r := dist.New(dist.WithWorkerPool())
+	r := dist.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

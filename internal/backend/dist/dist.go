@@ -35,17 +35,17 @@
 // sim/real/dist is the proof the codec and routing are faithful.
 // Self-sends short-circuit through the local inbox, still codec-encoded.
 //
-// Lifecycle: NewTransport spawns the workers (re-executing the current
-// binary — see MaybeWorker — authenticated by a per-world secret),
-// collects their hellos and assigns ranks; all n ready frames complete
-// the world-start barrier, and a world that cannot start is its error
+// Lifecycle: NewTransport takes parked workers from the process's pool
+// (see workerPool) and spawns the rest (re-executing the current binary
+// — see MaybeWorker — authenticated by a per-process secret), collects
+// their hellos and assigns ranks; all n ready frames complete the
+// world-start barrier, and a world that cannot start is its error
 // ("dist: world start: …"). The transport drives the ranks itself
 // (backend.Driver): each body runs on a goroutine of its own, which
 // flushes the sends the body left buffered when it returns. Finish runs
-// the finish/bye barrier and releases the processes, or, with
-// WithWorkerPool, parks them with their connections warm for the next
-// world. Messages and bytes are metered on the coordinator exactly as
-// the in-process mailbox meters them.
+// the finish/bye barrier and parks the workers, connections warm, for
+// the next world. Messages and bytes are metered on the coordinator
+// exactly as the in-process mailbox meters them.
 //
 // Liveness is one path under every policy. A per-world pinger writes an
 // opPing down every connection each heartbeat interval, and the worker's
@@ -64,7 +64,7 @@
 // down its connection (what the worker echoed is banked in the inbox) —
 // and a loss costs a re-execution: the attempt unwinds, a replacement
 // worker comes from the pool, a respawn on the control listener (open for
-// the world's life) or a spare WithWorkers address, the suffix is written
+// the process's life) or a spare WithWorkers address, the suffix is written
 // down its connection again, and the body re-runs. Logged receives
 // replay, the first sent sends are suppressed (not re-sent, not
 // re-metered), and the attempt goes live where its predecessor died:
@@ -88,7 +88,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -117,9 +117,6 @@ type runner struct {
 	attach []string
 	// inj is the fault-injection seam (nil injects nothing).
 	inj *faultinject.Injector
-	// pool, when non-nil, keeps cleanly finished self-spawned workers
-	// (process + warm control connection) for the runner's next world.
-	pool *workerPool
 	// maxRestarts bounds re-executions per rank (0: fail fast); deadline
 	// bounds the world's time after its first restart.
 	maxRestarts int
@@ -169,20 +166,6 @@ func WithInjector(in *faultinject.Injector) Option {
 	return func(r *runner) { r.inj = in }
 }
 
-// WithWorkerPool reuses worker processes across this runner's worlds: a
-// cleanly finished world parks its workers — processes alive, control
-// connections warm — in a runner-owned pool, and the next world starts
-// with a handshake on those connections instead of a process spawn per
-// rank (a ~50× cut in world-start latency on a loopback host). Failed or
-// cancelled worlds kill their workers instead of pooling them, and a
-// pooled worker that dies while idle is discarded on reuse. Pooled
-// workers live until the coordinator process exits (their connections
-// close with it); use the default spawn-per-world mode when worker
-// processes must not outlive their run.
-func WithWorkerPool() Option {
-	return func(r *runner) { r.pool = &workerPool{} }
-}
-
 // WithRecovery sets the recovery budget: a rank whose worker is lost is
 // re-executed on a replacement at most maxRestarts times, and the world
 // has at most deadline of wall-clock time after its first restart (none
@@ -206,9 +189,10 @@ func WithObserver(f func(Stats)) Option {
 }
 
 // New builds a dist backend runner. The zero configuration — what the
-// registry's "dist" entry uses — self-spawns one localhost worker process
-// per rank by re-executing the current binary, so any binary whose main
-// calls MaybeWorker supports it out of the box, and fails fast.
+// registry's "dist" entry uses — runs each rank on a pooled localhost
+// worker process, self-spawned by re-executing the current binary, so
+// any binary whose main calls MaybeWorker supports it out of the box,
+// and fails fast.
 func New(opts ...Option) backend.Runner {
 	r := &runner{hbInterval: 500 * time.Millisecond, hbMiss: 4}
 	for _, opt := range opts {
@@ -257,38 +241,36 @@ func (p *proc) kill() {
 	<-p.dead
 }
 
-// controlPlane is where workers report in: the listener, the address
-// workers are told to dial (the envWorker value), and the spawn token
-// they authenticate with. Self-spawned worlds get a unix-domain socket in
-// a private temp dir — same-host crossings are what the socket carries,
-// and unix sockets shave scheduler latency off every one — falling back
-// to TCP loopback where unix sockets are unavailable. World-owned (open
-// for the world's life, so a lost worker can be respawned) for a
-// spawn-per-world runner, pool-owned (and pool-lived) for a pooled one.
+// controlPlane is where self-spawned workers report in: the listener,
+// the address workers are told to dial (the envWorker value), and the
+// spawn token they authenticate with. On Linux it is an abstract
+// unix-domain socket — unix sockets shave scheduler latency off every
+// same-host crossing, and an abstract name puts nothing on disk that
+// could outlive the process — and TCP loopback elsewhere. The name is
+// public; the token is the secret. The pool owns it for the process's
+// life, so a lost worker can be respawned on it at any time.
 type controlPlane struct {
 	ln       net.Listener
 	addrSpec string
 	token    string
-	dir      string // temp dir holding the unix socket; "" for TCP
-	// acceptMu serializes spawn+accept phases: concurrent worlds on one
-	// pooled runner, and concurrent replacements in one world, share the
-	// listener, and interleaved accepts would steal each other's workers.
+	// acceptMu serializes spawn+accept phases: concurrent worlds, and
+	// concurrent replacements in one world, share the listener, and
+	// interleaved accepts would steal each other's workers.
 	acceptMu sync.Mutex
 }
 
 func newControlPlane() (*controlPlane, error) {
-	var token [16]byte
-	if _, err := rand.Read(token[:]); err != nil {
+	var secret [24]byte
+	if _, err := rand.Read(secret[:]); err != nil {
 		return nil, fmt.Errorf("spawn token: %w", err)
 	}
-	cp := &controlPlane{token: hex.EncodeToString(token[:])}
-	if dir, err := os.MkdirTemp("", "archdist-*"); err == nil {
-		path := filepath.Join(dir, "ctl.sock")
-		if ln, err := net.Listen("unix", path); err == nil {
-			cp.ln, cp.addrSpec, cp.dir = ln, "unix:"+path, dir
+	cp := &controlPlane{token: hex.EncodeToString(secret[:16])}
+	if runtime.GOOS == "linux" {
+		name := fmt.Sprintf("@archdist-%d-%s", os.Getpid(), hex.EncodeToString(secret[16:]))
+		if ln, err := net.Listen("unix", name); err == nil {
+			cp.ln, cp.addrSpec = ln, "unix:"+name
 			return cp, nil
 		}
-		os.RemoveAll(dir) //nolint:errcheck // best-effort
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -298,31 +280,30 @@ func newControlPlane() (*controlPlane, error) {
 	return cp, nil
 }
 
-func (cp *controlPlane) close() {
-	cp.ln.Close()
-	if cp.dir != "" {
-		os.RemoveAll(cp.dir) //nolint:errcheck // best-effort
-	}
-}
-
-// pooledWorker is a parked worker between worlds: its process, its warm
-// control connection, and the connection's read buffer (which already
-// holds the hello the worker sent eagerly after its last bye).
-type pooledWorker struct {
-	p  *proc
-	c  net.Conn
-	br *bufio.Reader
-}
-
-// workerPool parks cleanly finished workers between a runner's worlds.
+// workerPool is the process's one worker pool, which every self-spawned
+// world draws on ("dist", "elastic", any runner without WithWorkers). A
+// cleanly finished world parks its workers — process alive, control
+// connection warm, its read buffer already holding the worker's next
+// hello — and the next world starts with a handshake on those
+// connections instead of a process spawn per rank. At most maxParked()
+// workers park; Finish kills the rest, and failed or cancelled worlds
+// kill all of theirs. A worker that dies while parked is discarded on
+// reuse. A parked worker exits when its control connection closes, so
+// none outlives the coordinator process, however that ends.
 type workerPool struct {
 	mu   sync.Mutex
 	cp   *controlPlane
-	idle []*pooledWorker
+	idle []*workerConn
 }
 
-// ensure lazily builds the pool's control plane; pooled workers must all
-// report to one listener with one token for the life of the runner.
+var pool workerPool
+
+// maxParked bounds the pool by the host: one parked worker per CPU, and
+// never fewer than the 8 ranks of a default-sized world (arch's default
+// procs), so that world starts warm on a small host too.
+func maxParked() int { return max(runtime.NumCPU(), 8) }
+
+// ensure lazily builds the pool's control plane.
 func (wp *workerPool) ensure() (*controlPlane, error) {
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
@@ -336,32 +317,48 @@ func (wp *workerPool) ensure() (*controlPlane, error) {
 	return wp.cp, nil
 }
 
+// crashHookArmed reports whether the envCrashRank test hook is set. The
+// hook reaches only workers spawned while it is, so meanwhile the pool
+// neither lends nor parks.
+func crashHookArmed() bool { return os.Getenv(envCrashRank) != "" }
+
 // get pops an idle worker, skipping (and thereby discarding — the wait
 // goroutine already reaped them) any that died while parked.
-func (wp *workerPool) get() *pooledWorker {
+func (wp *workerPool) get() *workerConn {
+	if crashHookArmed() {
+		return nil
+	}
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
 	for len(wp.idle) > 0 {
-		pw := wp.idle[len(wp.idle)-1]
+		wc := wp.idle[len(wp.idle)-1]
 		wp.idle = wp.idle[:len(wp.idle)-1]
 		select {
-		case <-pw.p.dead:
-			pw.c.Close()
+		case <-wc.proc.dead:
+			wc.c.Close()
 			continue
 		default:
-			return pw
+			return wc
 		}
 	}
 	return nil
 }
 
-func (wp *workerPool) put(pw *pooledWorker) {
+// put parks wc, reporting false when the pool is full.
+func (wp *workerPool) put(wc *workerConn) bool {
+	if crashHookArmed() {
+		return false
+	}
 	wp.mu.Lock()
-	wp.idle = append(wp.idle, pw)
-	wp.mu.Unlock()
+	defer wp.mu.Unlock()
+	if len(wp.idle) >= maxParked() {
+		return false
+	}
+	wp.idle = append(wp.idle, wc)
+	return true
 }
 
-// start acquires the workers (pool, spawn, or attach) and runs the
+// start acquires the workers (pool and spawn, or attach) and runs the
 // world-start barrier. On any error it tears down whatever it had
 // started and returns the error.
 func (r *runner) start(ctx context.Context, n int) (*transport, error) {
@@ -385,24 +382,17 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 	}()
 
 	var addrs []string
-	switch {
-	case len(r.attach) > 0:
+	if len(r.attach) > 0 {
 		if len(r.attach) < n {
 			return nil, fmt.Errorf("%d attached workers for a world of %d", len(r.attach), n)
 		}
 		addrs = r.attach[:n]
-	case r.pool != nil:
-		cp, err := r.pool.ensure()
+	} else {
+		cp, err := pool.ensure()
 		if err != nil {
 			return nil, err
 		}
 		t.cp = cp
-	default:
-		cp, err := newControlPlane()
-		if err != nil {
-			return nil, err
-		}
-		t.cp, t.ownCP = cp, true
 	}
 	deadline := time.Now().Add(handshakeTimeout)
 	conns, err := t.acquire(n, addrs, deadline)
@@ -480,18 +470,18 @@ func (t *transport) acquire(need int, addrs []string, deadline time.Time) ([]*wo
 	// Warm workers first: their next-world hello is already in the
 	// connection buffer, so validation is a local read. A worker that
 	// went bad while parked is discarded, not fatal.
-	for t.r.pool != nil && len(wcs) < need {
-		pw := t.r.pool.get()
-		if pw == nil {
+	for len(wcs) < need {
+		parked := pool.get()
+		if parked == nil {
 			break
 		}
-		wc := &workerConn{c: pw.c, br: pw.br, w: newWriter(pw.c), proc: pw.p}
+		wc := &workerConn{c: parked.c, br: parked.br, w: newWriter(parked.c), proc: parked.proc}
 		if err := wc.expectHello(deadline, t.cp.token); err != nil {
 			wc.c.Close()
-			pw.p.kill()
+			wc.proc.kill()
 			continue
 		}
-		t.addProc(pw.p)
+		t.addProc(wc.proc)
 		wcs = append(wcs, wc)
 	}
 	spawned, err := t.spawn(need-len(wcs), deadline)
@@ -554,7 +544,7 @@ func (t *transport) spawn(need int, deadline time.Time) ([]*workerConn, error) {
 		p := spawned[wc.pid]
 		if p == nil {
 			// Right token, wrong process: a straggler from an earlier
-			// world of this pool's listener. Its own world already killed
+			// world on the pool's listener. Its own world already killed
 			// (or will kill) it; closing the connection hurries it along.
 			c.Close()
 			continue
@@ -586,7 +576,7 @@ type workerConn struct {
 	pid  int
 	// poolable is set by the finish barrier on receipt of the worker's
 	// bye: the worker is provably between worlds, so teardown may park
-	// it in the runner's pool instead of killing it.
+	// it in the pool instead of killing it.
 	poolable bool
 }
 
@@ -605,8 +595,8 @@ func (wc *workerConn) read(deadline time.Time, limit uint32) (byte, []byte, erro
 	return readFrame(wc.br, limit)
 }
 
-// expectHello consumes the worker's hello frame, checking the world
-// secret when one is required.
+// expectHello consumes the worker's hello frame, checking the spawn
+// token when one is required.
 func (wc *workerConn) expectHello(deadline time.Time, token string) error {
 	op, body, err := wc.read(deadline, maxHandshakeFrame)
 	if err != nil {
@@ -620,7 +610,7 @@ func (wc *workerConn) expectHello(deadline time.Time, token string) error {
 		return err
 	}
 	if token != "" && got != token {
-		return fmt.Errorf("hello with wrong world secret")
+		return fmt.Errorf("hello with wrong spawn token")
 	}
 	wc.pid = pid
 	return nil
@@ -694,10 +684,9 @@ type transport struct {
 	// silence is how long a waiting rank hears nothing before its worker
 	// counts as lost.
 	silence time.Duration
-	// cp is the control plane spawned workers report to (nil in attach
-	// mode); ownCP marks one the world created and must close.
-	cp    *controlPlane
-	ownCP bool
+	// cp is the pool's control plane, which spawned workers report to
+	// (nil in attach mode).
+	cp *controlPlane
 
 	conns []*workerConn
 	// procs holds every worker process this world owns (pool-acquired,
@@ -1288,8 +1277,8 @@ func (t *transport) replace(rank int) error {
 
 // Finish runs the world-finish barrier (finish/bye with every live
 // worker), tears the substrate down — parking cleanly finished workers
-// in the runner's pool when one is configured — reports the recovery
-// stats, and assembles the run summary.
+// in the pool — reports the recovery stats, and assembles the run
+// summary.
 func (t *transport) Finish() backend.Result {
 	elapsed := time.Since(t.begin).Seconds()
 	t.mu.Lock()
@@ -1346,11 +1335,10 @@ func (t *transport) Finish() backend.Result {
 }
 
 // teardown releases the substrate: pinger stopped, monitors unparked,
-// the world's control plane closed, and every worker
-// either returned to the runner's pool (spawned, bye received, pool
-// configured) or closed and killed. Workers exit on their own once their
-// control connection closes; the kill is the backstop that bounds the
-// reap.
+// and every worker either parked in the pool (spawned, bye received,
+// room in the pool) or closed and killed. Workers exit on their own once
+// their control connection closes; the kill is the backstop that bounds
+// the reap.
 func (t *transport) teardown() {
 	if t.stopCancel != nil {
 		t.stopCancel()
@@ -1365,18 +1353,16 @@ func (t *transport) teardown() {
 	t.quiesce()
 	pooled := make(map[*proc]bool)
 	for _, wc := range t.conns {
-		if t.r.pool != nil && wc.poolable && wc.proc != nil {
+		if wc.poolable && wc.proc != nil {
 			// The worker's next hello is already on its way up this
 			// connection; the next world's handshake picks it up.
 			wc.c.SetReadDeadline(time.Time{}) //nolint:errcheck // park with a clean slate
-			t.r.pool.put(&pooledWorker{p: wc.proc, c: wc.c, br: wc.br})
-			pooled[wc.proc] = true
-			continue
+			if pool.put(wc) {
+				pooled[wc.proc] = true
+				continue
+			}
 		}
 		wc.c.Close()
-	}
-	if t.ownCP {
-		t.cp.close()
 	}
 	for _, p := range t.procs {
 		if !pooled[p] {

@@ -1,14 +1,17 @@
 package dist_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"os/exec"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/backend/dist"
 	"repro/internal/collective"
+	_ "repro/internal/elastic"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/spmd"
@@ -476,34 +480,198 @@ func TestDistCrashMidPush(t *testing.T) {
 	}
 }
 
-// TestDistWorkerPoolReuse pins the pooling contract observably: with
-// WithWorkerPool, a second world on the same runner reuses the first
-// world's worker processes instead of spawning fresh ones.
+// TestDistWorkerPoolReuse pins the pooling contract observably, on the
+// registry runners with no option: a cleanly finished world parks its
+// workers in the process's pool, the next world reuses them whichever
+// registry entry runs it, and the pool parks no more than its bound.
+// Every child of the test binary is a dist worker, and after a clean
+// world every live one is parked.
 func TestDistWorkerPoolReuse(t *testing.T) {
-	children, ok := liveChildren()
-	if !ok {
+	if _, ok := liveChildren(); !ok {
 		t.Skip("kernel does not expose the children listing")
 	}
-	r := dist.New(dist.WithWorkerPool())
-	run := func() {
-		if _, err := runOn(t, r, 2, func(p *spmd.Proc) {
-			peer := 1 - p.Rank()
-			spmd.SendT(p, peer, 1, p.Rank())
-			spmd.Recv[int](p, peer, 1)
+	exchange := func(t *testing.T, name string, n int) []string {
+		t.Helper()
+		r, ok := backend.ByName(name)
+		if !ok {
+			t.Fatalf("backend %q not registered", name)
+		}
+		if _, err := runOn(t, r, n, func(p *spmd.Proc) {
+			spmd.SendT(p, (p.Rank()+1)%n, 1, p.Rank())
+			spmd.Recv[int](p, (p.Rank()+n-1)%n, 1)
 		}); err != nil {
-			t.Fatalf("pooled run: %v", err)
+			t.Fatalf("%s world of %d: %v", name, n, err)
+		}
+		parked, _ := liveChildren()
+		return parked
+	}
+	warm := func(t *testing.T) []string {
+		t.Helper()
+		parked := exchange(t, "dist", 2)
+		if len(parked) < 2 {
+			t.Fatalf("after a world of 2: parked workers %v, want at least 2", parked)
+		}
+		return parked
+	}
+	t.Run("successive-worlds", func(t *testing.T) {
+		first := warm(t)
+		if second := exchange(t, "dist", 2); fmt.Sprint(first) != fmt.Sprint(second) {
+			t.Errorf("second world changed the worker set: %v -> %v, want reuse", first, second)
+		}
+	})
+	t.Run("bounded", func(t *testing.T) {
+		bound := dist.MaxParked()
+		if parked := exchange(t, "dist", bound+2); len(parked) != bound {
+			t.Errorf("after a world of %d: %d parked workers %v, want the bound, %d",
+				bound+2, len(parked), parked, bound)
+		}
+	})
+	t.Run("dist-then-elastic", func(t *testing.T) {
+		first := warm(t)
+		if second := exchange(t, "elastic", 2); fmt.Sprint(first) != fmt.Sprint(second) {
+			t.Errorf("elastic world after a dist world changed the worker set: %v -> %v, want reuse", first, second)
+		}
+	})
+}
+
+// TestDistConcurrentWorldsSharePool runs worlds of both registry
+// entries at once, back to back, so parked workers pass between worlds
+// while others spawn on the shared control plane: every world must
+// complete with its own exchange intact. Run it under -race.
+func TestDistConcurrentWorldsSharePool(t *testing.T) {
+	const worlds, rounds = 4, 3
+	errs := make(chan error, worlds*rounds)
+	var wg sync.WaitGroup
+	for w := 0; w < worlds; w++ {
+		name := []string{"dist", "elastic"}[w%2]
+		r, _ := backend.ByName(name)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				n := 2 + (w+i)%3
+				world, err := spmd.NewWorldOn(context.Background(), r, n, machine.IBMSP())
+				if err == nil {
+					_, err = world.Run(func(p *spmd.Proc) {
+						spmd.SendT(p, (p.Rank()+1)%n, 1, p.Rank())
+						if got := spmd.Recv[int](p, (p.Rank()+n-1)%n, 1); got != (p.Rank()+n-1)%n {
+							panic(fmt.Sprintf("rank %d: payload %d", p.Rank(), got))
+						}
+					})
+				}
+				if err != nil {
+					errs <- fmt.Errorf("%s world of %d: %w", name, n, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// envKilledCoordinator makes TestDistKilledCoordinatorLeavesNothing's
+// re-executed test binary act as the coordinator that gets killed.
+const envKilledCoordinator = "DIST_TEST_KILLED_COORDINATOR"
+
+// TestDistKilledCoordinatorLeavesNothing pins that a coordinator killed
+// with SIGKILL — no teardown, no deferred cleanup — takes its workers
+// with it and leaves nothing on disk. It re-executes the test binary as
+// a coordinator with its own empty TMPDIR, which runs one world to
+// completion (parking its workers) and then blocks inside a second one,
+// so the kill lands on parked and working workers alike. Within 5 s of
+// the kill every worker must have exited and the TMPDIR must be empty.
+func TestDistKilledCoordinatorLeavesNothing(t *testing.T) {
+	if os.Getenv(envKilledCoordinator) != "" {
+		coordinateUntilKilled(t)
+		return
+	}
+	if _, ok := liveChildren(); !ok {
+		t.Skip("kernel does not expose the children listing")
+	}
+	tmp := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestDistKilledCoordinatorLeavesNothing$", "-test.count=1")
+	cmd.Env = append(os.Environ(), envKilledCoordinator+"=1", "TMPDIR="+tmp)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Kill() //nolint:errcheck // already dead on the happy path
+		cmd.Wait()         //nolint:errcheck // killed on purpose
+	}()
+	var workers []string
+	for sc := bufio.NewScanner(out); sc.Scan(); {
+		if pids, ok := strings.CutPrefix(sc.Text(), "workers:"); ok {
+			workers = strings.Fields(pids)
+			break
 		}
 	}
-	run()
-	first := childrenSince(children)
-	if len(first) != 2 {
-		t.Fatalf("after first pooled world: %d live workers, want 2 pooled", len(first))
+	if len(workers) == 0 {
+		t.Fatal("coordinator reported no workers")
 	}
-	run()
-	second := childrenSince(children)
-	if fmt.Sprint(first) != fmt.Sprint(second) {
-		t.Errorf("second world changed the worker set: %v -> %v, want reuse", first, second)
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		live := liveProcs(workers)
+		left, _ := os.ReadDir(tmp)
+		if len(live) == 0 && len(left) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			var names []string
+			for _, e := range left {
+				names = append(names, e.Name())
+			}
+			t.Fatalf("5 s after SIGKILL of the coordinator: workers %v of %v still running, TMPDIR holds %v", live, workers, names)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// coordinateUntilKilled is the killed coordinator's side: a world of 3
+// on the registry runner that finishes, then a world of 1 whose rank
+// prints every live worker and blocks until the parent kills the
+// process.
+func coordinateUntilKilled(t *testing.T) {
+	r, _ := backend.ByName("dist")
+	if _, err := runOn(t, r, 3, func(p *spmd.Proc) {
+		collective.AllReduce(p, p.Rank(), func(a, b int) int { return a + b })
+	}); err != nil {
+		t.Fatalf("first world: %v", err)
+	}
+	runOn(t, r, 1, func(p *spmd.Proc) { //nolint:errcheck // never returns
+		pids, _ := liveChildren()
+		fmt.Printf("workers: %s\n", strings.Join(pids, " "))
+		select {}
+	})
+}
+
+// liveProcs returns the pids that name a process which has not exited. A
+// worker orphaned by its coordinator's death may linger as a zombie until
+// its new parent reaps it; it counts as exited.
+func liveProcs(pids []string) []string {
+	var live []string
+	for _, pid := range pids {
+		stat, err := os.ReadFile("/proc/" + pid + "/stat")
+		if err != nil {
+			continue
+		}
+		// The state is the first field after the parenthesized command.
+		if i := strings.LastIndexByte(string(stat), ')'); i >= 0 && strings.HasPrefix(string(stat[i+1:]), " Z") {
+			continue
+		}
+		live = append(live, pid)
+	}
+	return live
 }
 
 // TestDistSizedPayloads sends an app-style wrapper, header words and a

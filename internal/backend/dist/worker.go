@@ -51,9 +51,9 @@ func MaybeWorker() {
 // JoinWorld dials a coordinator's control address and serves worlds as a
 // worker until the coordinator closes the connection (nil) or a world
 // dies (the error). The address is "host:port" for TCP or "unix:/path"
-// for a coordinator on the same host (the self-spawn default: a
-// unix-domain control socket shaves scheduler latency off every
-// coordinator↔worker crossing). The initial dial retries with
+// for a coordinator on the same host ("unix:@name" for an abstract
+// socket, the self-spawn default on Linux: a unix-domain control socket
+// shaves scheduler latency off every coordinator↔worker crossing). The initial dial retries with
 // exponential backoff and jitter (see backoff.Dial) instead of failing
 // on the first connection-refused, so a worker started moments before
 // its coordinator — the common race when both sides launch from one

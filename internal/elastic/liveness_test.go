@@ -5,9 +5,12 @@ package elastic_test
 
 import (
 	"context"
+	"fmt"
 	"net"
-	"path/filepath"
+	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,25 +106,25 @@ func TestHeartbeatDeclaresSilentWorkerDead(t *testing.T) {
 // wrong token must be dropped before it can host anything, without
 // disturbing the real workers. The impostor queues on the listener just
 // before rank 1's worker is killed, so the respawn's accept meets it
-// first.
+// first. The world has more ranks than the worker pool parks (at most
+// max(NumCPU, 8)), so world start empties the pool and the replacement
+// must be spawned.
 func TestAttachRejectsBadToken(t *testing.T) {
-	const np = 2
-	tmp := t.TempDir()
-	t.Setenv("TMPDIR", tmp) // the control socket is created under it
+	if _, err := os.Stat("/proc/net/unix"); err != nil {
+		t.Skip("no /proc/net/unix: the control socket is not an abstract unix socket here")
+	}
+	np := runtime.NumCPU() + 9
 	inj := faultinject.New(faultinject.Rule{Point: "dist.op", Rank: 1, Epoch: 0, Action: faultinject.Kill})
 	impostor := make(chan error, 1)
 	prog := func(p *spmd.Proc) {
-		if p.Rank() == 0 {
-			socks, _ := filepath.Glob(filepath.Join(tmp, "archdist-*", "ctl.sock"))
-			if len(socks) != 1 {
-				panic("no control socket")
-			}
+		switch p.Rank() {
+		case 0:
 			// An impostor with a garbage token must be rejected: its
 			// connection closes without an assignment.
-			go func() { impostor <- dist.JoinWorld("unix:"+socks[0], "not-the-world-token") }()
+			go func() { impostor <- dist.JoinWorld("unix:"+controlSocket(), "not-the-world-token") }()
 			time.Sleep(50 * time.Millisecond)
 			p.Send(1, 1, 42)
-		} else {
+		case 1:
 			if v := p.Recv(0, 1).(int); v != 42 {
 				panic("bad payload")
 			}
@@ -138,4 +141,25 @@ func TestAttachRejectsBadToken(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("impostor neither welcomed nor rejected")
 	}
+}
+
+// controlSocket names this process's control socket: the abstract unix
+// socket "@archdist-<pid>-<suffix>" dist listens on under Linux, listed
+// in /proc/net/unix once a world has created it.
+func controlSocket() string {
+	blob, _ := os.ReadFile("/proc/net/unix")
+	prefix := fmt.Sprintf("@archdist-%d-", os.Getpid())
+	names := map[string]bool{}
+	for _, line := range strings.Split(string(blob), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(f[len(f)-1], prefix) {
+			names[f[len(f)-1]] = true
+		}
+	}
+	if len(names) != 1 {
+		panic(fmt.Sprintf("want one control socket named %s*, found %d", prefix, len(names)))
+	}
+	for name := range names {
+		return name
+	}
+	return ""
 }

@@ -58,14 +58,14 @@ func Micros() []Micro {
 
 // DistMicros returns the Dist* suite: the distributed backend's
 // equivalents of the Real* fabric micros, run with self-spawned
-// localhost worker processes (unix-domain control sockets) on a pooled
-// runner — iterations after the first reuse warm worker processes, so
-// the numbers measure the message fabric and the per-world handshake
-// rather than process spawns. World sizes are smaller than the Real*
-// ones; the ping-pong micro is the directly comparable pair (same
-// program, same world size, substrate swapped), which is what the
-// loopback-vs-shared-memory latency table in EXPERIMENTS.md is built
-// from.
+// localhost worker processes (unix-domain control sockets) from the
+// process's worker pool — iterations after the first reuse warm worker
+// processes, so the numbers measure the message fabric and the
+// per-world handshake rather than process spawns. World sizes are
+// smaller than the Real* ones; the ping-pong micro is the directly
+// comparable pair (same program, same world size, substrate swapped),
+// which is what the loopback-vs-shared-memory latency table in
+// EXPERIMENTS.md is built from.
 func DistMicros() []Micro {
 	return []Micro{
 		{"DistWorldStartup4", benchDistWorldStartup},
@@ -239,19 +239,19 @@ func benchRealWakeup(b *testing.B) error {
 func BenchDistPingPong(b *testing.B) { mustBench(b, benchDistPingPong) }
 
 func benchDistPingPong(b *testing.B) error {
-	return benchPingPong(b, dist.New(dist.WithWorkerPool()))
+	return benchPingPong(b, dist.New())
 }
 
 // BenchDistWorldStartup measures acquiring, handshaking, and releasing a
 // 4-worker dist world whose processes do nothing: the distributed
-// analogue of RealWorldConstruction256 (pure substrate cost). With the
+// analogue of RealWorldConstruction256 (pure substrate cost). From the
 // worker pool, iterations after the first measure the warm path — a
 // hello/assign/ready handshake per worker instead of a process spawn.
 func BenchDistWorldStartup(b *testing.B) { mustBench(b, benchDistWorldStartup) }
 
 func benchDistWorldStartup(b *testing.B) error {
 	model := machine.IBMSP()
-	r := dist.New(dist.WithWorkerPool())
+	r := dist.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -273,7 +273,7 @@ func benchDistOneDeepWorld(b *testing.B) error {
 	spec := sortapp.OneDeepMergesort(onedeep.Centralized)
 	blocks := sortapp.BlockDistribute(data, 4)
 	model := machine.IntelDelta()
-	r := dist.New(dist.WithWorkerPool())
+	r := dist.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -293,7 +293,7 @@ func BenchDistAllReduce(b *testing.B) { mustBench(b, benchDistAllReduce) }
 
 func benchDistAllReduce(b *testing.B) error {
 	model := machine.IBMSP()
-	r := dist.New(dist.WithWorkerPool())
+	r := dist.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -156,6 +157,26 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := c.Status(ctx, "definitely-not-a-key"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("Status(bogus) err = %v, want 404", err)
+	}
+}
+
+// TestSubmitRejectsOverCapProcs: a spec asking a process-per-rank
+// backend for more processes than arch.MaxProcessProcs is a 400 whose
+// body names the cap, before anything is admitted.
+func TestSubmitRejectsOverCapProcs(t *testing.T) {
+	_, c := newService(t, serve.Config{})
+	body := `{"app":"poisson","size":1048576,"procs":1048576,"backend":"dist"}`
+	resp, err := http.Post(c.Base+"/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status = %d, want 400 (body %s)", resp.StatusCode, msg)
+	}
+	if want := fmt.Sprintf("cap of %d", arch.MaxProcessProcs); !strings.Contains(string(msg), want) {
+		t.Errorf("body %q does not name the cap (want %q)", msg, want)
 	}
 }
 
