@@ -56,6 +56,20 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection bounds. A client has readHeaderTimeout to send a request's
+// headers, and a keep-alive connection with no request for idleTimeout
+// is closed. There is no write timeout: a job's /runs/{id}/events stream
+// stays open for as long as the job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the daemon's HTTP server for h on addr.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	dist.MaybeWorker()
 	var (
@@ -100,7 +114,7 @@ func main() {
 		LogRequests: !*quiet,
 		Log:         logger,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: svc}
+	httpSrv := newServer(*addr, svc)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -179,3 +179,15 @@ func TestWindField(t *testing.T) {
 		t.Error("vortex not antisymmetric about centre")
 	}
 }
+
+// BenchmarkAirshedSeqStep is the kernel under airshed's profile: one
+// sequential time step at the app's default size (a 48×48 grid), with
+// its allocations.
+func BenchmarkAirshedSeqStep(b *testing.B) {
+	s := NewSeq(DefaultParams(48, 48))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step(core.Nop)
+	}
+}

@@ -10,14 +10,17 @@ import (
 )
 
 // Digest is a SHA-256, in hex, over the Float64bits of every value's real
-// then imaginary part, little-endian.
-func Digest(a []complex128) string {
+// then imaginary part, little-endian, across the slices in order: a
+// stream cut into batches digests as the stream itself.
+func Digest(parts ...[]complex128) string {
 	h := sha256.New()
 	var b [16]byte
-	for _, v := range a {
-		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(real(v)))
-		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(v)))
-		h.Write(b[:])
+	for _, a := range parts {
+		for _, v := range a {
+			binary.LittleEndian.PutUint64(b[:8], math.Float64bits(real(v)))
+			binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(v)))
+			h.Write(b[:])
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -138,8 +138,8 @@ func CollectStream(ctx context.Context, log io.Writer, scale float64) (*Report, 
 		var got int
 		start := time.Now()
 		res, err := core.Run(ctx, r, pl.Procs(), model, func(p *spmd.Proc) {
-			if out := stream.Run(p, pl, cfg); out != nil {
-				got = len(out)
+			for _, b := range stream.Run(p, pl, cfg) {
+				got += len(b)
 			}
 		})
 		secs := time.Since(start).Seconds()

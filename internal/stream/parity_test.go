@@ -113,7 +113,7 @@ func TestStreamParity(t *testing.T) {
 				var out []float64
 				res, err := core.Run(context.Background(), b, pl.Procs(), model(), func(p *spmd.Proc) {
 					if r := stream.Run(p, pl, tc.cfg); r != nil {
-						out = r
+						out = flat(r)
 					}
 				})
 				if err != nil {

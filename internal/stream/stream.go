@@ -60,9 +60,9 @@
 // the path copies a batch: the source fills a fresh buffer per batch, a
 // stage may transform its input in place and forward it, and the sink
 // holds what it receives (packing only batches of a few scalars, which
-// cost more to hold than to copy) and makes one exact-size copy when the
-// stream ends. A stage that emits a slice of its own state must not
-// touch that memory again.
+// cost more to hold than to copy) and returns what it holds. The result
+// is the very memory the stages emitted, so a stage that emits a slice
+// of its own state must not touch that memory again.
 //
 // Per-stage state (Danelutto et al.'s state access patterns) is
 // per-worker: a Stage's State constructor runs once on each worker rank,
@@ -391,14 +391,15 @@ func (r *receiver[T]) ack() {
 // Run executes the pipeline as world process p's body. The world size
 // must equal pl.Procs(); Config.Elems elements flow source→stages→sink
 // in Batch-element batches under Credits-batch flow-control windows.
-// The sink rank returns the output stream (whole elements, OutWidth
-// scalars each); every other rank returns nil.
+// The sink rank returns the output stream as the non-empty batches it
+// received, in stream order, each whole elements of OutWidth scalars
+// (nil for an empty stream); every other rank returns nil.
 //
 // The protocol is deterministic — plain Recv only, no RecvAny — so the
 // same pipeline produces element-exact outputs and identical
 // message/byte meters on every backend; only the meaning of time
 // differs. Cancelling the world's context unwinds all ranks mid-stream.
-func Run[T any](p *spmd.Proc, pl *Pipeline[T], cfg Config) []T {
+func Run[T any](p *spmd.Proc, pl *Pipeline[T], cfg Config) [][]T {
 	lay := pl.plan()
 	if p.N() != lay.procs {
 		panic(fmt.Sprintf("stream: pipeline %q needs exactly %d processes (source + %v + sink), world has %d",
@@ -518,10 +519,9 @@ const (
 )
 
 // runSink keeps the output stream's batches in order, fires progress
-// windows, and returns the collected elements: one exact-size copy made
-// at end of stream (nil for an empty stream). Growing a result slice per
-// batch instead would move the whole prefix again at every regrowth.
-func runSink[T any](p *spmd.Proc, cfg Config, prods layer, edge, width int) []T {
+// windows, and returns what it kept: the received batches and its own
+// runs, none empty (nil for an empty stream).
+func runSink[T any](p *spmd.Proc, cfg Config, prods layer, edge, width int) [][]T {
 	in := newReceiver[T](p, 0, 1, prods, edge)
 	observed := cfg.Window > 0 && cfg.OnWindow != nil
 	var kept [][]T   // the stream so far, in order: received batches and runs
@@ -577,12 +577,5 @@ func runSink[T any](p *spmd.Proc, cfg Config, prods layer, edge, width int) []T 
 	if tail := int64(scalars/width) - fired; observed && tail > 0 {
 		fire(1, tail, time.Now())
 	}
-	if scalars == 0 {
-		return nil
-	}
-	out := make([]T, 0, scalars)
-	for _, batch := range kept {
-		out = append(out, batch...)
-	}
-	return out
+	return kept
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -63,7 +64,7 @@ func TestOrderRestoration(t *testing.T) {
 			var out []float64
 			_, err := core.Run(context.Background(), backend.Real(), pl.Procs(), model(), func(p *spmd.Proc) {
 				if res := stream.Run(p, pl, cfg); res != nil {
-					out = res
+					out = flat(res)
 				}
 			})
 			if err != nil {
@@ -144,7 +145,7 @@ func TestStagesReshapeStream(t *testing.T) {
 	var out []float64
 	_, err := core.Run(context.Background(), backend.Real(), pl.Procs(), model(), func(p *spmd.Proc) {
 		if res := stream.Run(p, pl, cfg); res != nil {
-			out = res
+			out = flat(res)
 		}
 	})
 	if err != nil {
@@ -194,7 +195,7 @@ func TestBackpressureStallsSource(t *testing.T) {
 	go func() {
 		_, err := core.Run(context.Background(), backend.Real(), pl.Procs(), model(), func(p *spmd.Proc) {
 			if res := stream.Run(p, pl, cfg); res != nil {
-				out = res
+				out = flat(res)
 			}
 		})
 		done <- err
@@ -365,10 +366,20 @@ func TestProcsLayout(t *testing.T) {
 	}
 }
 
-// runReal runs pl on the real backend and returns the sink's output.
-func runReal(t testing.TB, pl *stream.Pipeline[float64], cfg stream.Config) ([]float64, error) {
-	t.Helper()
+// flat concatenates the sink's batches into the element stream they
+// carry.
+func flat(batches [][]float64) []float64 {
 	var out []float64
+	for _, b := range batches {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// runReal runs pl on the real backend and returns the sink's batches.
+func runReal(t testing.TB, pl *stream.Pipeline[float64], cfg stream.Config) ([][]float64, error) {
+	t.Helper()
+	var out [][]float64
 	_, err := core.Run(context.Background(), backend.Real(), pl.Procs(), model(), func(p *spmd.Proc) {
 		if res := stream.Run(p, pl, cfg); res != nil {
 			out = res
@@ -377,16 +388,71 @@ func runReal(t testing.TB, pl *stream.Pipeline[float64], cfg stream.Config) ([]f
 	return out, err
 }
 
-// TestSinkReturnsExactSlice: the sink's one end-of-stream copy is sized
-// to the stream (no regrowth slack handed to the caller), through
-// batches that do not divide the element count; an empty stream is nil.
-func TestSinkReturnsExactSlice(t *testing.T) {
-	out, err := runReal(t, countingPipeline(2, nil), stream.Config{Elems: 1000, Batch: 7})
+// TestSinkReturnsBatchesAsEmitted: the sink returns the batches it
+// holds, through batches that do not divide the element count and a
+// last stage that emits an empty batch, two one-element ones and a whole
+// one in turn. Every returned batch is whole elements and non-empty, a
+// batch of at least PackBelow scalars is the very slice the last stage
+// emitted, the small ones are packed, and the stream is intact; an empty
+// stream is nil.
+func TestSinkReturnsBatchesAsEmitted(t *testing.T) {
+	const width = 3
+	var emitted [][]float64 // touched by the last stage's rank only, read after the run
+	pl := &stream.Pipeline[float64]{
+		Name:  "ragged",
+		Width: width,
+		Source: func(c spmd.Comm, first int64, n int, dst []float64) []float64 {
+			return iota64(first*width, n*width, dst)
+		},
+		Stages: []stream.Stage[float64]{{
+			Name:  "thin",
+			State: func(c spmd.Comm) any { return new(int) }, // batches seen
+			Fn: func(c spmd.Comm, state any, in []float64) []float64 {
+				i := state.(*int)
+				*i++
+				switch *i % 4 {
+				case 0:
+					return nil
+				case 1, 2:
+					in = in[:width]
+				}
+				emitted = append(emitted, in)
+				return in
+			},
+		}},
+	}
+	out, err := runReal(t, pl, stream.Config{Elems: 1000, Batch: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1000 || cap(out) != len(out) {
-		t.Errorf("sink returned len %d cap %d, want 1000 and cap == len", len(out), cap(out))
+	var whole [][]float64
+	for _, b := range emitted {
+		if len(b) >= stream.PackBelow {
+			whole = append(whole, b)
+		}
+	}
+	var kept [][]float64
+	for i, b := range out {
+		if len(b) == 0 || len(b)%width != 0 {
+			t.Fatalf("batch %d holds %d scalars, want a positive multiple of %d", i, len(b), width)
+		}
+		if len(b) >= stream.PackBelow && cap(b) != stream.RunCap {
+			kept = append(kept, b)
+		}
+	}
+	if len(kept) != len(whole) || len(whole) < 10 {
+		t.Fatalf("sink kept %d batches as received, the stage emitted %d of at least %d scalars", len(kept), len(whole), stream.PackBelow)
+	}
+	for i := range kept {
+		if len(kept[i]) != len(whole[i]) || &kept[i][0] != &whole[i][0] {
+			t.Fatalf("kept batch %d is not the slice the stage emitted", i)
+		}
+	}
+	if len(out) >= len(emitted) {
+		t.Errorf("sink returned %d batches for %d non-empty emitted: small batches were not packed", len(out), len(emitted))
+	}
+	if got, want := flat(out), flat(emitted); !slices.Equal(got, want) {
+		t.Fatalf("sink stream (%d scalars) differs from the emitted stream (%d scalars)", len(got), len(want))
 	}
 	out, err = runReal(t, countingPipeline(2, nil), stream.Config{Elems: 0})
 	if err != nil {
@@ -419,12 +485,13 @@ func TestSinkPacksSmallBatchesInOrder(t *testing.T) {
 			return iota64(int64(st[1]-n), n, nil)
 		},
 	})
-	out, err := runReal(t, pl, stream.Config{Elems: 5400, Batch: 1})
+	batches, err := runReal(t, pl, stream.Config{Elems: 5400, Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 5000 + 50*(1+40+2+15+16+3+5000); len(out) != want || cap(out) != len(out) {
-		t.Fatalf("sink returned len %d cap %d, want %d", len(out), cap(out), want)
+	out := flat(batches)
+	if want := 5000 + 50*(1+40+2+15+16+3+5000); len(out) != want {
+		t.Fatalf("sink returned %d scalars, want %d", len(out), want)
 	}
 	for i, v := range out {
 		if v != float64(i) {
@@ -434,11 +501,10 @@ func TestSinkPacksSmallBatchesInOrder(t *testing.T) {
 }
 
 // TestSinkAllocationBudget: a streamfft-shaped run (1,024-scalar
-// elements, 4 per batch) may allocate its output about twice — the
-// source's batch buffers and the sink's end-of-stream copy — plus
-// protocol small change. A sink that regrows its result per batch moves
-// and reallocates the prefix over and over and lands several times
-// higher.
+// elements, 4 per batch) may allocate its output about once — the
+// source's batch buffers, which the sink returns — plus protocol small
+// change. A sink that copied the stream at its end would allocate it
+// twice, and one that regrew a result per batch several times.
 func TestSinkAllocationBudget(t *testing.T) {
 	const width, elems = 1024, 512
 	pl := &stream.Pipeline[float64]{
@@ -455,17 +521,18 @@ func TestSinkAllocationBudget(t *testing.T) {
 	cfg := stream.Config{Elems: elems, Batch: 4, Credits: 4}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	out, err := runReal(t, pl, cfg)
+	batches, err := runReal(t, pl, cfg)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := flat(batches)
 	outBytes := uint64(len(out)) * 8
 	if outBytes != width*elems*8 {
 		t.Fatalf("sink returned %d scalars, want %d", len(out), width*elems)
 	}
-	if got, budget := after.TotalAlloc-before.TotalAlloc, outBytes*5/2; got > budget {
-		t.Errorf("run allocated %d bytes for %d bytes of output, budget %d (2.5x)", got, outBytes, budget)
+	if got, budget := after.TotalAlloc-before.TotalAlloc, outBytes*3/2; got > budget {
+		t.Errorf("run allocated %d bytes for %d bytes of output, budget %d (1.5x)", got, outBytes, budget)
 	}
 }
 
@@ -562,8 +629,12 @@ func BenchmarkStreamSink(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		out, err := runReal(b, pl, cfg)
-		if err != nil || len(out) != elems {
-			b.Fatalf("sink collected %d elems, err %v", len(out), err)
+		got := 0
+		for _, batch := range out {
+			got += len(batch)
+		}
+		if err != nil || got != elems {
+			b.Fatalf("sink collected %d elems, err %v", got, err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")

@@ -130,8 +130,8 @@ func RunStream(ctx context.Context, s arch.Settings, obs arch.StreamObserver) (s
 	}
 
 	prog := arch.SPMD(
-		func(p *arch.Proc, _ int) []complex128 { return stream.Run(p, pl, cfg) },
-		func(parts [][]complex128) []complex128 { return parts[len(parts)-1] },
+		func(p *arch.Proc, _ int) [][]complex128 { return stream.Run(p, pl, cfg) },
+		func(parts [][][]complex128) [][]complex128 { return parts[len(parts)-1] },
 	)
 	out, rep, err := arch.RunWith(ctx, prog, s, 0)
 	if err != nil {
@@ -149,14 +149,24 @@ func RunStream(ctx context.Context, s arch.Settings, obs arch.StreamObserver) (s
 // scratch frame.
 const verifyChunk = 64
 
-// verify is the oracle: out must hold frames frames, each bit-identical
-// to fft.TwoDSeq of the generated frame. Frames are independent, so
-// chunks of them are checked on every core; the error names the lowest
-// failing frame, as a sequential scan would.
-func verify(out []complex128, frames int) error {
+// verify is the oracle: the sink's batches, in order, must hold frames
+// whole frames, each bit-identical to fft.TwoDSeq of the generated
+// frame. Frames are independent, so chunks of them are checked on every
+// core; the error names the lowest failing frame, as a sequential scan
+// would.
+func verify(batches [][]complex128, frames int) error {
 	const width = Edge * Edge
-	if len(out) != frames*width {
-		return fmt.Errorf("streamfft: sink collected %d scalars, want %d", len(out), frames*width)
+	out := make([][]complex128, 0, frames) // frame f, in whichever batch carried it
+	for i, b := range batches {
+		if len(b)%width != 0 {
+			return fmt.Errorf("streamfft: sink batch %d holds %d scalars, not whole frames of %d", i, len(b), width)
+		}
+		for off := 0; off < len(b); off += width {
+			out = append(out, b[off:off+width])
+		}
+	}
+	if len(out) != frames {
+		return fmt.Errorf("streamfft: sink collected %d frames, want %d", len(out), frames)
 	}
 	errs := make([]error, (frames+verifyChunk-1)/verifyChunk)
 	core.ParFor(core.Concurrent, len(errs), func(c int) {
@@ -164,7 +174,7 @@ func verify(out []complex128, frames int) error {
 		for f := c * verifyChunk; f < min((c+1)*verifyChunk, frames); f++ {
 			want.Data = appendFrame(want.Data[:0], int64(f))
 			fft.TwoDSeq(core.Nop, want, false)
-			got := out[f*width : (f+1)*width]
+			got := out[f]
 			for k := range got {
 				if got[k] != want.Data[k] {
 					errs[c] = fmt.Errorf("streamfft: frame %d scalar %d = %v, want %v (sequential)", f, k, got[k], want.Data[k])

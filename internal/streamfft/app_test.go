@@ -87,8 +87,9 @@ func TestAppendFrameMatchesFrameAt(t *testing.T) {
 }
 
 // TestVerifyReportsLowestFrame: the parallel oracle accepts a correct
-// stream, and on one corrupted in two chunks names the lowest bad frame,
-// as the sequential scan it replaced would.
+// stream in batches of one to five frames, rejects one cut mid-frame or
+// a batch short, and on one corrupted in two chunks names the lowest bad
+// frame, as the sequential scan it replaced would.
 func TestVerifyReportsLowestFrame(t *testing.T) {
 	const frames, width = 701, Edge * Edge
 	out := make([]complex128, 0, frames*width)
@@ -97,15 +98,23 @@ func TestVerifyReportsLowestFrame(t *testing.T) {
 		frame := &array.Dense2D[complex128]{NX: Edge, NY: Edge, Data: out[f*width:]}
 		fft.TwoDSeq(core.Nop, frame, false)
 	}
-	if err := verify(out, frames); err != nil {
+	var batches [][]complex128
+	for off, n := 0, 1; off < len(out); off, n = off+n*width, n%5+1 {
+		batches = append(batches, out[off:min(off+n*width, len(out))])
+	}
+	if err := verify(batches, frames); err != nil {
 		t.Fatalf("correct stream rejected: %v", err)
 	}
-	if err := verify(out[:len(out)-1], frames); err == nil {
+	last := len(batches) - 1
+	if err := verify(append(batches[:last:last], batches[last][:len(batches[last])-1]), frames); err == nil {
+		t.Error("stream cut mid-frame accepted")
+	}
+	if err := verify(batches[:last], frames); err == nil {
 		t.Error("short stream accepted")
 	}
 	out[700*width+5] += 1
 	out[3*width+9] += 1
-	err := verify(out, frames)
+	err := verify(batches, frames)
 	if err == nil || !strings.Contains(err.Error(), "frame 3 scalar 9 ") {
 		t.Errorf("verify = %v, want frame 3 scalar 9 reported", err)
 	}

@@ -150,8 +150,8 @@ func RunStream(ctx context.Context, s arch.Settings, obs arch.StreamObserver) (s
 	}
 
 	prog := arch.SPMD(
-		func(p *arch.Proc, _ int) []float64 { return stream.Run(p, pl, cfg) },
-		func(parts [][]float64) []float64 { return parts[len(parts)-1] },
+		func(p *arch.Proc, _ int) [][]float64 { return stream.Run(p, pl, cfg) },
+		func(parts [][][]float64) [][]float64 { return parts[len(parts)-1] },
 	)
 	out, rep, err := arch.RunWith(ctx, prog, s, 0)
 	if err != nil {
@@ -162,20 +162,36 @@ func RunStream(ctx context.Context, s arch.Settings, obs arch.StreamObserver) (s
 		return "", rep, err
 	}
 	return fmt.Sprintf("streamed %d samples into %d windowed %d-bin histograms through %d score workers (exact vs sequential)",
-		samples, len(out)/Bins, Bins, s.Procs-3), rep, nil
+		samples, histCount(samples), Bins, s.Procs-3), rep, nil
 }
 
 // verifyChunk is how many windows one oracle task recounts.
 const verifyChunk = 64
 
-// verify is the oracle: out must hold one exact histogram per window of
-// SamplesPerWin samples (the last possibly partial). Windows are
-// independent, so chunks of them are recounted on every core; the error
-// names the lowest failing window, as a sequential recount would.
-func verify(out []float64, samples int64) error {
-	hists := int((samples + SamplesPerWin - 1) / SamplesPerWin)
-	if len(out) != hists*Bins {
-		return fmt.Errorf("streamhist: sink collected %d scalars, want %d histograms x %d bins", len(out), hists, Bins)
+// histCount is the number of histograms samples samples make: one per
+// window of SamplesPerWin, the last possibly partial.
+func histCount(samples int64) int64 {
+	return (samples + SamplesPerWin - 1) / SamplesPerWin
+}
+
+// verify is the oracle: the sink's batches, in order, must hold one
+// exact histogram per window of SamplesPerWin samples (the last possibly
+// partial). Windows are independent, so chunks of them are recounted on
+// every core; the error names the lowest failing window, as a sequential
+// recount would.
+func verify(batches [][]float64, samples int64) error {
+	hists := int(histCount(samples))
+	out := make([][]float64, 0, hists) // histogram h, in whichever batch carried it
+	for i, b := range batches {
+		if len(b)%Bins != 0 {
+			return fmt.Errorf("streamhist: sink batch %d holds %d scalars, not whole %d-bin histograms", i, len(b), Bins)
+		}
+		for off := 0; off < len(b); off += Bins {
+			out = append(out, b[off:off+Bins])
+		}
+	}
+	if len(out) != hists {
+		return fmt.Errorf("streamhist: sink collected %d histograms, want %d", len(out), hists)
 	}
 	errs := make([]error, (hists+verifyChunk-1)/verifyChunk)
 	core.ParFor(core.Concurrent, len(errs), func(c int) {
@@ -185,7 +201,7 @@ func verify(out []float64, samples int64) error {
 			for i := first; i < min(first+SamplesPerWin, samples); i++ {
 				want[bucket(sampleAt(i))]++
 			}
-			got := out[h*Bins : (h+1)*Bins]
+			got := out[h]
 			for b := range got {
 				if got[b] != want[b] {
 					errs[c] = fmt.Errorf("streamhist: window %d bin %d = %g, want %g (sequential)", h, b, got[b], want[b])
@@ -205,8 +221,7 @@ func verify(out []float64, samples int64) error {
 // histWindow picks the progress-window size in output histograms for an
 // observed run: eight windows across the stream, at least one each.
 func histWindow(samples int64) int64 {
-	hists := (samples + SamplesPerWin - 1) / SamplesPerWin
-	w := hists / 8
+	w := histCount(samples) / 8
 	if w < 1 {
 		w = 1
 	}

@@ -64,9 +64,10 @@ func TestSampleDeterministic(t *testing.T) {
 }
 
 // TestVerifyReportsLowestWindow: the parallel recount accepts a correct
-// stream — a partial last window included — and on one corrupted in two
-// chunks names the lowest bad window, as the sequential recount it
-// replaced would.
+// stream in batches of one to three histograms — a partial last window
+// included — rejects one cut mid-histogram or missing its partial last
+// window, and on one corrupted in two chunks names the lowest bad
+// window, as the sequential recount it replaced would.
 func TestVerifyReportsLowestWindow(t *testing.T) {
 	const samples = 200*SamplesPerWin + 17
 	hists := 201
@@ -74,15 +75,23 @@ func TestVerifyReportsLowestWindow(t *testing.T) {
 	for i := int64(0); i < samples; i++ {
 		out[int(i/SamplesPerWin)*Bins+bucket(sampleAt(i))]++
 	}
-	if err := verify(out, samples); err != nil {
+	var batches [][]float64
+	for off, n := 0, 1; off < len(out); off, n = off+n*Bins, n%3+1 {
+		batches = append(batches, out[off:min(off+n*Bins, len(out))])
+	}
+	if err := verify(batches, samples); err != nil {
 		t.Fatalf("correct stream rejected: %v", err)
 	}
-	if err := verify(out[:len(out)-Bins], samples); err == nil {
+	last := len(batches) - 1
+	if err := verify(append(batches[:last:last], batches[last][Bins/2:]), samples); err == nil {
+		t.Error("stream cut mid-histogram accepted")
+	}
+	if err := verify(append(batches[:last:last], batches[last][:len(batches[last])-Bins]), samples); err == nil {
 		t.Error("stream missing its partial last window accepted")
 	}
 	out[200*Bins+1]++
 	out[2*Bins+7]++
-	err := verify(out, samples)
+	err := verify(batches, samples)
 	if err == nil || !strings.Contains(err.Error(), "window 2 bin 7 ") {
 		t.Errorf("verify = %v, want window 2 bin 7 reported", err)
 	}

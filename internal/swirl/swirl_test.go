@@ -265,3 +265,15 @@ func TestResidentBytes(t *testing.T) {
 		t.Error("resident set should scale with 1/P")
 	}
 }
+
+// BenchmarkSwirlSeqStep is the kernel under swirl's profile: one
+// sequential time step at the app's default size (129 rings × 128 axial
+// points), with its allocations.
+func BenchmarkSwirlSeqStep(b *testing.B) {
+	s := NewSeq(DefaultParams(129, 128))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step(core.Nop)
+	}
+}
