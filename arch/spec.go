@@ -75,7 +75,8 @@ func ResolveMode(name string) (Mode, error) {
 // canonical form safe to hash as a content address (see
 // internal/rescache). It rejects unknown apps, machines, backends and
 // modes, non-positive procs/size, procs above MaxProcessProcs on the
-// backends that start a process per rank, and app/backend combinations
+// backends that start a process per rank or above MaxInProcessProcs on
+// the in-process ones, and app/backend combinations
 // the app does not support, with the same errors a direct RunApp would
 // produce.
 func (sp Spec) Canonical() (Spec, error) {
@@ -111,9 +112,13 @@ func (sp Spec) Canonical() (Spec, error) {
 		return Spec{}, fmt.Errorf("app %q does not support backend %q (have: %s)",
 			sp.App, sp.Backend, strings.Join(a.BackendNames(), ", "))
 	}
-	if (sp.Backend == "dist" || sp.Backend == "elastic") && sp.Procs > MaxProcessProcs {
+	switch {
+	case (sp.Backend == "dist" || sp.Backend == "elastic") && sp.Procs > MaxProcessProcs:
 		return Spec{}, fmt.Errorf("spec: backend %q starts one OS process per rank; procs %d exceeds its cap of %d",
 			sp.Backend, sp.Procs, MaxProcessProcs)
+	case (sp.Backend == "sim" || sp.Backend == "real") && sp.Procs > MaxInProcessProcs:
+		return Spec{}, fmt.Errorf("spec: backend %q runs every rank in this process; procs %d exceeds its cap of %d",
+			sp.Backend, sp.Procs, MaxInProcessProcs)
 	}
 	if sp.Mode == "" {
 		sp.Mode = "concurrent"
@@ -143,6 +148,14 @@ func (sp Spec) Canonical() (Spec, error) {
 // unbounded processes. It is at or above the largest process count any
 // test, figure or CI smoke runs on them (figure 16 sweeps to 100).
 const MaxProcessProcs = 128
+
+// MaxInProcessProcs caps procs on the backends that run every rank in the
+// calling process ("sim" and "real"). Their fabric makes n² inbox rings up
+// front, 40 bytes of header each, so procs of 100,000 would ask for about
+// 400 GB before any rank runs; at the cap the headers are 2.6 MB. It is at
+// or above the largest process count any test, figure or CI smoke runs
+// there (figures sweep to 100).
+const MaxInProcessProcs = 256
 
 // defaultProcs is NewSettings' process-count default, shared so Spec
 // canonicalization and option-based runs agree on what "unspecified"

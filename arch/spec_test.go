@@ -71,6 +71,8 @@ func TestSpecCanonicalRejects(t *testing.T) {
 		{"kind mismatch", arch.Spec{App: "mergesort", Kind: "stream"}, "is a batch app"},
 		{"procs over the process cap", arch.Spec{App: "poisson", Size: 1 << 20, Procs: 1 << 20, Backend: "dist"}, "cap of 128"},
 		{"procs over the process cap, elastic", arch.Spec{App: "mergesort", Procs: arch.MaxProcessProcs + 1, Backend: "elastic"}, "cap of 128"},
+		{"procs over the in-process cap, sim", arch.Spec{App: "mergesort", Procs: 100000, Backend: "sim"}, "cap of 256"},
+		{"procs over the in-process cap, real", arch.Spec{App: "mergesort", Procs: arch.MaxInProcessProcs + 1, Backend: "real"}, "cap of 256"},
 	}
 	for _, tc := range cases {
 		_, err := tc.sp.Canonical()
@@ -80,12 +82,14 @@ func TestSpecCanonicalRejects(t *testing.T) {
 	}
 }
 
-// TestSpecProcessCap: the process cap binds only the backends that
-// start a process per rank, and a spec at the cap is accepted.
+// TestSpecProcessCap: each process cap binds only its own backends, and
+// a spec at the cap is accepted.
 func TestSpecProcessCap(t *testing.T) {
 	for _, sp := range []arch.Spec{
 		{App: "mergesort", Procs: arch.MaxProcessProcs, Backend: "dist"},
 		{App: "mergesort", Procs: arch.MaxProcessProcs + 1, Backend: "real"},
+		{App: "mergesort", Procs: arch.MaxInProcessProcs, Backend: "real"},
+		{App: "mergesort", Procs: arch.MaxInProcessProcs, Backend: "sim"},
 	} {
 		if _, err := sp.Canonical(); err != nil {
 			t.Errorf("%+v: Canonical() = %v, want accepted", sp, err)

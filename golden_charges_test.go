@@ -20,7 +20,11 @@ import (
 // per-column callbacks to whole blocks; the mergesort rows at commit
 // 0bde52b, before MergeSort's first four passes became one merge network
 // per 16 elements (their local blocks of 1000, 500, 250, 1366 and 1367
-// elements all end in a partial block of 16). A kernel change that keeps
+// elements all end in a partial block of 16); and the three large
+// mergesort rows at commit 5ce8f43, before the merges took one source and
+// one destination and a lone merge of 4,096 outputs or more began to run
+// as two halves (their sorts' top passes and their combines' two-list
+// merges all take that path). A kernel change that keeps
 // its arithmetic and its charges leaves them untouched, and one that does
 // not fails here rather than in a figure table.
 var goldenCharges = []struct {
@@ -52,6 +56,9 @@ var goldenCharges = []struct {
 	{"mergesort", 1000, 2, 0x3f379e36241da7d4, 4, 2108, "one-deep mergesort of 1000 int32 (verified sorted)"},
 	{"mergesort", 1000, 4, 0x3f3be3a9981b52cf, 18, 3360, "one-deep mergesort of 1000 int32 (verified sorted)"},
 	{"mergesort", 4099, 3, 0x3f478f565e282f81, 10, 11232, "one-deep mergesort of 4099 int32 (verified sorted)"},
+	{"mergesort", 131072, 1, 0x3fab28949eb30901, 0, 0, "one-deep mergesort of 131072 int32 (verified sorted)"},
+	{"mergesort", 131072, 2, 0x3f9efe1c81317db6, 4, 262828, "one-deep mergesort of 131072 int32 (verified sorted)"},
+	{"mergesort", 100003, 3, 0x3f8f8c4185226f58, 10, 267728, "one-deep mergesort of 100003 int32 (verified sorted)"},
 }
 
 func TestMeshAppChargesGolden(t *testing.T) {

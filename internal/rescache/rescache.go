@@ -34,7 +34,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -142,7 +144,9 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 }
 
 // Put stores e under key atomically: marshal, write a temp file in the
-// entry's directory, rename over the final path. Concurrent Puts of the
+// entry's directory, rename over the final path. The fan-out directory is
+// made only when the temp file cannot be created for want of it, and the
+// temp file is removed only when a step fails. Concurrent Puts of the
 // same key are safe — both write complete entries and the renames
 // serialize; since the address is the content, it does not matter whose
 // entry wins.
@@ -160,22 +164,26 @@ func (c *Cache) Put(key string, e *Entry) error {
 		return fmt.Errorf("rescache: %w", err)
 	}
 	p := c.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("rescache: %w", err)
+	dir := filepath.Dir(p)
+	tmp, err := os.CreateTemp(dir, key+".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		// The first entry of its fan-out directory makes the directory.
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			tmp, err = os.CreateTemp(dir, key+".tmp-*")
+		}
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), key+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("rescache: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		return fmt.Errorf("rescache: %w", err)
+	_, err = tmp.Write(blob)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("rescache: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), p)
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
+	if err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("rescache: %w", err)
 	}
 	return nil

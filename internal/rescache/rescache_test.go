@@ -104,6 +104,57 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutFreshDirectory: Put makes the fan-out directory of its first
+// entry, and the whole cache directory if it was removed after Open.
+func TestPutFreshDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	c, err := rescache.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	key, e := entryFor(t, base)
+	if err := c.Put(key, e); err != nil {
+		t.Fatalf("Put into a fresh fan-out directory: %v", err)
+	}
+	if _, ok := c.Get(key); !ok {
+		t.Fatal("Get after Put into a fresh fan-out directory missed")
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(key, e); err != nil {
+		t.Fatalf("Put after the cache directory was removed: %v", err)
+	}
+	if _, ok := c.Get(key); !ok {
+		t.Fatal("Get after Put into a removed cache directory missed")
+	}
+}
+
+// TestPutFailureLeavesNoTemp: a Put whose rename fails (its entry path is
+// a non-empty directory) reports the error and leaves no temp file.
+func TestPutFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	c, err := rescache.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	key, e := entryFor(t, base)
+	blocker := filepath.Join(dir, key[:2], key+".json")
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(key, e); err == nil {
+		t.Fatal("Put over a non-empty directory succeeded")
+	}
+	left, err := filepath.Glob(filepath.Join(dir, key[:2], "*.tmp-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("failed Put left temp files %v", left)
+	}
+}
+
 // TestCorruptEntryIsMiss: corrupted and truncated entry files are
 // discarded as misses (and removed), never a crash, and a fresh Put
 // repairs the slot.

@@ -161,22 +161,31 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 }
 
 // TestSubmitRejectsOverCapProcs: a spec asking a process-per-rank
-// backend for more processes than arch.MaxProcessProcs is a 400 whose
-// body names the cap, before anything is admitted.
+// backend for more processes than arch.MaxProcessProcs, or an in-process
+// backend for more than arch.MaxInProcessProcs, is a 400 whose body names
+// the cap, before anything is admitted. The in-process one would otherwise
+// ask for about 400 GB of inbox rings and kill the daemon.
 func TestSubmitRejectsOverCapProcs(t *testing.T) {
 	_, c := newService(t, serve.Config{})
-	body := `{"app":"poisson","size":1048576,"procs":1048576,"backend":"dist"}`
-	resp, err := http.Post(c.Base+"/runs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer resp.Body.Close()
-	msg, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status = %d, want 400 (body %s)", resp.StatusCode, msg)
-	}
-	if want := fmt.Sprintf("cap of %d", arch.MaxProcessProcs); !strings.Contains(string(msg), want) {
-		t.Errorf("body %q does not name the cap (want %q)", msg, want)
+	for _, tc := range []struct {
+		body string
+		cap  int
+	}{
+		{`{"app":"poisson","size":1048576,"procs":1048576,"backend":"dist"}`, arch.MaxProcessProcs},
+		{`{"app":"mergesort","procs":100000,"backend":"sim"}`, arch.MaxInProcessProcs},
+	} {
+		resp, err := http.Post(c.Base+"/runs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400 (body %s)", tc.body, resp.StatusCode, msg)
+		}
+		if want := fmt.Sprintf("cap of %d", tc.cap); !strings.Contains(string(msg), want) {
+			t.Errorf("%s: body %q does not name the cap (want %q)", tc.body, msg, want)
+		}
 	}
 }
 

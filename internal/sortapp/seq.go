@@ -9,8 +9,8 @@
 // given input, charged to a core.Meter, so the simulated times respond to
 // real algorithmic behaviour (e.g. presorted inputs are cheaper). For
 // MergeSort that is the textbook bottom-up formulation's count, although
-// the host sorts blocks of 16 with a merge network that performs other
-// comparisons.
+// the host sorts blocks of 16 with a merge network and cuts large lone
+// merges in two, which perform other comparisons.
 package sortapp
 
 import (
@@ -48,12 +48,13 @@ func putScratch(s []int32) {
 // The charged costs are exactly the textbook's: one comparison per element
 // emitted while both runs of a merge are live, and one move per element
 // per pass, for the passes of width 1, 2, 4, … below len(a). Only the host
-// algorithm differs, below width 16: each aligned block of 16 elements is
+// algorithm differs. Below width 16, each aligned block of 16 elements is
 // sorted by sort16, a merge network that yields the same sorted runs and
 // counts the textbook's comparisons without performing its merges. A
 // partial last block (all of a when it is shorter than 16) takes the
-// textbook's narrow passes, and the passes from width 16 up are the
-// textbook's.
+// textbook's narrow passes. The passes from width 16 up make the
+// textbook's merges, except that mergeLone cuts a pass's large odd merge
+// in two and counts its comparisons instead.
 func MergeSort(m core.Meter, a []int32) []int32 {
 	n := len(a)
 	out := make([]int32, n)
@@ -98,27 +99,20 @@ func MergeSort(m core.Meter, a []int32) []int32 {
 // mergePass is one textbook pass: it merges each pair of adjacent runs of
 // the given width in src into dst (len(dst) == len(src)) and returns the
 // comparisons performed. Adjacent merges within a pass are independent, so
-// running two at once overlaps their serial compare→advance→load chains —
-// the comparisons performed (and charged) are exactly those of merging
-// each pair alone.
+// mergePair runs them two at a time; the odd merge left at the end of a
+// pass, which is the whole of a sort's top pass, runs through mergeLone.
 func mergePass(dst, src []int32, width int) int64 {
 	n := len(src)
 	step := 2 * width
 	var cmps int64
 	lo := 0
 	for ; lo+step < n; lo += 2 * step {
-		hi1 := lo + step
-		lo2 := lo + step
-		mid2 := min(lo2+width, n)
-		hi2 := min(lo2+step, n)
-		cmps += mergePairInto(
-			dst[lo:hi1], src[lo:lo+width], src[lo+width:hi1],
-			dst[lo2:hi2], src[lo2:mid2], src[mid2:hi2])
+		mid1, lo2 := lo+width, lo+step
+		mid2, hi2 := min(lo2+width, n), min(lo2+step, n)
+		cmps += int64(mergePair(dst, src, lo, mid1, mid1, lo2, mid1, lo2, mid2, mid2, hi2, mid2))
 	}
-	for ; lo < n; lo += step {
-		mid := min(lo+width, n)
-		hi := min(lo+step, n)
-		cmps += mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+	if lo < n {
+		cmps += mergeLone(dst, src, lo, min(lo+width, n), n)
 	}
 	return cmps
 }
@@ -172,106 +166,140 @@ func sort16(dst, src *[16]int32) int64 {
 func ge(b, m int32) int64 { return 1 + (int64(b)-int64(m))>>63 }
 func gt(a, m int32) int64 { return int64(uint64(int64(m)-int64(a)) >> 63) }
 
-// mergeInto merges sorted runs a and b into dst (len(dst) == len(a)+len(b))
-// and returns the number of comparisons performed.
-//
-// The merge loop is written branchlessly: on random data the taken side
-// of a conditional merge is unpredictable, so the classic if/else form
-// spends most of its time in branch mispredictions. Selecting the smaller
-// head and advancing the cursors with conditional moves keeps the charged
-// comparison count identical (one comparison per emitted element while
-// both runs are live, exactly as before — the count is the loop trip
-// count, recovered as i+j on exit) while roughly halving the host cost.
-func mergeInto(dst, a, b []int32) int64 {
-	return mergeResume(dst, a, b, 0, 0, 0)
-}
+// splitMin is the smallest lone merge, in outputs, that mergeLone runs as
+// two halves. A pass has at most one lone merge, so the smaller ones are
+// a small share of a sort, and the cut's two binary searches are kept
+// to merges large enough that they are a small share of the merge.
+const splitMin = 4096
 
-// mergeResume runs the merge from cursor state (i into a, j into b, k into
-// dst) to completion and returns the total comparisons for the whole
-// merge (i+j when one run exhausts — each both-live iteration costs
-// exactly one comparison, wherever it was executed). Chunking by
-// min(remaining, remaining) lets the inner loop run with a single counter
-// because neither cursor can leave its run within the chunk.
-func mergeResume(dst, a, b []int32, i, j, k int) int64 {
-	for {
-		m := min(len(a)-i, len(b)-j)
-		if m == 0 {
-			break
-		}
-		for t := 0; t < m; t++ {
-			av, bv := a[i], b[j]
-			v := av
-			if bv < av {
-				v = bv
-			}
-			adv := 0
-			if bv < av {
-				adv = 1
-			}
-			dst[k] = v
-			k++
-			j += adv
-			i += 1 - adv
+// mergeLone merges the adjacent sorted runs src[lo:mid] and src[mid:hi]
+// into dst[lo:hi] and returns the textbook merge's comparisons. A lone
+// merge is latency-bound on its compare→advance→load chain, so from
+// splitMin outputs up it is cut at its output midpoint and the two halves
+// run as one interleaved pair. The cut is the stable co-rank: the first h
+// outputs are src[lo:lo+c] and src[mid:mid+h−c] for the c found by binary
+// search, ties going to the left run as the textbook's merge sends them.
+// The halves' loop trips are not the whole merge's comparisons, so the
+// count is sort16's rule instead: |A|+|B| − tail, where the tail is the
+// b ≥ max A if max A ≤ max B, else the a > max B.
+func mergeLone(dst, src []int32, lo, mid, hi int) int64 {
+	if hi-lo < splitMin || mid == lo || mid == hi {
+		return int64(mergeRest(dst, src, lo, mid, mid, hi, mid) - lo - mid)
+	}
+	h := (hi - lo) / 2
+	c0, c1 := max(0, h-(hi-mid)), min(h, mid-lo)
+	for c0 < c1 {
+		c := int(uint(c0+c1) >> 1)
+		if src[lo+c] <= src[mid+h-c-1] {
+			c0 = c + 1
+		} else {
+			c1 = c
 		}
 	}
-	cmps := int64(i + j)
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
-	return cmps
+	ia, jb := lo+c0, mid+h-c0
+	mergePair(dst, src, lo, ia, mid, jb, mid, ia, mid, jb, hi, mid)
+	var tail int
+	if maxA, maxB := src[mid-1], src[hi-1]; maxA <= maxB {
+		tail = hi - mid - sort.Search(hi-mid, func(k int) bool { return src[mid+k] >= maxA })
+	} else {
+		tail = mid - lo - sort.Search(mid-lo, func(k int) bool { return src[lo+k] > maxB })
+	}
+	return int64(hi - lo - tail)
 }
 
-// mergePairInto merges (a1,b1)→d1 and (a2,b2)→d2 — two independent merges
-// — in one interleaved loop. A lone merge is latency-bound on its
-// compare→advance→load chain; interleaving two lets the chains overlap.
-// The comparison count (and the merged output) is exactly the sum of the
-// two merges run alone.
-func mergePairInto(d1, a1, b1, d2, a2, b2 []int32) int64 {
-	i1, j1, k1 := 0, 0, 0
-	i2, j2, k2 := 0, 0, 0
+// mergePair runs two independent merges of src into dst in one loop. Each
+// merge is given by absolute cursors, i over its left run [i, e) and j
+// over its right run [j, f), and writes its output to dst[i+j−mid]: for a
+// whole merge mid is where its right run starts, and for either half of a
+// merge cut by mergeLone it is the whole merge's. A lone merge is
+// latency-bound on its compare→advance→load chain; interleaving two lets
+// the chains overlap. With one source, one destination and no per-merge
+// output counters, the loop's cursors stay in registers. It returns the
+// two merges' loop trips: each trip while both of a merge's runs are live
+// is one comparison.
+func mergePair(dst, src []int32, i1, e1, j1, f1, mid1, i2, e2, j2, f2, mid2 int) int {
+	start := i1 + j1 + i2 + j2
+	i1, j1, i2, j2 = mergeBoth(dst, src, i1, e1, j1, f1, mid1, i2, e2, j2, f2, mid2)
+	return mergeRest(dst, src, i1, e1, j1, f1, mid1) + mergeRest(dst, src, i2, e2, j2, f2, mid2) - start
+}
+
+// mergeBoth is mergePair's loop, which runs until one of the four runs is
+// used up and returns the four cursors. It calls nothing, so nothing
+// outside the loop's own state competes for its registers. Each merge
+// takes its step as one comparison whose flag both selects the output
+// and advances a cursor, so neither head is needed after the select.
+func mergeBoth(dst, src []int32, i1, e1, j1, f1, mid1, i2, e2, j2, f2, mid2 int) (int, int, int, int) {
+	dst = dst[:len(src)] // one length bounds every index
 	for {
-		m := min(min(len(a1)-i1, len(b1)-j1), min(len(a2)-i2, len(b2)-j2))
-		if m == 0 {
-			break
+		// Neither cursor of either merge can leave its run within t trips,
+		// so the inner loop runs on one counter.
+		t := min(e1-i1, f1-j1, e2-i2, f2-j2)
+		if t <= 0 {
+			return i1, j1, i2, j2
 		}
-		for t := 0; t < m; t++ {
-			av1, bv1 := a1[i1], b1[j1]
-			av2, bv2 := a2[i2], b2[j2]
-			v1 := av1
-			if bv1 < av1 {
-				v1 = bv1
+		for ; t > 0; t-- {
+			v1, b1 := src[i1], src[j1]
+			c1 := 0
+			if b1 < v1 {
+				c1 = 1
 			}
-			v2 := av2
-			if bv2 < av2 {
-				v2 = bv2
+			if c1 != 0 {
+				v1 = b1
 			}
-			adv1 := 0
-			if bv1 < av1 {
-				adv1 = 1
+			dst[i1+j1-mid1] = v1
+			i1 += 1 - c1
+			j1 += c1
+			v2, b2 := src[i2], src[j2]
+			c2 := 0
+			if b2 < v2 {
+				c2 = 1
 			}
-			adv2 := 0
-			if bv2 < av2 {
-				adv2 = 1
+			if c2 != 0 {
+				v2 = b2
 			}
-			d1[k1] = v1
-			d2[k2] = v2
-			k1++
-			k2++
-			j1 += adv1
-			i1 += 1 - adv1
-			j2 += adv2
-			i2 += 1 - adv2
+			dst[i2+j2-mid2] = v2
+			i2 += 1 - c2
+			j2 += c2
 		}
 	}
-	return mergeResume(d1, a1, b1, i1, j1, k1) + mergeResume(d2, a2, b2, i2, j2, k2)
 }
 
-// Merge merges two sorted slices into a new sorted slice, charging m.
+// mergeRest runs one merge, with mergePair's cursors, to its end and
+// returns i+j at the moment one of its runs is used up. The loop is
+// branchless: on random data the taken side of a conditional merge is
+// unpredictable, so the classic if/else form spends most of its time in
+// branch mispredictions, while selecting the smaller head and advancing
+// the cursors with conditional moves performs the same comparisons.
+func mergeRest(dst, src []int32, i, e, j, f, mid int) int {
+	for {
+		t := min(e-i, f-j)
+		if t <= 0 {
+			break
+		}
+		for ; t > 0; t-- {
+			v, b := src[i], src[j]
+			c := 0
+			if b < v {
+				c = 1
+			}
+			if c != 0 {
+				v = b
+			}
+			dst[i+j-mid] = v
+			i += 1 - c
+			j += c
+		}
+	}
+	k := i + j - mid
+	k += copy(dst[k:], src[i:e])
+	copy(dst[k:], src[j:f])
+	return i + j
+}
+
+// Merge merges two sorted slices into a new sorted slice, charging m. It
+// is KWayMerge of the two.
 func Merge(m core.Meter, a, b []int32) []int32 {
-	dst := make([]int32, len(a)+len(b))
-	cmps := mergeInto(dst, a, b)
-	m.Cmps(float64(cmps))
-	m.MemWords(float64(len(dst)) / 2)
-	return dst
+	return KWayMerge(m, [][]int32{a, b})
 }
 
 // QuickSort sorts a in place using median-of-three quicksort with an
@@ -347,90 +375,68 @@ func partition(a []int32, cmps *int64) int {
 // KWayMerge merges k sorted lists into one sorted slice through a
 // balanced tree of two-way merges: ⌈log2 k⌉ levels, each a pass of
 // independent branchless pair merges. It charges exactly the comparisons
-// it performs — at most one per element per level, i.e. ~log2(k) per
-// output element — and one element move per level, the honest cost of
-// the tree. (The previous binary-heap formulation probed both children at
-// every sift step, charging ~2·log2(k) comparisons per element, and its
-// data-dependent probe chain resisted the hardware; the tree halves the
-// charged comparisons and merges several times faster on the host.)
-// Output order is identical to the heap's: the merge is stable, with
-// ties broken by list index.
+// the tree's textbook merges perform — at most one per element per level,
+// i.e. ~log2(k) per output element — and one element move per merged
+// element per level, the honest cost of the tree. Ties are broken by list
+// index. One list is handed back as it is, but charged as the copy the
+// degenerate merge is.
+//
+// The host copies the lists side by side into one buffer first, so that
+// each level is a pass like MergeSort's over one source and one
+// destination: adjacent runs merge two at a time through mergePair, an odd
+// merge through mergeLone, and a trailing list with no partner is carried
+// over uncharged. The buffer is chosen so that the last level writes out.
 func KWayMerge(m core.Meter, lists [][]int32) []int32 {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	out := make([]int32, total)
-	var cmps, moves int64
 	if len(lists) <= 1 {
-		// The merge degenerates to a copy.
-		if len(lists) == 1 {
-			copy(out, lists[0])
-		}
 		m.Cmps(0)
 		m.MemWords(float64(total) / 2)
-		return out
-	}
-	cur := make([][]int32, len(lists))
-	copy(cur, lists)
-	// Two scratch arenas alternate between levels; the final level merges
-	// straight into out. Every list occupies the subrange of an arena
-	// matching its global element range (offsets are cumulative lengths
-	// and element order never changes), so a level's writes — which cover
-	// exactly the element ranges of the lists it merges — can never
-	// clobber a list carried over from an earlier level: the carry is
-	// always the trailing list, disjoint from every merged range. When an
-	// arena-resident carry is finally merged as the second operand of a
-	// pair, its storage tail-aligns with the destination range; a forward
-	// merge is safe in that layout because each iteration reads both run
-	// heads before it stores, and the store index never passes the unread
-	// second-run cursor.
-	var arenas [2][]int32
-	ai := 0
-	for len(cur) > 1 {
-		var dst []int32
-		if len(cur) <= 2 {
-			dst = out
-		} else {
-			if arenas[ai] == nil {
-				arenas[ai] = getScratch(total)
-			}
-			dst = arenas[ai]
-			ai ^= 1
+		if len(lists) == 1 {
+			return lists[0]
 		}
-		next := make([][]int32, 0, (len(cur)+1)/2)
-		off := 0
+		return []int32{}
+	}
+	out := make([]int32, total)
+	buf := getScratch(total)
+	defer putScratch(buf)
+	src, dst := out, buf
+	if bits.Len(uint(len(lists)-1))%2 == 1 {
+		src, dst = buf, out
+	}
+	// runs holds the k+1 boundaries of the k sorted runs in src.
+	runs := make([]int, 0, len(lists)+1)
+	off := 0
+	for _, l := range lists {
+		runs = append(runs, off)
+		off += copy(src[off:], l)
+	}
+	runs = append(runs, off)
+	var cmps, moves int64
+	for len(runs) > 2 {
+		k := len(runs) - 1 // runs at this level
 		p := 0
-		// Adjacent pair merges are independent: run them two at a time so
-		// their latency chains overlap, exactly as MergeSort's passes do.
-		for ; p+3 < len(cur); p += 4 {
-			a1, b1 := cur[p], cur[p+1]
-			a2, b2 := cur[p+2], cur[p+3]
-			n1, n2 := len(a1)+len(b1), len(a2)+len(b2)
-			d1 := dst[off : off+n1]
-			d2 := dst[off+n1 : off+n1+n2]
-			cmps += mergePairInto(d1, a1, b1, d2, a2, b2)
-			next = append(next, d1, d2)
-			off += n1 + n2
+		for ; p+3 < k; p += 4 {
+			cmps += int64(mergePair(dst, src, runs[p], runs[p+1], runs[p+1], runs[p+2], runs[p+1],
+				runs[p+2], runs[p+3], runs[p+3], runs[p+4], runs[p+3]))
 		}
-		for ; p+1 < len(cur); p += 2 {
-			a, b := cur[p], cur[p+1]
-			n := len(a) + len(b)
-			d := dst[off : off+n]
-			cmps += mergeInto(d, a, b)
-			next = append(next, d)
-			off += n
+		if p+1 < k {
+			cmps += mergeLone(dst, src, runs[p], runs[p+1], runs[p+2])
+			p += 2
 		}
-		moves += int64(off)
-		if p < len(cur) {
-			next = append(next, cur[p])
+		moves += int64(runs[p])
+		if p < k {
+			copy(dst[runs[p]:], src[runs[p]:runs[k]])
 		}
-		cur = next
-	}
-	for i := range arenas {
-		if arenas[i] != nil {
-			putScratch(arenas[i])
+		// The merged pairs' outer boundaries are the next level's runs.
+		next := runs[:0]
+		for q := 0; q < k; q += 2 {
+			next = append(next, runs[q])
 		}
+		runs = append(next, runs[k])
+		src, dst = dst, src
 	}
 	m.Cmps(float64(cmps))
 	m.MemWords(float64(moves) / 2)

@@ -335,64 +335,126 @@ func TestMergeSortMatchesTextbook(t *testing.T) {
 	}
 }
 
-// textbookMergeSort is MergeSort as it stood before the merge network:
-// the textbook's bottom-up passes from width 1, each merge charging the
-// comparisons it performs. It is the oracle for MergeSort's output and
-// charges.
+// textbookMergeSort is the textbook's bottom-up mergesort: passes of width
+// 1, 2, 4, … below len(a), each merge charging the comparisons it performs.
+// It is the oracle for MergeSort's output and charges, and shares no code
+// with MergeSort's kernels.
 func textbookMergeSort(m core.Meter, a []int32) []int32 {
 	n := len(a)
-	out := make([]int32, n)
+	src, dst := slices.Clone(a), make([]int32, n)
 	if n < 2 {
-		copy(out, a)
-		return out
+		return src
 	}
-	buf := getScratch(n)
-	defer putScratch(buf)
 	var cmps, moves int64
-	// Width-1 pass, straight off the input: each pair costs exactly the
-	// one comparison mergeInto would charge for it; an odd tail element
-	// is carried over comparison-free.
-	for lo := 0; lo+1 < n; lo += 2 {
-		x, y := a[lo], a[lo+1]
-		if y < x {
-			x, y = y, x
-		}
-		buf[lo], buf[lo+1] = x, y
-	}
-	if n%2 == 1 {
-		buf[n-1] = a[n-1]
-	}
-	cmps += int64(n / 2)
-	moves += int64(n)
-	src, dst := buf, out
-	for width := 2; width < n; width *= 2 {
-		step := 2 * width
-		// Adjacent merges within a pass are independent, so running two
-		// at once overlaps their serial compare→advance→load chains —
-		// the comparisons performed (and charged) are exactly those of
-		// merging each pair alone.
-		lo := 0
-		for ; lo+step < n; lo += 2 * step {
-			hi1 := lo + step
-			lo2 := lo + step
-			mid2 := min(lo2+width, n)
-			hi2 := min(lo2+step, n)
-			cmps += mergePairInto(
-				dst[lo:hi1], src[lo:lo+width], src[lo+width:hi1],
-				dst[lo2:hi2], src[lo2:mid2], src[mid2:hi2])
-		}
-		for ; lo < n; lo += step {
-			mid := min(lo+width, n)
-			hi := min(lo+step, n)
-			cmps += mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
+	for width := 1; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			cmps += textbookMerge(dst[lo:hi], src[lo:mid], src[mid:hi])
 		}
 		moves += int64(n)
 		src, dst = dst, src
 	}
 	m.Cmps(float64(cmps))
 	m.MemWords(float64(moves) / 2) // int32: two elements per word
-	if &src[0] != &out[0] {
-		copy(out, src)
+	return src
+}
+
+// textbookMerge is the textbook's stable merge of sorted runs a and b into
+// dst: one comparison per element emitted while both runs are live, ties
+// to a. It returns the comparisons.
+func textbookMerge(dst, a, b []int32) int64 {
+	var i, j, k int
+	var cmps int64
+	for i < len(a) && j < len(b) {
+		cmps++
+		if b[j] < a[i] {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
 	}
-	return out
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
+	return cmps
+}
+
+// TestKWayMergeMatchesTextbook holds KWayMerge to a textbook tree merge's
+// output and exact charges: list counts 0 to 9, list lengths on both sides
+// of splitMin, so that two-list merges run both whole and cut in two, and
+// lists whose values tie within and across lists or hold the int32
+// extremes.
+func TestKWayMergeMatchesTextbook(t *testing.T) {
+	extremes := []int32{math.MinInt32, math.MaxInt32, math.MinInt32 + 1, math.MaxInt32 - 1, 0, -1}
+	lengths := []int{0, 1, 2, 17, splitMin/2 - 1, splitMin / 2, splitMin/2 + 1, splitMin - 1, splitMin, splitMin + 1, 3*splitMin + 5}
+	values := []struct {
+		name string
+		gen  func(rng *rand.Rand) int32
+	}{
+		{"random", func(rng *rand.Rand) int32 { return int32(rng.Uint32()) }},
+		{"mod-7", func(rng *rand.Rand) int32 { return int32(rng.Intn(7)) }},
+		{"all-equal", func(rng *rand.Rand) int32 { return 3 }},
+		{"extremes", func(rng *rand.Rand) int32 { return extremes[rng.Intn(len(extremes))] }},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, v := range values {
+		for k := 0; k <= 9; k++ {
+			for trial := 0; trial < 4; trial++ {
+				lists := make([][]int32, k)
+				for i := range lists {
+					l := make([]int32, lengths[rng.Intn(len(lengths))])
+					for j := range l {
+						l[j] = v.gen(rng)
+					}
+					slices.Sort(l)
+					lists[i] = l
+				}
+				var got, want chargeLog
+				gotOut := KWayMerge(&got, lists)
+				wantOut := textbookKWayMerge(&want, lists)
+				if !slices.Equal(gotOut, wantOut) {
+					t.Fatalf("%s k=%d trial %d: output differs from the textbook's", v.name, k, trial)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s k=%d trial %d: charges %v, textbook %v", v.name, k, trial, got, want)
+				}
+			}
+		}
+	}
+}
+
+// textbookKWayMerge is the textbook's balanced tree of two-way merges:
+// each level merges adjacent lists with textbookMerge, carries a trailing
+// list with no partner uncharged, and charges one move per merged element.
+// Fewer than two lists are charged as a copy.
+func textbookKWayMerge(m core.Meter, lists [][]int32) []int32 {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	if len(lists) <= 1 {
+		m.Cmps(0)
+		m.MemWords(float64(total) / 2)
+		return slices.Concat(lists...)
+	}
+	var cmps, moves int64
+	for len(lists) > 1 {
+		var next [][]int32
+		for p := 0; p < len(lists); p += 2 {
+			if p+1 == len(lists) {
+				next = append(next, lists[p])
+				break
+			}
+			d := make([]int32, len(lists[p])+len(lists[p+1]))
+			cmps += textbookMerge(d, lists[p], lists[p+1])
+			moves += int64(len(d))
+			next = append(next, d)
+		}
+		lists = next
+	}
+	m.Cmps(float64(cmps))
+	m.MemWords(float64(moves) / 2)
+	return lists[0]
 }
