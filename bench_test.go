@@ -1,14 +1,18 @@
 package repro
 
 import (
+	"context"
 	"sort"
 	"testing"
 
+	"repro/arch"
+	"repro/internal/backend"
 	"repro/internal/bnb"
 	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/hostbench"
 	"repro/internal/machine"
+	"repro/internal/poisson"
 	"repro/internal/sortapp"
 	"repro/internal/spmd"
 )
@@ -226,6 +230,22 @@ func BenchmarkRealPingPong(b *testing.B) { hostbench.BenchRealPingPong(b) }
 // per rank between them): the wake-up rung of the cost ladder in
 // EXPERIMENTS.md, where RealPingPong is the same-processor hand-off.
 func BenchmarkRealWakeup(b *testing.B) { hostbench.BenchRealWakeup(b) }
+
+// BenchmarkSimHaloExchange16 is the park path's guard: poisson@17 on a
+// 16-rank sim world, the shape of archserve's cold requests. A sim world
+// never spins, so each of its 70,512 messages a solve is a receive that
+// may park and a send that may wake it. RealWakeup at -cpu 1 is the same
+// guard on the wall-clock backend.
+func BenchmarkSimHaloExchange16(b *testing.B) {
+	pr := poisson.Manufactured(17, 17, 1e-7, 20000)
+	s := arch.NewSettings(arch.WithProcs(16), arch.WithBackend(backend.Sim()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := arch.RunWith(context.Background(), poisson.Program(), s, pr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // --- Distributed-backend micros: the same fabric measurements with every
 // message crossing OS-process boundaries over loopback TCP. Worker

@@ -145,16 +145,15 @@ func TestFabricResetClearsState(t *testing.T) {
 	f.reset()
 	for d := range f.inboxes {
 		ib := &f.inboxes[d]
-		if ib.pending != 0 || ib.arrivals.Load() != 0 {
-			t.Fatalf("inbox %d not reset: pending %d, arrivals %d", d, ib.pending, ib.arrivals.Load())
+		if ib.ready(-1) || ib.arrivals.Load() != 0 {
+			t.Fatalf("inbox %d not reset: ready %v, arrivals %d", d, ib.ready(-1), ib.arrivals.Load())
 		}
-		for s := range ib.q {
-			if ib.q[s].n != 0 {
-				t.Fatalf("queue %d->%d not reset", s, d)
-			}
-			for i := range ib.q[s].buf {
-				if ib.q[s].buf[i].m.data != nil {
-					t.Fatalf("queue %d->%d ring still references payload %v", s, d, ib.q[s].buf[i].m.data)
+		for s := range ib.out {
+			for sg := ib.out[s].seg.Load(); sg != nil; sg = sg.next.Load() {
+				for i := range sg.slot {
+					if sl := &sg.slot[i]; sl.at.Load() != 0 || sl.m.data != nil {
+						t.Fatalf("queue %d->%d slot %d still holds stamp %d, payload %v", s, d, i, sl.at.Load(), sl.m.data)
+					}
 				}
 			}
 		}
@@ -196,9 +195,7 @@ func stressRanks(t *testing.T, mb *mailbox, rank func(r int) error) {
 			var state []string
 			for d := range mb.f.inboxes {
 				ib := &mb.f.inboxes[d]
-				ib.mu.Lock()
-				state = append(state, fmt.Sprintf("inbox %d: pending %d waiting %v parks %d", d, ib.pending, ib.waiting, ib.parks))
-				ib.mu.Unlock()
+				state = append(state, fmt.Sprintf("inbox %d: arrivals %d waiting %v parks %d", d, ib.arrivals.Load(), ib.waiting.Load(), ib.parks))
 			}
 			t.Fatalf("ranks still blocked after 2m (lost wake-up?): %s", strings.Join(state, "; "))
 		}
@@ -277,8 +274,8 @@ func TestNoLostWakeupPopAny(t *testing.T) {
 			return nil
 		})
 		for d := range mb.f.inboxes {
-			if p := mb.f.inboxes[d].pending; p != 0 {
-				t.Errorf("inbox %d left %d messages undrained", d, p)
+			if src, m, ok := mb.f.inboxes[d].PopAny(); ok {
+				t.Errorf("inbox %d left message %v from %d undrained", d, m.data, src)
 			}
 		}
 		mb.release()
@@ -342,18 +339,16 @@ func blockedPop(mb *mailbox, anySrc bool) <-chan any {
 }
 
 // TestOversizedWorldParksAtOnce: in a world larger than its processors a
-// consumer that finds its queue empty goes straight to cond.Wait — the
-// first thing the test can observe is the parked state — and the park is
-// counted and reaches a traced run's summary.
+// consumer that finds its queue empty goes straight to the park — the
+// first thing the test can observe is it asleep in wake.Wait — and the
+// park is counted and reaches a traced run's summary.
 func TestOversizedWorldParksAtOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	mb := newMailbox(context.Background(), 4, true)
 	got := blockedPop(mb, false)
-	ib := &mb.f.inboxes[0]
-	for parked := false; !parked; runtime.Gosched() {
-		ib.mu.Lock()
-		parked = ib.waiting
-		ib.mu.Unlock()
+	buf := make([]byte, 1<<20)
+	for !parkedInWait(buf[:runtime.Stack(buf, true)]) {
+		runtime.Gosched()
 	}
 	mb.push(1, 0, message{tag: 1, data: "late"})
 	if v := <-got; v != "late" {
@@ -367,6 +362,17 @@ func TestOversizedWorldParksAtOnce(t *testing.T) {
 		}
 	}
 	mb.release()
+}
+
+// parkedInWait reports whether a goroutine dump shows one goroutine asleep
+// on a cond inside mailbox.wait.
+func parkedInWait(dump []byte) bool {
+	for _, g := range strings.Split(string(dump), "\n\n") {
+		if strings.Contains(g, "[sync.Cond.Wait") && strings.Contains(g, "(*mailbox).wait") {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSpinCatchesArrivalWithoutParking: with the budget made endless the
@@ -413,9 +419,9 @@ func TestCancellationWhileSpinning(t *testing.T) {
 		mb.release()
 		for d := range f.inboxes {
 			ib := &f.inboxes[d]
-			if ib.arrivals.Load() != 0 || ib.parks != 0 || ib.pending != 0 || ib.waiting {
-				t.Fatalf("popAny=%v: inbox %d pooled dirty: arrivals %d parks %d pending %d waiting %v",
-					anySrc, d, ib.arrivals.Load(), ib.parks, ib.pending, ib.waiting)
+			if ib.arrivals.Load() != 0 || ib.parks != 0 || ib.ready(-1) || ib.waiting.Load() {
+				t.Fatalf("popAny=%v: inbox %d pooled dirty: arrivals %d parks %d ready %v waiting %v",
+					anySrc, d, ib.arrivals.Load(), ib.parks, ib.ready(-1), ib.waiting.Load())
 			}
 		}
 	}

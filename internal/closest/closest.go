@@ -16,6 +16,7 @@ package closest
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/collective"
@@ -87,6 +88,17 @@ func BruteForce(pts []Pt) Pair {
 	return best
 }
 
+// byXY orders points by x, then y: -1 exactly when a sorts before b.
+func byXY(a, b Pt) int {
+	switch {
+	case a.X < b.X, a.X == b.X && a.Y < b.Y:
+		return -1
+	case a.X == b.X && a.Y == b.Y:
+		return 0
+	}
+	return 1
+}
+
 // DivideAndConquer returns the closest pair in O(n log n), charging m.
 // Inputs with fewer than two points return an invalid pair.
 func DivideAndConquer(m core.Meter, pts []Pt) Pair {
@@ -95,12 +107,7 @@ func DivideAndConquer(m core.Meter, pts []Pt) Pair {
 	}
 	byX := make([]Pt, len(pts))
 	copy(byX, pts)
-	sort.Slice(byX, func(i, j int) bool {
-		if byX[i].X != byX[j].X {
-			return byX[i].X < byX[j].X
-		}
-		return byX[i].Y < byX[j].Y
-	})
+	slices.SortFunc(byX, byXY)
 	m.Cmps(float64(len(pts)) * math.Log2(float64(len(pts))+2))
 	var flops float64
 	best, _ := rec(byX, &flops)
@@ -117,7 +124,15 @@ func rec(byX []Pt, flops *float64) (Pair, []Pt) {
 		*flops += float64(n * n * 4)
 		byY := make([]Pt, n)
 		copy(byY, byX)
-		sort.Slice(byY, func(i, j int) bool { return byY[i].Y < byY[j].Y })
+		slices.SortFunc(byY, func(a, b Pt) int {
+			switch {
+			case a.Y < b.Y:
+				return -1
+			case a.Y == b.Y:
+				return 0
+			}
+			return 1
+		})
 		return best, byY
 	}
 	mid := n / 2

@@ -13,7 +13,7 @@ package hull
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/collective"
 	"repro/internal/core"
@@ -39,6 +39,17 @@ func cross(o, a, b Pt) float64 {
 	return (a.X-o.X)*(b.Y-o.Y) - (a.Y-o.Y)*(b.X-o.X)
 }
 
+// byXY orders points by x, then y: -1 exactly when a sorts before b.
+func byXY(a, b Pt) int {
+	switch {
+	case a.X < b.X, a.X == b.X && a.Y < b.Y:
+		return -1
+	case a.X == b.X && a.Y == b.Y:
+		return 0
+	}
+	return 1
+}
+
 // MonotoneChain returns the convex hull of pts in counter-clockwise order
 // starting from the lexicographically smallest point, excluding collinear
 // interior points. The input is not modified. Degenerate inputs (fewer
@@ -50,12 +61,7 @@ func MonotoneChain(m core.Meter, pts []Pt) Pts {
 	}
 	ps := make(Pts, n)
 	copy(ps, pts)
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].X != ps[j].X {
-			return ps[i].X < ps[j].X
-		}
-		return ps[i].Y < ps[j].Y
-	})
+	slices.SortFunc(ps, byXY)
 	// Dedupe.
 	uniq := ps[:1]
 	for _, p := range ps[1:] {

@@ -28,17 +28,18 @@ import (
 // sorts 16 blocks per run.
 var scratchPool sync.Pool
 
-func getScratch(n int) []int32 {
+func getScratch(n int) *[]int32 {
 	if v := scratchPool.Get(); v != nil {
-		if s := v.(*[]int32); cap(*s) >= n {
-			return (*s)[:n]
+		s := v.(*[]int32)
+		if cap(*s) >= n {
+			*s = (*s)[:n]
+			return s
 		}
+		*s = make([]int32, n) // keep the larger buffer in the pool
+		return s
 	}
-	return make([]int32, n)
-}
-
-func putScratch(s []int32) {
-	scratchPool.Put(&s)
+	s := make([]int32, n)
+	return &s
 }
 
 // MergeSort sorts a into a new slice using bottom-up mergesort — the
@@ -62,8 +63,9 @@ func MergeSort(m core.Meter, a []int32) []int32 {
 		copy(out, a)
 		return out
 	}
-	buf := getScratch(n)
-	defer putScratch(buf)
+	scratch := getScratch(n)
+	defer scratchPool.Put(scratch)
+	buf := *scratch
 	passes := bits.Len(uint(n - 1)) // widths 1, 2, 4, … below n
 	// The narrow stage writes where the passes from width 16 up must start
 	// for the last of them to write out.
@@ -400,8 +402,9 @@ func KWayMerge(m core.Meter, lists [][]int32) []int32 {
 		return []int32{}
 	}
 	out := make([]int32, total)
-	buf := getScratch(total)
-	defer putScratch(buf)
+	scratch := getScratch(total)
+	defer scratchPool.Put(scratch)
+	buf := *scratch
 	src, dst := out, buf
 	if bits.Len(uint(len(lists)-1))%2 == 1 {
 		src, dst = buf, out
