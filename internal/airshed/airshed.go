@@ -249,31 +249,54 @@ func fillOpen(g *meshspectral.Grid2D[Conc], nx, ny int) {
 	}
 }
 
-// Step advances one operator-split time step.
+// Step advances one operator-split time step. Each operator is one grid
+// operation: a view of the owned block and its ring in the current and the
+// next concentration grid (they share layout and halo, so their strides
+// and offsets agree), the operator's row kernel on every owned row, and
+// its flops charged once, after the rows, on a rank that owns a point.
 func (s *Sim) Step() {
 	pm := s.Pm
 	k := pm.coef()
+	p := s.C.Proc()
+	x0, x1 := s.C.OwnedX()
+	y0, y1 := s.C.OwnedY()
+	n, pts := y1-y0, float64((x1-x0)*(y1-y0))
 
 	// Advection.
 	s.C.ExchangeBoundary()
 	fillOpen(s.C, pm.NX, pm.NY)
-	s.work.Assign(advectFlops, func(gi, y0, y1 int, out []Conc) {
-		pm.advectRow(k, out, s.C.RowSpan(gi-1, y0, y1), s.C.RowSpan(gi, y0-1, y1+1), s.C.RowSpan(gi+1, y0, y1), gi, y0)
-	})
+	if pts > 0 {
+		c, st, off := s.C.View(x0, x1, y0, y1)
+		out, _, _ := s.work.View(x0, x1, y0, y1)
+		for gi, r := x0, off; gi < x1; gi, r = gi+1, r+st {
+			pm.advectRow(k, out[r:r+n], c[r-st:], c[r-1:], c[r+st:], gi, y0)
+		}
+		p.Flops(advectFlops * pts)
+	}
 	s.C, s.work = s.work, s.C
 
 	// Diffusion.
 	s.C.ExchangeBoundary()
 	fillOpen(s.C, pm.NX, pm.NY)
-	s.work.Assign(diffuseFlops, func(gi, y0, y1 int, out []Conc) {
-		diffuseRow(k, out, s.C.RowSpan(gi-1, y0, y1), s.C.RowSpan(gi, y0-1, y1+1), s.C.RowSpan(gi+1, y0, y1))
-	})
+	if pts > 0 {
+		c, st, off := s.C.View(x0, x1, y0, y1)
+		out, _, _ := s.work.View(x0, x1, y0, y1)
+		for r := off; r < off+(x1-x0)*st; r += st {
+			diffuseRow(k, out[r:r+n], c[r-st:], c[r-1:], c[r+st:])
+		}
+		p.Flops(diffuseFlops * pts)
+	}
 	s.C, s.work = s.work, s.C
 
 	// Chemistry and emissions (point-local; no exchange needed).
-	s.work.Assign(reactFlops, func(gi, y0, y1 int, out []Conc) {
-		pm.reactRow(k, out, s.C.RowSpan(gi, y0, y1), gi, y0)
-	})
+	if pts > 0 {
+		c, st, off := s.C.View(x0, x1, y0, y1)
+		out, _, _ := s.work.View(x0, x1, y0, y1)
+		for gi, r := x0, off; gi < x1; gi, r = gi+1, r+st {
+			pm.reactRow(k, out[r:r+n], c[r:], gi, y0)
+		}
+		p.Flops(reactFlops * pts)
+	}
 	s.C, s.work = s.work, s.C
 }
 

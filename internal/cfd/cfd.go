@@ -224,10 +224,13 @@ func (s *Sim) Step() float64 {
 	dt := s.Pm.CFL / s.dtGlob.SetReduced(localMax, math.Max)
 
 	dtdx, dtdy := dt/s.dx, dt/s.dy
-	s.unew.Assign(flopsPerPoint, func(gi, _, _ int, out []Cell) {
-		r := off + (gi-x0)*st
-		updateRow(out, u[r-st:], u[r-1:], u[r+st:], s.fx[r-st:], s.fy[r-1:], s.fx[r+st:], dtdx, dtdy)
-	})
+	if owned := (x1 - x0) * n; owned > 0 {
+		out, _, _ := s.unew.View(x0, x1, y0, y1)
+		for r := off; r < end; r += st {
+			updateRow(out[r:r+n], u[r-st:], u[r-1:], u[r+st:], s.fx[r-st:], s.fy[r-1:], s.fx[r+st:], dtdx, dtdy)
+		}
+		p.Flops(flopsPerPoint * float64(owned))
+	}
 	s.U, s.unew = s.unew, s.U
 	return dt
 }

@@ -109,59 +109,67 @@ func DivideAndConquer(m core.Meter, pts []Pt) Pair {
 	copy(byX, pts)
 	slices.SortFunc(byX, byXY)
 	m.Cmps(float64(len(pts)) * math.Log2(float64(len(pts))+2))
+	// The recursion merges y orders between the two halves of buf, level
+	// by level, so nothing else is allocated.
+	buf := make([]Pt, 2*len(pts))
 	var flops float64
-	best, _ := rec(byX, &flops)
+	best := rec(byX, buf[:len(pts)], buf[len(pts):], &flops)
 	m.Flops(flops)
 	return best
 }
 
-// rec returns the closest pair within byX (sorted by x) and the same
-// points sorted by y.
-func rec(byX []Pt, flops *float64) (Pair, []Pt) {
+// byY orders points by y alone: 0 on equal y.
+func byY(a, b Pt) int {
+	switch {
+	case a.Y < b.Y:
+		return -1
+	case a.Y == b.Y:
+		return 0
+	}
+	return 1
+}
+
+// rec returns the closest pair within byX (sorted by x) and writes the
+// same points sorted by y into y. tmp, as long as y, is its scratch: the
+// halves sort into tmp, using y as theirs, and merge from there into y.
+// After the merge, tmp holds the strip.
+func rec(byX, y, tmp []Pt, flops *float64) Pair {
 	n := len(byX)
 	if n <= 3 {
 		best := BruteForce(byX)
 		*flops += float64(n * n * 4)
-		byY := make([]Pt, n)
-		copy(byY, byX)
-		slices.SortFunc(byY, func(a, b Pt) int {
-			switch {
-			case a.Y < b.Y:
-				return -1
-			case a.Y == b.Y:
-				return 0
-			}
-			return 1
-		})
-		return best, byY
+		copy(y, byX)
+		slices.SortFunc(y, byY)
+		return best
 	}
 	mid := n / 2
 	midX := byX[mid].X
-	left, leftY := rec(byX[:mid], flops)
-	right, rightY := rec(byX[mid:], flops)
+	left := rec(byX[:mid], tmp[:mid], y[:mid], flops)
+	right := rec(byX[mid:], tmp[mid:], y[mid:], flops)
 	best := better(left, right)
 
-	// Merge by y.
-	merged := make([]Pt, 0, n)
-	i, j := 0, 0
+	// Merge by y, stably: on equal y the left half's point comes first.
+	leftY, rightY := tmp[:mid], tmp[mid:]
+	i, j, k := 0, 0, 0
 	for i < len(leftY) && j < len(rightY) {
 		if leftY[i].Y <= rightY[j].Y {
-			merged = append(merged, leftY[i])
+			y[k] = leftY[i]
 			i++
 		} else {
-			merged = append(merged, rightY[j])
+			y[k] = rightY[j]
 			j++
 		}
+		k++
 	}
-	merged = append(merged, leftY[i:]...)
-	merged = append(merged, rightY[j:]...)
+	k += copy(y[k:], leftY[i:])
+	copy(y[k:], rightY[j:])
 	*flops += float64(n)
 
 	// Strip check: points within sqrt(best) of the split line, in y
 	// order; each needs comparing with at most the next 7.
 	d := math.Sqrt(best.Dist2)
-	strip := make([]Pt, 0, 16)
-	for _, p := range merged {
+	strip := tmp[:0]
+	for _, p := range y {
 		if math.Abs(p.X-midX) < d {
 			strip = append(strip, p)
 		}
@@ -175,7 +183,7 @@ func rec(byX []Pt, flops *float64) (Pair, []Pt) {
 			*flops += 6
 		}
 	}
-	return best, merged
+	return best
 }
 
 // samplesPerProc is the x-sample count per process for splitter planning.

@@ -107,8 +107,9 @@ func curlERow(e, h, hxm, hym []Vec3, s float64) {
 	}
 }
 
-// addEnergy returns sum plus Σ(E²+H²) over one pencil, adding point by
-// point so that a scan in pencils rounds exactly like a flat one.
+// addEnergy returns sum plus Σ(E²+H²) over es and hs, adding point by
+// point in storage order: both versions scan their points flat, the SPMD
+// one its owned planes, so they round alike.
 func addEnergy(sum float64, es, hs []Vec3) float64 {
 	hs = hs[:len(es)]
 	for k, e := range es {
@@ -136,23 +137,44 @@ func NewSPMD(p spmd.Comm, pm Params) *Sim {
 	return s
 }
 
-// Step advances one Yee time step.
+// Step advances one Yee time step. Each half-step is one grid operation
+// over its region clipped to the owned slab: a view of the region's planes
+// and their ring in both fields (they share shape and halo, so their
+// strides and offsets agree), the curl kernel on every k-pencil, and the
+// flops charged once, after the pencils, on a rank whose clipped region
+// holds a point.
 func (s *Sim) Step() {
 	n := s.Pm.N
 	cdt := s.Pm.Courant
+	p := s.E.Proc()
+	ox0, ox1 := s.E.OwnedX()
 
-	// Half-step 1: H from curl E. Needs E at +1 in each axis.
+	// Half-step 1: H from curl E on [0, n-1)³. Needs E at +1 in each axis.
 	s.E.ExchangeBoundary()
-	s.H.AssignRegion(0, n-1, 0, n-1, 0, n-1, updateFlops, func(gi, gj, z0, z1 int, out []Vec3) {
-		curlHRow(out, s.E.Pencil(gi, gj, z0, z1+1), s.E.Pencil(gi+1, gj, z0, z1), s.E.Pencil(gi, gj+1, z0, z1), cdt)
-	})
+	if x0, x1 := ox0, min(ox1, n-1); x1 > x0 {
+		e, plane, row, off := s.E.View(x0, x1)
+		h, _, _, _ := s.H.View(x0, x1)
+		for i := off; i < off+(x1-x0)*plane; i += plane {
+			for r := i; r < i+(n-1)*row; r += row {
+				curlHRow(h[r:r+n-1], e[r:], e[r+plane:], e[r+row:], cdt)
+			}
+		}
+		p.Flops(updateFlops * float64((x1-x0)*(n-1)*(n-1)))
+	}
 
-	// Half-step 2: E from curl H on the interior (tangential E at the
-	// cavity walls stays zero — PEC boundary). Needs H at -1.
+	// Half-step 2: E from curl H on [1, n-1)³ (tangential E at the cavity
+	// walls stays zero — PEC boundary). Needs H at -1.
 	s.H.ExchangeBoundary()
-	s.E.AssignRegion(1, n-1, 1, n-1, 1, n-1, updateFlops, func(gi, gj, z0, z1 int, out []Vec3) {
-		curlERow(out, s.H.Pencil(gi, gj, z0-1, z1), s.H.Pencil(gi-1, gj, z0, z1), s.H.Pencil(gi, gj-1, z0, z1), cdt)
-	})
+	if x0, x1 := max(ox0, 1), min(ox1, n-1); x1 > x0 {
+		h, plane, row, off := s.H.View(x0, x1)
+		e, _, _, _ := s.E.View(x0, x1)
+		for i := off; i < off+(x1-x0)*plane; i += plane {
+			for r := i + row + 1; r < i+(n-1)*row; r += row {
+				curlERow(e[r:r+n-2], h[r-1:], h[r-plane:], h[r-row:], cdt)
+			}
+		}
+		p.Flops(updateFlops * float64((x1-x0)*(n-2)*(n-2)))
+	}
 }
 
 // Run advances n steps.
@@ -168,14 +190,12 @@ func (s *Sim) Run(n int) {
 func (s *Sim) Energy() float64 {
 	x0, x1 := s.E.OwnedX()
 	n := s.Pm.N
-	local := 0.0
-	for gi := x0; gi < x1; gi++ {
-		for j := 0; j < n; j++ {
-			local = addEnergy(local, s.E.Pencil(gi, j, 0, n), s.H.Pencil(gi, j, 0, n))
-		}
-	}
+	e, plane, _, off := s.E.View(x0, x1)
+	h, _, _, _ := s.H.View(x0, x1)
+	end := off + (x1-x0)*plane
+	local := addEnergy(0, e[off:end], h[off:end])
 	p := s.E.Proc()
-	p.Flops(6 * float64((x1-x0)*s.Pm.N*s.Pm.N))
+	p.Flops(6 * float64((x1-x0)*n*n))
 	return 0.5 * collective.AllReduce(p, local, func(a, b float64) float64 { return a + b })
 }
 

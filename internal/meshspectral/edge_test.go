@@ -3,6 +3,7 @@ package meshspectral
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -24,11 +25,16 @@ func TestEmptyLocalSections(t *testing.T) {
 			t.Errorf("rank %d owns %d rows of a 2-row grid over 4 procs", p.Rank(), x1-x0)
 		}
 		g.ExchangeBoundary() // must not deadlock or panic
-		g.Assign(1, func(gi, y0, y1 int, out []float64) {
-			for k := range out {
-				out[k] = val(gi, y0+k) + 1
+		// On a rank that owns no row the view holds only the ring, and
+		// the loop walks no row.
+		y0, y1 := g.OwnedY()
+		data, stride, off := g.View(x0, x1, y0, y1)
+		for gi, r := x0, off; gi < x1; gi, r = gi+1, r+stride {
+			row := data[r : r+y1-y0]
+			for k := range row {
+				row[k] = val(gi, y0+k) + 1
 			}
-		})
+		}
 		full := GatherGrid(g, 0)
 		if p.Rank() == 0 {
 			for i := 0; i < nx; i++ {
@@ -151,16 +157,24 @@ func TestGrid3DEmptySlabs(t *testing.T) {
 	})
 }
 
+// TestInteriorOnEmptySection: on a rank that owns no interior row the
+// clipped interior is empty or inverted, and a view of it panics rather
+// than hand out rows that are not there; a phase checks the range first,
+// as the apps do.
 func TestInteriorOnEmptySection(t *testing.T) {
+	var inverted atomic.Int32
 	run(t, 4, func(p *spmd.Proc) {
 		g := New2D[float64](p, 2, 2, Rows(4), 1)
 		lo, hi := g.InteriorX()
 		if lo > hi {
-			// Empty is fine, inverted is fine to iterate (no-op), but
-			// AssignRegion must tolerate it:
-			g.AssignRegion(lo, hi, 0, 2, 1, func(gi, y0, y1 int, out []float64) {
-				t.Errorf("rank %d: row callback ran for empty region row %d", p.Rank(), gi)
-			})
+			inverted.Add(1)
+			msg := panicText(func() { g.View(lo, hi, 0, 2) })
+			if want := fmt.Sprintf("view [%d,%d)x[0,2)", lo, hi); !strings.Contains(msg, want) {
+				t.Errorf("rank %d: view of interior [%d,%d) panicked %q, want it to name %q", p.Rank(), lo, hi, msg, want)
+			}
 		}
 	})
+	if inverted.Load() == 0 {
+		t.Error("no rank's interior is inverted")
+	}
 }

@@ -82,11 +82,6 @@ func (g *Grid2D[T]) InteriorY() (int, int) {
 	return lo, hi
 }
 
-// Owns reports whether global point (gi, gj) is owned by this process.
-func (g *Grid2D[T]) Owns(gi, gj int) bool {
-	return gi >= g.ix0 && gi < g.ix1 && gj >= g.iy0 && gj < g.iy1
-}
-
 func (g *Grid2D[T]) check(gi, gj int) (int, int) {
 	li, lj := gi-g.ix0+g.H, gj-g.iy0+g.H
 	if li < 0 || li >= g.loc.NX || lj < 0 || lj >= g.loc.NY {
@@ -99,8 +94,8 @@ func (g *Grid2D[T]) check(gi, gj int) (int, int) {
 // At returns the value at global point (gi, gj), which must lie within the
 // owned block or its ghost boundary. At and Set are the cold-path
 // accessors — physical-boundary ghost fills, assembly, tests — and pay a
-// range check and an index translation per point; sweeps and scans read
-// and write whole rows through RowSpan.
+// range check and an index translation per point; sweeps and scans take
+// the whole block through View.
 func (g *Grid2D[T]) At(gi, gj int) T {
 	li, lj := g.check(gi, gj)
 	return g.loc.At(li, lj)
@@ -113,40 +108,29 @@ func (g *Grid2D[T]) Set(gi, gj int, v T) {
 	g.loc.Set(li, lj, v)
 }
 
-// RowSpan returns global row gi over global columns [y0, y1) as a slice
-// aliasing local storage: element k is point (gi, y0+k), and a write
-// through the span is a write to the grid. The row and both column ends
-// may reach into the ghost boundary, so a stencil's neighbour rows are
-// RowSpan(gi-1, …), RowSpan(gi+1, …) and RowSpan(gi, y0-1, y1+1). The
-// range is checked once, here, for the whole span.
-func (g *Grid2D[T]) RowSpan(gi, y0, y1 int) []T {
-	li, l0, l1 := gi-g.ix0+g.H, y0-g.iy0+g.H, y1-g.iy0+g.H
-	if li < 0 || li >= g.loc.NX || l0 < 0 || l1 > g.loc.NY || l0 > l1 {
-		panic(fmt.Sprintf("meshspectral: row span (%d,[%d,%d)) outside local section [%d,%d)x[%d,%d) with halo %d",
-			gi, y0, y1, g.ix0, g.ix1, g.iy0, g.iy1, g.H))
-	}
-	base := li * g.loc.NY
-	return g.loc.Data[base+l0 : base+l1 : base+l1]
-}
-
 // View returns the local storage behind the global rectangle
-// [x0,x1)×[y0,y1) for a sweep that takes the whole block at once: data
-// runs from the rectangle's one-point ring's first point to its last, row
-// by row, and point (gi, gj) of the rectangle or its ring is
-// data[off+(gi-x0)*stride+(gj-y0)]. Writes through data are writes to the
-// grid. The rectangle and its ring are checked once, here, so a five-point
-// stencil over the rectangle needs no further check than the slicing of
-// data; the ring may reach into the ghost boundary.
+// [x0,x1)×[y0,y1) and its ring, for a sweep or a scan that takes the
+// whole block at once. The ring is one point wide on a grid with a ghost
+// boundary and empty on one without. data runs from the ring's first
+// point to its last, row by row, and point (gi, gj) of the rectangle or
+// its ring is data[off+(gi-x0)*stride+(gj-y0)]. Writes through data are
+// writes to the grid. The rectangle and its ring are checked once, here,
+// so a five-point stencil over the rectangle needs no further check than
+// the slicing of data; the ring may reach into the ghost boundary.
 func (g *Grid2D[T]) View(x0, x1, y0, y1 int) (data []T, stride, off int) {
-	l0, l1 := x0-g.ix0+g.H-1, x1-g.ix0+g.H+1
-	c0, c1 := y0-g.iy0+g.H-1, y1-g.iy0+g.H+1
+	w := min(g.H, 1)
+	l0, l1 := x0-g.ix0+g.H-w, x1-g.ix0+g.H+w
+	c0, c1 := y0-g.iy0+g.H-w, y1-g.iy0+g.H+w
 	if x0 > x1 || y0 > y1 || l0 < 0 || l1 > g.loc.NX || c0 < 0 || c1 > g.loc.NY {
 		panic(fmt.Sprintf("meshspectral: view [%d,%d)x[%d,%d) with its ring outside local section [%d,%d)x[%d,%d) with halo %d",
 			x0, x1, y0, y1, g.ix0, g.ix1, g.iy0, g.iy1, g.H))
 	}
 	stride = g.loc.NY
 	lo, hi := l0*stride+c0, (l1-1)*stride+c1
-	return g.loc.Data[lo:hi:hi], stride, stride + 1
+	if l0 == l1 || c0 == c1 { // an empty rectangle without a ring holds no point
+		lo, hi = 0, 0
+	}
+	return g.loc.Data[lo:hi:hi], stride, w*stride + w
 }
 
 // Fill sets every owned point to f(gi, gj) without communication or
@@ -158,35 +142,6 @@ func (g *Grid2D[T]) Fill(f func(gi, gj int) T) {
 			row[gj-g.iy0+g.H] = f(gi, gj)
 		}
 	}
-}
-
-// Assign performs a grid operation (§3.1) over the whole owned block, a
-// row at a time: f is called once per owned row gi with the owned column
-// range [y0, y1) and out = RowSpan(gi, y0, y1), and must set every
-// out[k] to the new value of point (gi, y0+k). Per the archetype's
-// data-dependency rule, f must not read this grid at any point other
-// than the one it is writing (out[k] still holds that point's current
-// value, so in-place updates are safe) — neighbour reads must go to
-// other grids (typically the previous time level, whose ghosts were
-// refreshed by ExchangeBoundary), fetched as spans. flopsPerPoint is
-// charged for each owned point.
-func (g *Grid2D[T]) Assign(flopsPerPoint float64, f func(gi, y0, y1 int, out []T)) {
-	g.AssignRegion(g.ix0, g.ix1, g.iy0, g.iy1, flopsPerPoint, f)
-}
-
-// AssignRegion is Assign restricted to the intersection of the owned
-// block with the global rectangle [x0,x1)×[y0,y1); f sees the clipped
-// column range, and is not called when the intersection is empty.
-func (g *Grid2D[T]) AssignRegion(x0, x1, y0, y1 int, flopsPerPoint float64, f func(gi, y0, y1 int, out []T)) {
-	x0, x1 = max(x0, g.ix0), min(x1, g.ix1)
-	y0, y1 = max(y0, g.iy0), min(y1, g.iy1)
-	if x1 <= x0 || y1 <= y0 {
-		return
-	}
-	for gi := x0; gi < x1; gi++ {
-		f(gi, y0, y1, g.RowSpan(gi, y0, y1))
-	}
-	g.p.Flops(flopsPerPoint * float64((x1-x0)*(y1-y0)))
 }
 
 // copyFrom copies the owned block of src (which must share layout and

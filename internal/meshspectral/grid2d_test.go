@@ -365,13 +365,15 @@ func TestAssignAndInterior(t *testing.T) {
 		g.ExchangeBoundary()
 		ix0, ix1 := h.InteriorX()
 		iy0, iy1 := h.InteriorY()
-		h.AssignRegion(ix0, ix1, iy0, iy1, 4, func(gi, y0, y1 int, out []float64) {
-			up, down := g.RowSpan(gi-1, y0, y1), g.RowSpan(gi+1, y0, y1)
-			mid := g.RowSpan(gi, y0-1, y1+1)
-			for k := range out {
-				out[k] = up[k] + down[k] + mid[k] + mid[k+2]
+		if n := iy1 - iy0; ix1 > ix0 && n > 0 {
+			u, st, off := g.View(ix0, ix1, iy0, iy1)
+			out, _, _ := h.View(ix0, ix1, iy0, iy1)
+			for r := off; r < off+(ix1-ix0)*st; r += st {
+				for k := range out[r : r+n] {
+					out[r+k] = u[r+k-st] + u[r+k+st] + u[r+k-1] + u[r+k+1]
+				}
 			}
-		})
+		}
 		x0, x1 := h.OwnedX()
 		y0, y1 := h.OwnedY()
 		for gi := x0; gi < x1; gi++ {
@@ -433,23 +435,6 @@ func TestOutOfRangeAccessPanics(t *testing.T) {
 	if err == nil {
 		t.Error("out-of-section access should panic")
 	}
-}
-
-func TestOwns(t *testing.T) {
-	run(t, 2, func(p *spmd.Proc) {
-		g := New2D[float64](p, 4, 4, Rows(2), 1)
-		owned := 0
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				if g.Owns(i, j) {
-					owned++
-				}
-			}
-		}
-		if owned != 8 {
-			t.Errorf("rank %d owns %d points, want 8", p.Rank(), owned)
-		}
-	})
 }
 
 func TestGlobalVariable(t *testing.T) {

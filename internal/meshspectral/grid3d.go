@@ -71,7 +71,7 @@ func (g *Grid3D[T]) check(gi, gj, gk int) int {
 
 // At returns the value at global point (gi, gj, gk); gi may reach into
 // the ghost planes. Like Grid2D's, At and Set are the cold-path accessors;
-// sweeps and scans use Pencil.
+// sweeps and scans use View.
 func (g *Grid3D[T]) At(gi, gj, gk int) T {
 	return g.loc.At(g.check(gi, gj, gk), gj, gk)
 }
@@ -81,18 +81,22 @@ func (g *Grid3D[T]) Set(gi, gj, gk int, v T) {
 	g.loc.Set(g.check(gi, gj, gk), gj, gk, v)
 }
 
-// Pencil returns the k-line at global (gi, gj) over [z0, z1) as a slice
-// aliasing local storage: element k is point (gi, gj, z0+k). gi may reach
-// into the ghost planes; j and k are not decomposed and have no ghosts.
-// The range is checked once, here, for the whole pencil.
-func (g *Grid3D[T]) Pencil(gi, gj, z0, z1 int) []T {
-	li := gi - g.ix0 + g.H
-	if li < 0 || li >= g.loc.NX || gj < 0 || gj >= g.NY || z0 < 0 || z1 > g.NZ || z0 > z1 {
-		panic(fmt.Sprintf("meshspectral: pencil (%d,%d,[%d,%d)) outside slab [%d,%d) (halo %d) of %dx%dx%d",
-			gi, gj, z0, z1, g.ix0, g.ix1, g.H, g.NX, g.NY, g.NZ))
+// View returns the local storage of global planes [x0, x1) and their
+// ring, for a sweep or a scan that takes them at once. The ring is one
+// plane each side on a grid with ghost planes and empty on one without;
+// j and k are not decomposed and have no ghosts. Point (gi, gj, gk) of the
+// planes or their ring is data[off+(gi-x0)*plane+gj*row+gk]. Writes
+// through data are writes to the grid. The planes and their ring are
+// checked once, here; the ring may reach into the ghost planes.
+func (g *Grid3D[T]) View(x0, x1 int) (data []T, plane, row, off int) {
+	w := min(g.H, 1)
+	l0, l1 := x0-g.ix0+g.H-w, x1-g.ix0+g.H+w
+	if x0 > x1 || l0 < 0 || l1 > g.loc.NX {
+		panic(fmt.Sprintf("meshspectral: view of planes [%d,%d) with their ring outside slab [%d,%d) (halo %d) of %dx%dx%d",
+			x0, x1, g.ix0, g.ix1, g.H, g.NX, g.NY, g.NZ))
 	}
-	base := (li*g.NY + gj) * g.NZ
-	return g.loc.Data[base+z0 : base+z1 : base+z1]
+	plane = g.NY * g.NZ
+	return g.loc.Data[l0*plane : l1*plane : l1*plane], plane, g.NZ, w * plane
 }
 
 // Fill sets every owned point to f(gi, gj, gk) (initialization; not
@@ -105,33 +109,6 @@ func (g *Grid3D[T]) Fill(f func(gi, gj, gk int) T) {
 			}
 		}
 	}
-}
-
-// AssignRegion performs a grid operation over the intersection of the
-// owned slab with [x0,x1)×[y0,y1)×[z0,z1), a pencil at a time: f is called
-// once per (gi, gj) of the clipped region with the clipped k-range and
-// out = Pencil(gi, gj, z0, z1), and must set every out[k] to the new value
-// of point (gi, gj, z0+k). f must not read this grid at points other than
-// the one it is writing (the archetype's disjointness rule; out[k] holds
-// the current value, so same-point in-place updates are safe).
-func (g *Grid3D[T]) AssignRegion(x0, x1, y0, y1, z0, z1 int, flopsPerPoint float64, f func(gi, gj, z0, z1 int, out []T)) {
-	x0, x1 = max(x0, g.ix0), min(x1, g.ix1)
-	y0, y1 = max(y0, 0), min(y1, g.NY)
-	z0, z1 = max(z0, 0), min(z1, g.NZ)
-	if x1 <= x0 || y1 <= y0 || z1 <= z0 {
-		return
-	}
-	for gi := x0; gi < x1; gi++ {
-		for gj := y0; gj < y1; gj++ {
-			f(gi, gj, z0, z1, g.Pencil(gi, gj, z0, z1))
-		}
-	}
-	g.p.Flops(flopsPerPoint * float64((x1-x0)*(y1-y0)*(z1-z0)))
-}
-
-// Assign performs a grid operation over the whole owned slab.
-func (g *Grid3D[T]) Assign(flopsPerPoint float64, f func(gi, gj, z0, z1 int, out []T)) {
-	g.AssignRegion(g.ix0, g.ix1, 0, g.NY, 0, g.NZ, flopsPerPoint, f)
 }
 
 // ExchangeBoundary refreshes the ghost planes with the neighbouring

@@ -88,14 +88,17 @@ func TestGrid3DAssignStencil(t *testing.T) {
 		v := New3D[float64](p, nx, ny, nz, 1)
 		u.ExchangeBoundary()
 		x0, x1 := v.InteriorX()
-		v.AssignRegion(x0, x1, 1, ny-1, 1, nz-1, 6, func(i, j, z0, z1 int, out []float64) {
-			xm, xp := u.Pencil(i-1, j, z0, z1), u.Pencil(i+1, j, z0, z1)
-			ym, yp := u.Pencil(i, j-1, z0, z1), u.Pencil(i, j+1, z0, z1)
-			mid := u.Pencil(i, j, z0-1, z1+1)
-			for k := range out {
-				out[k] = xm[k] + xp[k] + ym[k] + yp[k] + mid[k] + mid[k+2]
+		if x1 > x0 {
+			in, plane, row, off := u.View(x0, x1)
+			out, _, _, _ := v.View(x0, x1)
+			for i := off; i < off+(x1-x0)*plane; i += plane {
+				for r := i + row + 1; r < i+(ny-1)*row; r += row {
+					for k := r; k < r+nz-2; k++ {
+						out[k] = in[k-plane] + in[k+plane] + in[k-row] + in[k+row] + in[k-1] + in[k+1]
+					}
+				}
 			}
-		})
+		}
 		gx0, gx1 := v.OwnedX()
 		for gi := gx0; gi < gx1; gi++ {
 			for j := 0; j < ny; j++ {

@@ -20,15 +20,14 @@
 // redistribution operation is what satisfies the precondition, as in the
 // 2D FFT example (Figures 10–11).
 //
-// Grid operations and scans are written a row at a time. Grid2D.RowSpan
-// and Grid3D.Pencil hand out contiguous slices of the local section —
-// ghosts included, aliasing storage, range-checked once per span — and
-// Assign / AssignRegion call their function once per owned row (pencil)
-// with the span to fill. A sweep whose kernel is a few flops per point
-// takes the whole block instead: Grid2D.View hands out the local storage
-// behind a rectangle and its one-point ring, checked once. At and Set
-// remain for the cold paths: physical-boundary ghost fills, assembly and
-// tests.
+// Grid operations and scans take the whole block: Grid2D.View hands out
+// the local storage behind a rectangle and its ring (one point wide when
+// the grid has a ghost boundary), and Grid3D.View that of a run of planes
+// and theirs, with the strides that locate a point in it. A view aliases
+// storage and is range-checked once; the application walks its rows by
+// offset, calls its row kernel on slices cut from the views, and charges
+// its flops once, after the rows. At and Set remain for the cold paths:
+// physical-boundary ghost fills, assembly and tests.
 package meshspectral
 
 import (

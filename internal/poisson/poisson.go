@@ -255,8 +255,9 @@ func MaxError(g *meshspectral.Grid2D[float64], pr *Problem) float64 {
 	x0, x1 := g.OwnedX()
 	y0, y1 := g.OwnedY()
 	local := 0.0
-	for gi := x0; gi < x1; gi++ {
-		for j, v := range g.RowSpan(gi, y0, y1) {
+	u, st, off := g.View(x0, x1, y0, y1)
+	for gi, r := x0, off; gi < x1; gi, r = gi+1, r+st {
+		for j, v := range u[r : r+y1-y0] {
 			x, y := pr.XY(gi, y0+j)
 			local = max(local, math.Abs(v-Exact(x, y)))
 		}

@@ -194,9 +194,15 @@ func (s *Sim) Step() {
 
 	// Grid operation: add the stirring force (no distribution
 	// requirement; done while by columns).
-	cols.Assign(4, func(gi, y0, y1 int, out []complex128) {
-		pm.forceRow(out, gi, y0)
-	})
+	x0, x1 := cols.OwnedX()
+	y0, y1 := cols.OwnedY()
+	if n := y1 - y0; x1 > x0 && n > 0 {
+		u, st, off := cols.View(x0, x1, y0, y1)
+		for gi, r := x0, off; gi < x1; gi, r = gi+1, r+st {
+			pm.forceRow(u[r:r+n], gi, y0)
+		}
+		p.Flops(4 * float64((x1-x0)*n))
+	}
 
 	// Restore the row distribution.
 	s.U = cols.Redistribute(meshspectral.Rows(p.N()))
