@@ -38,13 +38,11 @@ import (
 	"repro/internal/machine"
 	"repro/internal/spmd"
 
-	// The distributed backend registers itself ("dist") so every facade
-	// user can resolve it; its default self-spawn mode additionally needs
-	// the host binary's main to call dist.MaybeWorker (see cmd/archdemo).
+	// The distributed backend registers itself under both of its policies
+	// ("dist" fails fast, "elastic" recovers) so every facade user can
+	// resolve them; its default self-spawn mode additionally needs the
+	// host binary's main to call dist.MaybeWorker (see cmd/archdemo).
 	_ "repro/internal/backend/dist"
-	// The remote backend's fault-tolerant policy registers itself as
-	// "elastic"; it runs on dist's workers, so dist.MaybeWorker serves it.
-	_ "repro/internal/elastic"
 )
 
 // Re-exports: the types facade users write programs against, aliased so

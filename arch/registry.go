@@ -22,9 +22,6 @@ type App struct {
 	// one (WithSize(0)). Its unit is app-specific: element count, grid
 	// edge, and so on.
 	DefaultSize int
-	// Backends lists the supported backend names; nil or empty means
-	// every registered backend.
-	Backends []string
 	// Kind classifies the app: KindBatch (the default, "" included) or
 	// KindStream for long-lived streaming apps.
 	Kind string
@@ -46,30 +43,6 @@ func (a App) KindName() string {
 		return KindBatch
 	}
 	return a.Kind
-}
-
-// SupportsBackend reports whether the app runs on the named backend.
-func (a App) SupportsBackend(name string) bool {
-	if len(a.Backends) == 0 {
-		return true
-	}
-	for _, b := range a.Backends {
-		if b == name {
-			return true
-		}
-	}
-	return false
-}
-
-// BackendNames returns the names of the backends the app supports
-// ("all registered" spelled out when unrestricted), for -list displays.
-func (a App) BackendNames() []string {
-	if len(a.Backends) == 0 {
-		return BackendNames()
-	}
-	out := append([]string(nil), a.Backends...)
-	sort.Strings(out)
-	return out
 }
 
 var (
@@ -137,7 +110,7 @@ func ResolveApp(name string) (App, error) {
 }
 
 // RunApp resolves and runs a registered application: it fills the app's
-// default problem size, checks backend support, and invokes the app's Run
+// default problem size, validates the settings, and invokes the app's Run
 // under ctx. It returns the app's one-line summary and the run's Report.
 func RunApp(ctx context.Context, name string, opts ...Option) (string, Report, error) {
 	a, err := ResolveApp(name)
@@ -150,10 +123,6 @@ func RunApp(ctx context.Context, name string, opts ...Option) (string, Report, e
 	}
 	if err := s.Validate(); err != nil {
 		return "", Report{}, err
-	}
-	if !a.SupportsBackend(s.Backend.Name()) {
-		return "", Report{}, fmt.Errorf("app %q does not support backend %q (have: %s)",
-			name, s.Backend.Name(), strings.Join(a.BackendNames(), ", "))
 	}
 	if ctx == nil {
 		ctx = context.Background()

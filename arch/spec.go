@@ -76,8 +76,7 @@ func ResolveMode(name string) (Mode, error) {
 // internal/rescache). It rejects unknown apps, machines, backends and
 // modes, non-positive procs/size, procs above MaxProcessProcs on the
 // backends that start a process per rank or above MaxInProcessProcs on
-// the in-process ones, and app/backend combinations
-// the app does not support, with the same errors a direct RunApp would
+// the in-process ones, with the same errors a direct RunApp would
 // produce.
 func (sp Spec) Canonical() (Spec, error) {
 	a, err := ResolveApp(sp.App)
@@ -107,10 +106,6 @@ func (sp Spec) Canonical() (Spec, error) {
 	}
 	if _, err := ResolveBackend(sp.Backend); err != nil {
 		return Spec{}, err
-	}
-	if !a.SupportsBackend(sp.Backend) {
-		return Spec{}, fmt.Errorf("app %q does not support backend %q (have: %s)",
-			sp.App, sp.Backend, strings.Join(a.BackendNames(), ", "))
 	}
 	switch {
 	case (sp.Backend == "dist" || sp.Backend == "elastic") && sp.Procs > MaxProcessProcs:

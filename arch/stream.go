@@ -3,7 +3,6 @@ package arch
 import (
 	"context"
 	"fmt"
-	"strings"
 )
 
 // App kinds: the two program shapes the registry serves. A batch app
@@ -60,10 +59,6 @@ func RunAppStream(ctx context.Context, name string, obs StreamObserver, opts ...
 	}
 	if err := s.Validate(); err != nil {
 		return "", Report{}, err
-	}
-	if !a.SupportsBackend(s.Backend.Name()) {
-		return "", Report{}, fmt.Errorf("app %q does not support backend %q (have: %s)",
-			name, s.Backend.Name(), strings.Join(a.BackendNames(), ", "))
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -77,7 +77,7 @@ func main() {
 		fmt.Printf("%-10s %-6s %9s  %-13s %s\n", "app", "kind", "size", "backends", "description")
 		for _, a := range arch.Apps() {
 			fmt.Printf("%-10s %-6s %9d  %-13s %s\n",
-				a.Name, a.KindName(), a.DefaultSize, strings.Join(a.BackendNames(), ","), a.Desc)
+				a.Name, a.KindName(), a.DefaultSize, strings.Join(arch.BackendNames(), ","), a.Desc)
 		}
 		return
 	}

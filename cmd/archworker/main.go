@@ -1,6 +1,7 @@
-// Command archworker is a standalone worker for the remote backend, under
-// either of its registry names (dist fails fast, elastic recovers): a
-// message endpoint run as its own OS process.
+// Command archworker is a standalone worker for the remote backend
+// (internal/backend/dist), under either of the registry names that
+// package registers (dist fails fast, elastic recovers): a message
+// endpoint run as its own OS process.
 //
 // The backend usually self-spawns workers by re-executing the
 // coordinator's binary (any binary whose main calls dist.MaybeWorker

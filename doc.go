@@ -31,14 +31,13 @@
 // wall-clock metering; and the distributed backend routes the same
 // program's messages across worker OS processes over TCP (self-spawned
 // localhost workers by default, attachable cmd/archworker processes
-// otherwise); and the elastic fault-tolerant backend runs ranks as
-// tasks on a work queue leased to whatever workers are alive, with
-// delivery-log checkpoint/replay so a worker killed mid-run triggers
-// re-execution of its ranks instead of failing the world — heartbeats
-// declare dead workers, reconnects back off with jitter, and workers
-// joining mid-run pull queued rank tasks. Computational results and
-// message/byte meters are identical on all four (including elastic runs
-// that survived a kill). The figures sweep each program over process
+// otherwise); and the elastic policy of the same backend keeps a
+// delivery-log checkpoint per rank, so a worker lost mid-run costs a
+// re-execution of its rank on a replacement worker instead of failing
+// the world — heartbeats declare silent workers dead, and a spare
+// attached worker can join mid-run as the replacement. Computational
+// results and message/byte meters are identical on all four (including
+// elastic runs that survived a kill). The figures sweep each program over process
 // counts concurrently through a bounded worker pool (sched.Points and
 // Map); sweeps and runs are cancellable mid-flight through their
 // context.
@@ -85,14 +84,14 @@
 //	internal/backend      pluggable execution backends: the Transport/Runner
 //	                      seam, the virtual-time simulator, and the real
 //	                      shared-memory backend (wall-clock metering)
-//	internal/backend/dist distributed backend: worker OS processes over TCP
-//	                      (framing, rank handshake, crash fail-fast)
-//	internal/elastic      fault-tolerant backend: rank tasks on a work
-//	                      queue, checkpoint/replay, heartbeats, mid-run join
-//	internal/faultinject  fault-injection rules (kill/drop/delay at a
-//	                      point/rank/epoch), hooked by dist and elastic
-//	internal/backoff      exponential backoff with jitter for dials and
-//	                      worker reconnects
+//	internal/backend/dist distributed backend: worker OS processes over
+//	                      sockets, registered as "dist" (fails fast) and
+//	                      "elastic" (checkpoint/replay on replacement
+//	                      workers); heartbeats, dial back-off, and faults
+//	                      declared as data (kill/drop/delay at a
+//	                      rank/epoch)
+//	internal/elastic      only a MaybeWorker forward to dist, kept for the
+//	                      benchmark harness that imports it
 //	internal/obs          flight recorder: per-rank event rings behind a
 //	                      context-carried collector seam (nil = free),
 //	                      Chrome trace export, Prometheus text registry

@@ -23,8 +23,7 @@
 // A third backend lives in the backend/dist sub-package and registers
 // itself as "dist": the same Transport operations routed across worker
 // OS processes over sockets (wall-clock metering, identical msg/byte
-// counts). Its fault-tolerant policy is registered as "elastic" by
-// internal/elastic.
+// counts). It also registers its fault-tolerant policy, as "elastic".
 //
 // Programs keep their communication structure and computational results on
 // every backend; only the meaning of time (and, for dist, the address

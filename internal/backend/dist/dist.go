@@ -58,24 +58,24 @@
 // What a lost worker costs is the recovery policy, WithRecovery. Under
 // the default budget of 0 the run fails with an error naming the rank,
 // and every blocked receive unwinds with the cancellation sentinel.
-// Under a non-zero budget (the registry's "elastic" entry) each rank
-// keeps a checkpoint — the log of messages delivered to its body, the
-// count of sends it performed, and the un-echoed suffix of frames written
-// down its connection (what the worker echoed is banked in the inbox) —
-// and a loss costs a re-execution: the attempt unwinds, a replacement
-// worker comes from the pool, a respawn on the control listener (open for
-// the process's life) or a spare WithWorkers address, the suffix is written
-// down its connection again, and the body re-runs. Logged receives
+// Under a non-zero budget (the registry's "elastic" entry, see Elastic)
+// each rank keeps a checkpoint — the log of messages delivered to its
+// body, the count of sends it performed, and the un-echoed suffix of
+// frames written down its connection (what the worker echoed is banked in
+// the inbox) — and a loss costs a re-execution: the attempt unwinds, a
+// replacement worker comes from the pool, a respawn on the control
+// listener (open for the process's life) or a spare WithWorkers address,
+// the suffix is written down its connection again, and the body re-runs. Logged receives
 // replay, the first sent sends are suppressed (not re-sent, not
 // re-metered), and the attempt goes live where its predecessor died:
 // results and meters are bit-identical to an uninterrupted run. Replay
 // requires what every registered app satisfies: deterministic rank bodies
 // whose writes to shared memory are idempotent.
 //
-// Fault injection (WithInjector) has one point, "dist.op", evaluated
-// after each completed rank operation with the operation's index in the
-// rank's current attempt as the epoch: Kill kills the rank's worker,
-// Drop closes its connection, Delay sleeps.
+// Faults are data (WithFaults): each completed rank operation is checked
+// against the declared rules, with the operation's index in the rank's
+// current attempt as the epoch. Kill kills the rank's worker, Drop closes
+// its connection, Delay sleeps.
 package dist
 
 import (
@@ -93,15 +93,10 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/spmd"
 )
-
-// faultPoint is the fault-injection point, evaluated after each completed
-// rank operation.
-const faultPoint = "dist.op"
 
 // handshakeTimeout bounds world start, and each worker replacement: every
 // worker must hello and ready within it.
@@ -112,11 +107,13 @@ const handshakeTimeout = 30 * time.Second
 // construction. The registered default self-spawns localhost workers and
 // fails fast.
 type runner struct {
+	// name is the registry name: "dist", or "elastic" (see Elastic).
+	name string
 	// attach lists pre-started worker control addresses (cmd/archworker
 	// -listen); empty means self-spawn.
 	attach []string
-	// inj is the fault-injection seam (nil injects nothing).
-	inj *faultinject.Injector
+	// faults are the declared faults (none: nothing is injected).
+	faults []Fault
 	// maxRestarts bounds re-executions per rank (0: fail fast); deadline
 	// bounds the world's time after its first restart.
 	maxRestarts int
@@ -139,6 +136,76 @@ type Stats struct {
 	// Restarts counts rank re-executions (a rank re-executed twice counts
 	// twice).
 	Restarts int
+	// Faults counts the declared faults that fired.
+	Faults int
+}
+
+// Fault is one declared fault, checked after every completed rank
+// operation. The first fault that matches an operation fires; one that
+// has fired Count times no longer matches, so a re-executed rank passing
+// the same epoch again does not re-fire it.
+type Fault struct {
+	// Rank matches the operating rank; AnyRank matches all.
+	Rank int
+	// Epoch matches the operation's index in the rank's current attempt;
+	// AnyEpoch matches all.
+	Epoch int
+	// Count bounds the firings per world (0 means once).
+	Count int
+	// Action is what the fault does.
+	Action Action
+	// Delay is the sleep of Action Delay.
+	Delay time.Duration
+}
+
+// AnyRank and AnyEpoch are the wildcard values of Fault.Rank and
+// Fault.Epoch.
+const (
+	AnyRank  = -1
+	AnyEpoch = -1
+)
+
+// Action is what a fault does when it fires. A Fault without one never
+// fires.
+type Action int
+
+const (
+	// Kill kills the rank's worker (an attached one loses its
+	// connection) and unwinds the attempt at that program point.
+	Kill Action = iota + 1
+	// Drop closes the rank's connection, for the ordinary lost-worker
+	// path to find.
+	Drop
+	// Delay sleeps the fault's Delay.
+	Delay
+)
+
+func (a Action) String() string {
+	switch a {
+	case Kill:
+		return "kill"
+	case Drop:
+		return "drop"
+	case Delay:
+		return "delay"
+	default:
+		return "none"
+	}
+}
+
+// fire consumes one firing of the first of faults that matches rank's
+// operation at epoch, counting firings per rule in fired, and returns its
+// index, or -1 when none matches.
+func fire(faults []Fault, fired []int, rank, epoch int) int {
+	for i, f := range faults {
+		if f.Action == 0 || fired[i] >= max(f.Count, 1) ||
+			(f.Rank != AnyRank && f.Rank != rank) || (f.Epoch != AnyEpoch && f.Epoch != epoch) {
+			continue
+		}
+		fired[i]++
+		return i
+	}
+	return -1
 }
 
 // Option configures a dist runner.
@@ -155,15 +222,12 @@ func WithWorkers(addrs ...string) Option {
 	return func(r *runner) { r.attach = append([]string(nil), addrs...) }
 }
 
-// WithInjector installs a fault injector evaluated at "dist.op" after
-// every completed rank operation, with the operation's index in the
-// rank's current attempt as the epoch. Kill kills the rank's worker (an
-// attached one loses its connection) and unwinds the attempt at that
-// deterministic program point; Drop closes the rank's connection, for
-// the ordinary detection path to find; Delay sleeps. Tests and the chaos
-// CI job use this to exercise failure paths deterministically.
-func WithInjector(in *faultinject.Injector) Option {
-	return func(r *runner) { r.inj = in }
+// WithFaults declares faults, checked after every completed rank
+// operation. Each world starts with every rule unfired; Stats.Faults
+// reports how many fired. Tests and the chaos CI job use this to exercise
+// failure paths deterministically.
+func WithFaults(faults ...Fault) Option {
+	return func(r *runner) { r.faults = append([]Fault(nil), faults...) }
 }
 
 // WithRecovery sets the recovery budget: a rank whose worker is lost is
@@ -183,7 +247,8 @@ func WithHeartbeat(interval time.Duration, misses int) Option {
 	return func(r *runner) { r.hbInterval, r.hbMiss = interval, misses }
 }
 
-// WithObserver reports the run's recovery stats when the world finishes.
+// WithObserver reports the run's recovery stats when the world finishes,
+// whether or not it failed.
 func WithObserver(f func(Stats)) Option {
 	return func(r *runner) { r.observer = f }
 }
@@ -193,15 +258,24 @@ func WithObserver(f func(Stats)) Option {
 // worker process, self-spawned by re-executing the current binary, so
 // any binary whose main calls MaybeWorker supports it out of the box,
 // and fails fast.
-func New(opts ...Option) backend.Runner {
-	r := &runner{hbInterval: 500 * time.Millisecond, hbMiss: 4}
+func New(opts ...Option) backend.Runner { return newRunner("dist", opts) }
+
+// Elastic builds the fault-tolerant runner the registry's "elastic" entry
+// uses: New under a recovery budget of 3 restarts per rank and 2 minutes,
+// with opts applied after it.
+func Elastic(opts ...Option) backend.Runner {
+	return newRunner("elastic", append([]Option{WithRecovery(3, 2*time.Minute)}, opts...))
+}
+
+func newRunner(name string, opts []Option) *runner {
+	r := &runner{name: name, hbInterval: 500 * time.Millisecond, hbMiss: 4}
 	for _, opt := range opts {
 		opt(r)
 	}
 	return r
 }
 
-func (r *runner) Name() string { return "dist" }
+func (r *runner) Name() string { return r.name }
 
 // Virtual reports false: dist runs are wall-clock measurements (and spawn
 // real processes), so sweeps serialize them like the real backend's.
@@ -372,7 +446,8 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 		sendBufs: make([][]byte, n),
 		recvBufs: make([][]byte, n),
 		ranks:    make([]rankState, n),
-		rec:      obs.RunRecorder(ctx, n, "dist"),
+		fired:    make([]int, len(r.faults)),
+		rec:      obs.RunRecorder(ctx, n, r.name),
 	}
 	ok := false
 	defer func() {
@@ -555,7 +630,10 @@ func (t *transport) spawn(need int, deadline time.Time) ([]*workerConn, error) {
 	return wcs, nil
 }
 
-func init() { backend.Register(New()) }
+func init() {
+	backend.Register(New())
+	backend.Register(Elastic())
+}
 
 // workerConn is the coordinator's control connection to one rank's
 // worker. After the world starts, writes go through the coalescing
@@ -719,6 +797,7 @@ type transport struct {
 	err       error
 	finishing bool
 	stats     Stats
+	fired     []int       // firings per declared fault
 	spare     int         // next spare WithWorkers address
 	recovery  *time.Timer // the recovery deadline, armed at the first restart
 
@@ -865,31 +944,40 @@ func (t *transport) Recorder() *obs.Recorder { return t.rec }
 func (t *transport) Idle(rank int, at float64) {}
 
 // opDone closes one rank operation: it advances the attempt's epoch and
-// gives the fault injector its shot at the completed operation's program
+// checks the declared faults against the completed operation's program
 // point.
 func (t *transport) opDone(rank int) {
 	rs := &t.ranks[rank]
 	epoch := rs.epoch
 	rs.epoch++
-	if t.r.inj == nil {
+	if len(t.r.faults) == 0 {
 		return
 	}
-	act, d := t.r.inj.Eval(faultPoint, rank, epoch)
-	if act != faultinject.None && t.rec != nil {
-		t.rec.Emit(rank, obs.Event{T: t.rec.Now(), Peer: -1, Tag: int32(act), Kind: obs.KindFault})
+	t.mu.Lock()
+	i := fire(t.r.faults, t.fired, rank, epoch)
+	if i >= 0 {
+		t.stats.Faults++
+	}
+	t.mu.Unlock()
+	if i < 0 {
+		return
+	}
+	f := t.r.faults[i]
+	if t.rec != nil {
+		t.rec.Emit(rank, obs.Event{T: t.rec.Now(), Peer: -1, Tag: int32(f.Action), Kind: obs.KindFault})
 	}
 	wc := t.conns[rank] // this goroutine is the only one that replaces its fields
-	switch act {
-	case faultinject.Kill:
+	switch f.Action {
+	case Kill:
 		wc.c.Close()
 		if wc.proc != nil {
 			wc.proc.kill()
 		}
 		t.raise(rank, errors.New("worker killed by fault injection"))
-	case faultinject.Drop:
+	case Drop:
 		wc.c.Close()
-	case faultinject.Delay:
-		time.Sleep(d)
+	case Delay:
+		time.Sleep(f.Delay)
 	}
 }
 

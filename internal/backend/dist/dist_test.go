@@ -19,8 +19,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/backend/dist"
 	"repro/internal/collective"
-	_ "repro/internal/elastic"
-	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/spmd"
 )
@@ -261,23 +259,20 @@ func TestDistFaultInjection(t *testing.T) {
 		}
 	}
 
-	delay := faultinject.New(faultinject.Rule{
-		Point: "dist.op", Rank: faultinject.AnyRank, Epoch: faultinject.AnyEpoch,
-		Count: 2, Action: faultinject.Delay, Delay: 5 * time.Millisecond,
-	})
-	if _, err := runOn(t, dist.New(dist.WithInjector(delay)), n, ring); err != nil {
+	var stats dist.Stats
+	observe := dist.WithObserver(func(s dist.Stats) { stats = s })
+	delay := dist.Fault{Rank: dist.AnyRank, Epoch: dist.AnyEpoch, Count: 2, Action: dist.Delay, Delay: 5 * time.Millisecond}
+	if _, err := runOn(t, dist.New(dist.WithFaults(delay), observe), n, ring); err != nil {
 		t.Fatalf("run with injected delays: %v", err)
 	}
-	if got := delay.Fired("dist.op"); got != 2 {
-		t.Errorf("delay rule fired %d times, want 2", got)
+	if stats.Faults != 2 {
+		t.Errorf("delay rule fired %d times, want 2", stats.Faults)
 	}
 
-	drop := faultinject.New(faultinject.Rule{
-		Point: "dist.op", Rank: 1, Epoch: 0, Action: faultinject.Drop,
-	})
+	drop := dist.Fault{Rank: 1, Epoch: 0, Action: dist.Drop}
 	done := make(chan error, 1)
 	go func() {
-		w, err := spmd.NewWorldOn(context.Background(), dist.New(dist.WithInjector(drop)), n, machine.IBMSP())
+		w, err := spmd.NewWorldOn(context.Background(), dist.New(dist.WithFaults(drop), observe), n, machine.IBMSP())
 		if err != nil {
 			done <- err
 			return
@@ -293,8 +288,8 @@ func TestDistFaultInjection(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("run with a dropped control connection hung")
 	}
-	if got := drop.Fired("dist.op"); got != 1 {
-		t.Errorf("drop rule fired %d times, want 1", got)
+	if stats.Faults != 1 {
+		t.Errorf("drop rule fired %d times, want 1", stats.Faults)
 	}
 }
 
@@ -695,8 +690,9 @@ func TestDistSizedPayloads(t *testing.T) {
 }
 
 // listenWorkers starts k in-process workers (cmd/archworker's loop) on
-// loopback listeners, each handed through wrap, and returns their
-// addresses; the listeners close with the test.
+// loopback listeners, each handed through wrap unless it is nil, and
+// returns their addresses for dist.WithWorkers; the listeners close with
+// the test.
 func listenWorkers(t *testing.T, k int, wrap func(net.Listener) net.Listener) []string {
 	t.Helper()
 	addrs := make([]string, k)
@@ -707,7 +703,11 @@ func listenWorkers(t *testing.T, k int, wrap func(net.Listener) net.Listener) []
 		}
 		t.Cleanup(func() { ln.Close() })
 		addrs[i] = ln.Addr().String()
-		go dist.Serve(wrap(ln)) //nolint:errcheck // ends when the listener closes
+		var l net.Listener = ln
+		if wrap != nil {
+			l = wrap(ln)
+		}
+		go dist.Serve(l) //nolint:errcheck // ends when the listener closes
 	}
 	return addrs
 }
@@ -747,7 +747,7 @@ func (c *silentConn) Write(p []byte) (int, error) {
 func TestDistSilentWorkerFailsTheRun(t *testing.T) {
 	const interval, misses = 50 * time.Millisecond, 3
 	silent := listenWorkers(t, 1, func(ln net.Listener) net.Listener { return silentListener{ln} })
-	live := listenWorkers(t, 1, func(ln net.Listener) net.Listener { return ln })
+	live := listenWorkers(t, 1, nil)
 	r := dist.New(dist.WithWorkers(silent[0], live[0]), dist.WithHeartbeat(interval, misses))
 	start := time.Now()
 	done := make(chan error, 1)

@@ -1,11 +1,9 @@
-package elastic_test
+package dist_test
 
 import (
 	"context"
 	"errors"
 	"math"
-	"net"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,8 +12,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/backend/dist"
 	"repro/internal/core"
-	_ "repro/internal/elastic"
-	"repro/internal/faultinject"
 	"repro/internal/fft"
 	"repro/internal/machine"
 	"repro/internal/meshspectral"
@@ -26,38 +22,6 @@ import (
 	"repro/internal/spmd"
 )
 
-// TestMain lets this binary serve as its own worker: the elastic policy
-// self-spawns dist workers by re-executing it.
-func TestMain(m *testing.M) {
-	dist.MaybeWorker()
-	os.Exit(m.Run())
-}
-
-// recovering builds the elastic policy's runner — dist under a recovery
-// budget of 3 restarts and 2 minutes, as the registry entry — with opts
-// added.
-func recovering(opts ...dist.Option) backend.Runner {
-	return dist.New(append([]dist.Option{dist.WithRecovery(3, 2*time.Minute)}, opts...)...)
-}
-
-// serveWorkers starts k in-process workers (cmd/archworker's loop) on
-// loopback listeners and returns their addresses for dist.WithWorkers;
-// the listeners close with the test.
-func serveWorkers(t *testing.T, k int) []string {
-	t.Helper()
-	addrs := make([]string, k)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		addrs[i] = ln.Addr().String()
-		go dist.Serve(ln) //nolint:errcheck // ends when the listener closes
-	}
-	return addrs
-}
-
 func TestRegistered(t *testing.T) {
 	r, ok := backend.ByName("elastic")
 	if !ok {
@@ -65,6 +29,9 @@ func TestRegistered(t *testing.T) {
 	}
 	if r.Name() != "elastic" || r.Virtual() {
 		t.Errorf("elastic registered as name=%q virtual=%v, want non-virtual \"elastic\"", r.Name(), r.Virtual())
+	}
+	if n, d := dist.Budget(r); n != 3 || d != 2*time.Minute {
+		t.Errorf("elastic budget = %d restarts, %v; want 3 restarts, 2m0s", n, d)
 	}
 }
 
@@ -133,8 +100,8 @@ func parityCases() []parityCase {
 }
 
 // TestKillRecoveryParity is the acceptance contract of the elastic
-// policy: a world that loses a worker mid-run — killed by the fault
-// injector at a deterministic rank operation — completes with results and
+// policy: a world that loses a worker mid-run — killed by a declared
+// fault at a deterministic rank operation — completes with results and
 // message/byte meters bit-identical to an uninterrupted run. Two distinct
 // kill epochs per app, hitting different ranks, exercise recovery at
 // different phases of each program; the sim backend supplies the
@@ -158,7 +125,7 @@ func TestKillRecoveryParity(t *testing.T) {
 			}
 			want := simSnap()
 
-			runOnce := func(inj *faultinject.Injector) (any, *spmd.Result, dist.Stats) {
+			runOnce := func(faults ...dist.Fault) (any, *spmd.Result, dist.Stats) {
 				t.Helper()
 				var stats dist.Stats
 				opts := []dist.Option{
@@ -168,19 +135,17 @@ func TestKillRecoveryParity(t *testing.T) {
 					// under the race detector.
 					dist.WithHeartbeat(200*time.Millisecond, 5),
 					dist.WithObserver(func(s dist.Stats) { stats = s }),
-				}
-				if inj != nil {
-					opts = append(opts, dist.WithInjector(inj))
+					dist.WithFaults(faults...),
 				}
 				prog, snap := tc.prog(np)
-				res, err := core.Run(context.Background(), recovering(opts...), np, model, prog)
+				res, err := core.Run(context.Background(), dist.Elastic(opts...), np, model, prog)
 				if err != nil {
 					t.Fatalf("elastic: %v", err)
 				}
 				return snap(), res, stats
 			}
 
-			got, res, stats := runOnce(nil)
+			got, res, stats := runOnce()
 			if !reflect.DeepEqual(want, got) {
 				t.Fatal("uninterrupted elastic results differ from sim")
 			}
@@ -188,20 +153,14 @@ func TestKillRecoveryParity(t *testing.T) {
 				t.Fatalf("uninterrupted elastic meters %d msgs/%d bytes, sim %d/%d",
 					res.Msgs, res.Bytes, simRes.Msgs, simRes.Bytes)
 			}
-			if stats.Restarts != 0 || stats.DeclaredDead != 0 {
+			if stats.Restarts != 0 || stats.DeclaredDead != 0 || stats.Faults != 0 {
 				t.Fatalf("uninterrupted run reported recovery activity: %+v", stats)
 			}
 
 			for _, k := range kills {
-				inj := faultinject.New(faultinject.Rule{
-					Point:  "dist.op",
-					Rank:   k.rank,
-					Epoch:  k.epoch,
-					Action: faultinject.Kill,
-				})
-				got, res, stats := runOnce(inj)
-				if n := inj.Fired("dist.op"); n != 1 {
-					t.Fatalf("kill rank=%d epoch=%d: injector fired %d times, want 1", k.rank, k.epoch, n)
+				got, res, stats := runOnce(dist.Fault{Rank: k.rank, Epoch: k.epoch, Action: dist.Kill})
+				if stats.Faults != 1 {
+					t.Fatalf("kill rank=%d epoch=%d: fault fired %d times, want 1", k.rank, k.epoch, stats.Faults)
 				}
 				if stats.DeclaredDead < 1 || stats.Restarts < 1 {
 					t.Fatalf("kill rank=%d epoch=%d: no recovery happened: %+v", k.rank, k.epoch, stats)
@@ -244,23 +203,62 @@ func wantRing(np int) []int {
 	return want
 }
 
+// TestRecoveryEveryCoordinate sweeps the faults that cost a worker over
+// every coordinate a small program reaches: on a P=3 ring of two rounds,
+// each rank's operations are a send and a receive per round, epochs 0 to
+// 3, and a world that kills or drops at any one (rank, epoch) must end
+// with the results and msg/byte meters of the uninterrupted run. A kill
+// costs the rank one re-execution; a drop costs one only if the rank
+// still needs its connection, which a late drop may not.
+func TestRecoveryEveryCoordinate(t *testing.T) {
+	const np, epochs = 3, 4
+	want := wantRing(np)
+	// No rank reaches epoch 4, so the sweep below covers every coordinate.
+	var stats dist.Stats
+	prog, _ := ringProg(np)
+	if _, err := core.Run(context.Background(), dist.Elastic(
+		dist.WithFaults(dist.Fault{Rank: dist.AnyRank, Epoch: epochs, Count: np, Action: dist.Delay}),
+		dist.WithObserver(func(s dist.Stats) { stats = s }),
+	), np, machine.IBMSP(), prog); err != nil || stats.Faults != 0 {
+		t.Fatalf("probe past the last epoch: err %v, %d faults fired, want none", err, stats.Faults)
+	}
+	for _, act := range []dist.Action{dist.Kill, dist.Drop} {
+		for rank := 0; rank < np; rank++ {
+			for epoch := 0; epoch < epochs; epoch++ {
+				var stats dist.Stats
+				prog, snap := ringProg(np)
+				res, err := core.Run(context.Background(), dist.Elastic(
+					dist.WithFaults(dist.Fault{Rank: rank, Epoch: epoch, Action: act}),
+					dist.WithObserver(func(s dist.Stats) { stats = s }),
+				), np, machine.IBMSP(), prog)
+				if err != nil {
+					t.Fatalf("%v rank=%d epoch=%d: %v", act, rank, epoch, err)
+				}
+				if stats.Faults != 1 || stats.Restarts > 1 || (act == dist.Kill && stats.Restarts == 0) {
+					t.Fatalf("%v rank=%d epoch=%d: %d faults fired, %d restarts", act, rank, epoch, stats.Faults, stats.Restarts)
+				}
+				if got := snap(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v rank=%d epoch=%d: results %v, want %v", act, rank, epoch, got, want)
+				}
+				if res.Msgs != 2*np || res.Bytes != 2*np*8 {
+					t.Fatalf("%v rank=%d epoch=%d: meters %d msgs/%d bytes, want %d/%d", act, rank, epoch, res.Msgs, res.Bytes, 2*np, 2*np*8)
+				}
+			}
+		}
+	}
+}
+
 // TestJoinMidRunPicksUpRescheduledRanks kills rank 0's worker mid-run;
 // the spare listening worker past the world's first n addresses then
 // joins mid-run as its replacement, and must pick up the re-executed rank
 // so the world completes.
 func TestJoinMidRunPicksUpRescheduledRanks(t *testing.T) {
 	const np = 4
-	inj := faultinject.New(faultinject.Rule{
-		Point:  "dist.op",
-		Rank:   0,
-		Epoch:  1,
-		Action: faultinject.Kill,
-	})
 	var stats dist.Stats
-	r := recovering(
-		dist.WithWorkers(serveWorkers(t, np+1)...),
+	r := dist.Elastic(
+		dist.WithWorkers(listenWorkers(t, np+1, nil)...),
 		dist.WithHeartbeat(50*time.Millisecond, 3),
-		dist.WithInjector(inj),
+		dist.WithFaults(dist.Fault{Rank: 0, Epoch: 1, Action: dist.Kill}),
 		dist.WithObserver(func(s dist.Stats) { stats = s }),
 	)
 	prog, snap := ringProg(np)
@@ -274,8 +272,8 @@ func TestJoinMidRunPicksUpRescheduledRanks(t *testing.T) {
 	if res.Msgs != int64(2*np) {
 		t.Errorf("meters = %d msgs, want %d (replayed sends must not re-meter)", res.Msgs, 2*np)
 	}
-	if inj.Fired("dist.op") != 1 {
-		t.Fatalf("kill never fired (%d)", inj.Fired("dist.op"))
+	if stats.Faults != 1 {
+		t.Fatalf("kill fired %d times, want 1", stats.Faults)
 	}
 	if stats.Restarts < 1 {
 		t.Errorf("stats.Restarts = %d, want >= 1", stats.Restarts)
@@ -285,7 +283,7 @@ func TestJoinMidRunPicksUpRescheduledRanks(t *testing.T) {
 	}
 }
 
-// TestRestartBudgetExhausted points the injector at every operation of
+// TestRestartBudgetExhausted points a fault at every operation of
 // every rank: each attempt's worker dies at its first completed
 // operation, so recovery can never converge. The per-rank restart budget
 // must turn that livelock into a clean error. The listening worker is
@@ -293,30 +291,25 @@ func TestJoinMidRunPicksUpRescheduledRanks(t *testing.T) {
 // redials it for a fresh worker to kill — so this test also proves
 // redialing a listening worker works.
 func TestRestartBudgetExhausted(t *testing.T) {
-	inj := faultinject.New(faultinject.Rule{
-		Point:  "dist.op",
-		Rank:   faultinject.AnyRank,
-		Epoch:  faultinject.AnyEpoch,
-		Count:  1000,
-		Action: faultinject.Kill,
-	})
-	addr := serveWorkers(t, 1)[0]
+	addr := listenWorkers(t, 1, nil)[0]
+	var stats dist.Stats
 	r := dist.New(
 		dist.WithWorkers(addr, addr),
 		dist.WithHeartbeat(50*time.Millisecond, 3),
 		dist.WithRecovery(2, 30*time.Second),
-		dist.WithInjector(inj),
+		dist.WithFaults(dist.Fault{Rank: dist.AnyRank, Epoch: dist.AnyEpoch, Count: 1000, Action: dist.Kill}),
+		dist.WithObserver(func(s dist.Stats) { stats = s }),
 	)
 	prog, _ := ringProg(2)
 	_, err := core.Run(context.Background(), r, 2, machine.IBMSP(), prog)
 	if err == nil {
-		t.Fatal("run with a kill-everything injector succeeded, want restart-budget error")
+		t.Fatal("run with a kill-everything fault succeeded, want restart-budget error")
 	}
 	if !strings.Contains(err.Error(), "restart budget") {
 		t.Fatalf("error = %v, want restart-budget exhaustion", err)
 	}
-	if inj.Fired("dist.op") < 3 {
-		t.Errorf("injector fired %d times, want >= 3 (budget is 2 restarts)", inj.Fired("dist.op"))
+	if stats.Faults < 3 {
+		t.Errorf("fault fired %d times, want >= 3 (budget is 2 restarts)", stats.Faults)
 	}
 }
 
@@ -325,7 +318,7 @@ func TestRestartBudgetExhausted(t *testing.T) {
 // and tear the workers down (Run does not return until teardown
 // completes).
 func TestCancellationMidRun(t *testing.T) {
-	r := recovering(dist.WithWorkers(serveWorkers(t, 2)...))
+	r := dist.Elastic(dist.WithWorkers(listenWorkers(t, 2, nil)...))
 	prog := func(p *spmd.Proc) {
 		if p.Rank() == 0 {
 			p.Recv(1, 1) // rank 1 never sends
@@ -381,12 +374,6 @@ func TestKillRecoveryTrace(t *testing.T) {
 	// operations in guarantees its log holds both sends (suppressed on
 	// replay) and receives (replayed from the log).
 	tc := parityCases()[2]
-	inj := faultinject.New(faultinject.Rule{
-		Point:  "dist.op",
-		Rank:   0,
-		Epoch:  4,
-		Action: faultinject.Kill,
-	})
 	col := obs.NewCollector()
 	// The recovery events fire within the first few operations; the
 	// default drop-oldest ring would discard them under this workload's
@@ -394,23 +381,25 @@ func TestKillRecoveryTrace(t *testing.T) {
 	col.RingSize = 1 << 18
 	ctx := obs.NewContext(context.Background(), col)
 	prog, _ := tc.prog(np)
-	_, err := core.Run(ctx, recovering(
+	var stats dist.Stats
+	_, err := core.Run(ctx, dist.Elastic(
 		dist.WithHeartbeat(200*time.Millisecond, 5),
-		dist.WithInjector(inj),
+		dist.WithFaults(dist.Fault{Rank: 0, Epoch: 4, Action: dist.Kill}),
+		dist.WithObserver(func(s dist.Stats) { stats = s }),
 	), np, model, prog)
 	if err != nil {
 		t.Fatalf("elastic: %v", err)
 	}
-	if n := inj.Fired("dist.op"); n != 1 {
-		t.Fatalf("injector fired %d times, want 1", n)
-	}
-	if s := inj.Stats(); s.Total != 1 || s.ByPoint["dist.op"] != 1 {
-		t.Fatalf("injector stats = %+v, want one dist.op firing", s)
+	if stats.Faults != 1 {
+		t.Fatalf("fault fired %d times, want 1", stats.Faults)
 	}
 
 	rec := col.Last()
 	if rec == nil {
 		t.Fatal("no recorder registered: the collector context did not reach the transport")
+	}
+	if rec.Label() != "elastic" {
+		t.Errorf("recorder label = %q, want the runner's name, \"elastic\"", rec.Label())
 	}
 	// AllEvents merges the rank rings and the system ring sorted by
 	// timestamp, so first-occurrence scan order is causal order.
@@ -495,7 +484,6 @@ func TestKillRecoveryBurst(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	inj := faultinject.New(faultinject.Rule{Point: "dist.op", Rank: 1, Epoch: 0, Action: faultinject.Kill})
 	var stats dist.Stats
 	runProg, snap := prog()
 	type outcome struct {
@@ -504,8 +492,8 @@ func TestKillRecoveryBurst(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := core.Run(context.Background(), recovering(
-			dist.WithInjector(inj),
+		res, err := core.Run(context.Background(), dist.Elastic(
+			dist.WithFaults(dist.Fault{Rank: 1, Epoch: 0, Action: dist.Kill}),
 			dist.WithObserver(func(s dist.Stats) { stats = s }),
 		), np, model, runProg)
 		done <- outcome{res, err}
@@ -520,8 +508,8 @@ func TestKillRecoveryBurst(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("no result after 60s: the replacement never received the frames its predecessor had not echoed")
 	}
-	if inj.Fired("dist.op") != 1 || stats.Restarts != 1 {
-		t.Fatalf("kill fired %d times with %d restarts, want 1 and 1", inj.Fired("dist.op"), stats.Restarts)
+	if stats.Faults != 1 || stats.Restarts != 1 {
+		t.Fatalf("kill fired %d times with %d restarts, want 1 and 1", stats.Faults, stats.Restarts)
 	}
 	if !reflect.DeepEqual(simSnap(), snap()) {
 		t.Fatal("recovered burst results differ from sim")

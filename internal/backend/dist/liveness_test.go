@@ -1,4 +1,4 @@
-package elastic_test
+package dist_test
 
 // Liveness and admission: failure modes a well-behaved worker cannot
 // produce, staged around real workers.
@@ -11,43 +11,14 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/backend/dist"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/spmd"
 )
-
-// silentListener hands its worker connections on which the worker's hello
-// and ready (one write each) reach the coordinator and nothing after them
-// does: the wedged-process failure mode TCP cannot report — the
-// connection stays open and the worker reads on, but no pong (or
-// delivery) ever comes back.
-type silentListener struct{ net.Listener }
-
-func (l silentListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &silentConn{Conn: c}, nil
-}
-
-type silentConn struct {
-	net.Conn
-	writes atomic.Int32
-}
-
-func (c *silentConn) Write(p []byte) (int, error) {
-	if c.writes.Add(1) > 2 {
-		return len(p), nil
-	}
-	return c.Conn.Write(p)
-}
 
 // TestHeartbeatDeclaresSilentWorkerDead gives both ranks a wedged worker:
 // unanswered heartbeats must declare them dead after the configured
@@ -58,16 +29,10 @@ func (c *silentConn) Write(p []byte) (int, error) {
 // data-plane I/O error.
 func TestHeartbeatDeclaresSilentWorkerDead(t *testing.T) {
 	const np = 2
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go dist.Serve(silentListener{ln}) //nolint:errcheck // ends when the listener closes
-	silent := ln.Addr().String()
+	silent := listenWorkers(t, 1, func(ln net.Listener) net.Listener { return silentListener{ln} })[0]
 	var stats dist.Stats
-	r := recovering(
-		dist.WithWorkers(silent, silent, serveWorkers(t, 1)[0]),
+	r := dist.Elastic(
+		dist.WithWorkers(silent, silent, listenWorkers(t, 1, nil)[0]),
 		dist.WithHeartbeat(25*time.Millisecond, 3),
 		dist.WithObserver(func(s dist.Stats) { stats = s }),
 	)
@@ -114,7 +79,6 @@ func TestAttachRejectsBadToken(t *testing.T) {
 		t.Skip("no /proc/net/unix: the control socket is not an abstract unix socket here")
 	}
 	np := runtime.NumCPU() + 9
-	inj := faultinject.New(faultinject.Rule{Point: "dist.op", Rank: 1, Epoch: 0, Action: faultinject.Kill})
 	impostor := make(chan error, 1)
 	prog := func(p *spmd.Proc) {
 		switch p.Rank() {
@@ -130,7 +94,8 @@ func TestAttachRejectsBadToken(t *testing.T) {
 			}
 		}
 	}
-	if _, err := core.Run(context.Background(), recovering(dist.WithInjector(inj)), np, machine.IBMSP(), prog); err != nil {
+	r := dist.Elastic(dist.WithFaults(dist.Fault{Rank: 1, Epoch: 0, Action: dist.Kill}))
+	if _, err := core.Run(context.Background(), r, np, machine.IBMSP(), prog); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	select {

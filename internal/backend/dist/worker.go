@@ -2,18 +2,16 @@ package dist
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"os"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/backoff"
 )
 
 // Environment keys of the self-spawn protocol: the coordinator launches
@@ -28,6 +26,41 @@ const (
 	// the delivery is pushed back up — simulating a mid-run crash.
 	envCrashRank = "ARCHDIST_CRASH_RANK"
 )
+
+// The back-off schedules: a worker's dial retry, which races its
+// coordinator's startup (about 6 s of waiting in the worst case), and
+// Serve's pause after a failed Accept.
+const (
+	dialAttempts = 8
+	dialBase     = 50 * time.Millisecond
+	dialMax      = 2 * time.Second
+	acceptBase   = 5 * time.Millisecond
+	acceptMax    = time.Second
+)
+
+// backoff returns the pause after the i-th consecutive failure (0-based):
+// base doubled per earlier failure up to ceil, then jittered uniformly
+// within ±50 % so that a fleet of retriers does not retry in lockstep.
+func backoff(i int, base, ceil time.Duration) time.Duration {
+	d := base
+	for ; i > 0 && d < ceil; i-- {
+		d *= 2
+	}
+	d = min(d, ceil)
+	return d/2 + rand.N(d)
+}
+
+// retry runs f up to attempts times, pausing backoff(i, base, ceil)
+// after the i-th failure, and returns nil on the first success or the
+// last error.
+func retry(attempts int, base, ceil time.Duration, f func() error) error {
+	err := f()
+	for i := 0; err != nil && i < attempts-1; i++ {
+		time.Sleep(backoff(i, base, ceil))
+		err = f()
+	}
+	return err
+}
 
 // MaybeWorker turns the current process into a dist worker when it was
 // self-spawned by a dist coordinator (the ARCHDIST_WORKER environment
@@ -53,11 +86,11 @@ func MaybeWorker() {
 // dies (the error). The address is "host:port" for TCP or "unix:/path"
 // for a coordinator on the same host ("unix:@name" for an abstract
 // socket, the self-spawn default on Linux: a unix-domain control socket
-// shaves scheduler latency off every coordinator↔worker crossing). The initial dial retries with
-// exponential backoff and jitter (see backoff.Dial) instead of failing
-// on the first connection-refused, so a worker started moments before
-// its coordinator — the common race when both sides launch from one
-// script — attaches instead of dying. An empty token falls back to the
+// shaves scheduler latency off every coordinator↔worker crossing). The
+// initial dial retries with exponential backoff and jitter (see retry)
+// instead of failing on the first connection-refused, so a worker
+// started moments before its coordinator — the common race when both
+// sides launch from one script — attaches instead of dying. An empty token falls back to the
 // ARCHDIST_TOKEN environment variable, so explicit worker entry points
 // (archworker -join, archdemo -worker) authenticate the same way
 // self-spawned workers do.
@@ -70,7 +103,7 @@ func JoinWorld(addr, token string) error {
 		network, dialAddr = "unix", path
 	}
 	var conn net.Conn
-	err := backoff.Dial().Retry(context.Background(), func() error {
+	err := retry(dialAttempts, dialBase, dialMax, func() error {
 		var err error
 		conn, err = net.Dial(network, dialAddr)
 		return err
@@ -89,7 +122,6 @@ func JoinWorld(addr, token string) error {
 // only when the listener itself is closed (closing l is the way to stop
 // it).
 func Serve(l net.Listener) error {
-	policy := backoff.Policy{Base: 5 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5}
 	fails := 0
 	for {
 		conn, err := l.Accept()
@@ -97,7 +129,7 @@ func Serve(l net.Listener) error {
 			if errors.Is(err, net.ErrClosed) {
 				return err
 			}
-			time.Sleep(policy.Delay(fails))
+			time.Sleep(backoff(fails, acceptBase, acceptMax))
 			fails++
 			continue
 		}

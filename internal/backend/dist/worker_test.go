@@ -80,6 +80,47 @@ func TestServeRecoversFromTransientAcceptErrors(t *testing.T) {
 	}
 }
 
+// TestBackoff pins the two back-off helpers: the pause doubles per
+// failure up to its ceiling and is jittered within ±50 % of that, and
+// retry stops at the first success or returns the last error once its
+// attempts run out.
+func TestBackoff(t *testing.T) {
+	const base, ceil = 10 * time.Millisecond, 80 * time.Millisecond
+	for i, nominal := range []time.Duration{10, 20, 40, 80, 80, 80} {
+		nominal *= time.Millisecond
+		lo, hi := time.Duration(1<<62), time.Duration(0)
+		for range 200 {
+			d := backoff(i, base, ceil)
+			lo, hi = min(lo, d), max(hi, d)
+		}
+		if lo < nominal/2 || hi >= nominal*3/2 {
+			t.Errorf("backoff(%d) spans [%v, %v], want within [%v, %v)", i, lo, hi, nominal/2, nominal*3/2)
+		}
+		if hi-lo < nominal/2 {
+			t.Errorf("backoff(%d) spans [%v, %v]: jitter narrower than half the pause %v", i, lo, hi, nominal)
+		}
+	}
+
+	calls := 0
+	err := retry(3, time.Microsecond, time.Microsecond, func() error {
+		calls++
+		return fmt.Errorf("failure %d", calls)
+	})
+	if calls != 3 || err == nil || err.Error() != "failure 3" {
+		t.Errorf("retry of a failing call: %d calls, error %v; want 3 calls and the last error", calls, err)
+	}
+	calls = 0
+	err = retry(3, time.Microsecond, time.Microsecond, func() error {
+		if calls++; calls < 2 {
+			return errors.New("transient")
+		}
+		return nil
+	})
+	if calls != 2 || err != nil {
+		t.Errorf("retry of a call that succeeds second: %d calls, error %v; want 2 calls and nil", calls, err)
+	}
+}
+
 // TestUpstreamNeverBlocksTheLoop drives the worker's up stream against a
 // peer that does not read: write and flush must keep returning (the
 // control loop must keep consuming its down stream — the dist send/echo

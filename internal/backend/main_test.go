@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/backend/dist"
-	_ "repro/internal/elastic"
 )
 
 // TestMain lets this test binary self-spawn as dist workers: the parity

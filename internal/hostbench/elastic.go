@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/backend/dist"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/onedeep"
 	"repro/internal/sortapp"
@@ -131,22 +130,16 @@ func runElasticScenario(ctx context.Context, addrs []string, np int, kill *elast
 		if err := ctx.Err(); err != nil {
 			return RecoveryResult{}, err
 		}
-		var inj *faultinject.Injector
 		var stats dist.Stats
 		opts := []dist.Option{
 			dist.WithWorkers(addrs...),
-			dist.WithRecovery(3, 2*time.Minute),
 			dist.WithObserver(func(s dist.Stats) { stats = s }),
 		}
 		if kill != nil {
-			inj = faultinject.New(faultinject.Rule{
-				Point: "dist.op", Rank: kill.rank, Epoch: kill.epoch,
-				Action: faultinject.Kill,
-			})
-			opts = append(opts, dist.WithInjector(inj))
+			opts = append(opts, dist.WithFaults(dist.Fault{Rank: kill.rank, Epoch: kill.epoch, Action: dist.Kill}))
 		}
 		start := time.Now()
-		res, err := core.Run(ctx, dist.New(opts...), np, model, func(p *spmd.Proc) {
+		res, err := core.Run(ctx, dist.Elastic(opts...), np, model, func(p *spmd.Proc) {
 			onedeep.RunSPMD(p, spec, blocks[p.Rank()])
 		})
 		if err != nil {
@@ -157,8 +150,8 @@ func runElasticScenario(ctx context.Context, addrs []string, np int, kill *elast
 				res.Msgs, res.Bytes, wantMsgs, wantBytes)
 		}
 		if kill != nil {
-			if fired := inj.Fired("dist.op"); fired != 1 {
-				return RecoveryResult{}, fmt.Errorf("kill fired %d times, want 1", fired)
+			if stats.Faults != 1 {
+				return RecoveryResult{}, fmt.Errorf("kill fired %d times, want 1", stats.Faults)
 			}
 			if stats.Restarts < 1 {
 				return RecoveryResult{}, fmt.Errorf("kill caused no restarts: %+v", stats)

@@ -87,8 +87,8 @@ const (
 	// KindExecute records a sched cell starting execution; Dur is the
 	// time it waited in the queue.
 	KindExecute
-	// KindFault records a faultinject rule firing; Tag carries the
-	// faultinject.Action code.
+	// KindFault records a declared dist fault firing; Tag carries its
+	// dist.Action code.
 	KindFault
 )
 

@@ -55,14 +55,13 @@ type FailureInfo struct {
 }
 
 // classifyFailure maps a run error onto the structured failure taxonomy.
-// Resolve-time errors carry the registry's "(have: ...)" listings and
-// "does not support" phrasing; substrate errors are prefixed by the
-// backend that raised them.
+// Resolve-time errors carry the registry's "(have: ...)" listings;
+// substrate errors are prefixed by the backend that raised them.
 func classifyFailure(err error) *FailureInfo {
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return &FailureInfo{Reason: ReasonCanceled, Retryable: true}
-	case strings.Contains(err.Error(), "(have:") || strings.Contains(err.Error(), "does not support"):
+	case strings.Contains(err.Error(), "(have:"):
 		return &FailureInfo{Reason: ReasonSpec, Retryable: false}
 	case strings.HasPrefix(err.Error(), "dist:") || strings.Contains(err.Error(), "worker"):
 		return &FailureInfo{Reason: ReasonBackend, Retryable: true}

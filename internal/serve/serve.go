@@ -226,7 +226,7 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 	out := make([]AppInfo, len(apps))
 	for i, a := range apps {
 		out[i] = AppInfo{Name: a.Name, Desc: a.Desc, DefaultSize: a.DefaultSize,
-			Backends: a.BackendNames(), Kind: a.KindName()}
+			Backends: arch.BackendNames(), Kind: a.KindName()}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
